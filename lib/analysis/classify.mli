@@ -25,7 +25,9 @@
     of strong attacks, the configuration of the trichotomy's hardness
     reduction.  [Unknown] covers everything the analysis does not decide,
     including weak attack cycles (PTIME in principle, but the recursive
-    rewriting for that tier is not implemented). *)
+    rewriting for that tier is not implemented).  Under denial-class
+    constraints the engine answers every [Conp_hard] and [Unknown] query
+    by SAT compilation, which is exact for all of them. *)
 
 type verdict = Fo_rewritable | L_datalog_rewritable | Conp_hard | Unknown
 

@@ -97,9 +97,9 @@ let datalog_program ?edb (p : Datalog.Program.t) =
     @ strat @ unused_findings graph @ undefined_findings ?edb graph)
 
 (* Query-level lints.  A self-join silently demotes the attack-graph
-   trichotomy to the structural dichotomy checks (verdict [Unknown], the
-   engine enumerates); surface that degradation as a warning so analyze
-   reports it without failing the CI lint gate. *)
+   trichotomy to the structural dichotomy checks (verdict [Unknown]: no
+   rewriting; the engine compiles to SAT, or enumerates under INDs); surface that degradation as a
+   warning so analyze reports it without failing the CI lint gate. *)
 let query_findings ?subject (q : Logic.Cq.t) =
   let subject = Option.value subject ~default:q.Logic.Cq.name in
   let rels = List.map (fun (a : Atom.t) -> a.rel) q.Logic.Cq.body in
@@ -114,7 +114,9 @@ let query_findings ?subject (q : Logic.Cq.t) =
                    "relation %s occurs in %d atoms: the attack-graph \
                     trichotomy assumes self-join-freeness, so \
                     classification falls back to the dichotomy checks and \
-                    the query is answered by enumeration"
+                    the query is answered by SAT compilation under \
+                    denial-class constraints (repair enumeration \
+                    otherwise)"
                    r count)))
 
 let asp_program (p : Asp.Syntax.t) =

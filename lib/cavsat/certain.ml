@@ -10,15 +10,20 @@ let c_clean_witness = Obs.Counter.make "cavsat.clean_witness"
 let c_sat_calls = Obs.Counter.make "cavsat.sat_calls"
 let c_witness_clauses = Obs.Counter.make "cavsat.witness_clauses"
 
-(* Is [row] a certain answer?  Holding the theory lock: allocate a
-   selector s, assert per witness "s → some conflicting member of the
-   witness is deleted", and solve under assumption s.  A model is an
-   S-repair killing every witness, so SAT refutes certainty; UNSAT
-   proves every repair keeps a witness, i.e. the answer is certain (and
-   the solver retains the learned ¬s, retiring the selector).  On SAT
-   the selector is retired explicitly with a unit clause so later
-   candidates never revisit its clauses. *)
-let candidate_certain (theory : Theory.t) witnesses =
+(* The largest formula any candidate of the current query was solved
+   against (base theory plus that candidate's clauses); reported on the
+   span, since rollback returns the solver to the base size. *)
+type peak = { mutable vars : int; mutable clauses : int }
+
+(* Is [row] a certain answer?  Holding the theory lock: mark the solver,
+   allocate a selector s, assert per witness "s → some conflicting
+   member of the witness is deleted", and solve under assumption s.  A
+   model is an S-repair killing every witness, so SAT refutes certainty;
+   UNSAT proves every repair keeps a witness, i.e. the answer is
+   certain.  Either way the solver is rolled back to the mark (on the
+   exception path too), so every solve sees the base theory plus
+   exactly one candidate and the cached theory never grows. *)
+let candidate_certain (theory : Theory.t) peak witnesses =
   let conflicting w = Tid.Set.inter w theory.Theory.conflicting in
   if List.exists (fun w -> Tid.Set.is_empty (conflicting w)) witnesses then begin
     (* A witness no constraint touches survives in every repair. *)
@@ -27,6 +32,8 @@ let candidate_certain (theory : Theory.t) witnesses =
   end
   else begin
     let solver = theory.Theory.solver in
+    let m = Dpll.mark solver in
+    Fun.protect ~finally:(fun () -> Dpll.rollback solver m) @@ fun () ->
     let s = Dpll.fresh_var solver in
     List.iter
       (fun w ->
@@ -37,12 +44,10 @@ let candidate_certain (theory : Theory.t) witnesses =
                (fun tid -> -(Option.get (Theory.var_for theory tid)))
                (Tid.Set.elements (conflicting w))))
       witnesses;
+    peak.vars <- max peak.vars (Dpll.nvars solver);
+    peak.clauses <- max peak.clauses (Dpll.nclauses solver);
     Obs.Counter.incr c_sat_calls;
-    match Dpll.solve ~assumptions:[ s ] solver with
-    | Some _ ->
-        Dpll.add_clause solver [ -s ];
-        false
-    | None -> true
+    Dpll.solve ~assumptions:[ s ] solver = None
   end
 
 let consistent_answers inst schema ics q =
@@ -64,13 +69,19 @@ let consistent_answers inst schema ics q =
     else begin
       let candidates = Witness.answers_with_witnesses q inst in
       Obs.Counter.add c_candidates (List.length candidates);
+      let peak =
+        {
+          vars = theory.Theory.base.Theory.vars;
+          clauses = theory.Theory.base.Theory.clauses;
+        }
+      in
       Mutex.lock theory.Theory.lock;
       let certain =
         match
           List.filter
             (fun (_, ws) ->
               Obs.Progress.tick ();
-              candidate_certain theory ws)
+              candidate_certain theory peak ws)
             candidates
         with
         | rows -> rows
@@ -81,9 +92,8 @@ let consistent_answers inst schema ics q =
       Mutex.unlock theory.Theory.lock;
       Obs.Counter.add c_certain (List.length certain);
       if Obs.Trace.is_enabled () then begin
-        Obs.Trace.attr_int "vars" (Sat.Dpll.Incremental.nvars theory.Theory.solver);
-        Obs.Trace.attr_int "clauses"
-          (Sat.Dpll.Incremental.nclauses theory.Theory.solver);
+        Obs.Trace.attr_int "vars" peak.vars;
+        Obs.Trace.attr_int "clauses" peak.clauses;
         Obs.Trace.attr_int "conflict_edges" theory.Theory.base.Theory.conflict_edges;
         Obs.Trace.attr_int "candidates" (List.length candidates);
         Obs.Trace.attr_int "certain" (List.length certain)

@@ -1,19 +1,26 @@
-(** SAT-compiled consistent query answering for the coNP-hard tier
-    (CAvSAT-style; Dixit–Kolaitis).
+(** SAT-compiled consistent query answering (CAvSAT-style;
+    Dixit–Kolaitis): exact for every conjunctive query under
+    denial-class constraints, and the [method=auto] route for every
+    query no rewriting covers — the coNP-hard tier, weak attack cycles,
+    self-joins and non-key denials.
 
     Certainty of each candidate answer is decided without materializing
     a single repair: the candidate's witnesses are compiled to clauses
     over the shared repair {!Theory}, and one incremental SAT call under
     a per-candidate selector assumption asks for an S-repair killing
-    every witness.  UNSAT ⇔ the answer is certain.
+    every witness.  UNSAT ⇔ the answer is certain.  The solver is
+    marked before each candidate's clauses and rolled back after its
+    solve, so every call sees the base theory plus one candidate and
+    the cached theory keeps its built size across queries.
 
     Counters: [cavsat.queries], [cavsat.candidates], [cavsat.certain],
     [cavsat.clean_witness] (candidates settled without a SAT call),
     [cavsat.sat_calls], [cavsat.witness_clauses], plus the theory-layer
     [cavsat.theory_builds] / [cavsat.theory_cache_hits] /
     [cavsat.vars] / [cavsat.clauses].  The [cavsat.certain_answers]
-    span carries vars/clauses/conflict_edges/candidates/certain
-    attributes for EXPLAIN. *)
+    span carries vars/clauses (the peak formula size any candidate was
+    solved against), conflict_edges, candidates and certain attributes
+    for EXPLAIN. *)
 
 val consistent_answers :
   Relational.Instance.t ->

@@ -136,8 +136,8 @@ let build inst schema ics =
    the cached instance before reuse.  Sharing the cached theory across
    the candidates of one query — and across queries on the same
    instance — is what makes the per-candidate work incremental: the
-   conflict clauses are indexed once, and the solver keeps its learned
-   refutations. *)
+   conflict clauses are indexed once, and each candidate only adds (and
+   then rolls back) its own selector clauses. *)
 
 let cache_capacity = 8
 let cache : (int * string * Instance.t * t) list ref = ref []

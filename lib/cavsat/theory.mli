@@ -8,7 +8,8 @@
 
     Built once per (instance digest × constraints) through {!cached}
     and shared by all answer candidates — the incremental solver inside
-    retains both the indexed theory and the refutations it learns. *)
+    keeps the indexed theory; {!Certain} rolls each candidate's clauses
+    back after its solve, so the solver stays at its [base] size. *)
 
 type stats = { vars : int; clauses : int; conflict_edges : int }
 

@@ -35,7 +35,12 @@ let answers_with_witnesses (q : Cq.t) inst =
               | None -> None))
         (Some []) q.Cq.head
     with
-    | None -> () (* unbound head term: not an answer under this match *)
+    | None ->
+        (* Same contract as [Cq.answers]: an unsafe query has no answers
+           to certify. *)
+        invalid_arg
+          (Printf.sprintf "Cavsat.Witness: unsafe head variable in %s"
+             q.Cq.name)
     | Some rev_row ->
         let row = List.rev rev_row in
         let seen = Option.value ~default:Tidset_set.empty (Rows.find_opt row !acc) in

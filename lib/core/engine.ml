@@ -135,38 +135,55 @@ let plan t q =
            evaluation of the emitted Datalog program — no repairs are
            ever materialized on this branch. *)
         `Datalog_rewriting
-    | Analysis.Classify.Conp_hard, _ when denial_class t ->
-        (* The dichotomy's hard side: no FO rewriting exists, but the
-           repairs are the maximal independent sets of the conflict
-           graph, so certainty compiles to (incremental) SAT instead of
-           materializing exponentially many repairs.  The denial-class
-           guard keeps non-relevant INDs (repaired by insertion) off
+    | (Analysis.Classify.Conp_hard | Analysis.Classify.Unknown), _
+      when denial_class t ->
+        (* Everything no rewriting takes: the dichotomy's hard side, weak
+           attack cycles, self-joins, non-key denials.  Under
+           denial-class constraints certainty is in coNP for every
+           conjunctive query and the repairs are the maximal independent
+           sets of the conflict graph, so it compiles exactly to
+           (incremental) SAT instead of materializing exponentially many
+           repairs.  The guard keeps INDs (repaired by insertion) off
            this route. *)
         `Sat_compilation
     | _ -> `Repair_enumeration
   in
   { route; classification }
 
+(* A rewriting that declines at runtime (NULLs in the instance, or a
+   divergence from the symbolic check) hands over to the exact route for
+   the constraint class: SAT under denial-class constraints, enumeration
+   otherwise. *)
+let exact_fallback t q =
+  if denial_class t then by_sat t q else by_repair_enumeration t q
+
+(* The Fuxman–Miller rewriting reads key equality as SQL equality,
+   under which a NULL key matches nothing, while repairs compare tuples
+   structurally: on a NULL-keyed tuple the two disagree.  The route
+   declines when a relation the query reads holds a NULL, as the Datalog
+   rewriting does. *)
+let reads_null t (q : Logic.Cq.t) =
+  List.exists
+    (fun (a : Logic.Atom.t) ->
+      Array.exists Relational.Column.has_nulls
+        (Instance.columnar t.instance ~rel:a.rel).Relational.Columnar.columns)
+    q.body
+
 let run_plan t q p =
   match p.route with
   | `Direct -> Logic.Cq.answers q t.instance
   | `Repair_enumeration -> by_repair_enumeration t q
   | `Sat_compilation -> by_sat t q
+  | `Key_rewriting when reads_null t q -> exact_fallback t q
   | `Key_rewriting -> (
       let keys = Analysis.Classify.rewrite_keys t.ics q in
       match Rewriting.Key_rewrite.consistent_answers q ~keys t.instance with
       | Some rows -> rows
-      | None ->
-          (* The classifier verified the rewriting symbolically, so this
-             is unreachable; enumeration keeps even a divergence sound. *)
-          by_repair_enumeration t q)
+      | None -> exact_fallback t q)
   | `Datalog_rewriting -> (
       match by_datalog_rewriting t q with
       | Some rows -> rows
-      | None ->
-          (* Declined at runtime (NULLs in the instance, or a divergence
-             from the symbolic check); enumeration stays sound. *)
-          by_repair_enumeration t q)
+      | None -> exact_fallback t q)
 
 (* The branch a non-auto method executes — EXPLAIN and the trace
    attrs report it uniformly whether or not planning was involved. *)

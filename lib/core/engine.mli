@@ -42,12 +42,25 @@ type route =
   | `Datalog_rewriting
   | `Sat_compilation
   | `Repair_enumeration ]
-(** What [`Auto] will actually execute: plain evaluation (no relevant
-    constraints), the Fuxman–Miller rewriting, the attack-graph Datalog
-    rewriting (the classifier's [L_datalog_rewritable] tier, run on the
-    seminaive evaluator), CAvSAT-style SAT compilation (the classifier's
-    [Conp_hard] tier under denial-class constraints), or repair
-    enumeration. *)
+(** What [`Auto] will actually execute, by the classifier's verdict:
+
+    - [FO_rewritable] with no relevant constraint: [`Direct], plain
+      evaluation;
+    - [FO_rewritable] otherwise: [`Key_rewriting], the Fuxman–Miller
+      rewriting;
+    - [L_datalog_rewritable]: [`Datalog_rewriting], the attack-graph
+      Datalog program on the seminaive evaluator;
+    - [Conp_hard] or [Unknown] (weak attack cycle, self-join, non-key
+      denial, multiple keys, declined rewriting) when every constraint
+      is denial-class: [`Sat_compilation], CAvSAT-style SAT compilation,
+      exact for every conjunctive query there;
+    - [`Repair_enumeration] only when some constraint is not
+      denial-class (an inclusion dependency repairs by insertion, which
+      the SAT theory does not model).
+
+    A rewriting that declines at run time (NULLs in the relations the
+    query reads) falls back to SAT under denial-class constraints and to
+    enumeration otherwise. *)
 
 type plan = { route : route; classification : Analysis.Classify.t }
 
@@ -63,13 +76,8 @@ val consistent_answers :
   t ->
   Logic.Cq.t ->
   Relational.Value.t list list
-(** Consistent answers under S-repairs.  [`Auto] (default) consults
-    {!plan}: the Fuxman–Miller rewriting when the classifier proves the
-    (constraints, query) pair FO-rewritable, the Datalog rewriting on the
-    [L_datalog_rewritable] tier, plain evaluation when no constraint
-    touches the query's relations, SAT compilation on the classifier's
-    coNP-hard tier (denial-class constraints only), and repair
-    enumeration otherwise.  [`Sat] forces the SAT backend
+(** Consistent answers under S-repairs.  [`Auto] (default) executes
+    {!plan}'s route (see {!route}).  [`Sat] forces the SAT backend
     ({!Cavsat.Certain}) — exact on any denial-class input, raising
     [Invalid_argument] on inclusion dependencies.  [`Key_rewriting] and
     [`Datalog] raise [Invalid_argument] when not applicable, with the

@@ -300,9 +300,10 @@ let model_true_vars m =
    built by earlier calls is never re-indexed; each [solve] only pays
    for what was added since the last one.  When a call is unsatisfiable
    under non-empty assumptions the clause over their negations is
-   implied by the formula, so it is retained — callers that probe one
-   selector literal per candidate (lib/cavsat) get their refuted
-   selectors retired automatically. *)
+   implied by the formula, so it is retained.  [mark]/[rollback] undo
+   everything added after a mark — clauses, variables and learned
+   refutations — so a caller that probes many throwaway candidates
+   (lib/cavsat) solves each one against the base formula alone. *)
 
 module Incremental = struct
   type solver = {
@@ -319,6 +320,12 @@ module Incremental = struct
   }
 
   type t = solver
+  type mark = {
+    m_n : int;
+    m_nvars : int;
+    m_learned : int;
+    m_root_unsat : bool;
+  }
 
   let create () =
     {
@@ -333,6 +340,33 @@ module Incremental = struct
       learned = 0;
       root_unsat = false;
     }
+
+  let mark t =
+    {
+      m_n = t.n;
+      m_nvars = t.nvars;
+      m_learned = t.learned;
+      m_root_unsat = t.root_unsat;
+    }
+
+  (* Clause [ci] was the newest when it was indexed, so once every
+     younger clause is gone its entries sit at the heads of its
+     literals' occurrence lists (twice for a repeated literal). *)
+  let rollback t m =
+    if m.m_n > t.n || m.m_nvars > t.nvars then
+      invalid_arg "Dpll.Incremental.rollback: mark is newer than the solver";
+    for ci = t.n - 1 downto m.m_n do
+      Array.iter
+        (fun l ->
+          let idx = lit_index l in
+          t.occ.(idx) <- List.tl t.occ.(idx))
+        t.clauses.(ci);
+      t.clauses.(ci) <- [||]
+    done;
+    t.n <- m.m_n;
+    t.nvars <- m.m_nvars;
+    t.learned <- m.m_learned;
+    t.root_unsat <- m.m_root_unsat
 
   let nvars t = t.nvars
   let nclauses t = t.n
@@ -410,14 +444,18 @@ module Incremental = struct
   let solve ?(assumptions = []) t =
     let sp = Obs.Trace.start "sat.dpll.solve" in
     Obs.Counter.incr c_inc_solves;
-    Obs.Progress.tick ();
-    let result =
+    match
+      Obs.Progress.tick ();
       if t.root_unsat then None
       else begin
         List.iter (fun l -> reserve t (abs l)) assumptions;
         sync t;
         let st = view t in
+        (* Blank the shared assignment on every exit: a deadline raised
+           inside [search] must not leak its partial trail into the
+           next call. *)
         let outcome =
+          Fun.protect ~finally:(fun () -> undo_to st 0) @@ fun () ->
           if not (List.for_all (fun l -> assume st l) assumptions) then None
           else begin
             let found = ref None in
@@ -429,7 +467,6 @@ module Incremental = struct
             !found
           end
         in
-        undo_to st 0;
         (match outcome with
         | None when assumptions <> [] ->
             (* UNSAT under assumptions: the formula implies the clause of
@@ -441,11 +478,15 @@ module Incremental = struct
         | _ -> ());
         outcome
       end
-    in
-    if Obs.Trace.is_enabled () then
-      Obs.Trace.attr "sat" (if result = None then "unsat" else "sat");
-    Obs.Trace.finish sp;
-    result
+    with
+    | result ->
+        if Obs.Trace.is_enabled () then
+          Obs.Trace.attr "sat" (if result = None then "unsat" else "sat");
+        Obs.Trace.finish sp;
+        result
+    | exception e ->
+        Obs.Trace.finish sp;
+        raise e
 
   let satisfiable ?assumptions t = solve ?assumptions t <> None
 end

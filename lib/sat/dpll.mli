@@ -46,9 +46,16 @@ val model_true_vars : model -> int list
     certainty check shares across all answer candidates) are indexed
     once.  A call that is unsatisfiable under non-empty assumptions
     retains the implied clause over the negated assumptions
-    (learned-clause retention); counters live under [sat.dpll.*]. *)
+    (learned-clause retention); {!Incremental.mark} and
+    {!Incremental.rollback} take back everything added after a point, so
+    throwaway probes leave the solver as they found it.  Counters live
+    under [sat.dpll.*]. *)
 module Incremental : sig
   type t
+
+  type mark
+  (** A point in the solver's history: its clause count, variable count,
+      learned-clause count and root unsatisfiability. *)
 
   val create : unit -> t
 
@@ -60,14 +67,28 @@ module Incremental : sig
 
   val add_clause : t -> int list -> unit
   (** Add a clause (non-zero literals).  The empty clause marks the
-      solver permanently unsatisfiable. *)
+      solver permanently unsatisfiable (until a {!rollback} to a mark
+      taken before it). *)
+
+  val mark : t -> mark
+
+  val rollback : t -> mark -> unit
+  (** Restore the solver to the mark: clauses added since (learned
+      refutations included) leave the clause store and the occurrence
+      lists, variables allocated since are released for reuse, and the
+      learned-clause count and root unsatisfiability return to their
+      values at the mark.  Cost is linear in the size of the clauses
+      removed.  Raises [Invalid_argument] if the solver was rolled back
+      past the mark already. *)
 
   val solve : ?assumptions:int list -> t -> model option
   (** One satisfying assignment of all clauses added so far under the
       assumption literals, or [None].  On [None] with non-empty
       assumptions the clause of their negations is added to the solver
       (it is implied), so a refuted single-literal assumption behaves
-      like a retired selector. *)
+      like a retired selector.  Exception-safe: a deadline
+      ([Obs.Progress]) raised mid-search leaves the solver blank and
+      reusable. *)
 
   val satisfiable : ?assumptions:int list -> t -> bool
 
@@ -75,5 +96,7 @@ module Incremental : sig
   val nclauses : t -> int
 
   val learned_clauses : t -> int
-  (** Number of assumption-refutation clauses retained so far. *)
+  (** Number of assumption-refutation clauses currently in the solver:
+      every refutation retained so far, minus those a {!rollback}
+      removed (the count returns to its value at the mark). *)
 end

@@ -72,6 +72,77 @@ let test_incremental_many_selectors () =
   done;
   check Alcotest.int "twenty refutations retained" 20 (Inc.learned_clauses s)
 
+let test_incremental_rollback () =
+  let s = Inc.create () in
+  let a = Inc.fresh_var s and b = Inc.fresh_var s in
+  Inc.add_clause s [ a; b ];
+  let m = Inc.mark s in
+  let sel = Inc.fresh_var s in
+  Inc.add_clause s [ -sel; -a; -a ];
+  Inc.add_clause s [ -sel; -b ];
+  check Alcotest.bool "selector refuted" false
+    (Inc.satisfiable ~assumptions:[ sel ] s);
+  check Alcotest.int "refutation retained" 1 (Inc.learned_clauses s);
+  Inc.add_clause s [];
+  check Alcotest.bool "root unsat" false (Inc.satisfiable s);
+  Inc.rollback s m;
+  check Alcotest.int "vars back to the mark" 2 (Inc.nvars s);
+  check Alcotest.int "clauses back to the mark" 1 (Inc.nclauses s);
+  check Alcotest.int "learned back to the mark" 0 (Inc.learned_clauses s);
+  check Alcotest.bool "root unsat undone" true (Inc.satisfiable s);
+  (* The occurrence lists were unwound too: a selector reusing the
+     released variable propagates against the base formula only. *)
+  let sel' = Inc.fresh_var s in
+  check Alcotest.int "variable number reused" sel sel';
+  Inc.add_clause s [ -sel'; -a ];
+  (match Inc.solve ~assumptions:[ sel' ] s with
+  | None -> Alcotest.fail "only the new selector clause constrains a"
+  | Some m -> check Alcotest.bool "a dropped, b kept" true ((not m.(a)) && m.(b)));
+  Inc.rollback s m;
+  check Alcotest.int "second rollback" 1 (Inc.nclauses s);
+  Alcotest.check_raises "mark past the solver"
+    (Invalid_argument
+       "Dpll.Incremental.rollback: mark is newer than the solver")
+    (fun () ->
+      let s' = Inc.create () in
+      Inc.rollback s' m)
+
+(* A deadline raised inside the search must leave the shared assignment
+   blank.  (v1 ∨ v2) ∧ (v3 ∨ v4) ∧ ...: the search decides odd variables
+   false first, so a search cut short after its first decision would
+   leave v1 false and refute the assumption v1 on the next call.  The
+   clock advances one second per read and every tick reads it, so the
+   budgets sweep the cut across every decision. *)
+let test_incremental_deadline_leaves_solver_blank () =
+  let prev = Obs.Progress.check_interval () in
+  Obs.Progress.set_check_interval 1;
+  Fun.protect ~finally:(fun () -> Obs.Progress.set_check_interval prev)
+  @@ fun () ->
+  let cut = ref 0 in
+  for budget = 0 to 10 do
+    let s = Inc.create () in
+    for i = 0 to 5 do
+      Inc.add_clause s [ (2 * i) + 1; (2 * i) + 2 ]
+    done;
+    let now = ref 0.0 in
+    let clock () =
+      now := !now +. 1.0;
+      !now
+    in
+    let c =
+      Obs.Progress.create ~deadline_s:(float budget +. 0.5) ~clock
+        ~label:"solve" ~id:0 ()
+    in
+    (match Obs.Progress.run c (fun () -> Inc.solve s) with
+    | _ -> ()
+    | exception Obs.Progress.Deadline_exceeded -> incr cut);
+    check Alcotest.bool
+      (Printf.sprintf "blank after budget %d" budget)
+      true
+      (Inc.satisfiable ~assumptions:[ 1; 3; 5; 7; 9; 11 ] s)
+  done;
+  check Alcotest.bool "the sweep cut solves mid-search" true (!cut > 2)
+
 (* ---- Theory ---------------------------------------------------------- *)
 
 let rs_schema = Schema.of_list [ ("R", [ "a"; "b" ]); ("S", [ "c"; "d" ]) ]
@@ -242,28 +313,6 @@ let test_engine_sat_on_rewritable_query () =
   check rows "proj certain" [ [ "1" ] ]
     (strings_of (Cqa.Engine.consistent_answers ~method_:`Sat eng proj))
 
-(* ---- qcheck equivalence (SAT ≡ enumeration) -------------------------- *)
-
-let instance_of (rs, ss) =
-  Instance.of_rows rs_schema
-    [
-      ("R", List.map (fun (a, b) -> [ Value.int a; Value.int b ]) rs);
-      ("S", List.map (fun (a, b) -> [ Value.int a; Value.int b ]) ss);
-    ]
-
-let arb_db =
-  QCheck.make
-    QCheck.Gen.(
-      pair
-        (list_size (int_range 0 6) (pair (int_range 0 2) (int_range 0 3)))
-        (list_size (int_range 0 6) (pair (int_range 0 2) (int_range 0 3))))
-    ~print:(fun (rs, ss) ->
-      let side l =
-        String.concat ";"
-          (List.map (fun (a, b) -> Printf.sprintf "%d,%d" a b) l)
-      in
-      Printf.sprintf "R=%s S=%s" (side rs) (side ss))
-
 (* Every query shape the property runs: a projection, the coNP-hard
    nonkey-nonkey join, its Boolean form, a full-tuple query, and a
    comparison query. *)
@@ -277,15 +326,186 @@ let shapes =
       [ Atom.make "R" [ x; y ] ];
   ]
 
-let equivalent ics db_spec =
+(* Self-join and weak-cycle shapes: the classifier leaves each one
+   [Unknown] (self-join, weak attack cycle), so [method=auto] answers
+   them by SAT compilation.  The last two carry a repeated variable and
+   a constant inside a self-join. *)
+let c1 = Term.const (Value.int 1)
+
+let sat_route_shapes =
+  [
+    Cq.make ~name:"selfjoin" [ x ] [ Atom.make "R" [ x; y ]; Atom.make "R" [ y; z ] ];
+    Cq.make ~name:"weakcycle" [] [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; x ] ];
+    Cq.make ~name:"repeated" [ x ]
+      [ Atom.make "R" [ x; x ]; Atom.make "R" [ y; x ] ];
+    Cq.make ~name:"constant" [ y ]
+      [ Atom.make "R" [ c1; y ]; Atom.make "R" [ y; z ] ];
+  ]
+
+let deny =
+  Ic.denial ~name:"no_rs_pair" [ Atom.make "R" [ x; y ]; Atom.make "S" [ x; y ] ]
+
+let test_engine_plans_sat_for_unrewritable () =
+  let db = Instance.create rs_schema in
+  List.iter
+    (fun ics ->
+      let eng = Cqa.Engine.create ~schema:rs_schema ~ics db in
+      List.iter
+        (fun q ->
+          check Alcotest.string
+            (Printf.sprintf "%s routes to SAT" q.Cq.name)
+            "sat_compilation"
+            (Cqa.Engine.route_label (Cqa.Engine.plan eng q).Cqa.Engine.route))
+        sat_route_shapes)
+    [ rs_keys; deny :: rs_keys ]
+
+(* An unsafe query (head variable bound by no atom) classifies
+   [Unknown] and so routes to SAT, which refuses it as enumeration does
+   rather than answering it silently. *)
+let test_unsafe_query_refused () =
+  let db =
+    Instance.of_rows rs_schema
+      [ ("R", [ [ Value.int 1; Value.int 1 ]; [ Value.int 1; Value.int 2 ] ]) ]
+  in
+  let eng = Cqa.Engine.create ~schema:rs_schema ~ics:rs_keys db in
+  let unsafe =
+    Cq.make ~name:"unsafe" [ x ] [ Atom.make "R" [ y; z ]; Atom.make "R" [ z; y ] ]
+  in
+  let refused m =
+    match Cqa.Engine.consistent_answers ~method_:m eng unsafe with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check Alcotest.bool "enumeration refuses" true (refused `Repair_enumeration);
+  check Alcotest.bool "auto refuses" true (refused `Auto)
+
+(* Each candidate is rolled back after its solve, so the cached theory
+   stays at its built size however many queries it serves. *)
+let test_theory_size_constant () =
+  let db =
+    Instance.of_rows rs_schema
+      [
+        ( "R",
+          [
+            [ Value.int 1; Value.int 2 ];
+            [ Value.int 1; Value.int 3 ];
+            [ Value.int 2; Value.int 1 ];
+            [ Value.int 2; Value.int 3 ];
+            [ Value.int 3; Value.int 1 ];
+          ] );
+        ( "S",
+          [
+            [ Value.int 2; Value.int 1 ];
+            [ Value.int 2; Value.int 2 ];
+            [ Value.int 3; Value.int 1 ];
+          ] );
+      ]
+  in
+  let eng = Cqa.Engine.create ~schema:rs_schema ~ics:rs_keys db in
+  let qs = Array.of_list (shapes @ sat_route_shapes) in
+  let reg = Obs.Registry.current () in
+  let before = Obs.Registry.counter_snapshot reg in
+  for i = 0 to 99 do
+    ignore
+      (Cqa.Engine.consistent_answers ~method_:`Sat eng
+         qs.(i mod Array.length qs))
+  done;
+  let delta = Obs.Registry.counter_delta ~since:before reg in
+  check Alcotest.bool "candidates reached the solver" true
+    (Option.value ~default:0 (List.assoc_opt "cavsat.sat_calls" delta) >= 100);
+  let t = Cavsat.Theory.cached db rs_schema rs_keys in
+  let base = t.Cavsat.Theory.base in
+  let solver = t.Cavsat.Theory.solver in
+  check Alcotest.int "nclauses = base" base.Cavsat.Theory.clauses
+    (Inc.nclauses solver);
+  check Alcotest.int "nvars = base" base.Cavsat.Theory.vars (Inc.nvars solver);
+  check Alcotest.int "no learned clause left" 0 (Inc.learned_clauses solver)
+
+(* The Datalog rewriting declines instances with NULLs; under keys the
+   engine then answers by SAT, not by enumerating repairs. *)
+let test_null_fallback_is_sat () =
+  let db =
+    Instance.of_rows rs_schema
+      [
+        ( "R",
+          [
+            [ Value.int 1; Value.int 10 ];
+            [ Value.int 1; Value.int 11 ];
+            [ Value.int 2; Value.Null ];
+            [ Value.int 3; Value.int 30 ];
+          ] );
+        ( "S",
+          [
+            [ Value.int 7; Value.int 10 ];
+            [ Value.int 8; Value.int 11 ];
+            [ Value.int 9; Value.Null ];
+            [ Value.int 9; Value.int 30 ];
+          ] );
+      ]
+  in
+  let eng = Cqa.Engine.create ~schema:rs_schema ~ics:rs_keys db in
+  check Alcotest.string "acyclic: planned as datalog" "datalog_rewriting"
+    (Cqa.Engine.route_label (Cqa.Engine.plan eng hard).Cqa.Engine.route);
+  let reg = Obs.Registry.current () in
+  let before = Obs.Registry.counter_snapshot reg in
+  let auto = Cqa.Engine.consistent_answers eng hard in
+  let delta = Obs.Registry.counter_delta ~since:before reg in
+  let d name = Option.value ~default:0 (List.assoc_opt name delta) in
+  check Alcotest.int "no repair enumeration" 0 (d "repairs.enumerations");
+  check Alcotest.bool "answered by SAT" true (d "cavsat.queries" > 0);
+  check rows "agrees with enumeration" (strings_of (certain_enum db hard))
+    (strings_of auto)
+
+(* ---- qcheck equivalence (SAT ≡ enumeration) -------------------------- *)
+
+(* Cells are [None] for NULL.  The NULL-free generator keeps keys in
+   0..2 and values in 0..3, so key groups collide often. *)
+let cell = function None -> Value.Null | Some n -> Value.int n
+
+let instance_of (rs, ss) =
+  Instance.of_rows rs_schema
+    [
+      ("R", List.map (fun (a, b) -> [ cell a; cell b ]) rs);
+      ("S", List.map (fun (a, b) -> [ cell a; cell b ]) ss);
+    ]
+
+let some_int hi = QCheck.Gen.map Option.some (QCheck.Gen.int_range 0 hi)
+
+let maybe_null hi =
+  QCheck.Gen.(frequency [ (1, return None); (4, some_int hi) ])
+
+let arb_db_of cell_gen =
+  let side =
+    QCheck.Gen.(list_size (int_range 0 6) (pair (cell_gen 2) (cell_gen 3)))
+  in
+  QCheck.make
+    QCheck.Gen.(pair side side)
+    ~print:(fun (rs, ss) ->
+      let c = function None -> "NULL" | Some n -> string_of_int n in
+      let side l =
+        String.concat ";"
+          (List.map (fun (a, b) -> Printf.sprintf "%s,%s" (c a) (c b)) l)
+      in
+      Printf.sprintf "R=%s S=%s" (side rs) (side ss))
+
+let arb_db = arb_db_of some_int
+let arb_db_nulls = arb_db_of maybe_null
+
+(* [`Sat] calls the SAT backend directly; [`Auto] goes through
+   [Engine.plan], whichever route it picks. *)
+let equivalent ?(via = `Sat) ics db_spec =
   let db = instance_of db_spec in
   let schema = Instance.schema db in
   let eng = Cqa.Engine.create ~schema ~ics db in
   List.for_all
     (fun q ->
-      Cavsat.Certain.consistent_answers db schema ics q
-      = Cqa.Engine.consistent_answers ~method_:`Repair_enumeration eng q)
-    shapes
+      let got =
+        match via with
+        | `Sat -> Cavsat.Certain.consistent_answers db schema ics q
+        | `Auto -> Cqa.Engine.consistent_answers eng q
+      in
+      got = Cqa.Engine.consistent_answers ~method_:`Repair_enumeration eng q)
+    (shapes @ sat_route_shapes)
 
 let prop_sat_equals_enum_keys =
   QCheck.Test.make ~count:150 ~name:"SAT ≡ enumeration under keys" arb_db
@@ -294,12 +514,26 @@ let prop_sat_equals_enum_keys =
 let prop_sat_equals_enum_denial =
   (* A cross-relation denial on top of the keys: hyperedges that are not
      key groups, so maximality needs real aux reasoning. *)
-  let deny =
-    Ic.denial ~name:"no_rs_pair" [ Atom.make "R" [ x; y ]; Atom.make "S" [ x; y ] ]
-  in
   QCheck.Test.make ~count:150 ~name:"SAT ≡ enumeration under keys + denial"
     arb_db
     (equivalent (deny :: rs_keys))
+
+let prop_sat_equals_enum_nulls =
+  QCheck.Test.make ~count:150 ~name:"SAT ≡ enumeration with NULLs"
+    arb_db_nulls (fun spec ->
+      equivalent rs_keys spec && equivalent (deny :: rs_keys) spec)
+
+let prop_auto_equals_enum =
+  QCheck.Test.make ~count:150 ~name:"auto ≡ enumeration on every route"
+    arb_db (fun spec ->
+      equivalent ~via:`Auto rs_keys spec
+      && equivalent ~via:`Auto (deny :: rs_keys) spec)
+
+let prop_auto_equals_enum_nulls =
+  QCheck.Test.make ~count:150 ~name:"auto ≡ enumeration with NULLs"
+    arb_db_nulls (fun spec ->
+      equivalent ~via:`Auto rs_keys spec
+      && equivalent ~via:`Auto (deny :: rs_keys) spec)
 
 let suite =
   [
@@ -310,6 +544,10 @@ let suite =
       test_incremental_empty_clause;
     Alcotest.test_case "incremental: selector per probe" `Quick
       test_incremental_many_selectors;
+    Alcotest.test_case "incremental: mark and rollback" `Quick
+      test_incremental_rollback;
+    Alcotest.test_case "incremental: deadline leaves solver blank" `Quick
+      test_incremental_deadline_leaves_solver_blank;
     Alcotest.test_case "theory: key block encoding" `Quick test_theory_key_block;
     Alcotest.test_case "theory: cached per digest" `Quick test_theory_cache;
     Alcotest.test_case "certain: planted instance" `Quick test_certain_planted;
@@ -321,6 +559,17 @@ let suite =
       test_engine_auto_routes_to_sat;
     Alcotest.test_case "engine: method=sat on rewritable query" `Quick
       test_engine_sat_on_rewritable_query;
+    Alcotest.test_case "engine: auto routes unrewritable queries to SAT"
+      `Quick test_engine_plans_sat_for_unrewritable;
+    Alcotest.test_case "engine: unsafe query refused on the SAT route" `Quick
+      test_unsafe_query_refused;
+    Alcotest.test_case "theory: size constant across queries" `Quick
+      test_theory_size_constant;
+    Alcotest.test_case "engine: NULL fallback is SAT" `Quick
+      test_null_fallback_is_sat;
     QCheck_alcotest.to_alcotest prop_sat_equals_enum_keys;
     QCheck_alcotest.to_alcotest prop_sat_equals_enum_denial;
+    QCheck_alcotest.to_alcotest prop_sat_equals_enum_nulls;
+    QCheck_alcotest.to_alcotest prop_auto_equals_enum;
+    QCheck_alcotest.to_alcotest prop_auto_equals_enum_nulls;
   ]

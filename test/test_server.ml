@@ -593,6 +593,73 @@ let test_explain_always_shows_plan () =
   Alcotest.(check bool) "method=datalog ok" true (q2.P.status = `Ok);
   Alcotest.(check (list string)) "datalog certain answer" [ "1" ] q2.P.body
 
+(* A self-join under a key: no rewriting applies, so method=auto
+   compiles to SAT.  The conflicting tuples are the four in key groups 1
+   and 2, so the base theory has four variables; each candidate solved
+   adds its selector on top. *)
+let selfjoin_doc_lines =
+  [
+    "relation T(k, v)";
+    "row T(1, 2)";
+    "row T(1, 3)";
+    "row T(2, 1)";
+    "row T(2, 4)";
+    "row T(3, 1)";
+    "key T(k)";
+    "query sj(X) :- T(X, Y), T(Y, Z)";
+  ]
+
+let test_explain_selfjoin_routes_to_sat () =
+  let load lines =
+    let h = Server.Handler.create () in
+    (match Server.Handler.dispatch h ~payload:lines (P.Load "s1") with
+    | { P.status = `Ok; _ } -> ()
+    | { P.head; _ } -> Alcotest.fail ("LOAD failed: " ^ head));
+    h
+  in
+  let has body sub =
+    List.exists
+      (fun line ->
+        Str.string_match (Str.regexp (".*" ^ Str.quote sub ^ ".*")) line 0)
+      body
+  in
+  let h = load selfjoin_doc_lines in
+  let e = dispatch_line h "EXPLAIN s1 sj" in
+  Alcotest.(check bool) "explain ok" true (e.P.status = `Ok);
+  Alcotest.(check bool) "branch sat_compilation" true
+    (has e.P.body "branch sat_compilation");
+  Alcotest.(check bool) "verdict unknown" true (has e.P.body "verdict unknown");
+  (* The cavsat span reports the formula the candidates were solved
+     against, not the base the solver was rolled back to. *)
+  let span_int attr =
+    let line =
+      List.find
+        (fun l ->
+          Str.string_match (Str.regexp " *cavsat.certain_answers ") l 0)
+        e.P.body
+    in
+    ignore (Str.search_forward (Str.regexp (attr ^ "=\\([0-9]+\\)")) line 0);
+    int_of_string (Str.matched_group 1 line)
+  in
+  Alcotest.(check int) "peak vars: base plus one selector" 5 (span_int "vars");
+  Alcotest.(check bool) "peak clauses above the base" true
+    (span_int "clauses" > 4);
+  let q = dispatch_line h "QUERY s1 sj" in
+  let enum = dispatch_line h "QUERY s1 sj method=enum" in
+  Alcotest.(check (list string)) "auto = enumeration" enum.P.body q.P.body;
+  (* An inclusion dependency anywhere in the document keeps auto on
+     enumeration: the SAT theory repairs by deletion only. *)
+  let h =
+    load
+      (selfjoin_doc_lines
+      @ [ "relation A(x)"; "relation B(y)"; "ind A[x] <= B[y]" ])
+  in
+  let e = dispatch_line h "EXPLAIN s1 sj" in
+  Alcotest.(check bool) "IND: branch repair_enumeration" true
+    (has e.P.body "branch repair_enumeration");
+  Alcotest.(check bool) "IND: same verdict" true
+    (has e.P.body "verdict unknown witness query/self-join")
+
 let suite =
   [
     Alcotest.test_case "lru eviction order and capacity" `Quick
@@ -633,4 +700,6 @@ let suite =
       test_analyze_reload_schema_change;
     Alcotest.test_case "EXPLAIN always includes plan branch and verdict" `Quick
       test_explain_always_shows_plan;
+    Alcotest.test_case "EXPLAIN self-join: sat_compilation" `Quick
+      test_explain_selfjoin_routes_to_sat;
   ]

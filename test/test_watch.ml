@@ -96,6 +96,60 @@ let test_deadline_does_not_poison_cache () =
       Alcotest.(check bool) "retry succeeds" true (r.P.status = `Ok);
       Alcotest.(check string) "retry has the real answer" "answers=2" r.P.head)
 
+(* A deadline that blows inside a SAT search on a cached theory must not
+   leave the shared solver's assignment dirty: the same query retried
+   without a deadline returns the enumeration answer.  The clock
+   advances 10ms per read and every tick reads it, so the budgets sweep
+   the cut across the request's ticks; each budget runs on its own query
+   name, so no retry is answered from the cache. *)
+let test_sat_deadline_keeps_theory_clean () =
+  let budgets = 1.0 :: List.init 30 (fun k -> float ((10 * k) + 15)) in
+  let names = List.mapi (fun i _ -> Printf.sprintf "q%d" i) budgets in
+  (* X = 1..4 are certain; X = 5 is refuted by the repair keeping T(5, 7)
+     (no T row has key 7), a satisfiable search that assigns every
+     variable. *)
+  let lines =
+    [ "relation T(k, v)"; "key T(k)" ]
+    @ List.concat_map
+        (fun i ->
+          [
+            Printf.sprintf "row T(%d, %d)" i (i + 1);
+            Printf.sprintf "row T(%d, %d)" i (i + 2);
+          ])
+        [ 1; 2; 3; 4; 5; 6 ]
+    @ List.map
+        (fun n -> Printf.sprintf "query %s(X) :- T(X, Y), T(Y, Z)" n)
+        ("warm" :: names)
+  in
+  let run ?timeout_ms h name method_ =
+    Server.Handler.dispatch h
+      (P.Query { sid = "s1"; name; method_; semantics = P.S; timeout_ms })
+  in
+  with_interval 1 (fun () ->
+      let h =
+        Server.Handler.create ~progress:true ~clock:(stepping_clock ()) ()
+      in
+      let r = Server.Handler.dispatch h ~payload:lines (P.Load "s1") in
+      Alcotest.(check bool) "loaded" true (r.P.status = `Ok);
+      (* Build and cache the repair theory before any deadline fires. *)
+      let expected = (run h "warm" P.Enum).P.body in
+      Alcotest.(check (list string)) "warm-up SAT answer" expected
+        (run h "warm" P.Sat).P.body;
+      let reg = Server.Metrics.registry (Server.Handler.metrics h) in
+      let decisions () = Obs.Registry.counter_value reg "sat.dpll.decisions" in
+      let cut_mid_search = ref 0 in
+      List.iter2
+        (fun name budget ->
+          let d0 = decisions () in
+          let r = run ~timeout_ms:budget h name P.Sat in
+          if r.P.status = `Err && decisions () > d0 then incr cut_mid_search;
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s after timeout=%.0f" name budget)
+            expected (run h name P.Sat).P.body)
+        names budgets;
+      Alcotest.(check bool) "some deadlines blew inside the search" true
+        (!cut_mid_search > 0))
+
 let test_counters_move () =
   with_interval 1 (fun () ->
       let h = handler () in
@@ -322,6 +376,8 @@ let suite =
       `Quick test_default_timeout_applies;
     Alcotest.test_case "a timeout never poisons the cache" `Quick
       test_deadline_does_not_poison_cache;
+    Alcotest.test_case "a SAT deadline leaves the cached theory clean"
+      `Quick test_sat_deadline_keeps_theory_clean;
     Alcotest.test_case "deadline and heartbeat counters move" `Quick
       test_counters_move;
     Alcotest.test_case "INFLIGHT shows a live request, then clears" `Quick
