@@ -130,15 +130,14 @@ let method_arg =
              ("enum", `Repair_enumeration);
              ("rewriting", `Residue_rewriting);
              ("key-rewriting", `Key_rewriting);
-             ("datalog", `Datalog);
              ("asp", `Asp);
              ("sat", `Sat);
            ])
         `Auto
     & info [ "method" ] ~docv:"M"
         ~doc:
-          "CQA method: auto, enum, rewriting, key-rewriting, datalog \
-           (attack-graph Datalog rewriting; acyclic attack graphs under \
+          "CQA method: auto, enum, rewriting, key-rewriting (attack-graph \
+           elimination-order rewriting; acyclic attack graphs under \
            primary keys), asp or sat (CAvSAT-style SAT compilation; \
            denial-class constraints).")
 
@@ -376,7 +375,7 @@ let analyze_cmd =
          "Static analysis without touching data: constraint-set \
           conformance and structure (key/FD interaction, IND cycles, weak \
           acyclicity), lints of the compiled repair program, and the \
-          Fuxman-Miller complexity classifier with the method=auto route \
+          attack-graph complexity classifier with the method=auto route \
           for every query.  Exits 1 on error-severity findings.")
     Term.(const run $ file_arg $ opt_query_arg)
 

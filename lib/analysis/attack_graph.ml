@@ -303,7 +303,7 @@ type rewriting_input = {
   fds : derived_fd list;
 }
 
-let rewriting_input (q : Cq.t) ~keys =
+let rewriting_input ?graph (q : Cq.t) ~keys =
   let rels = List.map (fun (a : Atom.t) -> a.Atom.rel) q.body in
   let sjf =
     List.length rels = List.length (List.sort_uniq String.compare rels)
@@ -316,7 +316,7 @@ let rewriting_input (q : Cq.t) ~keys =
   in
   if q.body = [] || (not sjf) || not safe then None
   else
-    let g = analyze q ~keys in
+    let g = match graph with Some g -> g | None -> analyze q ~keys in
     match g.order with
     | None -> None
     | Some order -> (

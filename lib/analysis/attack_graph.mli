@@ -27,9 +27,9 @@ type cycle =
       (** A 2-cycle with both attacks strong: coNP-hardness witness. *)
   | Weak of int list
       (** A cycle (atom indices, in order) every 2-cycle of which carries a
-          weak attack: PTIME per the trichotomy, but the Datalog rewriting
-          for this tier needs non-stratified recursion and is not
-          implemented here. *)
+          weak attack: PTIME (L-complete) per the trichotomy, but the
+          recursive Datalog rewriting for this tier is not implemented
+          here. *)
 
 type t = {
   attacks : attack list;  (** Sorted by (source, target). *)
@@ -50,6 +50,10 @@ val analyze : Logic.Cq.t -> keys:(string * int list) list -> t
 val atom_rel : Logic.Cq.t -> int -> string
 (** Relation name of the atom at that body index. *)
 
+val key_positions : (string * int list) list -> Logic.Atom.t -> int list
+(** The atom's key positions; every position when [keys] has no entry
+    for its relation (an unrepaired relation is its own key). *)
+
 (** {1 Saturation}
 
     A query is unsaturated when [K(q) \ {key(F) -> vars(F)}] already
@@ -68,7 +72,8 @@ val atom_rel : Logic.Cq.t -> int -> string
     The graph-{e refining} use of internal dependencies (keying [N] on
     [key(F)] to shrink attack sets, Koutris–Wijsen 2019) is future work;
     here saturation is a sound, equivalence-preserving preprocessing step
-    surfaced in the analysis trace and prefixed to the emitted program. *)
+    surfaced in the analysis trace; the rewriting inlines each helper atom
+    as its defining body. *)
 
 type derived_fd = {
   atom : int;  (** Index of [F] in [q.body]. *)
@@ -101,14 +106,16 @@ val describe_fd : derived_fd -> string
 type rewriting_input = {
   query : Logic.Cq.t;  (** The (saturated) query handed to the rewriter. *)
   keys : (string * int list) list;
-  prefix : Datalog.Rule.t list;  (** Saturation rules, possibly empty. *)
+  prefix : Datalog.Rule.t list;
+      (** Defining rules of the helper atoms, possibly empty. *)
   order : int list;  (** Elimination order over [query.body]. *)
   fds : derived_fd list;  (** The internal dependencies materialized. *)
 }
 
 val rewriting_input :
-  Logic.Cq.t -> keys:(string * int list) list -> rewriting_input option
-(** The full preprocessing pipeline for {!Rewriting.Datalog_rewrite}:
+  ?graph:t -> Logic.Cq.t -> keys:(string * int list) list -> rewriting_input option
+(** The full preprocessing pipeline for {!Rewriting.Key_rewrite}:
     checks self-join-freeness, safety and a non-empty body, saturates,
-    and computes the elimination order.  [None] when the attack graph is
+    and computes the elimination order.  [graph] is [analyze q ~keys]
+    when the caller already has it.  [None] when the attack graph is
     cyclic or a precondition fails. *)

@@ -7,37 +7,32 @@
     shape of the query's {!Attack_graph}: an acyclic attack graph means
     the certain answers are first-order rewritable; a cyclic graph whose
     every 2-cycle carries a weak attack leaves certainty in PTIME
-    (L-complete, Datalog-rewritable); a 2-cycle of strong attacks makes
-    it coNP-complete.  The classifier is symbolic — no data touched — and
-    returns a verdict plus a machine-readable witness: the attacking
-    cycle, the elimination order, the saturation steps applied, the
-    non-key constraint, the self-joined relation, ...
+    (L-complete); a 2-cycle of strong attacks makes it coNP-complete.
+    The classifier is symbolic — no data touched — and returns a verdict
+    plus a machine-readable witness: the attacking cycle, the elimination
+    order, the saturation steps applied, the non-key constraint, the
+    self-joined relation, ...
 
-    Soundness contract: when the verdict is {!Fo_rewritable}, the
-    Fuxman–Miller rewriting with {!rewrite_keys} is guaranteed to apply
-    and produce exactly the consistent answers (verified symbolically
-    against {!Rewriting.Key_rewrite} before being emitted).  When it is
-    {!L_datalog_rewritable}, {!Rewriting.Datalog_rewrite} driven by
-    {!Attack_graph.rewriting_input} is guaranteed to apply — the attack
-    graph is acyclic but outside the implemented FO fragment, so the
-    engine evaluates the stratified Datalog program instead (PTIME).
-    {!Conp_hard} is a sound {e lower} bound: the witness names a 2-cycle
-    of strong attacks, the configuration of the trichotomy's hardness
-    reduction.  [Unknown] covers everything the analysis does not decide,
-    including weak attack cycles (PTIME in principle, but the recursive
-    rewriting for that tier is not implemented).  Under denial-class
-    constraints the engine answers every [Conp_hard] and [Unknown] query
-    by SAT compilation, which is exact for all of them. *)
+    Soundness contract: when the verdict is {!Fo_rewritable} with an
+    {!Attack_acyclic} witness, {!Rewriting.Key_rewrite} driven by the
+    {!Attack_graph.rewriting_input} of {!classify_rewriting} produces
+    exactly the consistent answers.  {!Conp_hard} is a sound {e lower}
+    bound: the witness names a 2-cycle of strong attacks, the
+    configuration of the trichotomy's hardness reduction.  [Unknown]
+    covers everything the analysis does not decide, including weak
+    attack cycles (PTIME in principle, but the recursive rewriting for
+    that tier is not implemented).  Under denial-class constraints the
+    engine answers every [Conp_hard] and [Unknown] query by SAT
+    compilation, which is exact for all of them. *)
 
-type verdict = Fo_rewritable | L_datalog_rewritable | Conp_hard | Unknown
+type verdict = Fo_rewritable | Conp_hard | Unknown
 
 type witness =
   | No_constraints  (** No constraint touches the query's relations. *)
-  | C_forest  (** In the rewritable class; the rewriting was verified. *)
   | Attack_acyclic of { order : string list; saturated : string list }
-      (** Acyclic attack graph outside the C-forest fragment: the
-          unattacked-atom elimination order (relation names) and the
-          saturation steps applied (empty when the query is saturated). *)
+      (** Acyclic attack graph: the unattacked-atom elimination order
+          (relation names) the rewriting follows and the saturation steps
+          applied (empty when the query is saturated). *)
   | Strong_attack_cycle of string list
       (** A 2-cycle of strong attacks — the coNP-hardness witness. *)
   | Weak_attack_cycle of string list
@@ -52,12 +47,20 @@ type witness =
           {!Lint.query_findings} surfaces the degradation). *)
   | Union_query of int  (** UCQ with that many disjuncts. *)
   | Rewrite_failed
-      (** Structural checks passed but the rewriter declined — downgraded
-          to [Unknown] defensively. *)
+      (** Structural checks passed but the rewriting input was refused —
+          downgraded to [Unknown] defensively. *)
 
 type t = { verdict : verdict; witness : witness }
 
 val classify : Constraints.Ic.t list -> Logic.Cq.t -> t
+
+val classify_rewriting :
+  Constraints.Ic.t list -> Logic.Cq.t -> t * Attack_graph.rewriting_input option
+(** {!classify}, plus the rewriting input an {!Attack_acyclic} verdict
+    was computed from (keyed by {!rewrite_keys}), so a caller can run
+    the rewriting without analyzing the query again.  [None] for every
+    other witness. *)
+
 val classify_ucq : Constraints.Ic.t list -> Logic.Ucq.t -> t
 
 val rewrite_keys : Constraints.Ic.t list -> Logic.Cq.t -> (string * int list) list
@@ -67,8 +70,7 @@ val rewrite_keys : Constraints.Ic.t list -> Logic.Cq.t -> (string * int list) li
     repaired, so the full tuple acts as its own key). *)
 
 val verdict_label : verdict -> string
-(** ["FO_rewritable"], ["L_datalog_rewritable"], ["coNP_hard"],
-    ["unknown"]. *)
+(** ["FO_rewritable"], ["coNP_hard"], ["unknown"]. *)
 
 val witness_code : witness -> string
 (** Stable machine-readable code, e.g. ["attack-graph/strong-cycle"]. *)

@@ -23,7 +23,7 @@ let method_label = function
   | `Repair_enumeration -> "repair_enumeration"
   | `Residue_rewriting -> "residue_rewriting"
   | `Key_rewriting -> "key_rewriting"
-  | `Datalog -> "datalog"
+  | `Datalog -> "key_rewriting"
   | `Asp -> "asp"
   | `Sat -> "sat"
   | `Auto -> "auto"
@@ -63,54 +63,19 @@ let by_repair_enumeration t q =
       | first :: rest ->
           Rows.elements (List.fold_left Rows.inter first rest))
 
-let keys_of_ics ics =
-  let keys =
-    List.filter_map (function Ic.Key (rel, ps) -> Some (rel, ps) | _ -> None) ics
-  in
-  if List.length keys = List.length ics then Some keys else None
-
-let by_key_rewriting t q =
-  match keys_of_ics t.ics with
-  | None -> None
-  | Some keys -> Rewriting.Key_rewrite.consistent_answers q ~keys t.instance
-
-(* Sound whenever the classifier places the query in the acyclic
-   attack-graph class (FO or L tier): the verdict already checked that
-   every relevant constraint is a single primary key, so the rewriting's
-   key map covers everything repairs can delete.  [None] otherwise, or
-   when the rewriting itself declines (e.g. NULLs in the instance). *)
-let by_datalog_rewriting t q =
-  match Analysis.Classify.classify t.ics q with
-  | {
-      Analysis.Classify.verdict =
-        Analysis.Classify.Fo_rewritable | Analysis.Classify.L_datalog_rewritable;
-      _;
-    } -> (
-      let keys = Analysis.Classify.rewrite_keys t.ics q in
-      match Analysis.Attack_graph.rewriting_input q ~keys with
-      | None -> None
-      | Some ri ->
-          Rewriting.Datalog_rewrite.consistent_answers
-            ~prefix:ri.Analysis.Attack_graph.prefix ri.Analysis.Attack_graph.query
-            ~keys:ri.Analysis.Attack_graph.keys
-            ~order:ri.Analysis.Attack_graph.order t.instance)
-  | _ -> None
-
 (* --- static planning (method=auto) ----------------------------------- *)
 
-type route =
-  [ `Direct
-  | `Key_rewriting
-  | `Datalog_rewriting
-  | `Sat_compilation
-  | `Repair_enumeration ]
+type route = [ `Direct | `Key_rewriting | `Sat_compilation | `Repair_enumeration ]
 
-type plan = { route : route; classification : Analysis.Classify.t }
+type plan = {
+  route : route;
+  classification : Analysis.Classify.t;
+  rewriting : Analysis.Attack_graph.rewriting_input option;
+}
 
 let route_label = function
   | `Direct -> "direct"
   | `Key_rewriting -> "key_rewriting"
-  | `Datalog_rewriting -> "datalog_rewriting"
   | `Sat_compilation -> "sat_compilation"
   | `Repair_enumeration -> "repair_enumeration"
 
@@ -119,9 +84,9 @@ let denial_class t = List.for_all Ic.is_denial_class t.ics
 let by_sat t q = Cavsat.Certain.consistent_answers t.instance t.schema t.ics q
 
 let plan t q =
-  let classification =
+  let classification, rewriting =
     Obs.Trace.with_span "engine.classify" (fun () ->
-        Analysis.Classify.classify t.ics q)
+        Analysis.Classify.classify_rewriting t.ics q)
   in
   let route =
     match (classification.Analysis.Classify.verdict, classification.witness) with
@@ -129,12 +94,11 @@ let plan t q =
         (* No relevant constraint can delete a tuple the query reads:
            the plain answers are already the certain answers. *)
         `Direct
-    | Analysis.Classify.Fo_rewritable, _ -> `Key_rewriting
-    | Analysis.Classify.L_datalog_rewritable, _ ->
-        (* Acyclic attack graph outside the FO fragment: PTIME seminaive
-           evaluation of the emitted Datalog program — no repairs are
-           ever materialized on this branch. *)
-        `Datalog_rewriting
+    | Analysis.Classify.Fo_rewritable, _ ->
+        (* Acyclic attack graph: the elimination order as a guarded
+           formula on the columnar executor — no repairs are ever
+           materialized on this branch. *)
+        `Key_rewriting
     | (Analysis.Classify.Conp_hard | Analysis.Classify.Unknown), _
       when denial_class t ->
         (* Everything no rewriting takes: the dichotomy's hard side, weak
@@ -148,20 +112,18 @@ let plan t q =
         `Sat_compilation
     | _ -> `Repair_enumeration
   in
-  { route; classification }
+  { route; classification; rewriting }
 
-(* A rewriting that declines at runtime (NULLs in the instance, or a
-   divergence from the symbolic check) hands over to the exact route for
-   the constraint class: SAT under denial-class constraints, enumeration
-   otherwise. *)
+(* A rewriting that declines at runtime (NULLs in the relations the
+   query reads) hands over to the exact route for the constraint class:
+   SAT under denial-class constraints, enumeration otherwise. *)
 let exact_fallback t q =
   if denial_class t then by_sat t q else by_repair_enumeration t q
 
-(* The Fuxman–Miller rewriting reads key equality as SQL equality,
-   under which a NULL key matches nothing, while repairs compare tuples
-   structurally: on a NULL-keyed tuple the two disagree.  The route
-   declines when a relation the query reads holds a NULL, as the Datalog
-   rewriting does. *)
+(* The rewriting reads key equality as SQL equality, under which a NULL
+   key matches nothing, while repairs compare tuples structurally: on a
+   NULL-keyed tuple the two disagree.  The route declines when a
+   relation the query reads holds a NULL. *)
 let reads_null t (q : Logic.Cq.t) =
   List.exists
     (fun (a : Logic.Atom.t) ->
@@ -174,24 +136,18 @@ let run_plan t q p =
   | `Direct -> Logic.Cq.answers q t.instance
   | `Repair_enumeration -> by_repair_enumeration t q
   | `Sat_compilation -> by_sat t q
-  | `Key_rewriting when reads_null t q -> exact_fallback t q
   | `Key_rewriting -> (
-      let keys = Analysis.Classify.rewrite_keys t.ics q in
-      match Rewriting.Key_rewrite.consistent_answers q ~keys t.instance with
-      | Some rows -> rows
-      | None -> exact_fallback t q)
-  | `Datalog_rewriting -> (
-      match by_datalog_rewriting t q with
-      | Some rows -> rows
-      | None -> exact_fallback t q)
+      match p.rewriting with
+      | Some ri when not (reads_null t q) ->
+          Rewriting.Key_rewrite.answers ri t.instance
+      | _ -> exact_fallback t q)
 
 (* The branch a non-auto method executes — EXPLAIN and the trace
    attrs report it uniformly whether or not planning was involved. *)
 let method_route : answer_method -> string = function
   | `Repair_enumeration -> "repair_enumeration"
   | `Residue_rewriting -> "residue_rewriting"
-  | `Key_rewriting -> "key_rewriting"
-  | `Datalog -> route_label `Datalog_rewriting
+  | `Key_rewriting | `Datalog -> "key_rewriting"
   | `Asp -> "asp"
   | `Sat -> route_label `Sat_compilation
   | `Auto -> "auto"
@@ -217,24 +173,13 @@ let consistent_answers ?(method_ = `Auto) t q =
         (* Exact on every denial-class input, whatever the verdict;
            Cavsat rejects INDs with the precise message. *)
         by_sat t q
-    | `Key_rewriting -> (
-        match by_key_rewriting t q with
-        | Some rows -> rows
-        | None ->
-            let c = Analysis.Classify.classify t.ics q in
+    | `Key_rewriting | `Datalog -> (
+        match Analysis.Classify.classify_rewriting t.ics q with
+        | _, Some ri -> Rewriting.Key_rewrite.answers ri t.instance
+        | c, None ->
             invalid_arg
               (Printf.sprintf
                  "Engine.consistent_answers: key rewriting not applicable: %s"
-                 (Analysis.Classify.describe c)))
-    | `Datalog -> (
-        match by_datalog_rewriting t q with
-        | Some rows -> rows
-        | None ->
-            let c = Analysis.Classify.classify t.ics q in
-            invalid_arg
-              (Printf.sprintf
-                 "Engine.consistent_answers: datalog rewriting not \
-                  applicable: %s"
                  (Analysis.Classify.describe c)))
     | `Auto ->
         let p = plan t q in

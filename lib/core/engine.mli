@@ -5,8 +5,8 @@
       query answers (the model-theoretic definition, exact but worst-case
       exponential — Section 3.1);
     - {b first-order rewriting}: answer a rewritten query directly on the
-      inconsistent database (Sections 2, 3.1–3.2; residue-based and
-      Fuxman–Miller key rewriting);
+      inconsistent database (Sections 2, 3.1–3.2; residue-based, and the
+      attack-graph key rewriting, which contains Fuxman–Miller's);
     - {b answer-set programming}: cautious reasoning over the repair
       program's stable models (Section 3.3).
 
@@ -23,7 +23,7 @@ type answer_method =
   [ `Repair_enumeration
   | `Residue_rewriting
   | `Key_rewriting
-  | `Datalog
+  | `Datalog  (** An alias of [`Key_rewriting], kept for old callers. *)
   | `Asp
   | `Sat
   | `Auto ]
@@ -36,20 +36,14 @@ val create :
 
 val is_consistent : t -> bool
 
-type route =
-  [ `Direct
-  | `Key_rewriting
-  | `Datalog_rewriting
-  | `Sat_compilation
-  | `Repair_enumeration ]
+type route = [ `Direct | `Key_rewriting | `Sat_compilation | `Repair_enumeration ]
 (** What [`Auto] will actually execute, by the classifier's verdict:
 
     - [FO_rewritable] with no relevant constraint: [`Direct], plain
       evaluation;
-    - [FO_rewritable] otherwise: [`Key_rewriting], the Fuxman–Miller
-      rewriting;
-    - [L_datalog_rewritable]: [`Datalog_rewriting], the attack-graph
-      Datalog program on the seminaive evaluator;
+    - [FO_rewritable] otherwise (an acyclic attack graph):
+      [`Key_rewriting], the elimination-order rewriting of
+      {!Rewriting.Key_rewrite} on the columnar executor;
     - [Conp_hard] or [Unknown] (weak attack cycle, self-join, non-key
       denial, multiple keys, declined rewriting) when every constraint
       is denial-class: [`Sat_compilation], CAvSAT-style SAT compilation,
@@ -58,11 +52,17 @@ type route =
       denial-class (an inclusion dependency repairs by insertion, which
       the SAT theory does not model).
 
-    A rewriting that declines at run time (NULLs in the relations the
-    query reads) falls back to SAT under denial-class constraints and to
-    enumeration otherwise. *)
+    The rewriting declines at run time when a relation the query reads
+    holds a NULL; the query then falls back to SAT under denial-class
+    constraints and to enumeration otherwise. *)
 
-type plan = { route : route; classification : Analysis.Classify.t }
+type plan = {
+  route : route;
+  classification : Analysis.Classify.t;
+  rewriting : Analysis.Attack_graph.rewriting_input option;
+      (** The classifier's rewriting input for [`Key_rewriting]: the
+          route runs it without analyzing the query again. *)
+}
 
 val plan : t -> Logic.Cq.t -> plan
 (** The static decision [`Auto] dispatches on, without running anything:
@@ -79,9 +79,9 @@ val consistent_answers :
 (** Consistent answers under S-repairs.  [`Auto] (default) executes
     {!plan}'s route (see {!route}).  [`Sat] forces the SAT backend
     ({!Cavsat.Certain}) — exact on any denial-class input, raising
-    [Invalid_argument] on inclusion dependencies.  [`Key_rewriting] and
-    [`Datalog] raise [Invalid_argument] when not applicable, with the
-    classifier's witness in the message; [`Residue_rewriting] answers
+    [Invalid_argument] on inclusion dependencies.  [`Key_rewriting] raises
+    [Invalid_argument] when not applicable, with the classifier's
+    witness in the message; [`Residue_rewriting] answers
     whatever its (incomplete) rewriting produces — see
     {!Rewriting.Residue_rewrite}. *)
 

@@ -300,7 +300,7 @@ let plan_of_formula inst f =
   let ord_col = "#ord" in
   (* Rows binding the conjunction's variables so that every item is
      definitely true. *)
-  let rec compile_conj items =
+  let rec compile_conj ?seed items =
     if List.mem False items then `Empty
     else begin
       let atoms, guards, cmps =
@@ -320,20 +320,17 @@ let plan_of_formula inst f =
       let atoms = List.rev atoms
       and guards = List.rev guards
       and cmps = List.rev cmps in
-      match atoms with
+      let with_cols p = (p, Plan.cols p) in
+      match Option.to_list seed @ List.map scan_plan atoms with
       | [] -> raise Unsupported_plan (* atomless bodies: active domain *)
       | first :: rest ->
-          let scan_cols a =
-            let p = scan_plan a in
-            (p, Plan.cols p)
-          in
           let joined, all_cols =
             List.fold_left
               (fun (plan, vars) (p, vs) ->
                 ( Plan.Join (plan, p),
                   vars @ List.filter (fun v -> not (List.mem v vars)) vs ))
-              (scan_cols first)
-              (List.map scan_cols rest)
+              (with_cols first)
+              (List.map with_cols rest)
           in
           let preds = List.map (pred_of all_cols) cmps in
           let filtered =
@@ -367,26 +364,50 @@ let plan_of_formula inst f =
               (fun (mate, conds) ->
                 let jm = Plan.Join (filtered, scan_plan mate) in
                 let jm_cols = Plan.cols jm in
-                let neg_preds = ref [] and makers = ref [] in
-                List.iter
-                  (fun cond ->
-                    match cond with
-                    | Cmp c ->
-                        neg_preds := pred_of jm_cols (Cmp.negate c) :: !neg_preds
-                    | False -> makers := `Jm :: !makers
-                    | Exists (vs, g) -> (
-                        match compile_conj (flatten_conj g) with
-                        | `Empty -> makers := `Jm :: !makers
-                        | `Plan (child, child_cols) ->
-                            require vs child_cols;
-                            makers := `Anti child :: !makers)
-                    | _ -> raise Unsupported_plan)
-                  (flatten_conj conds);
-                let neg_preds = List.rev !neg_preds and makers = List.rev !makers in
+                let conds = flatten_conj conds in
+                let neg_preds =
+                  List.filter_map
+                    (function
+                      | Cmp c -> Some (pred_of jm_cols (Cmp.negate c))
+                      | _ -> None)
+                    conds
+                in
+                (* A child [∃ v̄ g] is correlated with the mate binding
+                   through its free variables.  Those its own atoms do
+                   not generate would be silently existential in a
+                   standalone child table, so such a child is seeded
+                   with the distinct mate-join values of its free
+                   variables; the antijoin then matches on all of
+                   them. *)
+                let makers =
+                  List.filter_map
+                    (function
+                      | Cmp _ -> None
+                      | False -> Some `Jm
+                      | Exists (vs, g) as child ->
+                          let items = flatten_conj g in
+                          let free = free_vars child in
+                          require free jm_cols;
+                          let generated =
+                            List.concat_map
+                              (function Atom a -> Atom.vars a | _ -> [])
+                              items
+                          in
+                          let seeded =
+                            not (List.for_all (fun v -> List.mem v generated) free)
+                          in
+                          Some (`Child (vs, items, free, seeded))
+                      | _ -> raise Unsupported_plan)
+                    conds
+                in
                 (* Same sharing argument for the mate join when several
-                   refutation branches range over it. *)
+                   refutation branches (or child seeds) range over it. *)
                 let uses =
-                  (if neg_preds = [] then 0 else 1) + List.length makers
+                  (if neg_preds = [] then 0 else 1)
+                  + List.fold_left
+                      (fun n -> function
+                        | `Child (_, _, _, true) -> n + 2 | _ -> n + 1)
+                      0 makers
                 in
                 let jm = if uses > 1 then Plan.Table (Plan.run inst jm) else jm in
                 (match neg_preds with
@@ -395,7 +416,17 @@ let plan_of_formula inst f =
                 @ List.map
                     (function
                       | `Jm -> jm
-                      | `Anti child -> Plan.Antijoin (jm, child))
+                      | `Child (vs, items, free, seeded) -> (
+                          let seed =
+                            if seeded then
+                              Some (Plan.Distinct (Plan.Project (free, jm)))
+                            else None
+                          in
+                          match compile_conj ?seed items with
+                          | `Empty -> jm
+                          | `Plan (child, child_cols) ->
+                              require vs child_cols;
+                              Plan.Antijoin (jm, Plan.Project (free, child))))
                     makers)
               guards
           in

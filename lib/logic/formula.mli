@@ -73,7 +73,10 @@ val answers :
     {!Relational.Plan}: guards subtract the rows refuted by each
     refutation branch (negated-comparison filters and antijoins against
     child guards) via row-identity antijoins on a synthetic ordinal
-    column.  Same answers, same order; other shapes (and free
+    column.  A child whose own atoms do not generate all its free
+    variables is seeded with the distinct mate-join values of them, so
+    the antijoin matches on every variable the child shares with its
+    guard.  Same answers, same order; other shapes (and free
     variables needing active-domain enumeration) keep the generator-driven
     interpreter, counted by [scan.row]. *)
 

@@ -4,235 +4,187 @@ module Atom = Logic.Atom
 module Term = Logic.Term
 module Cmp = Logic.Cmp
 module Subst = Logic.Subst
-
-type atom_info = {
-  index : int;
-  atom : Atom.t;
-  key_positions : int list;
-}
-
-let var_positions (a : Atom.t) =
-  List.mapi (fun pos t -> (pos, t)) a.args
-
-(* Occurrences of a variable: (atom index, position, in-key?). *)
-let occurrences atoms =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun info ->
-      List.iter
-        (fun (pos, t) ->
-          match t with
-          | Term.Var v ->
-              let in_key = List.mem pos info.key_positions in
-              Hashtbl.replace tbl v
-                ((info.index, pos, in_key)
-                :: Option.value ~default:[] (Hashtbl.find_opt tbl v))
-          | Term.Const _ -> ())
-        (var_positions info.atom))
-    atoms;
-  tbl
-
-exception Unsupported
+module Attack_graph = Analysis.Attack_graph
 
 let c_applicable = Obs.Counter.make "rewrite.key_applicable"
 let c_unsupported = Obs.Counter.make "rewrite.key_unsupported"
 
-let check_class (q : Cq.t) infos occ =
-  (* Self-join-free. *)
-  let rels = List.map (fun i -> i.atom.Atom.rel) infos in
-  if List.length (List.sort_uniq String.compare rels) <> List.length rels then
-    raise Unsupported;
-  let head = Cq.head_vars q in
-  Hashtbl.iter
-    (fun v os ->
-      let nonkey = List.filter (fun (_, _, k) -> not k) os in
-      (* A variable in non-key positions of two different atoms is a
-         non-key-to-non-key join: outside the forest class. *)
-      let nonkey_atoms =
-        List.sort_uniq compare (List.map (fun (i, _, _) -> i) nonkey)
+let of_input (ri : Attack_graph.rewriting_input) =
+  let q = ri.query in
+  let helpers =
+    List.map (fun (r : Datalog.Rule.t) -> (r.head.Atom.rel, r)) ri.prefix
+  in
+  let atoms = Array.of_list q.body in
+  let ordered = Array.of_list (List.map (fun i -> atoms.(i)) ri.order) in
+  let n = Array.length ordered in
+  (* Names no parsed query can produce, unique across the whole formula:
+     every nested scope re-quantifies the variables it binds. *)
+  let counter = ref 0 in
+  let fresh base =
+    incr counter;
+    Printf.sprintf "%s#%d" base !counter
+  in
+  let bound s v = Subst.find s v <> None in
+  let bind_same s vs = List.fold_left (fun s v -> Subst.bind s v (Term.var v)) s vs in
+  let bind_fresh s vs =
+    let names = List.map fresh vs in
+    (List.fold_left2 (fun s v u -> Subst.bind s v (Term.var u)) s vs names, names)
+  in
+  (* Each comparison is checked at the first level binding all of its
+     variables, per tuple of that level's key block. *)
+  let first_level v =
+    let rec go l = if List.mem v (Atom.vars ordered.(l)) then l else go (l + 1) in
+    go 0
+  in
+  let comps_at s l =
+    List.filter
+      (fun c -> List.fold_left (fun m v -> max m (first_level v)) 0 (Cmp.vars c) = l)
+      q.comps
+    |> List.map (fun c -> Formula.Cmp (Subst.apply_cmp s c))
+  in
+  (* An all-key atom under [s].  A saturation helper stands for its
+     defining body over the raw database, quantified apart. *)
+  let occurrence s (a : Atom.t) =
+    match List.assoc_opt a.Atom.rel helpers with
+    | None -> ([], [ Formula.Atom (Subst.apply_atom s a) ])
+    | Some r ->
+        let s' =
+          List.fold_left2
+            (fun acc h t ->
+              match h with
+              | Term.Var v -> Subst.bind acc v (Subst.apply_term s t)
+              | Term.Const _ -> acc)
+            Subst.empty r.Datalog.Rule.head.Atom.args a.Atom.args
+        in
+        let locals =
+          List.concat_map Atom.vars r.body_pos
+          |> List.sort_uniq String.compare
+          |> List.filter (fun v -> not (bound s' v))
+        in
+        let s', names = bind_fresh s' locals in
+        ( names,
+          List.map (fun b -> Formula.Atom (Subst.apply_atom s' b)) r.body_pos
+          @ List.map (fun c -> Formula.Cmp (Subst.apply_cmp s' c)) r.comps )
+  in
+  (* [certain ~top l s]: existential variables and conjuncts stating that
+     the levels from [l] on are certain, [s] mapping every variable the
+     enclosing levels bound.  Eliminating the unattacked atom R(key, ū)
+     keeps some key block all of whose tuples satisfy the level's
+     conditions and leave a certain remainder:
+
+       ∃κ ē (R(key, ē) ∧ ∀ū (R(key, ū) → conds(ū) ∧ ∃v̄ (certain l+1)))
+
+     An all-key level has one tuple per block, so its conditions join
+     the enclosing conjunction.  At the top scope the query body already
+     binds every variable ([∃ body ∧ G]): all-key levels there only
+     widen [s], and the first guard's atom is not repeated. *)
+  let rec certain ~top l s =
+    if l >= n then ([], [])
+    else
+      let a = ordered.(l) in
+      let ps = Attack_graph.key_positions ri.keys a in
+      let is_key pos = List.mem pos ps in
+      let kvars =
+        Term.vars (List.filteri (fun pos _ -> is_key pos) a.Atom.args)
+        |> List.filter (fun v -> not (bound s v))
       in
-      if List.length nonkey_atoms > 1 && not (List.mem v head) then
-        raise Unsupported;
-      if List.length nonkey_atoms > 1 && List.mem v head then
-        (* Head variables repeated across non-key positions force agreement
-           conditions we do not generate. *)
-        raise Unsupported;
-      (* Repeated variable inside a single atom behaves like a self-join. *)
-      let by_pos = List.sort_uniq compare (List.map (fun (i, p, _) -> (i, p)) os) in
-      if List.length by_pos <> List.length os then raise Unsupported)
-    occ
-
-(* Parent→child edges: parent has v in a non-key position, child has v in a
-   key position. *)
-let children_of occ v parent_index =
-  match Hashtbl.find_opt occ v with
-  | None -> []
-  | Some os ->
-      List.filter_map
-        (fun (i, _, in_key) ->
-          if in_key && i <> parent_index then Some i else None)
-        os
-      |> List.sort_uniq compare
-
-let check_acyclic infos occ =
-  let n = List.length infos in
-  let adj = Array.make n [] in
-  List.iter
-    (fun info ->
-      List.iter
-        (fun (pos, t) ->
-          match t with
-          | Term.Var v when not (List.mem pos info.key_positions) ->
-              adj.(info.index) <- children_of occ v info.index @ adj.(info.index)
-          | Term.Var _ | Term.Const _ -> ())
-        (var_positions info.atom))
-    infos;
-  let state = Array.make n 0 in
-  let rec dfs i =
-    if state.(i) = 1 then raise Unsupported;
-    if state.(i) = 0 then begin
-      state.(i) <- 1;
-      List.iter dfs adj.(i);
-      state.(i) <- 2
-    end
+      let s, kappa = if top then (bind_same s kvars, []) else bind_fresh s kvars in
+      let nonkey =
+        List.mapi (fun pos t -> (pos, t)) a.Atom.args
+        |> List.filter (fun (pos, _) -> not (is_key pos))
+      in
+      if nonkey = [] then
+        let hv, here =
+          if top then ([], [])
+          else
+            let hv, here = occurrence s a in
+            (hv, here @ comps_at s l)
+        in
+        let rv, rest = certain ~top (l + 1) s in
+        (kappa @ hv @ rv, here @ rest)
+      else
+        let name_nonkey base =
+          List.map
+            (fun (pos, _) -> (pos, fresh (Printf.sprintf "%s%d_%d" base l pos)))
+            nonkey
+        in
+        let atom_with names =
+          Atom.make a.Atom.rel
+            (List.mapi
+               (fun pos t ->
+                 match List.assoc_opt pos names with
+                 | Some u -> Term.var u
+                 | None -> Subst.apply_term s t)
+               a.Atom.args)
+        in
+        let mates = name_nonkey "u" in
+        (* The mate tuple's conditions: constants and variables bound
+           before this level become equalities; a variable's first
+           non-key occurrence names the mate column for what follows. *)
+        let s', conds =
+          List.fold_left
+            (fun (s', conds) (pos, t) ->
+              let u = Term.var (List.assoc pos mates) in
+              match t with
+              | Term.Const _ -> (s', Formula.Cmp (Cmp.eq u t) :: conds)
+              | Term.Var v -> (
+                  match Subst.find s' v with
+                  | Some t' -> (s', Formula.Cmp (Cmp.eq u t') :: conds)
+                  | None -> (Subst.bind s' v u, conds)))
+            (s, []) nonkey
+        in
+        let cv, cc = certain ~top:false (l + 1) s' in
+        let child =
+          if l + 1 >= n then [] else [ Formula.Exists (cv, Formula.conj cc) ]
+        in
+        let guard =
+          match List.rev conds @ comps_at s' l @ child with
+          | [] -> []
+          | body ->
+              [
+                Formula.Forall
+                  ( List.map snd mates,
+                    Formula.Implies
+                      (Formula.Atom (atom_with mates), Formula.conj body) );
+              ]
+        in
+        if top then ([], guard)
+        else
+          let es = name_nonkey "e" in
+          (kappa @ List.map snd es, Formula.Atom (atom_with es) :: guard)
   in
-  for i = 0 to n - 1 do
-    dfs i
-  done
-
-let rewrite (q : Cq.t) ~keys =
-  let infos =
-    List.mapi
-      (fun index atom ->
-        match List.assoc_opt atom.Atom.rel keys with
-        | None -> raise Unsupported
-        | Some key_positions -> { index; atom; key_positions })
-      q.body
+  let body =
+    List.filter (fun (a : Atom.t) -> not (List.mem_assoc a.rel helpers)) q.body
   in
-  let occ = occurrences infos in
-  check_class q infos occ;
-  check_acyclic infos occ;
   let head = Cq.head_vars q in
-  let fresh =
-    let counter = ref 0 in
-    fun base ->
-      incr counter;
-      Printf.sprintf "%s#%d" base !counter
+  let _, guard = certain ~top:true 0 (bind_same Subst.empty head) in
+  let evars =
+    Term.vars (List.concat_map (fun (a : Atom.t) -> a.args) body)
+    |> List.filter (fun v -> not (List.mem v head))
   in
-  let info_array = Array.of_list infos in
-  let comps_of v = List.filter (fun c -> List.mem v (Cmp.vars c)) q.comps in
-  (* The consistency guard for one atom occurrence, with [subst] renaming
-     its key-side variables (identity at the top level, parent-driven inside
-     guards).  For every key-mate ū of the atom's key values, the non-key
-     conditions must re-hold at ū. *)
-  let rec guarded subst info =
-    let atom = Subst.apply_atom subst info.atom in
-    let nonkey_positions =
-      List.filter
-        (fun (pos, _) -> not (List.mem pos info.key_positions))
-        (var_positions info.atom)
-    in
-    let mates =
-      List.map
-        (fun (pos, _) -> (pos, fresh (Printf.sprintf "u%d_%d" info.index pos)))
-        nonkey_positions
-    in
-    let mate_atom_args =
-      List.mapi
-        (fun pos t ->
-          match List.assoc_opt pos mates with
-          | Some u -> Term.Var u
-          | None -> Subst.apply_term subst t)
-        info.atom.Atom.args
-    in
-    let mate_atom = Atom.make info.atom.Atom.rel mate_atom_args in
-    let conds =
-      List.concat_map
-        (fun (pos, t) ->
-          let u = Term.Var (List.assoc pos mates) in
-          match t with
-          | Term.Const c -> [ Formula.Cmp (Cmp.eq u (Term.Const c)) ]
-          | Term.Var v ->
-              let as_head =
-                if List.mem v head then
-                  [ Formula.Cmp (Cmp.eq u (Term.Var v)) ]
-                else []
-              in
-              let as_comps =
-                List.map
-                  (fun c ->
-                    Formula.Cmp (Subst.apply_cmp (Subst.singleton v u) c))
-                  (comps_of v)
-              in
-              let as_children =
-                List.map
-                  (fun child ->
-                    child_formula (Subst.bind subst v u) info_array.(child))
-                  (children_of occ v info.index)
-              in
-              (* Only generate the child checks for existential variables;
-                 for head variables the equality already pins the value. *)
-              if as_head <> [] then as_head @ as_comps
-              else as_comps @ as_children)
-        nonkey_positions
-    in
-    let conds = List.filter (fun f -> f <> Formula.True) conds in
-    match conds with
-    | [] -> Formula.Atom atom
-    | _ ->
-        Formula.And
-          ( Formula.Atom atom,
-            Formula.forall
-              (List.map snd mates)
-              (Formula.Implies (Formula.Atom mate_atom, Formula.conj conds)) )
-  (* A child atom re-checked inside a parent's guard: its own existential
-     non-key variables get fresh names, and its subtree guard applies. *)
-  and child_formula subst info =
-    let freshened =
-      List.fold_left
-        (fun s (pos, t) ->
-          match t with
-          | Term.Var v
-            when (not (List.mem pos info.key_positions))
-                 && (not (List.mem v head))
-                 && Subst.find s v = None ->
-              Subst.bind s v (Term.Var (fresh v))
-          | Term.Var _ | Term.Const _ -> s)
-        subst (var_positions info.atom)
-    in
-    let bound =
-      List.filter_map
-        (fun (pos, t) ->
-          match t with
-          | Term.Var v when not (List.mem pos info.key_positions) -> (
-              match Subst.find freshened v with
-              | Some (Term.Var v') when not (String.equal v v') -> Some v'
-              | _ -> None)
-          | Term.Var _ | Term.Const _ -> None)
-        (var_positions info.atom)
-    in
-    Formula.exists bound (guarded freshened info)
-  in
-  let body = List.map (guarded Subst.empty) infos in
-  let comps = List.map (fun c -> Formula.Cmp c) q.comps in
-  let evars = Cq.existential_vars q in
-  Some (Formula.exists evars (Formula.conj (body @ comps)))
+  Formula.exists evars
+    (Formula.conj
+       (List.map (fun a -> Formula.Atom a) body
+       @ List.map (fun c -> Formula.Cmp c) q.comps
+       @ guard))
 
-let rewrite q ~keys =
-  let sp = Obs.Trace.start "rewrite.key" in
-  let result = try rewrite q ~keys with Unsupported -> None in
-  (match result with
-  | Some _ -> Obs.Counter.incr c_applicable
-  | None -> Obs.Counter.incr c_unsupported);
-  if Obs.Trace.is_enabled () then
-    Obs.Trace.attr "applicable" (if result = None then "no" else "yes");
-  Obs.Trace.finish sp;
-  result
+(* Builds the formula of a prepared input, counted and traced. *)
+let build ri =
+  Obs.Trace.with_span "rewrite.key" (fun () ->
+      Obs.Counter.incr c_applicable;
+      of_input ri)
+
+let input q ~keys =
+  let ri = Attack_graph.rewriting_input q ~keys in
+  if Option.is_none ri then Obs.Counter.incr c_unsupported;
+  ri
+
+let rewrite q ~keys = Option.map build (input q ~keys)
+
+let answers (ri : Attack_graph.rewriting_input) inst =
+  let f = build ri in
+  Obs.Trace.with_span "rewrite.eval" (fun () ->
+      Formula.answers inst ~free:(Cq.head_vars ri.query) f)
 
 let consistent_answers q ~keys inst =
-  match rewrite q ~keys with
-  | None -> None
-  | Some f ->
-      Some
-        (Obs.Trace.with_span "rewrite.eval" (fun () ->
-             Formula.answers inst ~free:(Cq.head_vars q) f))
+  Option.map (fun ri -> answers ri inst) (input q ~keys)

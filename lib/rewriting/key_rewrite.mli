@@ -1,25 +1,53 @@
-(** First-order CQA rewriting for conjunctive queries under primary key
-    constraints, after Fuxman–Miller (paper, Section 3.2; [64]) — the
-    approach that also answers projections like the paper's Q2 correctly,
-    where the residue rewriting of {!Residue_rewrite} is incomplete.
+(** First-order CQA rewriting for self-join-free conjunctive queries under
+    primary keys: every query with an acyclic Koutris–Wijsen attack graph
+    (paper, Section 3; Koutris & Wijsen, JACM 2017), which contains the
+    Fuxman–Miller C-forest class of Section 3.2 and also answers
+    projections like the paper's Q2, where the residue rewriting of
+    {!Residue_rewrite} is incomplete.
 
-    Supported class (a practical reading of the C-forest condition):
-    - self-join-free conjunctive queries;
-    - every body relation has a declared primary key;
-    - every existential variable occurring in a non-key position occurs in
-      other atoms only in key positions, and the induced parent→child join
-      graph is acyclic.
+    The rewriting follows the unattacked-atom elimination order of
+    {!Analysis.Attack_graph.rewriting_input}.  Eliminating level [l]'s
+    atom [R_l(key, ū)] keeps some key block all of whose tuples satisfy
+    that level's conditions (constants, repeated and already-bound
+    variables, the comparisons due there) and leave a certain remainder,
+    so the query [q] becomes [∃ body ∧ G₁] with
 
-    [rewrite] returns [None] when the query falls outside this class; the
-    caller should fall back to a repair-based or ASP engine (the paper's
-    point that CQA is coNP-hard in general). *)
+    {v
+    G_l = ∀ū (R_l(key, ū) → conds_l(ū) ∧ ∃v̄ (R_l+1(key', ē) ∧ G_l+1))
+    v}
+
+    All-key atoms (one tuple per block) add no guard, and saturation
+    helper atoms are inlined as their defining body.  The result is a
+    guarded ∃∀ formula that {!Logic.Formula.answers} compiles to a
+    columnar {!Relational.Plan}.  For a C-forest query it is the
+    Fuxman–Miller rewriting.
+
+    Like SQL, the formula never joins through NULL, while repairs compare
+    tuples structurally, so on a NULL-keyed tuple the two can disagree;
+    the engine sends instances with NULLs in the query's relations to an
+    exact route instead. *)
+
+val of_input : Analysis.Attack_graph.rewriting_input -> Logic.Formula.t
+(** The rewriting of a prepared input; its free variables are the head
+    variables of [input.query]. *)
 
 val rewrite :
   Logic.Cq.t -> keys:(string * int list) list -> Logic.Formula.t option
+(** [None] when {!Analysis.Attack_graph.rewriting_input} declines: a
+    self-join, an unsafe query, an empty body or a cyclic attack graph.
+    Relations missing from [keys] are keyed on all their attributes. *)
+
+val answers :
+  Analysis.Attack_graph.rewriting_input ->
+  Relational.Instance.t ->
+  Relational.Value.t list list
+(** Evaluate {!of_input} on an instance: distinct answer tuples, sorted
+    like {!Logic.Cq.answers}. *)
 
 val consistent_answers :
   Logic.Cq.t ->
   keys:(string * int list) list ->
   Relational.Instance.t ->
   Relational.Value.t list list option
-(** [None] when the query is outside the rewritable class. *)
+(** {!rewrite} then evaluate; [None] when the query is outside the
+    rewritable class. *)

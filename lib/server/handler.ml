@@ -136,7 +136,6 @@ let method_label : P.method_ -> string = function
   | P.Enum -> "enum"
   | P.Rewriting -> "rewriting"
   | P.Key_rewriting -> "key-rewriting"
-  | P.Datalog -> "datalog"
   | P.Asp -> "asp"
   | P.Sat -> "sat"
 
@@ -147,7 +146,6 @@ let engine_method : P.method_ -> Cqa.Engine.answer_method = function
   | P.Enum -> `Repair_enumeration
   | P.Rewriting -> `Residue_rewriting
   | P.Key_rewriting -> `Key_rewriting
-  | P.Datalog -> `Datalog
   | P.Asp -> `Asp
   | P.Sat -> `Sat
 
@@ -207,7 +205,7 @@ let exec_query (session : Session.t) name method_ semantics =
                     single conjunctive queries (union has %d disjuncts)"
                    name
                    (List.length u.Logic.Ucq.disjuncts))
-          | P.Rewriting | P.Key_rewriting | P.Datalog ->
+          | P.Rewriting | P.Key_rewriting ->
               (* Refuse rather than silently running a different (and
                  differently priced) algorithm than the one requested —
                  and let the analyzer name the condition that fails. *)
@@ -247,7 +245,6 @@ let branch_of (session : Session.t) (u : Logic.Ucq.t) method_ semantics =
       | P.S, P.Enum -> "repair_enumeration"
       | P.S, P.Rewriting -> "residue_rewriting"
       | P.S, P.Key_rewriting -> "key_rewriting"
-      | P.S, P.Datalog -> "datalog_rewriting"
       | P.S, P.Asp -> "asp"
       | P.S, P.Sat -> "sat_compilation")
   | _ -> (
@@ -326,7 +323,6 @@ let plan_lines (session : Session.t) name method_ semantics =
             | P.S, P.Enum -> "repair_enumeration"
             | P.S, P.Rewriting -> "residue_rewriting"
             | P.S, P.Key_rewriting -> "key_rewriting"
-            | P.S, P.Datalog -> "datalog_rewriting"
             | P.S, P.Asp -> "asp"
             | P.S, P.Sat -> "sat_compilation"
           in

@@ -1,7 +1,7 @@
 module Value = Relational.Value
 
 type semantics = S | C
-type method_ = Auto | Enum | Rewriting | Key_rewriting | Datalog | Asp | Sat
+type method_ = Auto | Enum | Rewriting | Key_rewriting | Asp | Sat
 
 type command =
   | Load of string
@@ -56,7 +56,6 @@ let method_of = function
   | "enum" -> Ok Enum
   | "rewriting" -> Ok Rewriting
   | "key-rewriting" -> Ok Key_rewriting
-  | "datalog" -> Ok Datalog
   | "asp" -> Ok Asp
   | "sat" -> Ok Sat
   | s -> Error (Printf.sprintf "unknown method %S" s)

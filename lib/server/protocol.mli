@@ -5,7 +5,7 @@
 
     {v
     LOAD <sid>                   % then Cqa.Parse document lines, then "."
-    QUERY <sid> <name> [method=auto|enum|rewriting|key-rewriting|datalog|asp|sat]
+    QUERY <sid> <name> [method=auto|enum|rewriting|key-rewriting|asp|sat]
                        [semantics=s|c] [timeout=ms]
     CHECK <sid>
     REPAIRS <sid> [s|c]
@@ -14,7 +14,7 @@
     STATS
     METRICS
     TRACE on|off
-    EXPLAIN <sid> <name> [method=auto|enum|rewriting|key-rewriting|datalog|asp|sat]
+    EXPLAIN <sid> <name> [method=auto|enum|rewriting|key-rewriting|asp|sat]
                          [semantics=s|c] [timeout=ms]
     ANALYZE <sid> [<query-name>]
     WORKLOAD [TOP <n> | BY branch | RESET]
@@ -35,7 +35,7 @@
 
 type semantics = S | C
 
-type method_ = Auto | Enum | Rewriting | Key_rewriting | Datalog | Asp | Sat
+type method_ = Auto | Enum | Rewriting | Key_rewriting | Asp | Sat
 
 type command =
   | Load of string  (** session id; the document payload follows *)

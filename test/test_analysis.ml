@@ -199,12 +199,12 @@ let emp_key = Paper_examples.Employee.key
 
 let test_classifier_verdicts () =
   let classify ics q = (Classify.classify ics q : Classify.t) in
-  (* Ex 3.3's queries: both C-forest, hence FO-rewritable. *)
+  (* Ex 3.3's queries: acyclic attack graphs, hence FO-rewritable. *)
   let names = Cq.make ~name:"names" [ x ] [ Atom.make "Employee" [ x; y ] ] in
   let c = classify [ emp_key ] names in
   check Alcotest.string "names verdict" "FO_rewritable"
     (Classify.verdict_label c.verdict);
-  check Alcotest.string "names witness" "join-graph/c-forest"
+  check Alcotest.string "names witness" "attack-graph/acyclic"
     (Classify.witness_code c.witness);
   (* The trichotomy's hard tier: the Boolean nonkey-nonkey join is the
      Koutris–Wijsen strong 2-cycle (Fuxman–Miller's coNP-hard example). *)
@@ -219,13 +219,13 @@ let test_classifier_verdicts () =
     (Classify.witness_code c.witness);
   (* The same body with x free is NOT hard: the free variable acts as a
      constant, S's closure absorbs the join variable, and the attack
-     graph is acyclic.  Outside the C-forest fragment, so the Datalog
-     tier answers it. *)
+     graph is acyclic: FO-rewritable, though outside the Fuxman–Miller
+     C-forest fragment. *)
   let hard =
     Cq.make ~name:"hard" [ x ] [ Atom.make "R" [ x; y ]; Atom.make "S" [ z; y ] ]
   in
   let c = classify rs_keys hard in
-  check Alcotest.string "hard verdict" "L_datalog_rewritable"
+  check Alcotest.string "hard verdict" "FO_rewritable"
     (Classify.verdict_label c.verdict);
   check Alcotest.string "hard witness" "attack-graph/acyclic"
     (Classify.witness_code c.witness);
@@ -235,7 +235,7 @@ let test_classifier_verdicts () =
     Cq.make ~name:"cyc" [ x ] [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; x ] ]
   in
   let c = classify rs_keys cyc in
-  check Alcotest.string "cyc verdict" "L_datalog_rewritable"
+  check Alcotest.string "cyc verdict" "FO_rewritable"
     (Classify.verdict_label c.verdict);
   check Alcotest.string "cyc witness" "attack-graph/acyclic"
     (Classify.witness_code c.witness);
@@ -282,8 +282,10 @@ let contains ~sub s =
 let test_ucq_diagnostic_names_condition () =
   let rs_keys = [ Ic.key ~rel:"R" [ 0 ]; Ic.key ~rel:"S" [ 0 ] ] in
   let good = Cq.make ~name:"g" [ x ] [ Atom.make "R" [ x; y ] ] in
+  (* A weak attack cycle between R and S; x is free through T. *)
   let hard =
-    Cq.make ~name:"h" [ x ] [ Atom.make "R" [ x; y ]; Atom.make "S" [ z; y ] ]
+    Cq.make ~name:"h" [ x ]
+      [ Atom.make "R" [ y; z ]; Atom.make "S" [ z; y ]; Atom.make "T" [ x ] ]
   in
   let d = Classify.ucq_rewriting_diagnostic rs_keys (Ucq.make ~name:"u" [ good; hard ]) in
   check Alcotest.bool "diagnostic names the failing disjunct" true
@@ -329,39 +331,31 @@ let test_engine_rewriting_refusal_is_diagnostic () =
   in
   let ics = [ Ic.key ~rel:"R" [ 0 ]; Ic.key ~rel:"S" [ 0 ] ] in
   let engine = Cqa.Engine.create ~schema ~ics db in
+  (* The acyclic non-C-forest pattern: the key rewriting takes it, on
+     both the auto route and the forced method. *)
   let hard =
     Cq.make ~name:"hard" [ x ] [ Atom.make "R" [ x; y ]; Atom.make "S" [ z; y ] ]
   in
-  (match
-     Cqa.Engine.consistent_answers ~method_:`Key_rewriting engine hard
-   with
-  | _ -> Alcotest.fail "key rewriting accepted a non-C-forest query"
-  | exception Invalid_argument msg ->
-      check Alcotest.bool "message names the verdict" true
-        (contains ~sub:"L_datalog_rewritable" msg);
-      check Alcotest.bool "message names the attack graph" true
-        (contains ~sub:"acyclic" msg));
-  (* Auto still answers it — the acyclic attack graph outside the
-     C-forest fragment routes to the Datalog rewriting. *)
   let plan = Cqa.Engine.plan engine hard in
-  check Alcotest.string "L-tier route" "datalog_rewriting"
+  check Alcotest.string "acyclic route" "key_rewriting"
     (Cqa.Engine.route_label plan.Cqa.Engine.route);
-  check Alcotest.int "L-tier answers" 1
+  check Alcotest.int "auto answers" 1
     (List.length (Cqa.Engine.consistent_answers engine hard));
-  (* Forced method=datalog works on this tier... *)
-  check Alcotest.int "forced datalog answers" 1
+  check Alcotest.int "forced key rewriting answers" 1
     (List.length
-       (Cqa.Engine.consistent_answers ~method_:`Datalog engine hard));
-  (* ...and refuses the genuinely hard (Boolean) variant with the
+       (Cqa.Engine.consistent_answers ~method_:`Key_rewriting engine hard));
+  (* The genuinely hard (Boolean) variant is refused with the
      coNP-hardness witness in the message. *)
   let bhard =
     Cq.make ~name:"bhard" [] [ Atom.make "R" [ x; y ]; Atom.make "S" [ z; y ] ]
   in
-  match Cqa.Engine.consistent_answers ~method_:`Datalog engine bhard with
-  | _ -> Alcotest.fail "datalog rewriting accepted a coNP-hard pattern"
+  match Cqa.Engine.consistent_answers ~method_:`Key_rewriting engine bhard with
+  | _ -> Alcotest.fail "key rewriting accepted a coNP-hard pattern"
   | exception Invalid_argument msg ->
       check Alcotest.bool "refusal names the hard verdict" true
-        (contains ~sub:"coNP_hard" msg)
+        (contains ~sub:"coNP_hard" msg);
+      check Alcotest.bool "refusal names the attack graph" true
+        (contains ~sub:"strongly" msg)
 
 (* ---- Report determinism ------------------------------------------------ *)
 

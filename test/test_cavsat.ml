@@ -421,7 +421,7 @@ let test_theory_size_constant () =
   check Alcotest.int "nvars = base" base.Cavsat.Theory.vars (Inc.nvars solver);
   check Alcotest.int "no learned clause left" 0 (Inc.learned_clauses solver)
 
-(* The Datalog rewriting declines instances with NULLs; under keys the
+(* The key rewriting declines instances with NULLs; under keys the
    engine then answers by SAT, not by enumerating repairs. *)
 let test_null_fallback_is_sat () =
   let db =
@@ -444,7 +444,7 @@ let test_null_fallback_is_sat () =
       ]
   in
   let eng = Cqa.Engine.create ~schema:rs_schema ~ics:rs_keys db in
-  check Alcotest.string "acyclic: planned as datalog" "datalog_rewriting"
+  check Alcotest.string "acyclic: planned as the rewriting" "key_rewriting"
     (Cqa.Engine.route_label (Cqa.Engine.plan eng hard).Cqa.Engine.route);
   let reg = Obs.Registry.current () in
   let before = Obs.Registry.counter_snapshot reg in

@@ -151,17 +151,93 @@ let prop_rewrite_columnar_eq =
                 Rewriting.Key_rewrite.consistent_answers q ~keys db))
         rewritable_queries)
 
+(* The decorrelation repro below, as a formula over R and S: w is bound
+   by the top-level atoms and re-checked two guards down, so the child
+   under R's mate refers to w although its own atom S(u, e) does not
+   generate it. *)
+let guarded_formulas =
+  let v = Term.var in
+  let atom r a b = Formula.Atom (Atom.make r [ v a; v b ]) in
+  let guard r k u body =
+    Formula.Forall ([ u ], Formula.Implies (atom r k u, body))
+  in
+  let f =
+    Formula.exists [ "y"; "z" ]
+      (Formula.conj
+         [
+           atom "R" "x" "y";
+           atom "S" "y" "z";
+           atom "R" "z" "w";
+           guard "R" "x" "u"
+             (Formula.exists [ "e" ]
+                (Formula.And
+                   ( atom "S" "u" "e",
+                     guard "S" "u" "u2"
+                       (Formula.Exists
+                          ( [],
+                            Formula.And
+                             ( atom "R" "u2" "w",
+                               guard "R" "u2" "t"
+                                 (Formula.Cmp (Cmp.eq (v "t") (v "w"))) ) )) )));
+         ])
+  in
+  [ (f, [ "x"; "w" ]) ]
+
 let prop_formula_columnar_eq =
   QCheck.Test.make ~count:300 ~name:"columnar Formula.answers = row" arb_db
     (fun db_spec ->
       let db = instance_of db_spec in
       List.for_all
-        (fun q ->
-          let f = Formula.of_cq q in
-          let free = Cq.head_vars q in
+        (fun (f, free) ->
           with_columnar false (fun () -> Formula.answers db ~free f)
           = with_columnar true (fun () -> Formula.answers db ~free f))
-        queries)
+        (List.map (fun q -> (Formula.of_cq q, Cq.head_vars q)) queries
+        @ guarded_formulas))
+
+(* A head variable bound only at depth 3 of the rewriting: W occurs in
+   U, which is checked inside S's guard inside T's guard.  Both T(1,_)
+   claimants lead to U tuples with different W, so no W is certain. *)
+let test_decorrelated_child () =
+  let schema =
+    Schema.of_list
+      [ ("T", [ "a"; "b" ]); ("S", [ "b"; "c" ]); ("U", [ "c"; "d"; "e" ]) ]
+  in
+  let i = Value.int in
+  let db =
+    Instance.of_rows schema
+      [
+        ("T", [ [ i 1; i 10 ]; [ i 1; i 11 ] ]);
+        ("S", [ [ i 10; i 20 ]; [ i 11; i 21 ] ]);
+        ("U", [ [ i 20; i 100; i 0 ]; [ i 21; i 101; i 0 ] ]);
+      ]
+  in
+  let ics =
+    [
+      Constraints.Ic.key ~rel:"T" [ 0 ];
+      Constraints.Ic.key ~rel:"S" [ 0 ];
+      Constraints.Ic.key ~rel:"U" [ 0 ];
+    ]
+  in
+  let v = Term.var in
+  let q =
+    Cq.make ~name:"q" [ v "X"; v "W" ]
+      [
+        Atom.make "T" [ v "X"; v "Y" ];
+        Atom.make "S" [ v "Y"; v "Z" ];
+        Atom.make "U" [ v "Z"; v "W"; v "V" ];
+      ]
+  in
+  let engine = Cqa.Engine.create ~schema ~ics db in
+  check Alcotest.string "routed to the rewriting" "key_rewriting"
+    (Cqa.Engine.route_label (Cqa.Engine.plan engine q).Cqa.Engine.route);
+  let answers on =
+    with_columnar on (fun () -> Cqa.Engine.consistent_answers engine q)
+  in
+  check Alcotest.int "columnar: no certain answer" 0 (List.length (answers true));
+  check Alcotest.int "row: no certain answer" 0 (List.length (answers false));
+  check Alcotest.int "enumeration agrees" 0
+    (List.length
+       (Cqa.Engine.consistent_answers ~method_:`Repair_enumeration engine q))
 
 (* --- Violation search: compiled = interpreted ------------------------ *)
 
@@ -354,6 +430,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cq_columnar_eq;
     QCheck_alcotest.to_alcotest prop_rewrite_columnar_eq;
     QCheck_alcotest.to_alcotest prop_formula_columnar_eq;
+    Alcotest.test_case "a child's free variable is decorrelated" `Quick
+      test_decorrelated_child;
     QCheck_alcotest.to_alcotest prop_violation_columnar_eq;
     Alcotest.test_case "counters prove the engine that ran" `Quick
       test_engine_counters;

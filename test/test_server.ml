@@ -571,27 +571,28 @@ let test_explain_always_shows_plan () =
       body
   in
   (* method=auto on the acyclic-but-not-C-forest pattern: the plan names
-     the Datalog branch and the classifier's verdict. *)
+     the rewriting branch and the classifier's verdict. *)
   let e = dispatch_line h "EXPLAIN s1 hard" in
   Alcotest.(check bool) "explain ok" true (e.P.status = `Ok);
   Alcotest.(check bool) "plan section" true (has e.P.body "-- plan");
   Alcotest.(check bool) "branch line" true
-    (has e.P.body "branch datalog_rewriting");
+    (has e.P.body "branch key_rewriting");
   Alcotest.(check bool) "verdict line" true
-    (has e.P.body "verdict L_datalog_rewritable");
+    (has e.P.body "verdict FO_rewritable");
   (* A forced method reports its own branch, same verdict. *)
   let e2 = dispatch_line h "EXPLAIN s1 hard method=enum" in
   Alcotest.(check bool) "forced branch" true
     (has e2.P.body "branch repair_enumeration");
   Alcotest.(check bool) "forced still shows verdict" true
-    (has e2.P.body "verdict L_datalog_rewritable");
-  (* Explicit method=sat and method=datalog round-trip through QUERY. *)
+    (has e2.P.body "verdict FO_rewritable");
+  (* Explicit method=sat and method=key-rewriting round-trip through
+     QUERY. *)
   let q = dispatch_line h "QUERY s1 hard method=sat" in
   Alcotest.(check bool) "method=sat ok" true (q.P.status = `Ok);
   Alcotest.(check (list string)) "certain answer" [ "1" ] q.P.body;
-  let q2 = dispatch_line h "QUERY s1 hard method=datalog" in
-  Alcotest.(check bool) "method=datalog ok" true (q2.P.status = `Ok);
-  Alcotest.(check (list string)) "datalog certain answer" [ "1" ] q2.P.body
+  let q2 = dispatch_line h "QUERY s1 hard method=key-rewriting" in
+  Alcotest.(check bool) "method=key-rewriting ok" true (q2.P.status = `Ok);
+  Alcotest.(check (list string)) "rewriting certain answer" [ "1" ] q2.P.body
 
 (* A self-join under a key: no rewriting applies, so method=auto
    compiles to SAT.  The conflicting tuples are the four in key groups 1

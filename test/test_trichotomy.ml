@@ -1,8 +1,8 @@
 (* The attack-graph trichotomy end to end: attack edges with their
    strong/weak classification, elimination orders, saturation as an
-   equivalence-preserving preprocessing step, the Datalog rewriting's
-   agreement with repair enumeration (unit + qcheck), and the seminaive
-   evaluator's counters on the datalog branch. *)
+   equivalence-preserving preprocessing step, and the elimination-order
+   rewriting's agreement with repair enumeration on the columnar executor
+   (unit + one qcheck differential over the acyclic tier). *)
 
 module Attack_graph = Analysis.Attack_graph
 module Classify = Analysis.Classify
@@ -19,8 +19,6 @@ let check = Alcotest.check
 let x = Term.var "x"
 let y = Term.var "y"
 let z = Term.var "z"
-let rs_schema = Schema.of_list [ ("R", [ "a"; "b" ]); ("S", [ "c"; "d" ]) ]
-let rs_ics = [ Ic.key ~rel:"R" [ 0 ]; Ic.key ~rel:"S" [ 0 ] ]
 let rs_keys = [ ("R", [ 0 ]); ("S", [ 0 ]) ]
 
 let edges (g : Attack_graph.t) =
@@ -64,12 +62,13 @@ let test_attack_edges () =
   | Some (Attack_graph.Weak [ 0; 1 ]) -> ()
   | _ -> Alcotest.fail "expected a weak 2-cycle"
 
-(* ---- The canonical L-tier example ------------------------------------ *)
+(* ---- The canonical acyclic example ---------------------------------- *)
 
 (* pair(M) :- Advises(M, S), Assists(S, M), both keyed on their first
    column: the attack graph is acyclic (Advises attacks Assists, not
-   vice versa) but the join into Assists' key is outside the C-forest
-   fragment, so the engine must route to the Datalog rewriting. *)
+   vice versa) although the join into Assists' key is outside the
+   Fuxman–Miller C-forest fragment; the elimination-order rewriting
+   answers it on the columnar executor. *)
 let mentor_schema =
   Schema.of_list
     [ ("Advises", [ "mentor"; "student" ]); ("Assists", [ "student"; "mentor" ]) ]
@@ -98,44 +97,71 @@ let mentor_db =
         ] );
     ]
 
-let test_l_tier_routing_and_answers () =
+let test_acyclic_routing_and_answers () =
   let eng = Cqa.Engine.create ~schema:mentor_schema ~ics:mentor_ics mentor_db in
   let plan = Cqa.Engine.plan eng pair_q in
-  check Alcotest.string "plan routes to the datalog rewriting"
-    "datalog_rewriting"
+  check Alcotest.string "plan routes to the rewriting" "key_rewriting"
     (Cqa.Engine.route_label plan.Cqa.Engine.route);
-  check Alcotest.string "verdict" "L_datalog_rewritable"
+  check Alcotest.string "verdict" "FO_rewritable"
     (Classify.verdict_label
        plan.Cqa.Engine.classification.Classify.verdict);
+  check Alcotest.string "witness" "attack-graph/acyclic"
+    (Classify.witness_code plan.Cqa.Engine.classification.Classify.witness);
   (* ann's block is consistent and assisted back; cara's conflicting
      advisees are not both assisting, so only ann is certain. *)
   let rows m = Cqa.Engine.consistent_answers ~method_:m eng pair_q in
   let expect = [ [ Value.str "ann" ] ] in
   check Alcotest.bool "auto answers" true
     (Cqa.Engine.consistent_answers eng pair_q = expect);
-  check Alcotest.bool "datalog answers" true (rows `Datalog = expect);
+  check Alcotest.bool "forced rewriting answers" true (rows `Key_rewriting = expect);
   check Alcotest.bool "enumeration agrees" true
     (rows `Repair_enumeration = expect)
 
-let test_datalog_counters_fire () =
-  let eng = Cqa.Engine.create ~schema:mentor_schema ~ics:mentor_ics mentor_db in
+let counter_delta f =
   let reg = Obs.Registry.current () in
   let before = Obs.Registry.counter_snapshot reg in
-  ignore (Cqa.Engine.consistent_answers ~method_:`Datalog eng pair_q);
+  f ();
   let delta = Obs.Registry.counter_delta ~since:before reg in
-  let d name = Option.value ~default:0 (List.assoc_opt name delta) in
-  check Alcotest.bool "seminaive rounds counted" true
-    (d "datalog.seminaive.rounds" > 0);
-  check Alcotest.bool "seminaive facts counted" true
-    (d "datalog.seminaive.facts" > 0);
-  check Alcotest.bool "rewriting counted applicable" true
-    (d "rewrite.datalog_applicable" > 0);
+  fun name -> Option.value ~default:0 (List.assoc_opt name delta)
+
+let test_rewriting_counters_fire () =
+  let eng = Cqa.Engine.create ~schema:mentor_schema ~ics:mentor_ics mentor_db in
+  let d = counter_delta (fun () -> ignore (Cqa.Engine.consistent_answers eng pair_q)) in
+  check Alcotest.int "classified once" 1 (d "analysis.classified");
+  check Alcotest.int "rewriting built once" 1 (d "rewrite.key_applicable");
+  check Alcotest.bool "columnar scans" true (d "scan.columnar" > 0);
+  check Alcotest.int "no row-interpreter fallback" 0 (d "scan.row");
   check Alcotest.int "no repairs enumerated" 0 (d "repairs.enumerations")
 
+(* One auto QUERY through the server on the shipped example classifies
+   the query exactly once: the plan carries the rewriting input to the
+   executor. *)
+let test_one_classification_per_query () =
+  let h = Server.Handler.create () in
+  let payload =
+    Filename.concat (Filename.dirname Sys.executable_name) "../examples/mentors.cqa"
+    |> Fun.flip In_channel.with_open_text In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  (match Server.Handler.dispatch h ~payload (Server.Protocol.Load "m") with
+  | { Server.Protocol.status = `Ok; _ } -> ()
+  | { Server.Protocol.head; _ } -> Alcotest.fail ("LOAD failed: " ^ head));
+  let r = ref None in
+  let d =
+    counter_delta (fun () ->
+        r := Some (Server.Handler.handle_line h "QUERY m pair"))
+  in
+  (match !r with
+  | Some { Server.Protocol.status = `Ok; body; _ } ->
+      check Alcotest.(list string) "certain answer" [ "ann" ] body
+  | _ -> Alcotest.fail "QUERY failed");
+  check Alcotest.int "analysis.classified moves by 1" 1 (d "analysis.classified")
+
 let test_null_instance_falls_back () =
-  (* Datalog matches NULLs structurally while Cq.answers uses the SQL
-     three-valued logic, so the rewriting declines instances with NULL
-     and auto falls back to (sound) enumeration. *)
+  (* Repairs compare NULLs structurally while the rewriting joins under
+     SQL three-valued logic, so the route declines instances with NULL
+     in the relations the query reads and auto falls back to an exact
+     route. *)
   let db =
     Instance.of_rows mentor_schema
       [
@@ -268,51 +294,99 @@ let test_self_join_lint () =
   check Alcotest.int "self-join-free query is clean" 0
     (List.length (Lint.query_findings sjf))
 
-(* ---- qcheck: the rewriting is exact on its tier ----------------------- *)
+(* ---- qcheck: the rewriting is exact on the acyclic tier -------------- *)
 
-let arb_rs =
-  QCheck.make
-    QCheck.Gen.(
-      pair
-        (list_size (int_range 0 6) (pair (int_range 0 2) (int_range 0 3)))
-        (list_size (int_range 0 6) (pair (int_range 0 3) (int_range 0 2))))
-    ~print:(fun (rs, ss) ->
-      let row (a, b) = Printf.sprintf "(%d,%d)" a b in
-      Printf.sprintf "R=%s S=%s"
-        (String.concat "" (List.map row rs))
-        (String.concat "" (List.map row ss)))
+let rst_schema =
+  Schema.of_list
+    [ ("R", [ "a"; "b" ]); ("S", [ "b"; "c" ]); ("T", [ "c"; "d" ]) ]
 
-let l_queries =
+let rst_ics =
+  [ Ic.key ~rel:"R" [ 0 ]; Ic.key ~rel:"S" [ 0 ]; Ic.key ~rel:"T" [ 0 ] ]
+
+(* Acyclic shapes covering every path of the rewriting: nested guards,
+   seeded children, all-key levels, saturation helpers, constants,
+   repeated variables, comparisons and Boolean heads. *)
+let tier_queries =
+  let v = Term.var and c n = Term.Const (Value.int n) in
+  let r a b = Atom.make "R" [ a; b ]
+  and s a b = Atom.make "S" [ a; b ]
+  and t a b = Atom.make "T" [ a; b ] in
+  let x = v "x" and y = v "y" and z = v "z" and w = v "w" in
   [
+    (* back-to-back join closed through the free variable *)
+    Cq.make ~name:"back" [ x ] [ r x y; s y x ];
+    (* three-atom cycle closed through the free variable *)
+    Cq.make ~name:"cycle3" [ x ] [ r x y; s y z; t z x ];
+    (* constant in a non-key position *)
+    Cq.make ~name:"constnk" [ x ] [ r x (c 1); s x y ];
+    (* repeated variable inside one atom *)
+    Cq.make ~name:"repeat" [ x ] [ r x x; s x y ];
+    (* comparison between two roots *)
+    Cq.make ~name:"cmp_roots" ~comps:[ Cmp.make Cmp.Lt y z ] [ x ] [ r x y; s x z ];
     (* nonkey-nonkey join with a free variable *)
-    Cq.make ~name:"hard" [ x ] [ Atom.make "R" [ x; y ]; Atom.make "S" [ z; y ] ];
-    (* join cycle closed through the free variable *)
-    Cq.make ~name:"cyc" [ x ] [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; x ] ];
+    Cq.make ~name:"hard" [ x ] [ r x y; s z y ];
+    (* the Koutris–Wijsen triangle with x free: saturation fires *)
+    Cq.make ~name:"triangle" [ x ] [ r x y; s y z; t x z ];
+    (* three-atom chain *)
+    Cq.make ~name:"chain3" [ x ] [ r x y; s y z; t z w ];
+    (* two-root forest *)
+    Cq.make ~name:"forest" [ x; z ] [ r x y; s y w; t z (v "u") ];
+    (* head variable bound only at depth three *)
+    Cq.make ~name:"deep_head" [ x; w ] [ r x y; s y z; t z w ];
+    (* constant key *)
+    Cq.make ~name:"constkey" [ y ] [ r (c 1) y; s y z ];
+    (* variable repeated across a key and a non-key position *)
+    Cq.make ~name:"key_nonkey" [ x ] [ r x y; s y y ];
+    (* comparison spanning two levels of a chain *)
+    Cq.make ~name:"cmp_levels" ~comps:[ Cmp.make Cmp.Lt y z ] [ x ] [ r x y; s y z ];
+    (* Boolean chain *)
+    Cq.make ~name:"bool_chain" [] [ r x y; s y z ];
+    (* Boolean query with a constant *)
+    Cq.make ~name:"bool_const" [] [ r x (c 2); s x y ];
+    (* full tuple *)
+    Cq.make ~name:"full" [ x; y ] [ r x y ];
   ]
 
-let prop_datalog_is_exact_on_l_tier =
-  QCheck.Test.make ~count:150
-    ~name:"L_datalog_rewritable => datalog = enumeration" arb_rs
-    (fun (rs, ss) ->
-      let db =
-        Instance.of_rows rs_schema
-          [
-            ("R", List.map (fun (a, b) -> [ Value.int a; Value.int b ]) rs);
-            ("S", List.map (fun (a, b) -> [ Value.int a; Value.int b ]) ss);
-          ]
+let test_tier_is_acyclic () =
+  List.iter
+    (fun q ->
+      let c = Classify.classify rst_ics q in
+      check Alcotest.string (q.Cq.name ^ " witness") "attack-graph/acyclic"
+        (Classify.witness_code c.Classify.witness))
+    tier_queries
+
+let arb_rst =
+  let rel =
+    QCheck.Gen.(list_size (int_range 0 5) (pair (int_range 0 2) (int_range 0 2)))
+  in
+  QCheck.make
+    QCheck.Gen.(triple rel rel rel)
+    ~print:(fun (rs, ss, ts) ->
+      let side l =
+        String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d,%d" a b) l)
       in
-      let eng = Cqa.Engine.create ~schema:rs_schema ~ics:rs_ics db in
+      Printf.sprintf "R=%s S=%s T=%s" (side rs) (side ss) (side ts))
+
+let prop_rewriting_is_exact_on_acyclic_tier =
+  QCheck.Test.make ~count:200
+    ~name:"acyclic tier: auto = enumeration, scan.row = 0" arb_rst
+    (fun (rs, ss, ts) ->
+      let rows l = List.map (fun (a, b) -> [ Value.int a; Value.int b ]) l in
+      let db =
+        Instance.of_rows rst_schema [ ("R", rows rs); ("S", rows ss); ("T", rows ts) ]
+      in
+      let eng = Cqa.Engine.create ~schema:rst_schema ~ics:rst_ics db in
       List.for_all
         (fun q ->
-          match (Classify.classify rs_ics q).Classify.verdict with
-          | Classify.L_datalog_rewritable ->
-              List.sort compare
-                (Cqa.Engine.consistent_answers ~method_:`Datalog eng q)
-              = List.sort compare
-                  (Cqa.Engine.consistent_answers ~method_:`Repair_enumeration
-                     eng q)
-          | _ -> true)
-        l_queries)
+          let auto = ref [] in
+          let d =
+            counter_delta (fun () -> auto := Cqa.Engine.consistent_answers eng q)
+          in
+          let enum =
+            Cqa.Engine.consistent_answers ~method_:`Repair_enumeration eng q
+          in
+          d "scan.row" = 0 && List.sort compare !auto = List.sort compare enum)
+        tier_queries)
 
 let arb_tri =
   QCheck.make
@@ -342,10 +416,12 @@ let suite =
   [
     Alcotest.test_case "attack edges, strength and cycles" `Quick
       test_attack_edges;
-    Alcotest.test_case "L tier routes to datalog and answers" `Quick
-      test_l_tier_routing_and_answers;
-    Alcotest.test_case "datalog counters fire" `Quick
-      test_datalog_counters_fire;
+    Alcotest.test_case "acyclic tier routes to the rewriting" `Quick
+      test_acyclic_routing_and_answers;
+    Alcotest.test_case "rewriting counters fire" `Quick
+      test_rewriting_counters_fire;
+    Alcotest.test_case "one QUERY classifies once" `Quick
+      test_one_classification_per_query;
     Alcotest.test_case "NULL instances fall back soundly" `Quick
       test_null_instance_falls_back;
     Alcotest.test_case "saturation fires on the triangle" `Quick
@@ -353,6 +429,8 @@ let suite =
     Alcotest.test_case "saturation preserves certainty" `Quick
       test_saturation_preserves_certainty;
     Alcotest.test_case "self-join lint" `Quick test_self_join_lint;
-    QCheck_alcotest.to_alcotest prop_datalog_is_exact_on_l_tier;
+    Alcotest.test_case "differential shapes are acyclic" `Quick
+      test_tier_is_acyclic;
+    QCheck_alcotest.to_alcotest prop_rewriting_is_exact_on_acyclic_tier;
     QCheck_alcotest.to_alcotest prop_saturation_preserves_certainty;
   ]
