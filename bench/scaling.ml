@@ -718,60 +718,6 @@ let b14 ~quick () =
     sizes;
   print_newline ()
 
-(* B15: the cqa-fast tentpole — indexed vs naive join evaluation.  (This is
-   the "b10" scaling bench of ISSUE 3; b10 was already taken by the
-   approximation bench.)  A two-atom key join evaluated through Cq.answers:
-   the naive path scans the joined relation once per candidate binding
-   (O(n²)), the indexed path probes a hash index per binding (O(n)). *)
-let b15 ~quick () =
-  header "B15" "indexed vs naive join (cqa-fast)"
-    "hash-indexed candidate lookup turns the quadratic nested-loop join \
-     into a near-linear one";
-  let sizes = if quick then [ 100; 1000 ] else [ 100; 1000; 10000 ] in
-  let schema = Relational.Schema.of_list [ ("R", [ "a"; "b" ]); ("S", [ "b"; "c" ]) ] in
-  let open Logic in
-  let q =
-    Cq.make
-      [ Term.var "x"; Term.var "z" ]
-      [
-        Atom.make "R" [ Term.var "x"; Term.var "y" ];
-        Atom.make "S" [ Term.var "y"; Term.var "z" ];
-      ]
-  in
-  Printf.printf "  %8s %12s %14s %14s %8s\n" "n" "#answers" "naive" "indexed"
-    "speedup";
-  List.iter
-    (fun n ->
-      let db =
-        Instance.of_rows schema
-          [
-            ("R", List.init n (fun i -> [ Value.int i; Value.int (i / 2) ]));
-            ("S", List.init n (fun i -> [ Value.int i; Value.int (i mod 97) ]));
-          ]
-      in
-      (* Naive first so its scans cannot be served by indexes built during
-         the indexed run (and its join.nested increments stay honest). *)
-      Instance.set_indexing false;
-      let naive, naive_ns = Bech_harness.once (fun () -> Cq.answers q db) in
-      Instance.set_indexing true;
-      let indexed, indexed_ns = Bech_harness.once (fun () -> Cq.answers q db) in
-      assert (naive = indexed);
-      let speedup = naive_ns /. indexed_ns in
-      Printf.printf "  %8d %12d %14s %14s %7.1fx\n" n (List.length indexed)
-        (Bech_harness.pp_ns naive_ns)
-        (Bech_harness.pp_ns indexed_ns)
-        speedup;
-      Bench_json.record ~bench:"b15"
-        [
-          ("n", Bench_json.int n);
-          ("answers", Bench_json.int (List.length indexed));
-          ("naive_ns", Bench_json.num naive_ns);
-          ("indexed_ns", Bench_json.num indexed_ns);
-          ("speedup", Bench_json.num speedup);
-        ])
-    sizes;
-  print_newline ()
-
 (* B16: the cqa-analyze tentpole — tractability-driven method dispatch.
    The key-conflict-chain workload's certain-pairs query is proved
    FO-rewritable by the static classifier, so [`Auto] answers it through
@@ -936,13 +882,13 @@ let b17 ~quick () =
 
 (* B18: the cqa-columnar tentpole — compiled columnar kernels vs the row
    interpreter on the FO-rewriting pipeline.  Both phases evaluate the
-   same Fuxman–Miller rewritings ([Formula.answers] picks the engine via
-   [Columnar.set_enabled]); answers are asserted identical, and counter
-   deltas prove which engine ran: the columnar phase must show
-   scan.columnar and join.fused activity with scan.row at zero (the
-   string-labelled column also feeds dict.entries — labels are salted
-   per size so the delta is visible), while the row phase must show
-   scan.row.  At n = 10^4 the compiled kernels must clear 5x. *)
+   same Fuxman–Miller rewritings ([Formula.answers] compiles them,
+   [Formula.interpret] runs the interpreter); answers are asserted
+   identical, and counter deltas prove which engine ran: the columnar
+   phase must show scan.columnar and join.fused activity with scan.row
+   at zero (the string-labelled column also feeds dict.entries — labels
+   are salted per size so the delta is visible), while the row phase
+   must show scan.row.  At n = 10^4 the compiled kernels must clear 5x. *)
 let b18 ~quick () =
   header "B18" "columnar kernels vs row interpreter (cqa-columnar)"
     "fused columnar scans/joins answer the FO-rewriting pipeline with the \
@@ -997,11 +943,6 @@ let b18 ~quick () =
         Cq.make ~name:"chain" [ x ] [ t_atom; Atom.make "S" [ y; w ] ] );
     ]
   in
-  let with_columnar on f =
-    let prev = Relational.Columnar.enabled () in
-    Relational.Columnar.set_enabled on;
-    Fun.protect ~finally:(fun () -> Relational.Columnar.set_enabled prev) f
-  in
   Printf.printf "  %6s %6s %10s %14s %14s %8s %8s %6s\n" "n" "query"
     "#answers" "row" "columnar" "speedup" "fused" "dict+";
   (* Timing comparison, not memory bench: give the major GC slack so
@@ -1023,9 +964,13 @@ let b18 ~quick () =
           let run () =
             Option.get (Rewriting.Key_rewrite.consistent_answers q ~keys db)
           in
+          let interpret () =
+            Formula.interpret db ~free:(Cq.head_vars q)
+              (Option.get (Rewriting.Key_rewrite.rewrite q ~keys))
+          in
           let before = Obs.Registry.counter_snapshot (Obs.Registry.current ()) in
           let col_answers, col_ns =
-            Bech_harness.best_of 3 (fun () -> with_columnar true run)
+            Bech_harness.best_of 3 run
           in
           let delta =
             Obs.Registry.counter_delta ~since:before (Obs.Registry.current ())
@@ -1039,7 +984,7 @@ let b18 ~quick () =
           let row_ns =
             let before = Obs.Registry.counter_snapshot (Obs.Registry.current ()) in
             let row_answers, ns =
-              Bech_harness.best_of 3 (fun () -> with_columnar false run)
+              Bech_harness.best_of 3 interpret
             in
             let delta =
               Obs.Registry.counter_delta ~since:before (Obs.Registry.current ())
@@ -1238,7 +1183,7 @@ let all =
   [
     ("b1", b1); ("b2", b2); ("b3", b3); ("b4", b4); ("b5", b5); ("b6", b6);
     ("b7", b7); ("b8", b8); ("b9", b9); ("b10", b10); ("b11", b11);
-    ("b12", b12); ("b13", b13); ("b14", b14); ("b15", b15); ("b16", b16);
+    ("b12", b12); ("b13", b13); ("b14", b14); ("b16", b16);
     ("b17", b17); ("b18", b18); ("b19", b19);
   ]
 

@@ -24,7 +24,7 @@ let term_value env = function
   | Term.Const v -> Some v
   | Term.Var x -> Env.find_opt x env
 
-let match_row env (a : Atom.t) (row : Value.t array) =
+let match_structural env (a : Atom.t) (row : Value.t array) =
   if List.length a.args <> Array.length row then None
   else
     let rec go env i = function
@@ -89,7 +89,7 @@ let substitutions base atoms comps k =
         List.iter
           (fun row ->
             Obs.Progress.tick ();
-            match match_row env a row with
+            match match_structural env a row with
             | None -> ()
             | Some env' ->
                 let now, later = List.partition (ready env') pending in

@@ -1,13 +1,10 @@
 module Instance = Relational.Instance
 module Tid = Relational.Tid
 module Value = Relational.Value
-module Tvl = Relational.Tvl
 module Binding = Logic.Binding
 module Cq = Logic.Cq
 module Plan = Relational.Plan
 module Columnar = Relational.Columnar
-
-let c_scan_row = Obs.Counter.make "scan.row"
 
 type witness = {
   ic_name : string;
@@ -18,96 +15,45 @@ type witness = {
 
 module Tidset_set = Set.Make (Tid.Set)
 
-(* Compiled violation search: the denial body is a conjunctive query, so
-   {!Cq.compile_body} (with [~tids:true], one [#tid<i>] column per atom)
-   turns it into one fused join plan per denial instead of the
-   tuple-at-a-time backtracking below.  The interpreter's accumulator is
-   then reconstructed exactly: it discovers witnesses in lexicographic
-   order of the tid vector (atoms scanned in body order, candidate
-   buckets tid-ascending) and prepends, so sorting the plan's output rows
-   by tid vector and reversing reproduces [raw] byte for byte — the
-   dedup fold downstream needs that order to keep the same
-   representative per tid set. *)
-let columnar_denial_search inst (d : Ic.denial) =
-  match
-    if Columnar.enabled () then Cq.compile_body inst ~tids:true d.atoms d.comps
-    else None
-  with
-  | None -> None
-  | Some (plan, find) ->
-      let n_atoms = List.length d.atoms in
-      let tid_cols = List.init n_atoms (Printf.sprintf "#tid%d") in
-      let body_vars =
-        Logic.Term.vars (List.concat_map (fun (a : Logic.Atom.t) -> a.args) d.atoms)
-      in
-      let rep_cols =
-        List.fold_left
-          (fun acc v ->
-            let r = find v in
-            if List.mem r acc then acc else r :: acc)
-          [] body_vars
-        |> List.rev
-      in
-      let table = Plan.run inst (Plan.Project (tid_cols @ rep_cols, plan)) in
-      let col v = Columnar.col_index table (find v) in
-      let tid_at (row : Value.t array) i =
-        match row.(i) with Value.Int t -> Tid.of_int t | _ -> assert false
-      in
-      let rows =
-        List.sort
-          (fun (r1 : Value.t array) r2 ->
-            let rec go i =
-              if i = n_atoms then 0
-              else
-                match Value.compare r1.(i) r2.(i) with 0 -> go (i + 1) | c -> c
-            in
-            go 0)
-          (Columnar.rows table)
-      in
-      Some
-        (List.rev_map
-           (fun row ->
-             let env =
-               List.fold_left
-                 (fun env v -> Binding.bind env v row.(col v))
-                 Binding.empty body_vars
-             in
-             (env, List.mapi (fun i a -> (tid_at row i, a)) d.atoms))
-           rows)
-
+(* Violation search on the compiled denial body: {!Cq.compile_body} with
+   [~tids:true] emits one [#tid<i>] column per atom.  Matches are listed
+   in descending lexicographic order of their tid vectors, so the dedup
+   fold below keeps, per tid set, the match with the greatest tid vector
+   as its representative. *)
 let of_denial inst (d : Ic.denial) =
-  let cmp_ready env c = List.for_all (Binding.mem env) (Logic.Cmp.vars c) in
-  let rec search env matched atoms comps acc =
-    let ready, pending = List.partition (cmp_ready env) comps in
-    if
-      not
-        (List.for_all (fun c -> Tvl.to_bool (Binding.eval_cmp env c)) ready)
-    then acc
-    else
-      match atoms with
-      | [] -> (env, List.rev matched) :: acc
-      | a :: rest ->
-          List.fold_left
-            (fun acc (tid, row) ->
-              match Cq.match_row env a row with
-              | Some env' -> search env' ((tid, a) :: matched) rest pending acc
-              | None -> acc)
-            acc
-            (* Bucketed candidate lookup.  For an FD/key denial the second
-               atom's candidates are exactly the first tuple's key bucket:
-               the pending equality comparisons [xa_i = ya_i] force the
-               already-matched tuple's key values onto the second atom's
-               positions, so [bound_pattern] turns the pairwise scan into a
-               hash-bucket probe (one per matched tuple). *)
-            (Instance.matching_tuples inst ~rel:a.Logic.Atom.rel
-               ~bound:(Cq.bound_pattern env a pending))
+  let plan, find = Cq.compile_body ~tids:true d.atoms d.comps in
+  let n_atoms = List.length d.atoms in
+  let tid_cols = List.init n_atoms (Printf.sprintf "#tid%d") in
+  let body_vars =
+    Logic.Term.vars (List.concat_map (fun (a : Logic.Atom.t) -> a.args) d.atoms)
+  in
+  let table =
+    Plan.run inst (Plan.Project (tid_cols @ Cq.rep_cols find body_vars, plan))
+  in
+  let col v = Columnar.col_index table (find v) in
+  let tid_at (row : Value.t array) i =
+    match row.(i) with Value.Int t -> Tid.of_int t | _ -> assert false
+  in
+  let rows =
+    List.sort
+      (fun (r1 : Value.t array) r2 ->
+        let rec go i =
+          if i = n_atoms then 0
+          else match Value.compare r1.(i) r2.(i) with 0 -> go (i + 1) | c -> c
+        in
+        go 0)
+      (Columnar.rows table)
   in
   let raw =
-    match columnar_denial_search inst d with
-    | Some raw -> raw
-    | None ->
-        Obs.Counter.incr c_scan_row;
-        search Binding.empty [] d.atoms d.comps []
+    List.rev_map
+      (fun row ->
+        let env =
+          List.fold_left
+            (fun env v -> Binding.bind env v row.(col v))
+            Binding.empty body_vars
+        in
+        (env, List.mapi (fun i a -> (tid_at row i, a)) d.atoms))
+      rows
   in
   (* Distinct tid sets only: symmetric constraint bodies (e.g. an FD's two
      atoms) produce each conflict once per automorphism. *)

@@ -159,8 +159,6 @@ let consistent_answers ?(method_ = `Auto) t q =
   if method_ <> `Auto then Obs.Progress.set_branch (method_route method_);
   if Obs.Trace.is_enabled () then begin
     Obs.Trace.attr "method" (method_label method_);
-    Obs.Trace.attr "columnar"
-      (if Relational.Columnar.enabled () then "on" else "off");
     if method_ <> `Auto then Obs.Trace.attr "route" (method_route method_)
   end;
   match

@@ -188,6 +188,23 @@ let attr_index state line rel attr =
 let check_rel state line rel =
   if not (Schema.mem state.schema rel) then fail line "unknown relation %s" rel
 
+(* Every head and comparison variable must occur in a body atom: no
+   executor has anything to range such a variable over. *)
+let check_safe line ~what head atoms comps =
+  let bound =
+    Logic.Term.vars (List.concat_map (fun (a : Logic.Atom.t) -> a.args) atoms)
+  in
+  let check kind vs =
+    List.iter
+      (fun v ->
+        if not (List.mem v bound) then
+          fail line "unsafe %s: %s variable %s occurs in no body atom" what
+            kind v)
+      vs
+  in
+  check "head" (Logic.Term.vars head);
+  check "comparison" (List.concat_map Logic.Cmp.vars comps)
+
 let parse_line state line_no raw =
   let toks = tokenize line_no raw in
   match toks with
@@ -273,6 +290,7 @@ let parse_line state line_no raw =
       let name = ident st in
       expect_sym st ":";
       let atoms, comps = parse_body st in
+      check_safe line_no ~what:("dc " ^ name) [] atoms comps;
       state.ics <- Ic.denial ~name ~comps atoms :: state.ics
   | Ident "query" :: rest ->
       let st = { toks = rest; line = line_no } in
@@ -280,6 +298,7 @@ let parse_line state line_no raw =
       let head = paren_list st (fun st -> term_of_token st.line (next st)) in
       expect_sym st ":-";
       let atoms, comps = parse_body st in
+      check_safe line_no ~what:("query " ^ name) head atoms comps;
       state.queries <-
         (name, Logic.Cq.make ~name ~comps head atoms) :: state.queries
   | Ident d :: _ -> fail line_no "unknown directive '%s'" d

@@ -18,7 +18,9 @@
     convention); everything else is a constant.  All-digit tokens are
     integers, [null] is the SQL null, quoted strings keep their spelling.
     [ind] position lists use attribute names; [dc] bodies may end with
-    comparisons ([=], [<>], [<], [<=], [>], [>=]). *)
+    comparisons ([=], [<>], [<], [<=], [>], [>=]).  Queries and [dc]s must
+    be safe: a head or comparison variable that no body atom binds is an
+    {!Error} naming the variable. *)
 
 type document = {
   schema : Relational.Schema.t;

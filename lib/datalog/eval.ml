@@ -22,7 +22,7 @@ let term_value env = function
   | Term.Const v -> Some v
   | Term.Var x -> Env.find_opt x env
 
-let match_row env (a : Atom.t) (row : Value.t array) =
+let match_structural env (a : Atom.t) (row : Value.t array) =
   if List.length a.args <> Array.length row then None
   else
     let rec go env i = function
@@ -94,7 +94,7 @@ let derive st delta (r : Rule.t) ~delta_pos emit =
             (fun (a : Atom.t) ->
               not
                 (List.exists
-                   (fun row -> match_row env a row <> None)
+                   (fun row -> match_structural env a row <> None)
                    (rows_of st a.rel)))
             r.body_neg
         in
@@ -104,7 +104,7 @@ let derive st delta (r : Rule.t) ~delta_pos emit =
         let source = if i = delta_pos then rows_of delta a.Atom.rel else rows_of st a.Atom.rel in
         List.iter
           (fun row ->
-            match match_row env a row with
+            match match_structural env a row with
             | Some env' -> go env' (i + 1) rest
             | None -> ())
           source

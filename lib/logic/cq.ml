@@ -1,11 +1,7 @@
-module Instance = Relational.Instance
-module Tvl = Relational.Tvl
 module Plan = Relational.Plan
 module Columnar = Relational.Columnar
 
 type t = { name : string; head : Term.t list; body : Atom.t list; comps : Cmp.t list }
-
-let c_scan_row = Obs.Counter.make "scan.row"
 
 let make ?(name = "Q") ?(comps = []) head body = { name; head; body; comps }
 let arity q = List.length q.head
@@ -18,117 +14,6 @@ let existential_vars q =
 
 let is_boolean q = q.head = []
 
-(* Match one atom against one stored row, extending [env].  A bound variable
-   or a constant must match via three-valued equality being definitely true,
-   which is what makes NULL unable to satisfy joins. *)
-let match_row env (a : Atom.t) row =
-  let n = List.length a.args in
-  if n <> Array.length row then None
-  else
-    let rec go env i = function
-      | [] -> Some env
-      | t :: rest -> (
-          let v = row.(i) in
-          match t with
-          | Term.Const c ->
-              if Tvl.to_bool (Relational.Value.sql_eq c v) then
-                go env (i + 1) rest
-              else None
-          | Term.Var x -> (
-              match Binding.find env x with
-              | Some bound ->
-                  if Tvl.to_bool (Relational.Value.sql_eq bound v) then
-                    go env (i + 1) rest
-                  else None
-              | None -> go (Binding.bind env x v) (i + 1) rest))
-    in
-    go env 0 a.args
-
-let cmp_ready env (c : Cmp.t) =
-  List.for_all (Binding.mem env) (Cmp.vars c)
-
-(* Positions of [a] whose value is already forced: constant arguments,
-   variables bound in [env], and unbound variables equated by a pending
-   equality comparison to a term that evaluates under [env].  The FD/key
-   denials of [Constraints.Ic] join their two atoms through such
-   comparisons (disjoint variable sets per atom), so deriving bound
-   positions from the pending comparisons is what turns violation search
-   into bucketed index probes.  Pruning by these positions is exact: a
-   candidate row excluded here would be rejected by [match_row] or by the
-   comparison check immediately after it. *)
-let bound_pattern env (a : Atom.t) pending =
-  let eq_value x =
-    List.find_map
-      (fun (c : Cmp.t) ->
-        if c.op <> Cmp.Eq then None
-        else
-          match c.left, c.right with
-          | Term.Var y, t when String.equal y x -> Binding.term_value env t
-          | t, Term.Var y when String.equal y x -> Binding.term_value env t
-          | _, _ -> None)
-      pending
-  in
-  List.mapi (fun i t -> (i, t)) a.args
-  |> List.filter_map (fun (i, t) ->
-         match t with
-         | Term.Const c -> Some (i, c)
-         | Term.Var x -> (
-             match Binding.find env x with
-             | Some v -> Some (i, v)
-             | None -> Option.map (fun v -> (i, v)) (eq_value x)))
-
-let candidates inst env (a : Atom.t) pending =
-  Instance.matching_tuples inst ~rel:a.Atom.rel
-    ~bound:(bound_pattern env a pending)
-
-(* Backtracking join: at each step pick the atom with the fewest unbound
-   variables (a cheap greedy join order), and check comparisons as soon as
-   their variables are bound. *)
-let bindings q inst =
-  Obs.Counter.incr c_scan_row;
-  let eval_comps env pending =
-    let ready, rest = List.partition (cmp_ready env) pending in
-    if List.for_all (fun c -> Tvl.to_bool (Binding.eval_cmp env c)) ready then
-      Some rest
-    else None
-  in
-  let unbound_count env (a : Atom.t) =
-    List.length
-      (List.filter
-         (function Term.Var x -> not (Binding.mem env x) | Term.Const _ -> false)
-         a.args)
-  in
-  let rec search env atoms comps acc =
-    match atoms with
-    | [] -> env :: acc
-    | _ ->
-        let best =
-          List.fold_left
-            (fun best a ->
-              match best with
-              | None -> Some a
-              | Some b ->
-                  if unbound_count env a < unbound_count env b then Some a
-                  else best)
-            None atoms
-        in
-        let a = Option.get best in
-        let rest = List.filter (fun a' -> a' != a) atoms in
-        List.fold_left
-          (fun acc (_tid, row) ->
-            match match_row env a row with
-            | None -> acc
-            | Some env' -> (
-                match eval_comps env' comps with
-                | None -> acc
-                | Some pending -> search env' rest pending acc))
-          acc
-          (candidates inst env a comps)
-  in
-  match eval_comps Binding.empty q.comps with
-  | None -> []
-  | Some pending -> List.rev (search Binding.empty q.body pending [])
-
 module Row_set = Set.Make (struct
   type t = Relational.Value.t list
 
@@ -137,14 +22,13 @@ end)
 
 (* --- compiled columnar evaluation ----------------------------------- *)
 
-(* Union-find canonicalization of Var = Var equality comparisons whose
-   variables both occur in the body: merged variables share one plan
-   column, turning the equality into a (NULL-rejecting) natural-join
-   constraint — the same test the row path applies when it matches a
-   bound variable.  An equality between already-merged variables (e.g.
-   x = x) stays behind as a residual self-comparison, which rejects
-   NULL exactly like [Binding.eval_cmp] would. *)
-let rep_table body_vars comps =
+(* Union-find canonicalization of Var = Var equality comparisons: merged
+   variables share one plan column, turning the equality into a
+   (NULL-rejecting) natural-join constraint.  An equality between
+   already-merged variables (e.g. x = x) stays behind as a residual
+   self-comparison, which rejects NULL exactly like [Binding.eval_cmp]
+   would. *)
+let rep_table comps =
   let parent : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let rec find x =
     match Hashtbl.find_opt parent x with
@@ -158,8 +42,7 @@ let rep_table body_vars comps =
     List.filter
       (fun (c : Cmp.t) ->
         match c.op, c.left, c.right with
-        | Cmp.Eq, Term.Var x, Term.Var y
-          when List.mem x body_vars && List.mem y body_vars ->
+        | Cmp.Eq, Term.Var x, Term.Var y ->
             let rx = find x and ry = find y in
             if String.equal rx ry then true
             else begin
@@ -199,124 +82,102 @@ let order_scans = function
       in
       go (fst first) (snd first) rest
 
-let compile_body inst ~tids atoms comps =
-  if atoms = [] then None
-  else
-    let schema = Instance.schema inst in
-    if
-      List.exists
-        (fun (a : Atom.t) -> not (Relational.Schema.mem schema a.Atom.rel))
-        atoms
-    then None (* the row path raises on undeclared relations; keep it *)
-    else
-      let body_vars =
-        Term.vars (List.concat_map (fun (a : Atom.t) -> a.args) atoms)
-      in
-      let find, residual = rep_table body_vars comps in
-      (* Comparisons whose variables all occur in the body become filter
-         predicates.  The rest never become ready in the row path's
-         pending partition and are silently dropped there — mirror that. *)
-      let preds =
-        List.filter_map
-          (fun (c : Cmp.t) ->
-            if List.for_all (fun v -> List.mem v body_vars) (Cmp.vars c) then
-              let conv = function
-                | Term.Const v -> Plan.Const v
-                | Term.Var x -> Plan.Col (find x)
-              in
-              Some
-                { Plan.op = plan_op c.op; left = conv c.left; right = conv c.right }
-            else None)
-          residual
-      in
-      let scans =
-        List.mapi
-          (fun i (a : Atom.t) ->
-            let args =
-              List.map
-                (function
-                  | Term.Const v -> Plan.Aconst v
-                  | Term.Var x -> Plan.Avar (find x))
-                a.args
-            in
-            let tid = if tids then Some (Printf.sprintf "#tid%d" i) else None in
-            let scan = Plan.Scan { rel = a.rel; args; tid } in
-            (scan, Plan.cols scan))
-          atoms
-      in
-      let joined = order_scans scans in
-      let plan = if preds = [] then joined else Plan.Filter (Plan.All preds, joined) in
-      Some (plan, find)
+(* The one-row, zero-column table: what an atomless body ranges over
+   before its (ground) comparisons filter it. *)
+let unit_table = Columnar.make [||] [||] 1
 
-(* The compiled path of [answers]: [None] on the shapes the interpreter
-   must keep (empty body, unsafe head, undeclared relation). *)
-let columnar_answers q inst =
-  let head_ok =
-    let bv = body_vars q in
-    List.for_all (fun v -> List.mem v bv) (head_vars q)
+let compile_body ~tids atoms comps =
+  let body_vars =
+    Term.vars (List.concat_map (fun (a : Atom.t) -> a.args) atoms)
   in
-  if not head_ok then None
-  else
-    match compile_body inst ~tids:false q.body q.comps with
-    | None -> None
-    | Some (plan, find) ->
-        let out_vars =
-          List.fold_left
-            (fun acc t ->
-              match t with
-              | Term.Const _ -> acc
-              | Term.Var x ->
-                  let r = find x in
-                  if List.mem r acc then acc else r :: acc)
-            [] q.head
-          |> List.rev
-        in
-        let table =
-          Plan.run inst (Plan.Distinct (Plan.Project (out_vars, plan)))
-        in
-        let pos =
+  List.iter
+    (fun v ->
+      if not (List.mem v body_vars) then
+        invalid_arg
+          (Printf.sprintf
+             "Cq.compile_body: comparison variable %s occurs in no atom" v))
+    (List.concat_map Cmp.vars comps);
+  let find, residual = rep_table comps in
+  let conv = function
+    | Term.Const v -> Plan.Const v
+    | Term.Var x -> Plan.Col (find x)
+  in
+  let preds =
+    List.map
+      (fun (c : Cmp.t) ->
+        { Plan.op = plan_op c.op; left = conv c.left; right = conv c.right })
+      residual
+  in
+  let scans =
+    List.mapi
+      (fun i (a : Atom.t) ->
+        let args =
           List.map
-            (fun t ->
-              match t with
-              | Term.Const v -> `Const v
-              | Term.Var x -> `Col (Columnar.col_index table (find x)))
-            q.head
+            (function
+              | Term.Const v -> Plan.Aconst v
+              | Term.Var x -> Plan.Avar (find x))
+            a.args
         in
-        let rows =
-          List.fold_left
-            (fun acc row ->
-              Row_set.add
-                (List.map
-                   (function `Const v -> v | `Col i -> row.(i))
-                   pos)
-                acc)
-            Row_set.empty (Columnar.rows table)
-        in
-        Some (Row_set.elements rows)
+        let tid = if tids then Some (Printf.sprintf "#tid%d" i) else None in
+        let scan = Plan.Scan { rel = a.rel; args; tid } in
+        (scan, Plan.cols scan))
+      atoms
+  in
+  let joined =
+    if scans = [] then Plan.Table unit_table else order_scans scans
+  in
+  ((if preds = [] then joined else Plan.Filter (Plan.All preds, joined)), find)
+
+(* The distinct representative columns of [vars], in first-occurrence
+   order. *)
+let rep_cols find vars =
+  List.fold_left
+    (fun acc x ->
+      let r = find x in
+      if List.mem r acc then acc else r :: acc)
+    [] vars
+  |> List.rev
 
 let answers q inst =
-  match if Columnar.enabled () then columnar_answers q inst else None with
-  | Some rows -> rows
-  | None ->
-      let term_value env = function
-        | Term.Const c -> c
-        | Term.Var x -> (
-            match Binding.find env x with
-            | Some v -> v
-            | None ->
-                invalid_arg
-                  (Printf.sprintf "Cq.answers: unsafe head variable %s in %s" x
-                     q.name))
-      in
-      let rows =
-        List.fold_left
-          (fun acc env ->
-            Row_set.add (List.map (term_value env) q.head) acc)
-          Row_set.empty (bindings q inst)
-      in
-      Row_set.elements rows
+  let plan, find = compile_body ~tids:false q.body q.comps in
+  let table =
+    Plan.run inst
+      (Plan.Distinct (Plan.Project (rep_cols find (head_vars q), plan)))
+  in
+  let pos =
+    List.map
+      (function
+        | Term.Const v -> `Const v
+        | Term.Var x -> `Col (Columnar.col_index table (find x)))
+      q.head
+  in
+  let rows =
+    List.fold_left
+      (fun acc row ->
+        Row_set.add
+          (List.map (function `Const v -> v | `Col i -> row.(i)) pos)
+          acc)
+      Row_set.empty (Columnar.rows table)
+  in
+  Row_set.elements rows
 
-let holds q inst = bindings q inst <> []
+let bindings q inst =
+  let plan, find = compile_body ~tids:false q.body q.comps in
+  let vars = body_vars q in
+  let table =
+    Plan.run inst (Plan.Distinct (Plan.Project (rep_cols find vars, plan)))
+  in
+  let cols = List.map (fun v -> (v, Columnar.col_index table (find v))) vars in
+  List.map
+    (fun row ->
+      List.fold_left
+        (fun env (v, i) -> Binding.bind env v row.(i))
+        Binding.empty cols)
+    (Columnar.rows table)
+
+let holds q inst =
+  let plan, _ = compile_body ~tids:false q.body q.comps in
+  Columnar.length (Plan.run inst (Plan.Project ([], plan))) > 0
 
 let substitute s q =
   {

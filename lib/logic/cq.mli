@@ -15,53 +15,45 @@ val body_vars : t -> string list
 val existential_vars : t -> string list
 val is_boolean : t -> bool
 
-val match_row : Binding.t -> Atom.t -> Relational.Value.t array -> Binding.t option
-(** Extend a binding by matching one atom against one stored row; [None] if
-    a constant or an already-bound variable fails to match definitely
-    (NULL never matches). *)
-
 val bindings : t -> Relational.Instance.t -> Binding.t list
-(** All bindings of the body variables that satisfy body and comparisons. *)
+(** All bindings of the body variables that satisfy body and comparisons,
+    distinct, in a deterministic order. *)
 
 val answers : t -> Relational.Instance.t -> Relational.Value.t list list
-(** Distinct answer tuples, sorted.  When {!Relational.Columnar.enabled}
-    (the default) and the query's shape allows it (non-empty body, safe
-    head, declared relations), evaluation compiles to a fused columnar
-    {!Relational.Plan} instead of the backtracking row interpreter —
-    same answers, same order.  The [scan.row] counter records row-path
-    entries; [scan.columnar]/[join.fused] record the compiled path. *)
+(** Distinct answer tuples, sorted.  Evaluation runs the body compiled by
+    {!compile_body}, projected on the head; the [scan.columnar] and
+    [join.fused] counters record its kernels.  Raises [Invalid_argument]
+    on a head variable that no body atom binds. *)
 
 val holds : t -> Relational.Instance.t -> bool
-(** Satisfaction of the query's body — the Boolean-query reading. *)
+(** Satisfaction of the query's body — the Boolean-query reading: the
+    compiled body projected on no columns is non-empty.  An atomless body
+    is decided by its ground comparisons. *)
 
 val substitute : Subst.t -> t -> t
 val pp : Format.formatter -> t -> unit
-
-val bound_pattern :
-  Binding.t -> Atom.t -> Cmp.t list -> (int * Relational.Value.t) list
-(** Positions of the atom whose value is forced by the environment (constant
-    arguments, bound variables) or by a pending equality comparison whose
-    other side evaluates under the environment.  Feeding this to
-    {!Relational.Instance.matching_tuples} prunes candidate rows exactly —
-    excluded rows would fail [match_row] or the comparison check anyway. *)
 
 (** {1 Columnar compilation} *)
 
 val plan_op : Cmp.op -> Relational.Plan.op
 
 val compile_body :
-  Relational.Instance.t ->
   tids:bool ->
   Atom.t list ->
   Cmp.t list ->
-  (Relational.Plan.t * (string -> string)) option
+  Relational.Plan.t * (string -> string)
 (** Compile a conjunctive body (atoms + comparisons) to a joined and
-    filtered {!Relational.Plan}: variable-to-variable equality
-    comparisons are canonicalized into shared columns (the returned
-    function maps each body variable to its representative column),
-    remaining in-body comparisons become filter predicates, and
-    comparisons mentioning a variable outside the body are dropped —
-    exactly the row path's never-ready pending comparisons.  With
-    [~tids:true] each atom's scan also emits its tuple identifier as
-    column [#tid<i>] (atom index [i]).  [None] when the body is empty
-    or references an undeclared relation. *)
+    filtered {!Relational.Plan}, the one executor for conjunctive bodies:
+    variable-to-variable equality comparisons are canonicalized into
+    shared columns (the returned function maps each body variable to its
+    representative column) and the remaining comparisons become filter
+    predicates.  With [~tids:true] each atom's scan also emits its tuple
+    identifier as column [#tid<i>] (atom index [i]).  An atomless body
+    compiles to a one-row table filtered by its ground comparisons.
+    Raises [Invalid_argument] on a comparison variable that no atom
+    binds; running the plan raises [Invalid_argument] on an undeclared
+    relation. *)
+
+val rep_cols : (string -> string) -> string list -> string list
+(** The distinct representative columns of the given variables under
+    {!compile_body}'s variable mapping, in first-occurrence order. *)

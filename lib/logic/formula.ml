@@ -86,6 +86,56 @@ let rec flatten_conj = function
   | True -> []
   | f -> [ f ]
 
+(* Match one atom against one stored row, extending [env].  A bound variable
+   or a constant must match via three-valued equality being definitely true,
+   which is what makes NULL unable to satisfy joins. *)
+let match_row env (a : Atom.t) row =
+  let n = List.length a.args in
+  if n <> Array.length row then None
+  else
+    let rec go env i = function
+      | [] -> Some env
+      | t :: rest -> (
+          let v = row.(i) in
+          match t with
+          | Term.Const c ->
+              if Tvl.to_bool (Value.sql_eq c v) then go env (i + 1) rest
+              else None
+          | Term.Var x -> (
+              match Binding.find env x with
+              | Some bound ->
+                  if Tvl.to_bool (Value.sql_eq bound v) then go env (i + 1) rest
+                  else None
+              | None -> go (Binding.bind env x v) (i + 1) rest))
+    in
+    go env 0 a.args
+
+(* Positions of [a] whose value is already forced: constant arguments,
+   variables bound in [env], and unbound variables equated by a pending
+   equality comparison to a term that evaluates under [env].  Pruning
+   candidate rows by these positions is exact: a row excluded here would
+   be rejected by [match_row] or by the comparison check after it. *)
+let bound_pattern env (a : Atom.t) pending =
+  let eq_value x =
+    List.find_map
+      (fun (c : Cmp.t) ->
+        if c.op <> Cmp.Eq then None
+        else
+          match c.left, c.right with
+          | Term.Var y, t when String.equal y x -> Binding.term_value env t
+          | t, Term.Var y when String.equal y x -> Binding.term_value env t
+          | _, _ -> None)
+      pending
+  in
+  List.mapi (fun i t -> (i, t)) a.args
+  |> List.filter_map (fun (i, t) ->
+         match t with
+         | Term.Const c -> Some (i, c)
+         | Term.Var x -> (
+             match Binding.find env x with
+             | Some v -> Some (i, v)
+             | None -> Option.map (fun v -> (i, v)) (eq_value x)))
+
 (* The truth value of one atom against one stored row: conjunction of
    three-valued equalities, so that NULL in a compared position yields
    Unknown rather than a match. *)
@@ -213,11 +263,11 @@ and sat inst env vs conjs k =
           in
           List.iter
             (fun (_tid, row) ->
-              match Cq.match_row env a row with
+              match match_row env a row with
               | Some env' -> sat inst env' vs rest k
               | None -> ())
             (Instance.matching_tuples inst ~rel:a.Atom.rel
-               ~bound:(Cq.bound_pattern env a pending))
+               ~bound:(bound_pattern env a pending))
       | Some _ -> assert false
       | None ->
           let v = List.hd unbound in
@@ -496,23 +546,25 @@ let plan_answers inst ~free f =
         in
         Some (List.init (Columnar.length table) row)
 
+let interpret inst ~free f =
+  Obs.Counter.incr c_scan_row;
+  let acc = ref Row_set.empty in
+  sat inst Binding.empty free (flatten_conj (nnf f)) (fun env ->
+      let row =
+        List.map
+          (fun v ->
+            match Binding.find env v with
+            | Some value -> value
+            | None -> assert false)
+          free
+      in
+      acc := Row_set.add row !acc);
+  Row_set.elements !acc
+
 let answers inst ~free f =
-  match if Columnar.enabled () then plan_answers inst ~free f else None with
+  match plan_answers inst ~free f with
   | Some rows -> rows
-  | None ->
-      Obs.Counter.incr c_scan_row;
-      let acc = ref Row_set.empty in
-      sat inst Binding.empty free (flatten_conj (nnf f)) (fun env ->
-          let row =
-            List.map
-              (fun v ->
-                match Binding.find env v with
-                | Some value -> value
-                | None -> assert false)
-              free
-          in
-          acc := Row_set.add row !acc);
-      Row_set.elements !acc
+  | None -> interpret inst ~free f
 
 let rec pp ppf = function
   | True -> Format.pp_print_string ppf "⊤"

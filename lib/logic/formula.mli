@@ -66,18 +66,22 @@ val answers :
     existential variable is range-restricted by a positive atom conjunct,
     and falls back to active-domain enumeration otherwise.
 
-    When {!Relational.Columnar.enabled} (the default) and the formula has
-    the guarded ∃∀-shape the FO rewritings produce — a conjunction of
-    atoms, guarded atoms [A ∧ ∀ū (A' → conds)] and comparisons under an
-    existential prefix — evaluation compiles to a fused columnar
-    {!Relational.Plan}: guards subtract the rows refuted by each
-    refutation branch (negated-comparison filters and antijoins against
-    child guards) via row-identity antijoins on a synthetic ordinal
-    column.  A child whose own atoms do not generate all its free
+    When the formula has the guarded ∃∀-shape the FO rewritings produce —
+    a conjunction of atoms, guarded atoms [A ∧ ∀ū (A' → conds)] and
+    comparisons under an existential prefix — evaluation compiles to a
+    fused columnar {!Relational.Plan}: guards subtract the rows refuted by
+    each refutation branch (negated-comparison filters and antijoins
+    against child guards) via row-identity antijoins on a synthetic
+    ordinal column.  A child whose own atoms do not generate all its free
     variables is seeded with the distinct mate-join values of them, so
     the antijoin matches on every variable the child shares with its
-    guard.  Same answers, same order; other shapes (and free
-    variables needing active-domain enumeration) keep the generator-driven
-    interpreter, counted by [scan.row]. *)
+    guard.  Other shapes (and free variables needing active-domain
+    enumeration) run {!interpret}. *)
+
+val interpret :
+  Relational.Instance.t -> free:string list -> t -> Relational.Value.t list list
+(** {!answers} on the generator-driven interpreter alone, never compiled:
+    the reference the compiled plans are checked and benchmarked against.
+    Each call counts one [scan.row]. *)
 
 val pp : Format.formatter -> t -> unit

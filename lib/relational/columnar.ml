@@ -7,13 +7,6 @@
 
 type t = { cols : string array; columns : Column.t array; length : int }
 
-(* Process-wide switch for the compiled columnar evaluation paths in
-   [Logic.Cq], [Logic.Formula] and [Constraints.Violation]; mirrors
-   [Instance.set_indexing].  Storage itself is always available. *)
-let enabled_flag = ref true
-let set_enabled b = enabled_flag := b
-let enabled () = !enabled_flag
-
 let make cols columns length = { cols; columns; length }
 let cols t = t.cols
 let columns t = t.columns

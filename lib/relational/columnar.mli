@@ -31,12 +31,3 @@ val unknown_column : op:string -> string -> string array -> 'a
     column \"c\" (available: a, b)"]. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** {1 Compiled-path switch}
-
-    Process-wide toggle consulted by the columnar fast paths in
-    [Logic.Cq], [Logic.Formula] and [Constraints.Violation]; mirrors
-    {!Instance.set_indexing}.  Default: enabled. *)
-
-val set_enabled : bool -> unit
-val enabled : unit -> bool

@@ -51,11 +51,6 @@ type t = {
 let c_index_builds = Obs.Counter.make "index.builds"
 let c_index_hits = Obs.Counter.make "index.hits"
 let c_join_hash = Obs.Counter.make "join.hash"
-let c_join_nested = Obs.Counter.make "join.nested"
-
-let indexing = ref true
-let set_indexing b = indexing := b
-let indexing_enabled () = !indexing
 
 let fresh_cache () = { idx = Ixkey.empty; raw_digest = None; columnar = Smap.empty }
 
@@ -312,10 +307,6 @@ let probe t ~rel ~bound =
         (* Out-of-range constraint (arity-mismatched atom): let the caller's
            own row matching reject everything. *)
         `All (tuples t ~rel)
-      else if not !indexing then begin
-        Obs.Counter.incr c_join_nested;
-        `All (tuples t ~rel)
-      end
       else
         match normalize_bound bound with
         | None -> `Hash ([], [])

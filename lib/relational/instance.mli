@@ -103,21 +103,13 @@ val pp : Format.formatter -> t -> unit
     its indexes across repair-search churn.  All lookups are exactly
     equivalent to naive scans and preserve tid order. *)
 
-val set_indexing : bool -> unit
-(** Globally enable/disable index-backed lookups (default: enabled).  When
-    disabled every probe falls back to a full scan, which is what the
-    [join.nested] counter measures against [join.hash]. *)
-
-val indexing_enabled : unit -> bool
-
 val matching_tuples :
   t -> rel:string -> bound:(int * Value.t) list -> (Tid.t * Value.t array) list
 (** The tuples of [rel] whose row SQL-equals [v] at 0-based position [p] for
     every [(p, v)] in [bound], in tid order.  [bound = []] is [tuples].
     NULL never SQL-equals anything, so a NULL bound value yields [].  Served
-    from a (possibly freshly built) composite index when indexing is on;
-    out-of-range positions fall back to a scan so arity-tolerant callers
-    keep their semantics. *)
+    from a (possibly freshly built) composite index; out-of-range positions
+    fall back to a scan so arity-tolerant callers keep their semantics. *)
 
 val probe :
   t ->
@@ -126,7 +118,8 @@ val probe :
   [ `All of (Tid.t * Value.t array) list
   | `Hash of (Tid.t * Value.t array) list * (Tid.t * Value.t array) list ]
 (** Three-valued-logic-aware lookup.  [`All tuples] means the caller must
-    scan (no usable index, or a bound value is indexable but out of range).
+    scan ([bound = []], or a bound position is out of range).  Each
+    index lookup counts one [join.hash].
     [`Hash (definite, null_candidates)] splits the relation into tuples that
     definitely match [bound] and tuples with a NULL at an indexed position —
     those can still evaluate to [Unknown] and must be re-checked by callers

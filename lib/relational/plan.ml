@@ -7,14 +7,14 @@
    run on unboxed code arrays — no per-tuple column-name resolution and
    no [Value.t] variant dispatch.
 
-   Semantics match the row-oriented evaluators exactly:
+   Semantics:
    - all equality tests are SQL three-valued: a selection keeps a row
      only when the predicate is {e definitely} true, and NULL never
      joins (kernels mask the NULL bitmap before comparing codes);
    - [Distinct], [Union] and [Diff] restore set semantics and return
-     rows sorted by [Value.compare] (the [Ra.distinct] order);
+     rows sorted by [Value.compare];
    - join output order is nested-loop order (left-major, right
-     ascending), like [Ra.natural_join].
+     ascending).
 
    Counters: [scan.columnar] per scan executed, [join.fused] per fused
    hash-join/semijoin/antijoin kernel. *)
@@ -326,7 +326,7 @@ let value_ranks (c : Column.t) codes (idx : int array) =
       List.iteri (fun r (code, _) -> Iot.replace rank code r) sorted;
       (Array.map (fun i -> Iot.find rank codes.(i)) idx, List.length sorted)
 
-(* Set semantics + the [Ra.distinct] (sorted) row order.
+(* Set semantics + the sorted ([Value.compare]) row order.
 
    Fast path: per column, codes are replaced by their value-order ranks
    and each row's rank vector is packed — together with the row's

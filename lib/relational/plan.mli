@@ -6,12 +6,12 @@
     analysis gathers only what some ancestor consumes), inner loops on
     unboxed code arrays with no per-tuple column-name resolution.
 
-    Semantics match the row evaluators exactly: predicates keep a row
-    only when definitely true under three-valued logic, NULL never
-    joins (but [Antijoin] keeps NULL-keyed left rows — a NULL key
-    refutes nothing), and [Distinct]/[Union]/[Diff] restore set
-    semantics in the sorted [Ra.distinct] row order.  Join output order
-    is nested-loop order (left-major, right ascending).
+    Semantics: predicates keep a row only when definitely true under
+    three-valued logic, NULL never joins (but [Antijoin] keeps
+    NULL-keyed left rows — a NULL key refutes nothing), and
+    [Distinct]/[Union]/[Diff] restore set semantics with rows sorted by
+    [Value.compare].  Join output order is nested-loop order
+    (left-major, right ascending).
 
     Counters: [scan.columnar] per scan, [join.fused] per fused
     hash-join/semijoin/antijoin kernel. *)
@@ -42,13 +42,12 @@ type t =
   | Antijoin of t * t
       (** Left rows with no join partner; NULL-keyed left rows are
           kept. *)
-  | Project of string list * t  (** No dedup, like [Ra.project]. *)
+  | Project of string list * t  (** No dedup. *)
   | Distinct of t
-  | Union of t * t  (** Positional, set semantics, like [Ra.union]. *)
+  | Union of t * t  (** Positional, set semantics. *)
   | Diff of t * t
-      (** Positional set difference (with distinct), like
-          [Ra.difference]; NULL compares equal to NULL here, matching
-          [Value.compare]. *)
+      (** Positional set difference (with distinct); NULL compares
+          equal to NULL here, matching [Value.compare]. *)
 
 val cols : t -> string list
 (** Static output columns of a plan, in output order. *)

@@ -1,9 +1,10 @@
 module Instance = Relational.Instance
 module Tid = Relational.Tid
 module Fact = Relational.Fact
-module Tvl = Relational.Tvl
+module Value = Relational.Value
+module Plan = Relational.Plan
+module Columnar = Relational.Columnar
 module Ic = Constraints.Ic
-module Binding = Logic.Binding
 module Cq = Logic.Cq
 
 module Edge_set = Set.Make (Tid.Set)
@@ -45,43 +46,32 @@ let create inst schema ics =
   in
   { inst; schema; ics; denials; edges }
 
-(* Violation witnesses of one denial that involve the pinned tuple: the
-   pinned atom is matched first against just that tuple, the rest of the
-   body against the whole (updated) instance. *)
-let witnesses_pinned inst (d : Ic.denial) ~tid ~row =
-  let cmp_ready env c = List.for_all (Binding.mem env) (Logic.Cmp.vars c) in
-  let rec search env tids atoms comps acc =
-    let ready, pending = List.partition (cmp_ready env) comps in
-    if
-      not (List.for_all (fun c -> Tvl.to_bool (Binding.eval_cmp env c)) ready)
-    then acc
-    else
-      match atoms with
-      | [] -> tids :: acc
-      | (a : Logic.Atom.t) :: rest ->
-          List.fold_left
-            (fun acc (tid', row') ->
-              match Cq.match_row env a row' with
-              | Some env' -> search env' (Tid.Set.add tid' tids) rest pending acc
-              | None -> acc)
-            acc
-            (Instance.tuples inst ~rel:a.Logic.Atom.rel)
+(* Violation edges of one denial that involve the pinned tuple: the
+   compiled denial body, kept where some atom over the tuple's relation
+   matched exactly that tuple. *)
+let witnesses_pinned inst (d : Ic.denial) ~tid ~rel =
+  let plan, _ = Cq.compile_body ~tids:true d.atoms d.comps in
+  let tid_cols = List.mapi (fun i _ -> Printf.sprintf "#tid%d" i) d.atoms in
+  let pinned = Plan.Const (Value.int (Tid.to_int tid)) in
+  let pins =
+    List.filter_map
+      (fun ((a : Logic.Atom.t), col) ->
+        if String.equal a.rel rel then
+          Some { Plan.op = Plan.Eq; left = Plan.Col col; right = pinned }
+        else None)
+      (List.combine d.atoms tid_cols)
   in
-  let n = List.length d.atoms in
-  let rec pin i acc =
-    if i >= n then acc
-    else
-      let pinned = List.nth d.atoms i in
-      let rest = List.filteri (fun j _ -> j <> i) d.atoms in
-      let acc =
-        match Cq.match_row Binding.empty pinned row with
-        | Some env ->
-            search env (Tid.Set.singleton tid) rest d.comps acc
-        | None -> acc
-      in
-      pin (i + 1) acc
+  let table =
+    Plan.run inst (Plan.Project (tid_cols, Plan.Filter (Plan.Any pins, plan)))
   in
-  pin 0 []
+  List.map
+    (Array.fold_left
+       (fun tids v ->
+         match v with
+         | Value.Int t -> Tid.Set.add (Tid.of_int t) tids
+         | _ -> assert false)
+       Tid.Set.empty)
+    (Columnar.rows table)
 
 let insert t fact =
   let inst', tid = Instance.insert t.inst fact in
@@ -94,7 +84,7 @@ let insert t fact =
             List.exists
               (fun (a : Logic.Atom.t) -> String.equal a.rel fact.Fact.rel)
               d.atoms
-          then witnesses_pinned inst' d ~tid ~row:fact.Fact.row
+          then witnesses_pinned inst' d ~tid ~rel:fact.Fact.rel
           else [])
         t.denials
     in

@@ -1,9 +1,9 @@
 (* cqa-columnar equivalence suites: every compiled columnar kernel must be
-   observationally identical to the row evaluator it replaces.
-   [Columnar.set_enabled false] routes Cq/Formula/Violation through the
-   row interpreters, so the same workload evaluated under both settings
-   compares the two engines — including NULL/3VL edges, which the
-   generators force on every path. *)
+   observationally identical to its row-at-a-time reference — the naive
+   [Ra] operators for the [Plan] kernels, [Formula.interpret] for the
+   compiled guarded formulas — including NULL/3VL edges, which the
+   generators force on every path.  Conjunctive bodies are checked
+   against the naive oracle in [Test_oracle]. *)
 
 module Schema = Relational.Schema
 module Instance = Relational.Instance
@@ -13,15 +13,9 @@ module Tid = Relational.Tid
 module Columnar = Relational.Columnar
 module Plan = Relational.Plan
 module Dict = Relational.Dict
-module Ra = Relational.Ra
 open Logic
 
 let check = Alcotest.check
-
-let with_columnar on f =
-  let prev = Columnar.enabled () in
-  Columnar.set_enabled on;
-  Fun.protect ~finally:(fun () -> Columnar.set_enabled prev) f
 
 (* Values in 0..3 force join collisions; 4 encodes NULL so three-valued
    semantics get exercised on every kernel. *)
@@ -87,39 +81,6 @@ let prop_plan_ops_eq =
       && same_rel (run (Plan.Distinct ta)) (Ra.distinct a)
       && same_rel (run (Plan.Project ([ "b" ], ta))) (Ra.project [ "b" ] a))
 
-(* --- Cq.answers: compiled = interpreted ------------------------------ *)
-
-let queries =
-  let x = Term.var "x" and y = Term.var "y" and z = Term.var "z" in
-  [
-    Cq.make ~name:"join" [ x; z ]
-      [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; z ] ];
-    Cq.make ~name:"const" [ y ] [ Atom.make "R" [ Term.const (Value.int 1); y ] ];
-    Cq.make ~name:"selfjoin" [ x ] [ Atom.make "R" [ x; x ] ];
-    Cq.make ~name:"triangle" [ x ]
-      [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; z ]; Atom.make "R" [ z; x ] ];
-    Cq.make ~name:"lt" ~comps:[ Cmp.make Cmp.Lt x y ] [ x; y ]
-      [ Atom.make "R" [ x; y ] ];
-    Cq.make ~name:"vareq" ~comps:[ Cmp.eq y z ] [ x; z ]
-      [ Atom.make "R" [ x; y ]; Atom.make "S" [ z; Term.var "w" ] ];
-    Cq.make ~name:"selfeq" ~comps:[ Cmp.eq x x ] [ x ] [ Atom.make "R" [ x; y ] ];
-    Cq.make ~name:"neq" ~comps:[ Cmp.neq x (Term.const (Value.int 2)) ] [ x ]
-      [ Atom.make "R" [ x; y ] ];
-    Cq.make ~name:"bool" [] [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; z ] ];
-    Cq.make ~name:"product" [ x; z ]
-      [ Atom.make "R" [ x; x ]; Atom.make "S" [ z; z ] ];
-  ]
-
-let prop_cq_columnar_eq =
-  QCheck.Test.make ~count:300 ~name:"columnar Cq.answers = row Cq.answers"
-    arb_db (fun db_spec ->
-      let db = instance_of db_spec in
-      List.for_all
-        (fun q ->
-          with_columnar false (fun () -> Cq.answers q db)
-          = with_columnar true (fun () -> Cq.answers q db))
-        queries)
-
 (* --- Formula.answers: compiled guarded plans = interpreter ----------- *)
 
 let keys = [ ("R", [ 0 ]); ("S", [ 0 ]) ]
@@ -138,6 +99,11 @@ let rewritable_queries =
     Cq.make ~name:"full" [ x; y ] [ Atom.make "R" [ x; y ] ];
   ]
 
+let interpret_rewriting q ~keys db =
+  Option.map
+    (Formula.interpret db ~free:(Cq.head_vars q))
+    (Rewriting.Key_rewrite.rewrite q ~keys)
+
 let prop_rewrite_columnar_eq =
   QCheck.Test.make ~count:300
     ~name:"columnar consistent_answers (FO rewriting) = row" arb_db
@@ -145,10 +111,8 @@ let prop_rewrite_columnar_eq =
       let db = instance_of db_spec in
       List.for_all
         (fun q ->
-          with_columnar false (fun () ->
-              Rewriting.Key_rewrite.consistent_answers q ~keys db)
-          = with_columnar true (fun () ->
-                Rewriting.Key_rewrite.consistent_answers q ~keys db))
+          interpret_rewriting q ~keys db
+          = Rewriting.Key_rewrite.consistent_answers q ~keys db)
         rewritable_queries)
 
 (* The decorrelation repro below, as a formula over R and S: w is bound
@@ -189,10 +153,25 @@ let prop_formula_columnar_eq =
       let db = instance_of db_spec in
       List.for_all
         (fun (f, free) ->
-          with_columnar false (fun () -> Formula.answers db ~free f)
-          = with_columnar true (fun () -> Formula.answers db ~free f))
-        (List.map (fun q -> (Formula.of_cq q, Cq.head_vars q)) queries
+          Formula.interpret db ~free f = Formula.answers db ~free f)
+        (List.map (fun q -> (Formula.of_cq q, Cq.head_vars q)) Test_oracle.fixed_queries
         @ guarded_formulas))
+
+(* --- Cq.answers: compiled body = row-at-a-time nested loop ------------ *)
+
+(* [Cq.answers] and [Cq.holds] run the compiled columnar body; the oracle
+   walks the product of the atoms' [Ra] relations one row at a time.
+   ([Formula.interpret] is no reference here: formula answers never bind
+   a free variable to NULL, while a CQ's head may carry one.) *)
+let prop_cq_columnar_eq =
+  QCheck.Test.make ~count:300 ~name:"columnar Cq.answers = row Cq.answers"
+    arb_db (fun db_spec ->
+      let db = instance_of db_spec in
+      List.for_all
+        (fun q ->
+          let row = Test_oracle.oracle_answers q db in
+          Cq.answers q db = row && Cq.holds q db = (row <> []))
+        Test_oracle.fixed_queries)
 
 (* A head variable bound only at depth 3 of the rewriting: W occurs in
    U, which is checked inside S's guard inside T's guard.  Both T(1,_)
@@ -230,16 +209,17 @@ let test_decorrelated_child () =
   let engine = Cqa.Engine.create ~schema ~ics db in
   check Alcotest.string "routed to the rewriting" "key_rewriting"
     (Cqa.Engine.route_label (Cqa.Engine.plan engine q).Cqa.Engine.route);
-  let answers on =
-    with_columnar on (fun () -> Cqa.Engine.consistent_answers engine q)
-  in
-  check Alcotest.int "columnar: no certain answer" 0 (List.length (answers true));
-  check Alcotest.int "row: no certain answer" 0 (List.length (answers false));
+  check Alcotest.int "columnar: no certain answer" 0
+    (List.length (Cqa.Engine.consistent_answers engine q));
+  check Alcotest.int "row: no certain answer" 0
+    (List.length
+       (Option.get
+          (interpret_rewriting q ~keys:[ ("T", [ 0 ]); ("S", [ 0 ]); ("U", [ 0 ]) ] db)));
   check Alcotest.int "enumeration agrees" 0
     (List.length
        (Cqa.Engine.consistent_answers ~method_:`Repair_enumeration engine q))
 
-(* --- Violation search: compiled = interpreted ------------------------ *)
+(* --- Violation search: compiled = naive nested loop ------------------- *)
 
 let vschema = Schema.of_list [ ("T", [ "k"; "v"; "w" ]) ]
 
@@ -252,37 +232,37 @@ let arb_vdb =
       String.concat ";"
         (List.map (fun (k, v, w) -> Printf.sprintf "%d,%d,%d" k v w) rows))
 
-(* Witness equality including bindings: [Binding.to_list] canonicalizes,
-   so differing internal construction orders cannot hide behind (=). *)
-let witness_repr (w : Constraints.Violation.witness) =
-  ( w.ic_name,
-    Tid.Set.elements w.tids,
-    Binding.to_list w.binding,
-    List.map (fun (tid, a) -> (tid, Format.asprintf "%a" Atom.pp a)) w.matched )
+let vinstance_of rows =
+  Instance.of_rows vschema
+    [
+      ( "T",
+        List.map (fun (k, v, w) -> [ value_of k; value_of v; Value.int w ]) rows
+      );
+    ]
 
+let vics =
+  [ Constraints.Ic.key ~rel:"T" [ 0 ]; Constraints.Ic.fd ~rel:"T" ~lhs:[ 1 ] ~rhs:[ 2 ] ]
+
+(* Whole witnesses — tid sets, bindings, matched atoms and their order —
+   of [Violation.all] against the oracle's nested loop, denial by denial. *)
 let prop_violation_columnar_eq =
   QCheck.Test.make ~count:300 ~name:"columnar violations = row violations"
     arb_vdb (fun rows ->
-      let db =
-        Instance.of_rows vschema
-          [
-            ( "T",
-              List.map
-                (fun (k, v, w) -> [ value_of k; value_of v; Value.int w ])
-                rows );
-          ]
+      let db = vinstance_of rows in
+      let expected =
+        List.concat_map
+          (fun ic ->
+            List.concat_map
+              (fun (d : Constraints.Ic.denial) ->
+                List.map (fun w -> (d.name, w)) (Test_oracle.expected_witnesses db d))
+              (Option.get (Constraints.Ic.to_denials vschema ic)))
+          vics
       in
-      let ics =
-        [
-          Constraints.Ic.key ~rel:"T" [ 0 ];
-          Constraints.Ic.fd ~rel:"T" ~lhs:[ 1 ] ~rhs:[ 2 ];
-        ]
-      in
-      let witnesses on =
-        with_columnar on (fun () ->
-            List.map witness_repr (Constraints.Violation.all db vschema ics))
-      in
-      witnesses false = witnesses true)
+      List.map
+        (fun (w : Constraints.Violation.witness) ->
+          (w.ic_name, Test_oracle.witness_repr w))
+        (Constraints.Violation.all db vschema vics)
+      = expected)
 
 (* --- counters prove which engine ran --------------------------------- *)
 
@@ -290,22 +270,24 @@ let counter_value = Obs.Registry.counter_value
 
 let test_engine_counters () =
   let db = instance_of ([ (1, 2); (3, 4) ], [ (2, 5) ]) in
-  let q = List.hd queries in
-  let deltas on =
+  let q = List.hd Test_oracle.fixed_queries in
+  let deltas run =
     let reg = Obs.Registry.create () in
     let prev = Obs.Registry.current () in
     Obs.Registry.set_current reg;
     Fun.protect ~finally:(fun () -> Obs.Registry.set_current prev) @@ fun () ->
-    ignore (with_columnar on (fun () -> Cq.answers q db));
+    ignore (run ());
     ( counter_value reg "scan.columnar",
       counter_value reg "join.fused",
       counter_value reg "scan.row" )
   in
-  let sc, jf, sr = deltas true in
+  let sc, jf, sr = deltas (fun () -> Cq.answers q db) in
   check Alcotest.bool "columnar: scan.columnar > 0" true (sc > 0);
   check Alcotest.bool "columnar: join.fused > 0" true (jf > 0);
   check Alcotest.int "columnar: scan.row = 0" 0 sr;
-  let sc', _, sr' = deltas false in
+  let sc', _, sr' =
+    deltas (fun () -> Formula.interpret db ~free:(Cq.head_vars q) (Formula.of_cq q))
+  in
   check Alcotest.int "row: scan.columnar = 0" 0 sc';
   check Alcotest.bool "row: scan.row > 0" true (sr' > 0);
   check Alcotest.bool "dictionary populated" true (Dict.size () > 0)
@@ -427,14 +409,14 @@ let test_ra_unknown_column () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_plan_ops_eq;
-    QCheck_alcotest.to_alcotest prop_cq_columnar_eq;
     QCheck_alcotest.to_alcotest prop_rewrite_columnar_eq;
+    QCheck_alcotest.to_alcotest prop_cq_columnar_eq;
     QCheck_alcotest.to_alcotest prop_formula_columnar_eq;
     Alcotest.test_case "a child's free variable is decorrelated" `Quick
       test_decorrelated_child;
-    QCheck_alcotest.to_alcotest prop_violation_columnar_eq;
     Alcotest.test_case "counters prove the engine that ran" `Quick
       test_engine_counters;
+    QCheck_alcotest.to_alcotest prop_violation_columnar_eq;
     QCheck_alcotest.to_alcotest prop_columnar_view_integrity;
     Alcotest.test_case "Ra unknown-column diagnostics" `Quick
       test_ra_unknown_column;

@@ -1,7 +1,5 @@
-(* cqa-fast equivalence suites: every indexed/bucketed/parallel fast path
-   must be observationally identical to the naive one it replaces.
-   [Instance.set_indexing false] routes lookups through full scans, so the
-   same workload evaluated under both settings compares the two engines. *)
+(* cqa-fast equivalence suites: every indexed/parallel fast path must be
+   observationally identical to the naive computation it replaces. *)
 
 module Schema = Relational.Schema
 module Instance = Relational.Instance
@@ -9,15 +7,9 @@ module Value = Relational.Value
 module Fact = Relational.Fact
 module Tid = Relational.Tid
 module Tvl = Relational.Tvl
-module Ra = Relational.Ra
 open Logic
 
 let check = Alcotest.check
-
-let with_indexing on f =
-  let prev = Instance.indexing_enabled () in
-  Instance.set_indexing on;
-  Fun.protect ~finally:(fun () -> Instance.set_indexing prev) f
 
 (* Values in 0..3 force join collisions; 4 encodes NULL so three-valued
    semantics get exercised on every path. *)
@@ -44,58 +36,33 @@ let arb_db =
         (String.concat ";" (List.map row rs))
         (String.concat ";" (List.map row ss)))
 
-(* --- indexed vs naive join evaluation ------------------------------- *)
+(* --- indexed join evaluation vs the naive oracle --------------------- *)
 
-let queries =
-  let x = Term.var "x" and y = Term.var "y" and z = Term.var "z" in
-  [
-    Cq.make ~name:"join" [ x; z ]
-      [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; z ] ];
-    Cq.make ~name:"const" [ y ] [ Atom.make "R" [ Term.const (Value.int 1); y ] ];
-    Cq.make ~name:"selfjoin" [ x ] [ Atom.make "R" [ x; x ] ];
-    Cq.make ~name:"triangle" [ x ]
-      [
-        Atom.make "R" [ x; y ]; Atom.make "S" [ y; z ]; Atom.make "R" [ z; x ];
-      ];
-  ]
-
+(* The join-heavy shapes: [Cq.answers] joins through hashed key columns,
+   the oracle's nested loops compare every pair of rows. *)
 let prop_indexed_join_eq =
   QCheck.Test.make ~count:300 ~name:"indexed Cq.answers = naive Cq.answers"
     arb_db (fun db_spec ->
       let db = instance_of db_spec in
       List.for_all
-        (fun q ->
-          let naive = with_indexing false (fun () -> Cq.answers q db) in
-          let indexed = with_indexing true (fun () -> Cq.answers q db) in
-          naive = indexed)
-        queries)
+        (fun (q : Cq.t) -> Cq.answers q db = Test_oracle.oracle_answers q db)
+        (List.filter
+           (fun (q : Cq.t) -> List.mem q.name [ "join"; "const"; "selfjoin"; "triangle" ])
+           Test_oracle.fixed_queries))
 
+(* --- indexed formula evaluation vs the naive oracle ------------------ *)
+
+(* [Formula.holds] finds candidate rows through [Instance.probe] and
+   [matching_tuples]; the oracle's nested loops use no index. *)
 let prop_indexed_formula_eq =
   QCheck.Test.make ~count:300 ~name:"indexed Formula.holds = naive" arb_db
     (fun db_spec ->
       let db = instance_of db_spec in
       List.for_all
-        (fun q ->
-          let b = Cq.make ~name:"b" [] q.Cq.body in
-          let f = Formula.of_cq b in
-          with_indexing false (fun () -> Formula.holds db f)
-          = with_indexing true (fun () -> Formula.holds db f))
-        queries)
-
-let prop_hash_join_eq =
-  QCheck.Test.make ~count:300 ~name:"Ra hash join = nested-loop join" arb_db
-    (fun db_spec ->
-      let rel cols rows =
-        {
-          Ra.cols = Array.of_list cols;
-          rows = List.map (fun (a, b) -> [| value_of a; value_of b |]) rows;
-        }
-      in
-      let a = rel [ "a"; "b" ] (fst db_spec)
-      and b = rel [ "b"; "c" ] (snd db_spec) in
-      let nested = with_indexing false (fun () -> Ra.natural_join a b) in
-      let hash = with_indexing true (fun () -> Ra.natural_join a b) in
-      nested.Ra.cols = hash.Ra.cols && nested.Ra.rows = hash.Ra.rows)
+        (fun (q : Cq.t) ->
+          let b = Cq.make ~name:"b" [] q.body ~comps:q.comps in
+          Formula.holds db (Formula.of_cq b) = (Test_oracle.oracle_answers b db <> []))
+        Test_oracle.fixed_queries)
 
 (* --- bucketed vs pairwise violation detection ----------------------- *)
 
@@ -110,6 +77,8 @@ let arb_vdb =
       String.concat ";"
         (List.map (fun (k, v, w) -> Printf.sprintf "%d,%d,%d" k v w) rows))
 
+(* Key and FD witnesses found through hashed buckets against every pair
+   of tuples the oracle's nested loop matches. *)
 let prop_bucketed_violations_eq =
   QCheck.Test.make ~count:300 ~name:"bucketed violations = pairwise" arb_vdb
     (fun rows ->
@@ -126,12 +95,25 @@ let prop_bucketed_violations_eq =
         [ Constraints.Ic.key ~rel:"T" [ 0 ];
           Constraints.Ic.fd ~rel:"T" ~lhs:[ 1 ] ~rhs:[ 2 ] ]
       in
-      let witnesses on =
-        with_indexing on (fun () -> Constraints.Violation.all db vschema ics)
-        |> List.map (fun (w : Constraints.Violation.witness) ->
-               (w.ic_name, Tid.Set.elements w.tids))
+      let pairwise =
+        List.concat_map
+          (fun ic ->
+            List.concat_map
+              (fun (d : Constraints.Ic.denial) ->
+                List.map
+                  (fun s -> (d.name, Tid.Set.elements s))
+                  (Test_oracle.oracle_violation_sets db d))
+              (Option.get (Constraints.Ic.to_denials vschema ic)))
+          ics
       in
-      witnesses false = witnesses true)
+      let bucketed =
+        List.map
+          (fun (w : Constraints.Violation.witness) ->
+            (w.ic_name, Tid.Set.elements w.tids))
+          (Constraints.Violation.all db vschema ics)
+      in
+      List.sort_uniq compare bucketed = List.sort_uniq compare pairwise
+      && List.length bucketed = List.length (List.sort_uniq compare bucketed))
 
 (* --- index integrity across the persistent-update API --------------- *)
 
@@ -193,7 +175,6 @@ let prop_index_integrity =
   QCheck.Test.make ~count:300
     ~name:"indexes stay exact across insert/delete/update_cell" arb_ops
     (fun (rows, ops) ->
-      with_indexing true (fun () ->
           let db0 =
             Instance.of_rows vschema
               [
@@ -225,7 +206,7 @@ let prop_index_integrity =
             (fun bound ->
               Instance.matching_tuples db ~rel:"T" ~bound
               = naive_matching db ~rel:"T" ~bound)
-            bounds))
+            bounds)
 
 (* --- Par.map = List.map --------------------------------------------- *)
 
@@ -308,7 +289,6 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_indexed_join_eq;
     QCheck_alcotest.to_alcotest prop_indexed_formula_eq;
-    QCheck_alcotest.to_alcotest prop_hash_join_eq;
     QCheck_alcotest.to_alcotest prop_bucketed_violations_eq;
     QCheck_alcotest.to_alcotest prop_index_integrity;
     QCheck_alcotest.to_alcotest prop_par_map_eq;

@@ -1,0 +1,375 @@
+(* One oracle differential for every conjunctive-body consumer: the
+   compiled columnar body behind [Cq.answers]/[holds]/[bindings],
+   violation search, CAvSAT's witness sets and incremental conflict
+   maintenance are each checked against a naive nested-loop evaluator
+   built on [Ra] (product of the atoms' relations, then selection).
+   Random bodies mix NULLs, constants (NULL included), repeated
+   variables, comparisons and self-joins. *)
+
+module Schema = Relational.Schema
+module Instance = Relational.Instance
+module Value = Relational.Value
+module Fact = Relational.Fact
+module Tid = Relational.Tid
+module Tvl = Relational.Tvl
+module Ic = Constraints.Ic
+open Logic
+
+(* --- the oracle ------------------------------------------------------ *)
+
+(* Every match of a body: the matched tids in atom order and the binding
+   of the body variables.  One [Ra] relation per atom (its tid, then its
+   attributes), their cartesian product, and a selection that is
+   definitely true when constants match, repeated variables are
+   SQL-equal and every comparison holds. *)
+let matches inst (atoms : Atom.t list) comps =
+  let atom_rel i (a : Atom.t) =
+    {
+      Ra.cols =
+        Array.init
+          (1 + List.length a.args)
+          (fun j ->
+            if j = 0 then Printf.sprintf "%d#tid" i
+            else Printf.sprintf "%d.%d" i j);
+      rows =
+        List.map
+          (fun (tid, row) -> Array.append [| Value.int (Tid.to_int tid) |] row)
+          (Instance.tuples inst ~rel:a.rel);
+    }
+  in
+  let product =
+    List.fold_left Ra.product
+      { Ra.cols = [||]; rows = [ [||] ] }
+      (List.mapi atom_rel atoms)
+  in
+  (* Walk the atoms' argument slots of one product row, binding each
+     variable at its first occurrence. *)
+  let bind row =
+    let rec atom_at env off = function
+      | [] -> Some env
+      | (a : Atom.t) :: rest ->
+          let rec arg env j = function
+            | [] -> atom_at env (off + 1 + List.length a.args) rest
+            | t :: ts -> (
+                let v = row.(off + j) in
+                let same u = Tvl.to_bool (Value.sql_eq u v) in
+                match t with
+                | Term.Const c -> if same c then arg env (j + 1) ts else None
+                | Term.Var x -> (
+                    match Binding.find env x with
+                    | Some u -> if same u then arg env (j + 1) ts else None
+                    | None -> arg (Binding.bind env x v) (j + 1) ts))
+          in
+          arg env 1 a.args
+    in
+    atom_at Binding.empty 0 atoms
+  in
+  let selected =
+    Ra.select
+      (fun _ row ->
+        match bind row with
+        | Some env ->
+            Tvl.of_bool
+              (List.for_all (fun c -> Binding.eval_cmp env c = Tvl.True) comps)
+        | None -> Tvl.False)
+      product
+  in
+  List.map
+    (fun row ->
+      let _, tids =
+        List.fold_left
+          (fun (off, acc) (a : Atom.t) ->
+            let tid =
+              match row.(off) with Value.Int t -> Tid.of_int t | _ -> assert false
+            in
+            (off + 1 + List.length a.args, tid :: acc))
+          (0, []) atoms
+      in
+      (List.rev tids, Option.get (bind row)))
+    selected.Ra.rows
+
+let head_row env (q : Cq.t) =
+  List.map
+    (function
+      | Term.Const v -> v | Term.Var x -> Option.get (Binding.find env x))
+    q.head
+
+let distinct cmp xs = List.sort_uniq cmp xs
+let rows_cmp = List.compare Value.compare
+
+let oracle_answers q inst =
+  distinct rows_cmp
+    (List.map (fun (_, env) -> head_row env q) (matches inst q.Cq.body q.Cq.comps))
+
+let binding_repr env = Binding.to_list env
+
+let oracle_bindings (q : Cq.t) inst =
+  distinct compare
+    (List.map (fun (_, env) -> binding_repr env) (matches inst q.body q.comps))
+
+let tid_set tids = List.fold_left (fun s t -> Tid.Set.add t s) Tid.Set.empty tids
+
+module Tidsets = Set.Make (Tid.Set)
+
+let oracle_violation_sets inst (d : Ic.denial) =
+  List.map (fun (tids, _) -> tid_set tids) (matches inst d.atoms d.comps)
+
+(* --- random instances and bodies ------------------------------------ *)
+
+let schema = Schema.of_list [ ("R", [ "a"; "b" ]); ("S", [ "b"; "c" ]) ]
+
+(* Values 0..3 force join collisions; 4 encodes NULL. *)
+let value_of n = if n >= 4 then Value.Null else Value.int n
+
+type db_spec = (int * int) list * (int * int) list
+
+let instance_of ((rs, ss) : db_spec) =
+  Instance.of_rows schema
+    [
+      ("R", List.map (fun (a, b) -> [ value_of a; value_of b ]) rs);
+      ("S", List.map (fun (b, c) -> [ value_of b; value_of c ]) ss);
+    ]
+
+let gen_db : db_spec QCheck.Gen.t =
+  QCheck.Gen.(
+    pair
+      (list_size (int_range 0 7) (pair (int_range 0 4) (int_range 0 4)))
+      (list_size (int_range 0 7) (pair (int_range 0 4) (int_range 0 4))))
+
+let print_db ((rs, ss) : db_spec) =
+  let row (a, b) = Printf.sprintf "%d,%d" a b in
+  Printf.sprintf "R=%s S=%s"
+    (String.concat ";" (List.map row rs))
+    (String.concat ";" (List.map row ss))
+
+let var_names = [ "x"; "y"; "z"; "w" ]
+
+let gen_term =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map Term.var (oneofl var_names));
+        (2, map (fun n -> Term.const (value_of n)) (int_range 0 4));
+      ])
+
+let gen_atom =
+  QCheck.Gen.(
+    map3
+      (fun rel t1 t2 -> Atom.make rel [ t1; t2 ])
+      (oneofl [ "R"; "S" ]) gen_term gen_term)
+
+let gen_op = QCheck.Gen.oneofl Cmp.[ Eq; Neq; Lt; Le; Gt; Ge ]
+
+(* Comparisons only over variables the atoms bind: anything else is an
+   unsafe body, rejected before it reaches an executor. *)
+let gen_body ~min_atoms =
+  QCheck.Gen.(
+    int_range min_atoms 3 >>= fun n ->
+    list_repeat n gen_atom >>= fun atoms ->
+    let vars = Term.vars (List.concat_map (fun (a : Atom.t) -> a.args) atoms) in
+    let side =
+      if vars = [] then map (fun n -> Term.const (value_of n)) (int_range 0 4)
+      else
+        frequency
+          [
+            (3, map Term.var (oneofl vars));
+            (1, map (fun n -> Term.const (value_of n)) (int_range 0 3));
+          ]
+    in
+    int_range 0 2 >>= fun k ->
+    list_repeat k (map3 Cmp.make gen_op side side) >|= fun comps -> (atoms, comps))
+
+let gen_query =
+  QCheck.Gen.(
+    gen_body ~min_atoms:0 >>= fun (atoms, comps) ->
+    let vars = Term.vars (List.concat_map (fun (a : Atom.t) -> a.args) atoms) in
+    list_repeat (List.length vars) bool >>= fun keep ->
+    bool >|= fun with_const ->
+    let head =
+      List.filter_map (fun (v, k) -> if k then Some (Term.var v) else None)
+        (List.combine vars keep)
+      @ if with_const then [ Term.int 7 ] else []
+    in
+    Cq.make ~name:"q" ~comps head atoms)
+
+let print_query q = Format.asprintf "%a" Cq.pp q
+
+let arb_query_db =
+  QCheck.make
+    QCheck.Gen.(pair gen_query gen_db)
+    ~print:(fun (q, db) -> print_query q ^ " on " ^ print_db db)
+
+(* The shapes the suites comparing the compiled and row evaluators used
+   to pin, checked on every case besides the random query. *)
+let fixed_queries =
+  let x = Term.var "x" and y = Term.var "y" and z = Term.var "z" in
+  [
+    Cq.make ~name:"join" [ x; z ] [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; z ] ];
+    Cq.make ~name:"const" [ y ] [ Atom.make "R" [ Term.const (Value.int 1); y ] ];
+    Cq.make ~name:"selfjoin" [ x ] [ Atom.make "R" [ x; x ] ];
+    Cq.make ~name:"triangle" [ x ]
+      [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; z ]; Atom.make "R" [ z; x ] ];
+    Cq.make ~name:"lt" ~comps:[ Cmp.make Cmp.Lt x y ] [ x; y ] [ Atom.make "R" [ x; y ] ];
+    Cq.make ~name:"vareq" ~comps:[ Cmp.eq y z ] [ x; z ]
+      [ Atom.make "R" [ x; y ]; Atom.make "S" [ z; Term.var "w" ] ];
+    Cq.make ~name:"selfeq" ~comps:[ Cmp.eq x x ] [ x ] [ Atom.make "R" [ x; y ] ];
+    Cq.make ~name:"neq" ~comps:[ Cmp.neq x (Term.const (Value.int 2)) ] [ x ]
+      [ Atom.make "R" [ x; y ] ];
+    Cq.make ~name:"bool" [] [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; z ] ];
+    Cq.make ~name:"product" [ x; z ] [ Atom.make "R" [ x; x ]; Atom.make "S" [ z; z ] ];
+  ]
+
+(* --- the differentials ----------------------------------------------- *)
+
+let prop_cq =
+  QCheck.Test.make ~count:500 ~name:"Cq.answers/holds/bindings = naive oracle"
+    arb_query_db (fun (q, db_spec) ->
+      let db = instance_of db_spec in
+      List.for_all
+        (fun q ->
+          let expected = oracle_answers q db in
+          Cq.answers q db = expected
+          && Cq.holds q db = (expected <> [])
+          && distinct compare (List.map binding_repr (Cq.bindings q db))
+             = oracle_bindings q db
+          && List.length (Cq.bindings q db) = List.length (oracle_bindings q db))
+        (q :: fixed_queries))
+
+(* What [Violation.of_denial] promises: one witness per distinct tid set,
+   represented by the match with the greatest tid vector, listed in
+   descending order of those representatives. *)
+let expected_witnesses db (d : Ic.denial) =
+  let ms =
+    List.sort
+      (fun (t1, _) (t2, _) -> List.compare Tid.compare t2 t1)
+      (matches db d.atoms d.comps)
+  in
+  let _, reps =
+    List.fold_left
+      (fun (seen, acc) (tids, env) ->
+        let s = tid_set tids in
+        if Tidsets.mem s seen then (seen, acc)
+        else (Tidsets.add s seen, (tids, env) :: acc))
+      (Tidsets.empty, []) ms
+  in
+  List.map
+    (fun (tids, env) ->
+      ( Tid.Set.elements (tid_set tids),
+        binding_repr env,
+        List.map2 (fun t a -> (t, Format.asprintf "%a" Atom.pp a)) tids d.atoms ))
+    (List.rev reps)
+
+let witness_repr (w : Constraints.Violation.witness) =
+  ( Tid.Set.elements w.tids,
+    binding_repr w.binding,
+    List.map (fun (tid, a) -> (tid, Format.asprintf "%a" Atom.pp a)) w.matched )
+
+let arb_denial_db =
+  QCheck.make
+    QCheck.Gen.(pair (gen_body ~min_atoms:1) gen_db)
+    ~print:(fun ((atoms, comps), db) ->
+      print_query (Cq.make ~name:"d" ~comps [] atoms) ^ " on " ^ print_db db)
+
+let prop_violation =
+  QCheck.Test.make ~count:500 ~name:"Violation.of_denial = naive oracle" arb_denial_db
+    (fun ((atoms, comps), db_spec) ->
+      let db = instance_of db_spec in
+      let key_r = Option.get (Ic.to_denials schema (Ic.key ~rel:"R" [ 0 ])) in
+      let fd_s =
+        Option.get (Ic.to_denials schema (Ic.fd ~rel:"S" ~lhs:[ 1 ] ~rhs:[ 0 ]))
+      in
+      List.for_all
+        (fun (d : Ic.denial) ->
+          List.map witness_repr (Constraints.Violation.of_denial db d)
+          = expected_witnesses db d)
+        ({ Ic.name = "d"; atoms; comps } :: key_r @ fd_s))
+
+let prop_witness =
+  QCheck.Test.make ~count:500 ~name:"Cavsat witness sets = naive oracle" arb_query_db
+    (fun (q, db_spec) ->
+      let db = instance_of db_spec in
+      (* Tid sets compare by their elements: equal [Set]s may differ in
+         tree shape. *)
+      let repr = List.map (fun (row, sets) -> (row, List.map Tid.Set.elements sets)) in
+      List.for_all
+        (fun (q : Cq.t) ->
+          let expected =
+            List.map
+              (fun row ->
+                ( row,
+                  Tidsets.elements
+                    (Tidsets.of_list
+                       (List.filter_map
+                          (fun (tids, env) ->
+                            if head_row env q = row then Some (tid_set tids) else None)
+                          (matches db q.body q.comps))) ))
+              (oracle_answers q db)
+          in
+          repr (Cavsat.Witness.answers_with_witnesses q db) = repr expected)
+        (q :: fixed_queries))
+
+(* Incremental maintenance: after a run of inserts and deletes the
+   maintained hyperedges are exactly the violation tid sets of the
+   constraints' denials on the final instance. *)
+type update = Ins of string * int * int | Del of int
+
+let arb_updates =
+  QCheck.make
+    QCheck.Gen.(
+      triple (gen_body ~min_atoms:1) gen_db
+        (list_size (int_range 0 10)
+           (frequency
+              [
+                ( 3,
+                  map3 (fun r a b -> Ins (r, a, b)) (oneofl [ "R"; "S" ]) (int_range 0 4)
+                    (int_range 0 4) );
+                (1, map (fun i -> Del i) (int_range 0 20));
+              ])))
+    ~print:(fun ((atoms, comps), db, ups) ->
+      let pp = function
+        | Ins (r, a, b) -> Printf.sprintf "+%s(%d,%d)" r a b
+        | Del i -> Printf.sprintf "-%d" i
+      in
+      print_query (Cq.make ~name:"d" ~comps [] atoms)
+      ^ " on " ^ print_db db ^ " then "
+      ^ String.concat " " (List.map pp ups))
+
+let prop_incremental =
+  QCheck.Test.make ~count:300 ~name:"Incremental edges after updates = naive oracle"
+    arb_updates (fun ((atoms, comps), db_spec, ups) ->
+      let ics =
+        [
+          Ic.key ~rel:"R" [ 0 ];
+          Ic.fd ~rel:"S" ~lhs:[ 1 ] ~rhs:[ 0 ];
+          Ic.denial ~name:"d" ~comps atoms;
+        ]
+      in
+      let apply t = function
+        | Ins (rel, a, b) ->
+            fst (Repairs.Incremental.insert t (Fact.make rel [ value_of a; value_of b ]))
+        | Del i -> (
+            match Tid.Set.elements (Instance.tids (Repairs.Incremental.instance t)) with
+            | [] -> t
+            | ts -> Repairs.Incremental.delete t (List.nth ts (i mod List.length ts)))
+      in
+      let t =
+        List.fold_left apply
+          (Repairs.Incremental.create (instance_of db_spec) schema ics)
+          ups
+      in
+      let db = Repairs.Incremental.instance t in
+      let expected =
+        Tidsets.of_list
+          (List.concat_map
+                (fun ic ->
+                  List.concat_map (oracle_violation_sets db)
+                    (Option.get (Ic.to_denials schema ic)))
+                ics)
+      in
+      Tidsets.equal
+        (Tidsets.of_list (Repairs.Incremental.graph t).Constraints.Conflict_graph.edges)
+        expected)
+
+let suite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_cq; prop_violation; prop_witness; prop_incremental ]

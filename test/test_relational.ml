@@ -4,7 +4,6 @@ module Schema = Relational.Schema
 module Instance = Relational.Instance
 module Fact = Relational.Fact
 module Tid = Relational.Tid
-module Ra = Relational.Ra
 
 let check = Alcotest.check
 let tvl = Alcotest.testable Tvl.pp Tvl.equal

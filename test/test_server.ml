@@ -287,6 +287,41 @@ let test_handler_errors_keep_session () =
   Alcotest.(check int) "errors counted" 6
     (Server.Metrics.errors (Server.Handler.metrics h))
 
+(* A head or comparison variable no body atom binds is refused once, by
+   the parser both the CLI and LOAD use, with the same message naming
+   the variable — no executor ever sees the query. *)
+let test_unsafe_query_rejected_at_parse () =
+  let doc query =
+    [
+      "relation R(a,b)"; "key R(a)"; "row R(1,10)"; "row R(1,11)"; "row R(2,20)";
+      query;
+    ]
+  in
+  List.iter
+    (fun (query, var) ->
+      let lines = doc query in
+      let msg =
+        match Cqa.Parse.document_of_string (String.concat "\n" lines) with
+        | exception Cqa.Parse.Error (line, msg) ->
+            Alcotest.(check int) "error line" 6 line;
+            msg
+        | _ -> Alcotest.fail (query ^ " should not parse")
+      in
+      let names_var =
+        try
+          ignore (Str.search_forward (Str.regexp_string ("variable " ^ var)) msg 0);
+          true
+        with Not_found -> false
+      in
+      Alcotest.(check bool) (msg ^ " names " ^ var) true names_var;
+      let h = Server.Handler.create () in
+      match Server.Handler.dispatch h ~payload:lines (P.Load "s1") with
+      | { P.status = `Err; head; _ } ->
+          Alcotest.(check string) "LOAD answers the parse error"
+            ("payload line 6: " ^ msg) head
+      | _ -> Alcotest.fail (query ^ ": LOAD should answer ERR"))
+    [ ("query q(X) :- R(X, Y), Z > 1", "Z"); ("query q(X, W) :- R(X, Y)", "W") ]
+
 (* ---- observability: TRACE, EXPLAIN, clamped framing ------------------- *)
 
 let body_has_prefix body prefix =
@@ -685,6 +720,8 @@ let suite =
       test_handler_repairs_measure_check;
     Alcotest.test_case "ERR responses keep the session alive" `Quick
       test_handler_errors_keep_session;
+    Alcotest.test_case "unsafe queries rejected at parse time" `Quick
+      test_unsafe_query_rejected_at_parse;
     Alcotest.test_case "TRACE toggles the global sink" `Quick test_trace_toggle;
     Alcotest.test_case "EXPLAIN shows the enum/rewriting cost shift" `Quick
       test_explain_cost_shift;
