@@ -500,12 +500,15 @@ let exec t payload = function
           cached t session key (fun () -> exec_analyze session name))
   | P.Update { sid; op; rel; values } ->
       with_session t sid (fun session ->
+          let before = session.digest in
           match Session.apply_update session ~op ~rel values with
           | Error msg -> P.err msg
           | Ok () ->
-              (* The digest changed, so stale entries can no longer be
-                 hit; dropping them eagerly also frees cache room. *)
-              List.iter (Lru.remove t.cache) (Session.take_keys session);
+              (* If the digest moved, stale entries can no longer be hit;
+                 dropping them eagerly also frees cache room.  A no-op
+                 UPDATE leaves the digest, and so its entries, valid. *)
+              if not (String.equal before session.digest) then
+                List.iter (Lru.remove t.cache) (Session.take_keys session);
               P.ok
                 (Printf.sprintf "size=%d"
                    (Relational.Instance.size session.doc.instance)))

@@ -2,11 +2,13 @@
 
     Certain answers (QUERY), repair counts (REPAIRS) and inconsistency
     measures (MEASURE) are memoized in a shared capacity-bounded
-    {!Lru} cache keyed by instance digest × semantics/method × query, so
-    equal data loaded under different session ids shares entries.  An
-    UPDATE rewrites the session's digest {e and} eagerly drops the
-    entries inserted on the session's behalf.  CHECK is answered
-    directly — it is the cheap baseline the cache is measured against.
+    {!Lru} cache keyed by session digest × semantics/method × query
+    (see {!Session.digest_of}), so equal documents loaded under different
+    session ids share entries.  An UPDATE that changes the instance
+    advances the session's digest {e and} eagerly drops the entries
+    inserted on the session's behalf; a no-op UPDATE keeps both.  CHECK
+    is answered directly — it is the cheap baseline the cache is
+    measured against.
 
     Execution failures (unknown session, unknown query, inapplicable
     method, malformed payloads) are returned as [ERR] responses; they

@@ -1,7 +1,7 @@
 (** A capacity-bounded least-recently-used cache.
 
     The serving layer memoizes certain answers, repair counts and
-    inconsistency measures keyed by instance digest × semantics × query
+    inconsistency measures keyed by session digest × semantics × query
     (see {!Handler}); this module is the generic bounded store underneath.
     [find] and [add] both count as a use and promote the entry to
     most-recently-used; once [length] would exceed [capacity] the

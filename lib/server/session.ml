@@ -14,31 +14,77 @@ type store = (string, t) Hashtbl.t
 let create_store () : store = Hashtbl.create 16
 let count = Hashtbl.length
 
-(* The digest keys the shared answer cache, so it must cover everything
-   an answer depends on: the schema, facts, ICs, and the query
-   definitions (a re-LOAD may redefine a query name — or a relation's
-   attributes — over the same facts; ANALYZE output in particular
-   depends on the schema alone, so omitting it would let a re-LOAD
-   serve a stale memoized analysis). *)
+(* Every piece of a digest preimage goes through this encoding.  It is
+   injective and prefix-free: integers are fixed-width, strings carry a
+   length prefix, and every value a type tag, so [Int 1], [Str "1"] and
+   [Real 1.] encode apart even though they print alike. *)
+let add_int b i = Buffer.add_int64_le b (Int64.of_int i)
+
+let add_string b s =
+  add_int b (String.length s);
+  Buffer.add_string b s
+
+let add_value b : Relational.Value.t -> unit = function
+  | Int i ->
+      Buffer.add_char b 'i';
+      add_int b i
+  | Real r ->
+      Buffer.add_char b 'r';
+      Buffer.add_int64_le b (Int64.bits_of_float r)
+  | Str s ->
+      Buffer.add_char b 's';
+      add_string b s
+  | Bool x -> Buffer.add_char b (if x then 't' else 'f')
+  | Null -> Buffer.add_char b 'n'
+
+let add_fact b (f : Fact.t) =
+  add_string b f.rel;
+  add_int b (Array.length f.row);
+  Array.iter (add_value b) f.row
+
+let hex_md5 b = Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The LOAD digest is a content digest: it covers everything an answer
+   depends on — the schema, ICs, query definitions and the fact set (a
+   re-LOAD may redefine a query name, or a relation's attributes, over
+   the same facts; ANALYZE output depends on the schema alone).  Facts
+   are encoded one by one and sorted, so equal documents get equal
+   digests whatever their row order.  ICs and queries are plain data
+   whose constants are [Value.t]s, so their no-sharing marshalled form is
+   an injective encoding (only ever compared within one process). *)
 let digest_of (doc : Cqa.Parse.document) =
-  let schema = Format.asprintf "%a" Relational.Schema.pp doc.schema in
-  let facts =
-    Instance.fact_list doc.instance
-    |> List.map Fact.to_string
-    |> List.sort String.compare
-  in
-  let ics =
-    List.map (fun ic -> Format.asprintf "%a" Constraints.Ic.pp ic) doc.ics
-  in
-  let queries =
-    List.map
-      (fun (name, q) -> Format.asprintf "%s := %a" name Logic.Cq.pp q)
-      doc.queries
-  in
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          ((schema :: ics) @ ("" :: facts) @ ("" :: queries))))
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "load";
+  let rels = Relational.Schema.relations doc.schema in
+  add_int b (List.length rels);
+  List.iter
+    (fun (r : Relational.Schema.relation) ->
+      add_string b r.name;
+      add_int b (Array.length r.attributes);
+      Array.iter (add_string b) r.attributes)
+    rels;
+  add_string b (Marshal.to_string (doc.ics, doc.queries) [ No_sharing ]);
+  let fb = Buffer.create 64 in
+  Instance.fact_list doc.instance
+  |> List.map (fun f ->
+         Buffer.clear fb;
+         add_fact fb f;
+         Buffer.contents fb)
+  |> List.sort String.compare
+  |> List.iter (Buffer.add_string b);
+  hex_md5 b
+
+(* One UPDATE link of the chain: O(|fact|), where re-digesting the
+   document would cost O(|instance|).  The "update" tag keeps a chain
+   digest apart from every LOAD digest, and the old digest is
+   fixed-width, so equal chain digests still imply equal documents. *)
+let chain digest ~op fact =
+  let b = Buffer.create 64 in
+  Buffer.add_string b "update";
+  Buffer.add_string b digest;
+  Buffer.add_char b (match op with `Add -> '+' | `Del -> '-');
+  add_fact b fact;
+  hex_md5 b
 
 let engine_of (doc : Cqa.Parse.document) =
   Cqa.Engine.create ~schema:doc.schema ~ics:doc.ics doc.instance
@@ -89,8 +135,12 @@ let apply_update t ~op ~rel values =
     | `Del -> Instance.delete_fact t.doc.instance fact
   with
   | exception Invalid_argument msg -> Error msg
+  | instance when instance == t.doc.instance ->
+      (* A duplicate add or an absent delete: nothing changed, so the
+         engine, the digest and the cache entries under it all stand. *)
+      Ok ()
   | instance ->
       t.doc <- { t.doc with instance };
       t.engine <- engine_of t.doc;
-      t.digest <- digest_of t.doc;
+      t.digest <- chain t.digest ~op fact;
       Ok ()

@@ -4,15 +4,24 @@
     engine built over it.  Sessions outlive connections — that is the
     point of the serving layer: the parse and engine construction cost is
     paid once per LOAD and amortized over many requests.  Each session
-    carries a digest of its instance and constraints (the memoization key
-    prefix, see {!Handler}) and remembers which cache keys were inserted
-    on its behalf so an UPDATE can invalidate exactly them. *)
+    carries a digest (the memoization key prefix, see {!Handler}) and
+    remembers which cache keys were inserted on its behalf so an UPDATE
+    can invalidate exactly them.
+
+    The digest contract: LOAD sets it to a content digest of the
+    document ({!digest_of}); each UPDATE that changes the instance
+    advances it by one hash-chain link over the changed fact.  Equal
+    digests imply equal documents (up to MD5 collisions), so a cache hit
+    is always sound; equal documents need not share a digest — two
+    histories reaching the same content only miss each other's
+    entries. *)
 
 type t = {
   id : string;
   mutable doc : Cqa.Parse.document;
   mutable engine : Cqa.Engine.t;
   mutable digest : string;
+      (** Hex MD5; see the digest contract above. *)
   cache_keys : (string, unit) Hashtbl.t;
 }
 
@@ -41,8 +50,11 @@ val tracked_keys : store -> int
     an UPDATE would invalidate) — the [sessions.tracked_keys] gauge. *)
 
 val digest_of : Cqa.Parse.document -> string
-(** Hex digest over the instance's fact set and the constraint list —
-    two sessions holding equal data share cache entries. *)
+(** The LOAD digest: hex MD5 over a ["load"]-tagged, injective encoding
+    of the schema, the constraints, the query definitions and the fact
+    set (row order aside).  Every constant is encoded with its type, so
+    documents that differ only in [1] vs ["1"] digest apart.  Two
+    sessions loaded with equal documents share cache entries. *)
 
 val remember_key : t -> string -> unit
 (** Record that a cache entry with this key was inserted for this
@@ -54,6 +66,9 @@ val take_keys : t -> string list
 val apply_update :
   t -> op:[ `Add | `Del ] -> rel:string -> Relational.Value.t list ->
   (unit, string) result
-(** Insert or delete one fact, rebuild the engine and refresh the
-    digest.  Errors (unknown relation, arity mismatch) leave the session
-    unchanged. *)
+(** Insert or delete one fact, rebuild the engine and advance the
+    digest to [MD5("update" ‖ old digest ‖ op ‖ fact)] — O(|fact|), the
+    document is not re-hashed.  Adding a present fact or deleting an
+    absent one changes nothing: [doc], [engine] and [digest] are left as
+    they were, so cache entries under the digest stay valid.  Errors
+    (unknown relation, arity mismatch) leave the session unchanged. *)

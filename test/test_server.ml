@@ -696,6 +696,217 @@ let test_explain_selfjoin_routes_to_sat () =
   Alcotest.(check bool) "IND: same verdict" true
     (has e.P.body "verdict unknown witness query/self-join")
 
+(* ---- Digest soundness: typed constants, no-op UPDATEs --------------- *)
+
+module V = Relational.Value
+
+let load_lines h sid lines =
+  match Server.Handler.dispatch h ~payload:lines (P.Load sid) with
+  | { P.status = `Ok; _ } -> ()
+  | { P.head; _ } -> Alcotest.fail ("LOAD failed: " ^ head)
+
+let typed_doc k =
+  [
+    "relation T(k, v)"; "relation U(k)"; Printf.sprintf "row T(%s, 5)" k;
+    "row U(1)"; "query q(X) :- T(X, Y), U(X)";
+  ]
+
+let test_typed_constants_do_not_collide () =
+  (* [Int 1] and [Str "1"] print alike; a digest over printed facts gave
+     both sessions one cache key, so b replayed a's answer. *)
+  let h = Server.Handler.create () in
+  load_lines h "a" (typed_doc "1");
+  load_lines h "b" (typed_doc "\"1\"");
+  let ra = dispatch_line h "QUERY a q" in
+  let rb = dispatch_line h "QUERY b q" in
+  Alcotest.(check string) "a joins T with U" "answers=1" ra.P.head;
+  Alcotest.(check string) "b: the string \"1\" does not join" "answers=0"
+    rb.P.head;
+  Alcotest.(check int) "no shared entry" 0
+    (Server.Metrics.hits (Server.Handler.metrics h));
+  (* Each pair that prints alike must digest apart, whether the constant
+     sits in a fact or in a query. *)
+  let with_fact v =
+    let doc =
+      Cqa.Parse.document_of_string
+        "relation T(k, v)\nquery q(X) :- T(X, Y)"
+    in
+    {
+      doc with
+      instance =
+        Relational.Instance.add doc.instance
+          (Relational.Fact.make "T" [ v; V.int 5 ]);
+    }
+  in
+  List.iter
+    (fun (x, y) ->
+      let dx = Server.Session.digest_of (with_fact x)
+      and dy = Server.Session.digest_of (with_fact y) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s vs %S digest apart" (V.to_string x) (V.to_string y))
+        false (String.equal dx dy))
+    [
+      (V.int 1, V.str "1"); (V.Null, V.str "NULL"); (V.bool true, V.str "true");
+      (V.real 1., V.str (V.to_string (V.real 1.)));
+    ];
+  let with_query c =
+    Cqa.Parse.document_of_string
+      ("relation T(k, v)\nquery q(X) :- T(X, " ^ c ^ ")")
+  in
+  Alcotest.(check bool) "query constants 1 vs \"1\" digest apart" false
+    (String.equal
+       (Server.Session.digest_of (with_query "1"))
+       (Server.Session.digest_of (with_query "\"1\"")))
+
+let test_noop_update_keeps_cache () =
+  let h = Server.Handler.create () in
+  load_session h "s1";
+  let m = Server.Handler.metrics h in
+  let digest () =
+    (Option.get (Server.Session.find (Server.Handler.sessions h) "s1")).digest
+  in
+  let d0 = digest () in
+  ignore (dispatch_line h "QUERY s1 q");
+  (* T(1, 1) is already present; T(7, 7) never was. *)
+  List.iter
+    (fun line ->
+      let u = dispatch_line h line in
+      Alcotest.(check string) (line ^ " ok") "size=3" u.P.head;
+      Alcotest.(check string) (line ^ " keeps the digest") d0 (digest ());
+      Alcotest.(check int) (line ^ " keeps the entry") 1
+        (Server.Handler.cache_length h))
+    [ "UPDATE s1 add T(1, 1)"; "UPDATE s1 del T(7, 7)" ];
+  ignore (dispatch_line h "QUERY s1 q");
+  Alcotest.(check int) "QUERY after no-op UPDATEs hits" 1
+    (Server.Metrics.hits m);
+  (* A real change still moves the digest, away from any LOAD digest. *)
+  ignore (dispatch_line h "UPDATE s1 add T(9, 9)");
+  Alcotest.(check bool) "changing UPDATE moves the digest" false
+    (String.equal d0 (digest ()));
+  Alcotest.(check int) "and drops the entry" 0 (Server.Handler.cache_length h)
+
+(* ---- Cache soundness differential ----------------------------------- *)
+
+(* Random LOAD/UPDATE/QUERY scripts over a few sessions through one
+   handler: every answer, cached or not, must equal what a fresh handler
+   answers on that session's current document.  Documents start equal
+   or differ only in Int-vs-Str constants, so a digest that confused
+   them, or one that failed to move on a write, would serve a wrong
+   cached answer. *)
+
+type fact = string * V.t list
+
+type step =
+  | Load of string * fact list
+  | Update of string * [ `Add | `Del ] * fact
+  | Query of string * string
+
+let token = function
+  | V.Int i -> string_of_int i
+  | V.Str s -> "\"" ^ s ^ "\""
+  | V.Null -> "null"
+  | (V.Real _ | V.Bool _) as v -> V.to_string v
+
+let fact_text (rel, vs) =
+  Printf.sprintf "%s(%s)" rel (String.concat ", " (List.map token vs))
+
+let step_text = function
+  | Load (sid, facts) ->
+      Printf.sprintf "LOAD %s {%s}" sid
+        (String.concat "; " (List.map fact_text facts))
+  | Update (sid, op, f) ->
+      Printf.sprintf "UPDATE %s %s %s" sid
+        (match op with `Add -> "add" | `Del -> "del")
+        (fact_text f)
+  | Query (sid, q) -> Printf.sprintf "QUERY %s %s" sid q
+
+let doc_of_facts facts =
+  [ "relation T(k, v)"; "relation U(k)" ]
+  @ List.map (fun f -> "row " ^ fact_text f) facts
+  @ [ "key T(k)"; "query q(X) :- T(X, Y), U(X)"; "query r(Y) :- T(X, Y)" ]
+
+let gen_script =
+  let open QCheck.Gen in
+  let fact_over value =
+    oneof
+      [
+        map2 (fun k v -> ("T", [ k; v ])) value value;
+        map (fun k -> ("U", [ k ])) value;
+      ]
+  in
+  let to_str = function V.Int i -> V.Str (string_of_int i) | v -> v in
+  let* base = list_size (int_range 1 6) (fact_over (map V.int (int_range 1 3))) in
+  let variant =
+    let+ flips = list_repeat (List.length base) (frequencyl [ (3, false); (1, true) ]) in
+    List.map2
+      (fun flip (rel, vs) -> if flip then (rel, List.map to_str vs) else (rel, vs))
+      flips base
+  in
+  let doc = frequency [ (1, return base); (2, variant) ] in
+  let* n = int_range 2 3 in
+  let sids = List.filteri (fun i _ -> i < n) [ "a"; "b"; "c" ] in
+  let* loads = flatten_l (List.map (fun sid -> map (fun d -> Load (sid, d)) doc) sids) in
+  let value = oneofl [ V.int 1; V.int 2; V.str "1"; V.str "2"; V.Null; V.str "NULL" ] in
+  (* Base facts make duplicate adds and real deletes likely; random ones
+     make fresh adds and absent deletes likely. *)
+  let fact = oneof [ oneofl base; fact_over value ] in
+  let step =
+    frequency
+      [
+        (1, map2 (fun sid d -> Load (sid, d)) (oneofl sids) doc);
+        ( 4,
+          map3 (fun sid op f -> Update (sid, op, f)) (oneofl sids)
+            (oneofl [ `Add; `Del ]) fact );
+        (6, map2 (fun sid q -> Query (sid, q)) (oneofl sids) (oneofl [ "q"; "r" ]));
+      ]
+  in
+  let+ steps = list_size (int_range 1 25) step in
+  loads @ steps
+
+let differential_hits = ref 0
+
+let run_script script =
+  let h = Server.Handler.create ~cache_capacity:64 () in
+  let model = Hashtbl.create 4 in
+  let ok =
+    List.for_all
+      (fun step ->
+        match step with
+        | Load (sid, facts) ->
+            load_lines h sid (doc_of_facts facts);
+            Hashtbl.replace model sid (List.sort_uniq compare facts);
+            true
+        | Update (sid, op, f) ->
+            let facts = Hashtbl.find model sid in
+            Hashtbl.replace model sid
+              (match op with
+              | `Add -> List.sort_uniq compare (f :: facts)
+              | `Del -> List.filter (fun g -> g <> f) facts);
+            (dispatch_line h (step_text step)).P.status = `Ok
+        | Query (sid, q) ->
+            let got = dispatch_line h (step_text step) in
+            let fresh = Server.Handler.create () in
+            load_lines fresh "s" (doc_of_facts (Hashtbl.find model sid));
+            let want = dispatch_line fresh ("QUERY s " ^ q) in
+            got.P.status = want.P.status
+            && List.sort compare got.P.body = List.sort compare want.P.body)
+      script
+  in
+  differential_hits :=
+    !differential_hits + Server.Metrics.hits (Server.Handler.metrics h);
+  ok
+
+let test_cache_soundness_differential () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:200
+       ~name:"cached answers = fresh handler's answers"
+       (QCheck.make
+          ~print:(fun s -> String.concat "\n" (List.map step_text s))
+          gen_script)
+       run_script);
+  Alcotest.(check bool) "the scripts exercised cache hits" true
+    (!differential_hits > 0)
+
 let suite =
   [
     Alcotest.test_case "lru eviction order and capacity" `Quick
@@ -740,4 +951,10 @@ let suite =
       test_explain_always_shows_plan;
     Alcotest.test_case "EXPLAIN self-join: sat_compilation" `Quick
       test_explain_selfjoin_routes_to_sat;
+    Alcotest.test_case "Int vs Str constants digest apart" `Quick
+      test_typed_constants_do_not_collide;
+    Alcotest.test_case "no-op UPDATE keeps the cache" `Quick
+      test_noop_update_keeps_cache;
+    Alcotest.test_case "cache soundness differential" `Quick
+      test_cache_soundness_differential;
   ]
