@@ -15,6 +15,14 @@ let c_witness_clauses = Obs.Counter.make "cavsat.witness_clauses"
    span, since rollback returns the solver to the base size. *)
 type peak = { mutable vars : int; mutable clauses : int }
 
+(* The literals "some conflicting member of [w] is deleted", ascending
+   by tid; [[]] when no member is in a conflict. *)
+let witness_lits theory (w : Tid.Sorted.t) =
+  Array.fold_right
+    (fun tid lits ->
+      match Theory.var_for theory tid with Some v -> -v :: lits | None -> lits)
+    w []
+
 (* Is [row] a certain answer?  Holding the theory lock: mark the solver,
    allocate a selector s, assert per witness "s → some conflicting
    member of the witness is deleted", and solve under assumption s.  A
@@ -24,31 +32,32 @@ type peak = { mutable vars : int; mutable clauses : int }
    exception path too), so every solve sees the base theory plus
    exactly one candidate and the cached theory never grows. *)
 let candidate_certain (theory : Theory.t) peak witnesses =
-  let conflicting w = Tid.Set.inter w theory.Theory.conflicting in
-  if List.exists (fun w -> Tid.Set.is_empty (conflicting w)) witnesses then begin
-    (* A witness no constraint touches survives in every repair. *)
-    Obs.Counter.incr c_clean_witness;
-    true
-  end
-  else begin
-    let solver = theory.Theory.solver in
-    let m = Dpll.mark solver in
-    Fun.protect ~finally:(fun () -> Dpll.rollback solver m) @@ fun () ->
-    let s = Dpll.fresh_var solver in
-    List.iter
-      (fun w ->
-        Obs.Counter.incr c_witness_clauses;
-        Dpll.add_clause solver
-          (-s
-          :: List.map
-               (fun tid -> -(Option.get (Theory.var_for theory tid)))
-               (Tid.Set.elements (conflicting w))))
-      witnesses;
-    peak.vars <- max peak.vars (Dpll.nvars solver);
-    peak.clauses <- max peak.clauses (Dpll.nclauses solver);
-    Obs.Counter.incr c_sat_calls;
-    Dpll.solve ~assumptions:[ s ] solver = None
-  end
+  let rec clauses acc = function
+    | [] -> Some (List.rev acc)
+    | w :: ws -> (
+        match witness_lits theory w with
+        | [] -> None
+        | lits -> clauses (lits :: acc) ws)
+  in
+  match clauses [] witnesses with
+  | None ->
+      (* A witness no constraint touches survives in every repair. *)
+      Obs.Counter.incr c_clean_witness;
+      true
+  | Some clauses ->
+      let solver = theory.Theory.solver in
+      let m = Dpll.mark solver in
+      Fun.protect ~finally:(fun () -> Dpll.rollback solver m) @@ fun () ->
+      let s = Dpll.fresh_var solver in
+      List.iter
+        (fun lits ->
+          Obs.Counter.incr c_witness_clauses;
+          Dpll.add_clause solver (-s :: lits))
+        clauses;
+      peak.vars <- max peak.vars (Dpll.nvars solver);
+      peak.clauses <- max peak.clauses (Dpll.nclauses solver);
+      Obs.Counter.incr c_sat_calls;
+      Dpll.solve ~assumptions:[ s ] solver = None
 
 let consistent_answers inst schema ics q =
   List.iter

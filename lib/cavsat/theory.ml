@@ -1,6 +1,5 @@
 module Tid = Relational.Tid
 module Instance = Relational.Instance
-module Ic = Constraints.Ic
 module Conflict_graph = Constraints.Conflict_graph
 
 let c_builds = Obs.Counter.make "cavsat.theory_builds"
@@ -13,7 +12,6 @@ type stats = { vars : int; clauses : int; conflict_edges : int }
 type t = {
   solver : Sat.Dpll.Incremental.t;
   var_of_tid : (int, int) Hashtbl.t;
-  conflicting : Tid.Set.t;
   no_repairs : bool;
   base : stats;
   lock : Mutex.t;
@@ -124,7 +122,6 @@ let build inst schema ics =
   {
     solver;
     var_of_tid;
-    conflicting;
     no_repairs;
     base;
     lock = Mutex.create ();
@@ -132,7 +129,7 @@ let build inst schema ics =
 
 (* ------------------------------------------------------------------ *)
 (* Cached builds, mirroring Constraints.Conflict_graph.build_cached:
-   keyed by (instance digest, constraint fingerprint), verified against
+   keyed by (instance digest, {!Conflict_graph.fingerprint}), verified against
    the cached instance before reuse.  Sharing the cached theory across
    the candidates of one query — and across queries on the same
    instance — is what makes the per-candidate work incremental: the
@@ -143,12 +140,9 @@ let cache_capacity = 8
 let cache : (int * string * Instance.t * t) list ref = ref []
 let cache_lock = Mutex.create ()
 
-let ics_fingerprint ics =
-  String.concat ";" (List.map (fun ic -> Format.asprintf "%a" Ic.pp ic) ics)
-
 let cached inst schema ics =
   let key = Instance.digest inst in
-  let fp = ics_fingerprint ics in
+  let fp = Conflict_graph.fingerprint ics in
   let hit =
     Mutex.lock cache_lock;
     let found =

@@ -16,7 +16,8 @@ type stats = { vars : int; clauses : int; conflict_edges : int }
 type t = {
   solver : Sat.Dpll.Incremental.t;
   var_of_tid : (int, int) Hashtbl.t;
-  conflicting : Relational.Tid.Set.t;
+      (** Conflicting tuples (by tid integer) to their solver variables;
+          a tuple absent here is in no conflict. *)
   no_repairs : bool;
       (** Some constraint is violated by the empty binding: the instance
           has no S-repairs, so no answer is certain. *)
@@ -33,7 +34,8 @@ val build :
 val cached :
   Relational.Instance.t -> Relational.Schema.t -> Constraints.Ic.t list -> t
 (** {!build} through a small bounded memo keyed by instance digest and
-    constraint fingerprint, verified against the cached instance before
+    {!Constraints.Conflict_graph.fingerprint} (equal keys imply equal
+    constraint lists), verified against the cached instance before
     reuse.  Counters: [cavsat.theory_builds], [cavsat.theory_cache_hits]. *)
 
 val var_for : t -> Relational.Tid.t -> int option

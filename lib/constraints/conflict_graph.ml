@@ -3,8 +3,6 @@ module Instance = Relational.Instance
 
 type t = { vertices : Tid.Set.t; edges : Tid.Set.t list }
 
-module Tidset_set = Set.Make (Tid.Set)
-
 let build inst schema ics =
   List.iter
     (fun ic ->
@@ -15,21 +13,26 @@ let build inst schema ics =
              (Ic.name ic)))
     ics;
   Obs.Trace.with_span "conflict_graph.build" @@ fun () ->
-  let witnesses = Violation.all inst schema ics in
+  (* The violating tid sets of every denial, deduplicated by one sort in
+     [Set.compare] order: edge order, and so the SAT theory's variable
+     numbering, are those of a [Set.Make (Tid.Set)] of the edges. *)
   let edges =
-    List.fold_left
-      (fun acc (w : Violation.witness) -> Tidset_set.add w.tids acc)
-      Tidset_set.empty witnesses
+    List.concat_map
+      (fun ic ->
+        List.concat_map (Violation.tid_sets inst)
+          (Option.get (Ic.to_denials schema ic)))
+      ics
+    |> List.sort_uniq Tid.Sorted.compare
   in
-  Obs.Trace.attr_int "edges" (Tidset_set.cardinal edges);
-  { vertices = Instance.tids inst; edges = Tidset_set.elements edges }
+  Obs.Trace.attr_int "edges" (List.length edges);
+  { vertices = Instance.tids inst; edges = List.map Tid.Sorted.to_set edges }
 
 (* ------------------------------------------------------------------ *)
 (* Cached builds.
 
    Repair enumeration, C-repair search and repair checking all need the
    conflict graph of the *same* instance; a small bounded memo keyed by
-   (instance digest, constraint fingerprint) lets them share one build.
+   (instance digest, constraint {!fingerprint}) lets them share one build.
    The digest is a hash, so a hit is only trusted after verifying the
    cached instance: first by physical equality (the overwhelmingly common
    case — the same [Instance.t] value flowing through one pipeline), then
@@ -43,12 +46,14 @@ let cache_capacity = 8
 let cache : (int * string * Instance.t * t) list ref = ref []
 let cache_lock = Mutex.create ()
 
-let ics_fingerprint ics =
-  String.concat ";" (List.map (fun ic -> Format.asprintf "%a" Ic.pp ic) ics)
+(* Constraints are plain data whose constants are [Value.t]s, so their
+   no-sharing marshalled form is injective; [Ic.pp] is not (it prints 1
+   and "1" alike, and a CFD without its pattern). *)
+let fingerprint (ics : Ic.t list) = Marshal.to_string ics [ No_sharing ]
 
 let build_cached inst schema ics =
   let key = Instance.digest inst in
-  let fp = ics_fingerprint ics in
+  let fp = fingerprint ics in
   let hit =
     Mutex.lock cache_lock;
     let found =
@@ -85,8 +90,7 @@ let edges_as_int_lists t =
 let degree t tid =
   List.length (List.filter (fun e -> Tid.Set.mem tid e) t.edges)
 
-let conflicting_tids t =
-  List.fold_left Tid.Set.union Tid.Set.empty t.edges
+let conflicting_tids t = Tid.Set.of_list (List.concat_map Tid.Set.elements t.edges)
 
 let is_independent t set =
   not (List.exists (fun e -> Tid.Set.subset e set) t.edges)

@@ -8,7 +8,7 @@
 
 type t = {
   vertices : Relational.Tid.Set.t;
-  edges : Relational.Tid.Set.t list; (* distinct *)
+  edges : Relational.Tid.Set.t list; (* distinct, in [Set.compare] order *)
 }
 
 val build :
@@ -17,11 +17,16 @@ val build :
     dependency — INDs are not denials and their repairs are not captured by
     a conflict hypergraph. *)
 
+val fingerprint : Ic.t list -> string
+(** A cache key for a constraint list: equal fingerprints imply equal
+    constraint lists (constants compared with their types, CFD patterns
+    included).  Only meaningful within one process. *)
+
 val build_cached :
   Relational.Instance.t -> Relational.Schema.t -> Ic.t list -> t
-(** [build] through a small bounded memo keyed by the instance digest and a
-    constraint fingerprint, verified against the cached instance before
-    reuse (digests are hashes, not proofs).  Domain-safe; the
+(** [build] through a small bounded memo keyed by the instance digest and
+    the constraints' {!fingerprint}, verified against the cached instance
+    before reuse (digests are hashes, not proofs).  Domain-safe; the
     [conflict_graph.cache_hits]/[cache_misses] counters record behaviour. *)
 
 val edges_as_int_lists : t -> int list list

@@ -15,21 +15,31 @@ type witness = {
 
 module Tidset_set = Set.Make (Tid.Set)
 
-(* Violation search on the compiled denial body: {!Cq.compile_body} with
-   [~tids:true] emits one [#tid<i>] column per atom.  Matches are listed
-   in descending lexicographic order of their tid vectors, so the dedup
-   fold below keeps, per tid set, the match with the greatest tid vector
-   as its representative. *)
-let of_denial inst (d : Ic.denial) =
+(* The compiled denial body, run with one [#tid<i>] column per atom
+   ({!Cq.compile_body} [~tids:true]) followed by the representative
+   columns of [vars]: the step the bindings and the bare tid sets share. *)
+let run_body inst (d : Ic.denial) vars =
   let plan, find = Cq.compile_body ~tids:true d.atoms d.comps in
+  let tid_cols = List.init (List.length d.atoms) Cq.tid_col in
+  let table =
+    Plan.run inst (Plan.Project (tid_cols @ Cq.rep_cols find vars, plan))
+  in
+  (table, find)
+
+let tid_sets inst (d : Ic.denial) =
+  let table, _ = run_body inst d [] in
+  let cols = Cq.tid_columns table (List.length d.atoms) in
+  List.init (Columnar.length table) (Tid.Sorted.of_columns cols)
+
+(* Matches are listed in descending lexicographic order of their tid
+   vectors, so the dedup fold below keeps, per tid set, the match with
+   the greatest tid vector as its representative. *)
+let of_denial inst (d : Ic.denial) =
   let n_atoms = List.length d.atoms in
-  let tid_cols = List.init n_atoms (Printf.sprintf "#tid%d") in
   let body_vars =
     Logic.Term.vars (List.concat_map (fun (a : Logic.Atom.t) -> a.args) d.atoms)
   in
-  let table =
-    Plan.run inst (Plan.Project (tid_cols @ Cq.rep_cols find body_vars, plan))
-  in
+  let table, find = run_body inst d body_vars in
   let col v = Columnar.col_index table (find v) in
   let tid_at (row : Value.t array) i =
     match row.(i) with Value.Int t -> Tid.of_int t | _ -> assert false

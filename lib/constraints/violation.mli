@@ -14,7 +14,15 @@ type witness = {
 }
 
 val of_denial : Relational.Instance.t -> Ic.denial -> witness list
-(** All distinct violating tuple sets of one denial constraint. *)
+(** All distinct violating tuple sets of one denial constraint, each with
+    a representative match's binding. *)
+
+val tid_sets : Relational.Instance.t -> Ic.denial -> Relational.Tid.Sorted.t list
+(** The tid set of every match of one denial's body, read straight off
+    the compiled body's tid columns with no binding built.  Repeats
+    included (a symmetric body matches each conflict once per
+    automorphism), in no particular order; an atomless body violated by
+    its ground comparisons yields one empty set. *)
 
 val of_ind : Relational.Instance.t -> Ic.ind -> Relational.Tid.t list
 (** Tids of sub-relation tuples with no matching sup-relation tuple. *)

@@ -86,6 +86,14 @@ let order_scans = function
    before its (ground) comparisons filter it. *)
 let unit_table = Columnar.make [||] [||] 1
 
+let tid_col i = Printf.sprintf "#tid%d" i
+
+let tid_columns table n =
+  Array.init n (fun i ->
+      match (Columnar.column table (tid_col i)).Relational.Column.data with
+      | Relational.Column.Ints a -> a
+      | _ -> assert false)
+
 let compile_body ~tids atoms comps =
   let body_vars =
     Term.vars (List.concat_map (fun (a : Atom.t) -> a.args) atoms)
@@ -118,7 +126,7 @@ let compile_body ~tids atoms comps =
               | Term.Var x -> Plan.Avar (find x))
             a.args
         in
-        let tid = if tids then Some (Printf.sprintf "#tid%d" i) else None in
+        let tid = if tids then Some (tid_col i) else None in
         let scan = Plan.Scan { rel = a.rel; args; tid } in
         (scan, Plan.cols scan))
       atoms

@@ -54,6 +54,13 @@ val compile_body :
     binds; running the plan raises [Invalid_argument] on an undeclared
     relation. *)
 
+val tid_col : int -> string
+(** [#tid<i>], the tuple-identifier column of body atom [i]. *)
+
+val tid_columns : Relational.Columnar.t -> int -> int array array
+(** The columns [#tid0 .. #tid<n-1>] of a table run from a body compiled
+    with [~tids:true], as the tid integers themselves. *)
+
 val rep_cols : (string -> string) -> string list -> string list
 (** The distinct representative columns of the given variables under
     {!compile_body}'s variable mapping, in first-occurrence order. *)

@@ -17,6 +17,25 @@ val pp : Format.formatter -> t -> unit
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 
+(** Small tid sets as sorted, duplicate-free arrays: the form in which
+    body matches (query witnesses, conflict edges) are read off the
+    [#tid<i>] columns of a compiled body, without building a {!Set} per
+    match. *)
+module Sorted : sig
+  type tid := t
+  type t = tid array
+
+  val of_columns : int array array -> int -> t
+  (** [of_columns cols r]: the distinct tids in row [r] of the tid
+      columns [cols], ascending. *)
+
+  val compare : t -> t -> int
+  (** Lexicographic, a proper prefix first: the order {!Set.compare}
+      gives the same sets. *)
+
+  val to_set : t -> Set.t
+end
+
 (** A cell position [tid[pos]], 1-based as in the paper (Example 4.4). *)
 module Cell : sig
   type tid := t

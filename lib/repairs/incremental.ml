@@ -51,7 +51,7 @@ let create inst schema ics =
    matched exactly that tuple. *)
 let witnesses_pinned inst (d : Ic.denial) ~tid ~rel =
   let plan, _ = Cq.compile_body ~tids:true d.atoms d.comps in
-  let tid_cols = List.mapi (fun i _ -> Printf.sprintf "#tid%d" i) d.atoms in
+  let tid_cols = List.init (List.length d.atoms) Cq.tid_col in
   let pinned = Plan.Const (Value.int (Tid.to_int tid)) in
   let pins =
     List.filter_map

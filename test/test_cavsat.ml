@@ -267,6 +267,88 @@ let test_certain_rejects_inds () =
         (String.length msg > 0
         && Str.string_match (Str.regexp ".*denial-class.*") msg 0)
 
+(* A self-join matching one tuple twice: [T(a,a)] alone satisfies
+   [T(X,Y), T(Y,X)], so its witness is the single tid of [T(a,a)], not
+   a pair.  [T(a,a)] is contested by [T(a,b)] under the key; with
+   [T(b,a)] present the repair keeping [T(a,b)] has the witness
+   [{T(a,b), T(b,a)}] instead, and the Boolean query turns certain. *)
+let test_selfjoin_single_tid_witness () =
+  let schema = Schema.of_list [ ("T", [ "k"; "v" ]) ] in
+  let keys = [ Ic.key ~rel:"T" [ 0 ] ] in
+  let a = Value.str "a" and b = Value.str "b" in
+  let q = Cq.make ~name:"loop" [] [ Atom.make "T" [ x; y ]; Atom.make "T" [ y; x ] ] in
+  let tid_of db row =
+    fst
+      (List.find
+         (fun (_, r) -> Array.to_list r = row)
+         (Instance.tuples db ~rel:"T"))
+  in
+  let case facts expected =
+    let db = Instance.of_rows schema [ ("T", facts) ] in
+    let witnesses = Cavsat.Witness.answers_with_witnesses q db in
+    let sat = Cavsat.Certain.consistent_answers db schema keys q in
+    let eng = Cqa.Engine.create ~schema ~ics:keys db in
+    check rows "agrees with enumeration"
+      (strings_of
+         (Cqa.Engine.consistent_answers ~method_:`Repair_enumeration eng q))
+      (strings_of sat);
+    check rows "certain answers" expected (strings_of sat);
+    (db, witnesses)
+  in
+  let db, ws = case [ [ a; a ]; [ a; b ] ] [] in
+  check
+    Alcotest.(list (pair (list string) (list (list int))))
+    "one candidate, one single-tid witness"
+    [ ([], [ [ Relational.Tid.to_int (tid_of db [ a; a ]) ] ]) ]
+    (List.map
+       (fun (row, ws) ->
+         ( List.map Value.to_string row,
+           List.map (fun w -> List.map Relational.Tid.to_int (Array.to_list w)) ws ))
+       ws);
+  let db, ws = case [ [ a; a ]; [ a; b ]; [ b; a ] ] [ [] ] in
+  let t = Relational.Tid.to_int (tid_of db [ a; a ]) in
+  let pair =
+    List.sort Int.compare
+      (List.map (fun r -> Relational.Tid.to_int (tid_of db r)) [ [ a; b ]; [ b; a ] ])
+  in
+  check
+    Alcotest.(list (list int))
+    "the loop and the pair, in set order" [ [ t ]; pair ]
+    (List.map
+       (fun w -> List.map Relational.Tid.to_int (Array.to_list w))
+       (snd (List.hd ws)))
+
+(* A candidate with a witness in no conflict is certain without a SAT
+   call: [R(2,20)] is outside the theory's only conflict (key 1). *)
+let test_clean_witness_skips_sat () =
+  let db =
+    Instance.of_rows rs_schema
+      [
+        ( "R",
+          [
+            [ Value.int 1; Value.int 10 ];
+            [ Value.int 1; Value.int 11 ];
+            [ Value.int 2; Value.int 20 ];
+          ] );
+      ]
+  in
+  let q =
+    Cq.make ~name:"two" ~comps:[ Cmp.eq x (Term.const (Value.int 2)) ] [ x ]
+      [ Atom.make "R" [ x; y ] ]
+  in
+  let reg = Obs.Registry.current () in
+  let before = Obs.Registry.counter_snapshot reg in
+  let sat = certain_sat db q in
+  let delta = Obs.Registry.counter_delta ~since:before reg in
+  let d name = Option.value ~default:0 (List.assoc_opt name delta) in
+  check rows "certain" [ [ "2" ] ] (strings_of sat);
+  check rows "agrees with enumeration" (strings_of (certain_enum db q))
+    (strings_of sat);
+  check Alcotest.int "one candidate" 1 (d "cavsat.candidates");
+  check Alcotest.int "clean witness counted" 1 (d "cavsat.clean_witness");
+  check Alcotest.int "no SAT call" 0 (d "cavsat.sat_calls");
+  check Alcotest.int "no witness clause" 0 (d "cavsat.witness_clauses")
+
 (* ---- Engine dispatch ------------------------------------------------- *)
 
 let test_engine_auto_routes_to_sat () =
@@ -555,6 +637,10 @@ let suite =
       test_certain_needs_maximality;
     Alcotest.test_case "certain: boolean query" `Quick test_certain_boolean;
     Alcotest.test_case "certain: INDs refused" `Quick test_certain_rejects_inds;
+    Alcotest.test_case "witness: self-join tuple used twice" `Quick
+      test_selfjoin_single_tid_witness;
+    Alcotest.test_case "certain: clean witness skips SAT" `Quick
+      test_clean_witness_skips_sat;
     Alcotest.test_case "engine: auto routes coNP tier to SAT" `Quick
       test_engine_auto_routes_to_sat;
     Alcotest.test_case "engine: method=sat on rewritable query" `Quick

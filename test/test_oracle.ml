@@ -1,7 +1,7 @@
 (* One oracle differential for every conjunctive-body consumer: the
    compiled columnar body behind [Cq.answers]/[holds]/[bindings],
-   violation search, CAvSAT's witness sets and incremental conflict
-   maintenance are each checked against a naive nested-loop evaluator
+   violation search, conflict-graph edges, CAvSAT's witness sets and
+   incremental conflict maintenance are each checked against a naive nested-loop evaluator
    built on [Ra] (product of the atoms' relations, then selection).
    Random bodies mix NULLs, constants (NULL included), repeated
    variables, comparisons and self-joins. *)
@@ -284,29 +284,69 @@ let prop_violation =
           = expected_witnesses db d)
         ({ Ic.name = "d"; atoms; comps } :: key_r @ fd_s))
 
+(* CAvSAT's witnesses: per oracle answer row, the distinct tid sets of
+   the matches producing it, each an ascending duplicate-free array, in
+   [Set.compare] order — compared element by element, so the array
+   form's sortedness and order are checked along with its content. *)
 let prop_witness =
   QCheck.Test.make ~count:500 ~name:"Cavsat witness sets = naive oracle" arb_query_db
     (fun (q, db_spec) ->
       let db = instance_of db_spec in
-      (* Tid sets compare by their elements: equal [Set]s may differ in
-         tree shape. *)
-      let repr = List.map (fun (row, sets) -> (row, List.map Tid.Set.elements sets)) in
       List.for_all
         (fun (q : Cq.t) ->
           let expected =
             List.map
               (fun row ->
                 ( row,
-                  Tidsets.elements
-                    (Tidsets.of_list
-                       (List.filter_map
-                          (fun (tids, env) ->
-                            if head_row env q = row then Some (tid_set tids) else None)
-                          (matches db q.body q.comps))) ))
+                  List.map Tid.Set.elements
+                    (Tidsets.elements
+                       (Tidsets.of_list
+                          (List.filter_map
+                             (fun (tids, env) ->
+                               if head_row env q = row then Some (tid_set tids)
+                               else None)
+                             (matches db q.body q.comps)))) ))
               (oracle_answers q db)
           in
-          repr (Cavsat.Witness.answers_with_witnesses q db) = repr expected)
+          List.map
+            (fun (row, ws) -> (row, List.map Array.to_list ws))
+            (Cavsat.Witness.answers_with_witnesses q db)
+          = expected)
         (q :: fixed_queries))
+
+(* The conflict hypergraph's edges are the distinct tid sets of every
+   denial's oracle matches, in [Set.compare] order (the order the SAT
+   theory numbers its variables by), and its conflicting tuples their
+   union.  Atomless denials are included: one violated by its ground
+   comparisons is the empty edge. *)
+let prop_conflict_graph =
+  QCheck.Test.make ~count:500 ~name:"Conflict_graph.build edges = naive oracle"
+    (QCheck.make
+       QCheck.Gen.(pair (gen_body ~min_atoms:0) gen_db)
+       ~print:(fun ((atoms, comps), db) ->
+         print_query (Cq.make ~name:"d" ~comps [] atoms) ^ " on " ^ print_db db))
+    (fun ((atoms, comps), db_spec) ->
+      let db = instance_of db_spec in
+      let ics =
+        [
+          Ic.denial ~name:"d" ~comps atoms;
+          Ic.key ~rel:"R" [ 0 ];
+          Ic.fd ~rel:"S" ~lhs:[ 1 ] ~rhs:[ 0 ];
+        ]
+      in
+      let expected =
+        Tidsets.elements
+          (Tidsets.of_list
+             (List.concat_map
+                (fun ic ->
+                  List.concat_map (oracle_violation_sets db)
+                    (Option.get (Ic.to_denials schema ic)))
+                ics))
+      in
+      let g = Constraints.Conflict_graph.build db schema ics in
+      List.map Tid.Set.elements g.edges = List.map Tid.Set.elements expected
+      && Tid.Set.elements (Constraints.Conflict_graph.conflicting_tids g)
+         = Tid.Set.elements (List.fold_left Tid.Set.union Tid.Set.empty expected))
 
 (* Incremental maintenance: after a run of inserts and deletes the
    maintained hyperedges are exactly the violation tid sets of the
@@ -372,4 +412,4 @@ let prop_incremental =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_cq; prop_violation; prop_witness; prop_incremental ]
+    [ prop_cq; prop_violation; prop_witness; prop_conflict_graph; prop_incremental ]

@@ -785,6 +785,54 @@ let test_noop_update_keeps_cache () =
     (String.equal d0 (digest ()));
   Alcotest.(check int) "and drops the entry" 0 (Server.Handler.cache_length h)
 
+(* ---- Constraint fingerprints: the process-wide graph/theory caches -- *)
+
+(* The conflict-graph and SAT-theory caches outlive sessions and are
+   keyed by instance digest and constraint fingerprint.  Two sessions
+   over equal instances whose constraints differ only where [Ic.pp] is
+   blind — a constant's type, a CFD's pattern — must not share a
+   theory.  Sessions [a] and [b] are queried in that order, each answer
+   checked against its value by construction. *)
+let check_fingerprint_split ~facts ~query ~ic_a ~ic_b ~expect_a ~expect_b =
+  let h = Server.Handler.create () in
+  load_lines h "a" (facts @ [ ic_a; query ]);
+  load_lines h "b" (facts @ [ ic_b; query ]);
+  let answer sid =
+    let r = dispatch_line h ("QUERY " ^ sid ^ " q") in
+    r.P.head :: r.P.body
+  in
+  Alcotest.(check (list string)) "session a" expect_a (answer "a");
+  Alcotest.(check (list string)) "session b, after a" expect_b (answer "b");
+  let ics sid =
+    (Option.get (Server.Session.find (Server.Handler.sessions h) sid)).doc.ics
+  in
+  Alcotest.(check bool) "fingerprints differ" false
+    (String.equal
+       (Constraints.Conflict_graph.fingerprint (ics "a"))
+       (Constraints.Conflict_graph.fingerprint (ics "b")))
+
+let test_fingerprint_typed_denial () =
+  (* [Z = 1] and [Z = "1"] print alike; only the first matches S(x, 1). *)
+  check_fingerprint_split
+    ~facts:[ "relation R(a, b)"; "relation S(a, c)"; "row R(x, y)"; "row S(x, 1)" ]
+    ~query:"query q(X) :- R(X, Y)"
+    ~ic_a:"dc d: R(X, Y), S(X, Z), Z = 1"
+    ~ic_b:"dc d: R(X, Y), S(X, Z), Z = \"1\""
+    ~expect_a:[ "answers=0" ] ~expect_b:[ "answers=1"; "x" ]
+
+let test_fingerprint_cfd_pattern () =
+  (* A CFD prints by name only, without its pattern. *)
+  check_fingerprint_split
+    ~facts:
+      [
+        "relation C(cc, zip, street)"; "row C(44, z1, s1)"; "row C(44, z1, s2)";
+        "row C(1, z2, s3)"; "row C(1, z2, s4)";
+      ]
+    ~query:"query q(S) :- C(X, Z, S)"
+    ~ic_a:"cfd C: cc = 44, zip -> street"
+    ~ic_b:"cfd C: cc = 1, zip -> street"
+    ~expect_a:[ "answers=2"; "s3"; "s4" ] ~expect_b:[ "answers=2"; "s1"; "s2" ]
+
 (* ---- Cache soundness differential ----------------------------------- *)
 
 (* Random LOAD/UPDATE/QUERY scripts over a few sessions through one
@@ -955,6 +1003,10 @@ let suite =
       test_typed_constants_do_not_collide;
     Alcotest.test_case "no-op UPDATE keeps the cache" `Quick
       test_noop_update_keeps_cache;
+    Alcotest.test_case "typed denial constants fingerprint apart" `Quick
+      test_fingerprint_typed_denial;
+    Alcotest.test_case "CFD patterns fingerprint apart" `Quick
+      test_fingerprint_cfd_pattern;
     Alcotest.test_case "cache soundness differential" `Quick
       test_cache_soundness_differential;
   ]
