@@ -794,7 +794,9 @@ let b16 ~quick () =
    Counter deltas prove the SAT phase never touches the enumeration
    machinery: repairs.enumerations, repairs.candidates and
    sat.hitting_set.nodes stay at zero while cavsat.sat_calls counts the
-   incremental refutations. *)
+   incremental refutations; conflict_graph.cache_misses stays at zero
+   too, since the theory is built from the conflict edges without a
+   conflict graph. *)
 let b17 ~quick () =
   header "B17" "SAT compilation vs enumeration vs ASP (cqa-sat)"
     "the CAvSAT encoding answers the coNP-hard join at sizes where \
@@ -830,6 +832,7 @@ let b17 ~quick () =
       assert (d "repairs.candidates" = 0);
       assert (d "sat.hitting_set.nodes" = 0);
       assert (d "cavsat.sat_calls" > 0);
+      assert (d "conflict_graph.cache_misses" = 0);
       let enum_ns =
         if n > enum_cutoff then None
         else begin
@@ -868,6 +871,8 @@ let b17 ~quick () =
            ("sat_calls", Bench_json.int (d "cavsat.sat_calls"));
            ("repairs_enumerated_during_sat",
             Bench_json.int (d "repairs.enumerations"));
+           ("conflict_graph_misses_during_sat",
+            Bench_json.int (d "conflict_graph.cache_misses"));
            ("sat_ns", Bench_json.num sat_ns);
          ]
         @ (match enum_ns with

@@ -3,7 +3,7 @@ module Instance = Relational.Instance
 
 type t = { vertices : Tid.Set.t; edges : Tid.Set.t list }
 
-let build inst schema ics =
+let sorted_edges inst schema ics =
   List.iter
     (fun ic ->
       if not (Ic.is_denial_class ic) then
@@ -12,75 +12,35 @@ let build inst schema ics =
              "Conflict_graph.build: %s is not a denial-class constraint"
              (Ic.name ic)))
     ics;
-  Obs.Trace.with_span "conflict_graph.build" @@ fun () ->
   (* The violating tid sets of every denial, deduplicated by one sort in
      [Set.compare] order: edge order, and so the SAT theory's variable
      numbering, are those of a [Set.Make (Tid.Set)] of the edges. *)
-  let edges =
-    List.concat_map
-      (fun ic ->
-        List.concat_map (Violation.tid_sets inst)
-          (Option.get (Ic.to_denials schema ic)))
-      ics
-    |> List.sort_uniq Tid.Sorted.compare
-  in
+  List.concat_map
+    (fun ic ->
+      List.concat_map (Violation.tid_sets inst)
+        (Option.get (Ic.to_denials schema ic)))
+    ics
+  |> List.sort_uniq Tid.Sorted.compare
+
+let build inst schema ics =
+  Obs.Trace.with_span "conflict_graph.build" @@ fun () ->
+  let edges = sorted_edges inst schema ics in
   Obs.Trace.attr_int "edges" (List.length edges);
   { vertices = Instance.tids inst; edges = List.map Tid.Sorted.to_set edges }
 
-(* ------------------------------------------------------------------ *)
-(* Cached builds.
+(* Cached builds: repair enumeration, C-repair search and repair
+   checking all need the conflict graph of the *same* instance, so they
+   share one build through a {!Memo}.  Par workers may check repairs
+   concurrently; the memo is domain-safe. *)
 
-   Repair enumeration, C-repair search and repair checking all need the
-   conflict graph of the *same* instance; a small bounded memo keyed by
-   (instance digest, constraint {!fingerprint}) lets them share one build.
-   The digest is a hash, so a hit is only trusted after verifying the
-   cached instance: first by physical equality (the overwhelmingly common
-   case — the same [Instance.t] value flowing through one pipeline), then
-   by [Instance.equal].  Protected by a mutex: Par workers may check
-   repairs concurrently. *)
-
-let c_cache_hits = Obs.Counter.make "conflict_graph.cache_hits"
-let c_cache_misses = Obs.Counter.make "conflict_graph.cache_misses"
-
-let cache_capacity = 8
-let cache : (int * string * Instance.t * t) list ref = ref []
-let cache_lock = Mutex.create ()
-
-(* Constraints are plain data whose constants are [Value.t]s, so their
-   no-sharing marshalled form is injective; [Ic.pp] is not (it prints 1
-   and "1" alike, and a CFD without its pattern). *)
-let fingerprint (ics : Ic.t list) = Marshal.to_string ics [ No_sharing ]
+let cache =
+  Memo.create
+    ~hits:(Obs.Counter.make "conflict_graph.cache_hits")
+    ~misses:(Obs.Counter.make "conflict_graph.cache_misses")
+    ()
 
 let build_cached inst schema ics =
-  let key = Instance.digest inst in
-  let fp = fingerprint ics in
-  let hit =
-    Mutex.lock cache_lock;
-    let found =
-      List.find_opt
-        (fun (k, f, cached_inst, _) ->
-          k = key && String.equal f fp
-          && (cached_inst == inst || Instance.equal_with_tids cached_inst inst))
-        !cache
-    in
-    Mutex.unlock cache_lock;
-    found
-  in
-  match hit with
-  | Some (_, _, _, g) ->
-      Obs.Counter.incr c_cache_hits;
-      g
-  | None ->
-      Obs.Counter.incr c_cache_misses;
-      let g = build inst schema ics in
-      Mutex.lock cache_lock;
-      cache :=
-        (key, fp, inst, g)
-        :: (if List.length !cache >= cache_capacity then
-              List.filteri (fun i _ -> i < cache_capacity - 1) !cache
-            else !cache);
-      Mutex.unlock cache_lock;
-      g
+  Memo.find_or_build cache inst ics (fun () -> build inst schema ics)
 
 let edges_as_int_lists t =
   List.map

@@ -11,23 +11,36 @@ type t = {
   edges : Relational.Tid.Set.t list; (* distinct, in [Set.compare] order *)
 }
 
+val sorted_edges :
+  Relational.Instance.t -> Relational.Schema.t -> Ic.t list ->
+  Relational.Tid.Sorted.t list
+(** The hyperedges alone: the violating tid set of every match of every
+    constraint's denials, each an ascending duplicate-free array, the
+    list distinct and in {!Relational.Tid.Sorted.compare} order (the
+    order [Set.compare] gives the same sets).  An atomless denial
+    violated by its ground comparisons contributes the empty edge.  The
+    one place edges are computed: {!build} converts these, and the SAT
+    route ([Cavsat.Theory]) consumes them directly, so it neither builds
+    a graph nor fills the {!build_cached} memo.  Raises
+    [Invalid_argument] when the constraint set contains an inclusion
+    dependency — INDs are not denials and their repairs are not captured
+    by a conflict hypergraph. *)
+
 val build :
   Relational.Instance.t -> Relational.Schema.t -> Ic.t list -> t
-(** Raises [Invalid_argument] when the constraint set contains an inclusion
-    dependency — INDs are not denials and their repairs are not captured by
-    a conflict hypergraph. *)
-
-val fingerprint : Ic.t list -> string
-(** A cache key for a constraint list: equal fingerprints imply equal
-    constraint lists (constants compared with their types, CFD patterns
-    included).  Only meaningful within one process. *)
+(** {!sorted_edges} as tid sets, with every tuple of the instance as a
+    vertex.  Raises [Invalid_argument] as {!sorted_edges} does. *)
 
 val build_cached :
   Relational.Instance.t -> Relational.Schema.t -> Ic.t list -> t
-(** [build] through a small bounded memo keyed by the instance digest and
-    the constraints' {!fingerprint}, verified against the cached instance
-    before reuse (digests are hashes, not proofs).  Domain-safe; the
-    [conflict_graph.cache_hits]/[cache_misses] counters record behaviour. *)
+(** [build] through a {!Memo} (8 entries, most recently used first),
+    keyed by the instance digest and the constraints'
+    {!Memo.fingerprint} and
+    verified against the cached instance before reuse (digests are
+    hashes, not proofs).  Used by enumeration, C-repairs, counting and
+    repair checking; the SAT route does not go through it.  Domain-safe;
+    the [conflict_graph.cache_hits]/[cache_misses] counters record
+    behaviour. *)
 
 val edges_as_int_lists : t -> int list list
 (** For the hitting-set solvers: each edge as a list of tid integers. *)

@@ -1,0 +1,47 @@
+module Instance = Relational.Instance
+
+let capacity = 8
+
+type 'a t = {
+  hits : Obs.Counter.t;
+  misses : Obs.Counter.t option;
+  lock : Mutex.t;
+  mutable entries : (int * string * Instance.t * 'a) list;
+      (* most recently used first *)
+}
+
+let create ~hits ?misses () =
+  { hits; misses; lock = Mutex.create (); entries = [] }
+
+(* Constraints are plain data whose constants are [Value.t]s, so their
+   no-sharing marshalled form is injective; [Ic.pp] is not (it prints 1
+   and "1" alike, and a CFD without its pattern). *)
+let fingerprint (ics : Ic.t list) = Marshal.to_string ics [ No_sharing ]
+
+let find_or_build t inst ics build =
+  let key = Instance.digest inst in
+  let fp = fingerprint ics in
+  let matches (k, f, cached, _) =
+    k = key && String.equal f fp
+    && (cached == inst || Instance.equal_with_tids cached inst)
+  in
+  let hit =
+    Mutex.protect t.lock (fun () ->
+        match List.find_opt matches t.entries with
+        | Some ((_, _, _, v) as e) ->
+            t.entries <- e :: List.filter (fun e' -> e' != e) t.entries;
+            Some v
+        | None -> None)
+  in
+  match hit with
+  | Some v ->
+      Obs.Counter.incr t.hits;
+      v
+  | None ->
+      Option.iter Obs.Counter.incr t.misses;
+      let v = build () in
+      Mutex.protect t.lock (fun () ->
+          t.entries <-
+            (key, fp, inst, v)
+            :: List.filteri (fun i _ -> i < capacity - 1) t.entries);
+      v

@@ -1,0 +1,28 @@
+(** A small bounded memo of per-(instance, constraints) builds, shared by
+    the conflict-graph and SAT-theory caches.
+
+    Entries are keyed by the instance digest and the constraints'
+    {!fingerprint}.  The digest is a hash, so a hit is only trusted after
+    verifying the cached instance: by physical equality first (the same
+    [Instance.t] flowing through one pipeline), then by
+    [Instance.equal_with_tids].  The most recently used entry comes first
+    and a hit moves its entry to the front, so an instance a session
+    keeps returning to is not evicted by unrelated builds.  Domain-safe:
+    a mutex guards the entry list; builds run outside it. *)
+
+type 'a t
+
+val create : hits:Obs.Counter.t -> ?misses:Obs.Counter.t -> unit -> 'a t
+(** An empty memo holding at most 8 entries; every hit bumps [hits],
+    every miss [misses] (when given). *)
+
+val fingerprint : Ic.t list -> string
+(** A cache key for a constraint list: equal fingerprints imply equal
+    constraint lists (constants compared with their types, CFD patterns
+    included).  Only meaningful within one process. *)
+
+val find_or_build :
+  'a t -> Relational.Instance.t -> Ic.t list -> (unit -> 'a) -> 'a
+(** The cached value for this instance and constraint list, or the
+    result of the thunk, which is then cached in front, evicting the
+    least recently used entry when the memo is full. *)

@@ -114,12 +114,6 @@ let plan t q =
   in
   { route; classification; rewriting }
 
-(* A rewriting that declines at runtime (NULLs in the relations the
-   query reads) hands over to the exact route for the constraint class:
-   SAT under denial-class constraints, enumeration otherwise. *)
-let exact_fallback t q =
-  if denial_class t then by_sat t q else by_repair_enumeration t q
-
 (* The rewriting reads key equality as SQL equality, under which a NULL
    key matches nothing, while repairs compare tuples structurally: on a
    NULL-keyed tuple the two disagree.  The route declines when a
@@ -131,16 +125,23 @@ let reads_null t (q : Logic.Cq.t) =
         (Instance.columnar t.instance ~rel:a.rel).Relational.Columnar.columns)
     q.body
 
-let run_plan t q p =
-  match p.route with
+(* The route that actually runs: the planned one, except that a
+   rewriting declining at run time (NULLs in the relations the query
+   reads) hands over to the exact route for the constraint class — SAT
+   under denial-class constraints, enumeration otherwise. *)
+let executed_route t q p : route =
+  match (p.route, p.rewriting) with
+  | `Key_rewriting, Some _ when not (reads_null t q) -> `Key_rewriting
+  | `Key_rewriting, _ ->
+      if denial_class t then `Sat_compilation else `Repair_enumeration
+  | r, _ -> r
+
+let run_route t q p = function
   | `Direct -> Logic.Cq.answers q t.instance
   | `Repair_enumeration -> by_repair_enumeration t q
   | `Sat_compilation -> by_sat t q
-  | `Key_rewriting -> (
-      match p.rewriting with
-      | Some ri when not (reads_null t q) ->
-          Rewriting.Key_rewrite.answers ri t.instance
-      | _ -> exact_fallback t q)
+  | `Key_rewriting ->
+      Rewriting.Key_rewrite.answers (Option.get p.rewriting) t.instance
 
 (* The branch a non-auto method executes — EXPLAIN and the trace
    attrs report it uniformly whether or not planning was involved. *)
@@ -181,16 +182,18 @@ let consistent_answers ?(method_ = `Auto) t q =
                  (Analysis.Classify.describe c)))
     | `Auto ->
         let p = plan t q in
-        Obs.Progress.set_branch (route_label p.route);
+        let executed = executed_route t q p in
+        Obs.Progress.set_branch (route_label executed);
         if Obs.Trace.is_enabled () then begin
           Obs.Trace.attr "route" (route_label p.route);
+          Obs.Trace.attr "executed_route" (route_label executed);
           Obs.Trace.attr "verdict"
             (Analysis.Classify.verdict_label
                p.classification.Analysis.Classify.verdict);
           Obs.Trace.attr "witness"
             (Analysis.Classify.witness_code p.classification.witness)
         end;
-        run_plan t q p
+        run_route t q p executed
   with
   | rows ->
       if Obs.Trace.is_enabled () then

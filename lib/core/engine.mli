@@ -54,7 +54,10 @@ type route = [ `Direct | `Key_rewriting | `Sat_compilation | `Repair_enumeration
 
     The rewriting declines at run time when a relation the query reads
     holds a NULL; the query then falls back to SAT under denial-class
-    constraints and to enumeration otherwise. *)
+    constraints and to enumeration otherwise.  [`Auto] reports the
+    route that ran, not the planned one, as the [Obs.Progress] branch
+    and as the [executed_route] attribute of its
+    [engine.certain_answers] span (next to the planned [route]). *)
 
 type plan = {
   route : route;

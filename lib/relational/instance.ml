@@ -350,7 +350,10 @@ let facts t =
   Tid.Map.fold (fun _ f acc -> Fact.Set.add f acc) t.by_tid Fact.Set.empty
 
 let fact_list t = Tid.Map.fold (fun _ f acc -> f :: acc) t.by_tid [] |> List.rev
-let tids t = Tid.Map.fold (fun tid _ acc -> Tid.Set.add tid acc) t.by_tid Tid.Set.empty
+(* [of_list] sorts the keys and builds the balanced tree in one pass,
+   instead of rebalancing through n [add]s. *)
+let tids t =
+  Tid.Set.of_list (Tid.Map.fold (fun tid _ acc -> tid :: acc) t.by_tid [])
 let size t = Tid.Map.cardinal t.by_tid
 
 let cardinality t ~rel =

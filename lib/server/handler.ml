@@ -1,9 +1,18 @@
 module P = Protocol
 module Value = Relational.Value
 
+(* A memoized response.  [route] is the route the engine reported
+   running when the entry was computed (see [executed_route]), filled in
+   once the request's spans are in, so hits are attributed to it too. *)
+type entry = {
+  head : string;
+  body : string list;
+  mutable route : string option;
+}
+
 type t = {
   sessions : Session.store;
-  cache : (string, string * string list) Lru.t; (* key -> head, body *)
+  cache : (string, entry) Lru.t;
   metrics : Metrics.t;
   max_body_lines : int;
   on_trace : (Obs.Trace.span list -> unit) option;
@@ -24,6 +33,8 @@ type t = {
          bounded by periodic reset *)
   mutable last_cache : Obs.Stats.cache_outcome;
       (* what the memo cache did for the request being dispatched *)
+  mutable last_entry : entry option;
+      (* the memo entry the request being dispatched hit or stored *)
   mutable baseline_scratch : Obs.Registry.counter_baseline option;
       (* previous request's counter capture, recycled in place *)
   default_timeout_s : float option;
@@ -68,6 +79,7 @@ let create ?(cache_capacity = 512) ?(max_body_lines = 10_000) ?on_trace ?events
     sampler;
     fp_memo = Hashtbl.create 64;
     last_cache = Obs.Stats.Uncached;
+    last_entry = None;
     baseline_scratch = None;
     default_timeout_s = Option.map (fun ms -> ms /. 1e3) default_timeout_ms;
     progress;
@@ -159,17 +171,20 @@ let with_session t sid f =
    can drop it eagerly. *)
 let cached t session key compute =
   match Lru.find t.cache key with
-  | Some (head, body) ->
+  | Some e ->
       Metrics.cache_hit t.metrics;
       t.last_cache <- Obs.Stats.Hit;
-      P.ok ~body head
+      t.last_entry <- Some e;
+      P.ok ~body:e.body e.head
   | None -> (
       Metrics.cache_miss t.metrics;
       t.last_cache <- Obs.Stats.Miss;
       match compute () with
       | { P.status = `Ok; head; body } ->
-          Lru.add t.cache key (head, body);
+          let e = { head; body; route = None } in
+          Lru.add t.cache key e;
           Session.remember_key session key;
+          t.last_entry <- Some e;
           P.ok ~body head
       | r -> r)
 
@@ -304,6 +319,18 @@ let workload_identity t command =
       ("repairs:" ^ semantics_label semantics, "service")
   | c -> (String.lowercase_ascii (P.command_label c), "service")
 
+(* The route the engine reports having run ([executed_route] on its
+   [engine.certain_answers] span), if any: it differs from the planned
+   branch when the key rewriting declines on NULLs and SAT or
+   enumeration answers instead. *)
+let executed_route spans =
+  List.find_map
+    (fun (s : Obs.Trace.span) ->
+      if String.equal s.name "engine.certain_answers" then
+        List.assoc_opt "executed_route" s.attrs
+      else None)
+    spans
+
 (* The plan section of EXPLAIN: the Engine.plan branch the request
    executes (direct / key_rewriting / sat_compilation /
    repair_enumeration, or the forced method's branch) and the
@@ -390,7 +417,11 @@ let exec_explain t (session : Session.t) name method_ semantics =
       in
       let body =
         Printf.sprintf "cache %s key=%s" cache_state key
-        :: (plan_lines session name method_ semantics @ analysis)
+        :: plan_lines session name method_ semantics
+        @ (match executed_route spans with
+          | Some r -> [ Printf.sprintf "executed_route %s" r ]
+          | None -> [])
+        @ analysis
         @ ("-- spans" :: Obs.Export.tree spans)
         @ ("-- counters"
           :: List.map (fun (n, v) -> Printf.sprintf "%s %d" n v) deltas)
@@ -698,6 +729,7 @@ let dispatch t ?payload command =
     else None
   in
   t.last_cache <- Obs.Stats.Uncached;
+  t.last_entry <- None;
   let t0 = t.clock () in
   (* Per-request deadline: an explicit timeout= wins; the server default
      covers every other session-touching command (REPAIRS and MEASURE
@@ -784,6 +816,16 @@ let dispatch t ?payload command =
   | None -> ()
   | Some stats ->
       let fingerprint, branch = workload_identity t command in
+      (* The route that ran, as the engine reported it; a cache hit
+         runs no engine, so it replays the route its entry recorded. *)
+      let branch =
+        match (Option.bind collected executed_route, t.last_entry) with
+        | Some r, Some e ->
+            e.route <- Some r;
+            r
+        | Some r, None | None, Some { route = Some r; _ } -> r
+        | None, _ -> branch
+      in
       let phases =
         match collected with
         | Some spans -> Obs.Stats.phases_of_spans spans

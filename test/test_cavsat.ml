@@ -168,6 +168,31 @@ let test_theory_key_block () =
   | None -> Alcotest.fail "theory of a repairable instance is satisfiable"
   | Some m -> check Alcotest.bool "exactly one kept" true (m.(1) <> m.(2))
 
+(* The theory keeps the conflicting tids only: one conflict at the top
+   of 2,000 consistent tuples leaves two entries, not an array as long
+   as the largest tid. *)
+let test_theory_sized_by_conflicts () =
+  let consistent = List.init 2000 (fun i -> [ Value.int i; Value.int 0 ]) in
+  let db =
+    Instance.of_rows rs_schema
+      [
+        ( "R",
+          consistent
+          @ [ [ Value.int 5000; Value.int 1 ]; [ Value.int 5000; Value.int 2 ] ]
+        );
+      ]
+  in
+  let t = Cavsat.Theory.build db rs_schema rs_keys in
+  check Alcotest.int "two conflicting tids kept" 2
+    (Array.length t.Cavsat.Theory.conflicting);
+  let vars =
+    Relational.Tid.Set.elements (Instance.tids db)
+    |> List.filter_map (Cavsat.Theory.var_for t)
+  in
+  check Alcotest.(list int) "variables of the conflicting pair" [ 1; 2 ] vars;
+  check Alcotest.bool "top tids" true
+    (Array.for_all (fun tid -> tid >= 2000) t.Cavsat.Theory.conflicting)
+
 let test_theory_cache () =
   let db =
     Instance.of_rows rs_schema
@@ -538,6 +563,94 @@ let test_null_fallback_is_sat () =
   check rows "agrees with enumeration" (strings_of (certain_enum db hard))
     (strings_of auto)
 
+(* A cold SAT query builds its theory straight from the conflict
+   edges: the build shows as a [cavsat.theory_build] span (phase sat)
+   with its size, and no conflict graph is built. *)
+let test_cold_theory_span () =
+  let db =
+    Instance.of_rows rs_schema
+      [
+        ( "R",
+          [ [ Value.int 9001; Value.int 1 ]; [ Value.int 9001; Value.int 2 ] ] );
+        ("S", [ [ Value.int 9002; Value.int 1 ] ]);
+      ]
+  in
+  let eng = Cqa.Engine.create ~schema:rs_schema ~ics:rs_keys db in
+  let answers, spans =
+    Obs.Trace.collect (fun () ->
+        Cqa.Engine.consistent_answers ~method_:`Sat eng hard)
+  in
+  check rows "nothing certain" [] (strings_of answers);
+  let named n = List.filter (fun (s : Obs.Trace.span) -> s.name = n) spans in
+  check Alcotest.int "no conflict graph built" 0
+    (List.length (named "conflict_graph.build"));
+  match named "cavsat.theory_build" with
+  | [ s ] ->
+      let attr k = List.assoc_opt k s.Obs.Trace.attrs in
+      check Alcotest.(option string) "edges" (Some "1") (attr "edges");
+      check Alcotest.(option string) "vars" (Some "2") (attr "vars");
+      check Alcotest.(option string) "clauses" (Some "2") (attr "clauses");
+      check Alcotest.(option string) "phase" (Some "sat")
+        (Obs.Stats.phase_of_span s.Obs.Trace.name)
+  | l -> Alcotest.failf "%d cavsat.theory_build spans" (List.length l)
+
+(* A three-tuple denial: the chain R(x,y), S(y,z), S(z,w). *)
+let chain =
+  Ic.denial ~name:"chain"
+    [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; z ];
+      Atom.make "S" [ z; Term.var "w" ] ]
+
+(* A tuple's maximality clause next to an edge of three tuples.  Edges
+   {t1,t2} (key R[a]) and {t1,t3,t4} (the chain): t1's clause carries an
+   aux literal, t2's is the plain x1 ∨ x2.  A dedup that registered t1's
+   literal set skipped t2's clause and admitted the non-maximal {t3,t4},
+   a model killing both witnesses of the Boolean query, which every
+   S-repair satisfies through t1 or t2. *)
+let test_maximality_behind_wide_edge () =
+  let db =
+    Instance.of_rows rs_schema
+      [
+        ("R", [ [ Value.int 1; Value.int 10 ]; [ Value.int 1; Value.int 11 ] ]);
+        ("S", [ [ Value.int 10; Value.int 20 ]; [ Value.int 20; Value.int 30 ] ]);
+      ]
+  in
+  let ics = [ Ic.key ~rel:"R" [ 0 ]; chain ] in
+  let q = Cq.make ~name:"some_r" [] [ Atom.make "R" [ x; y ] ] in
+  let eng = Cqa.Engine.create ~schema:rs_schema ~ics db in
+  let enum = Cqa.Engine.consistent_answers ~method_:`Repair_enumeration eng q in
+  check rows "certain under enumeration" [ [] ] (strings_of enum);
+  check rows "certain under SAT" [ [] ]
+    (strings_of (Cavsat.Certain.consistent_answers db rs_schema ics q))
+
+(* The executed route, not the planned one, is what the progress
+   context and the trace report when the rewriting declines (the
+   proj(x) :- R(x,y) on R(NULL,NULL) case). *)
+let test_declined_rewriting_reports_sat () =
+  let db = Instance.of_rows rs_schema [ ("R", [ [ Value.Null; Value.Null ] ]) ] in
+  let eng = Cqa.Engine.create ~schema:rs_schema ~ics:rs_keys db in
+  let proj = Cq.make ~name:"proj" [ x ] [ Atom.make "R" [ x; y ] ] in
+  let c = Obs.Progress.create ~label:"query" ~id:0 () in
+  let answers, spans =
+    Obs.Trace.collect (fun () ->
+        Obs.Progress.run c (fun () -> Cqa.Engine.consistent_answers eng proj))
+  in
+  check rows "agrees with enumeration" (strings_of (certain_enum db proj))
+    (strings_of answers);
+  check Alcotest.string "progress branch" "sat_compilation"
+    (Obs.Progress.branch c);
+  match
+    List.find_opt
+      (fun (s : Obs.Trace.span) -> s.name = "engine.certain_answers")
+      spans
+  with
+  | None -> Alcotest.fail "no engine span"
+  | Some s ->
+      let attr k = List.assoc_opt k s.Obs.Trace.attrs in
+      check Alcotest.(option string) "planned" (Some "key_rewriting")
+        (attr "route");
+      check Alcotest.(option string) "executed" (Some "sat_compilation")
+        (attr "executed_route")
+
 (* ---- qcheck equivalence (SAT ≡ enumeration) -------------------------- *)
 
 (* Cells are [None] for NULL.  The NULL-free generator keeps keys in
@@ -600,6 +713,12 @@ let prop_sat_equals_enum_denial =
     arb_db
     (equivalent (deny :: rs_keys))
 
+let prop_sat_equals_enum_chain =
+  (* Edges of three tuples: maximality through aux variables. *)
+  QCheck.Test.make ~count:150 ~name:"SAT ≡ enumeration under keys + 3-tuple denial"
+    arb_db
+    (equivalent (chain :: rs_keys))
+
 let prop_sat_equals_enum_nulls =
   QCheck.Test.make ~count:150 ~name:"SAT ≡ enumeration with NULLs"
     arb_db_nulls (fun spec ->
@@ -651,10 +770,19 @@ let suite =
       test_unsafe_query_refused;
     Alcotest.test_case "theory: size constant across queries" `Quick
       test_theory_size_constant;
+    Alcotest.test_case "theory: sized by the conflicts" `Quick
+      test_theory_sized_by_conflicts;
+    Alcotest.test_case "theory: cold build span, no conflict graph" `Quick
+      test_cold_theory_span;
+    Alcotest.test_case "theory: maximality clause behind a wide edge" `Quick
+      test_maximality_behind_wide_edge;
+    Alcotest.test_case "engine: declined rewriting reports SAT" `Quick
+      test_declined_rewriting_reports_sat;
     Alcotest.test_case "engine: NULL fallback is SAT" `Quick
       test_null_fallback_is_sat;
     QCheck_alcotest.to_alcotest prop_sat_equals_enum_keys;
     QCheck_alcotest.to_alcotest prop_sat_equals_enum_denial;
+    QCheck_alcotest.to_alcotest prop_sat_equals_enum_chain;
     QCheck_alcotest.to_alcotest prop_sat_equals_enum_nulls;
     QCheck_alcotest.to_alcotest prop_auto_equals_enum;
     QCheck_alcotest.to_alcotest prop_auto_equals_enum_nulls;

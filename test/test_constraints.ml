@@ -124,6 +124,39 @@ let test_all_hold () =
   check Alcotest.bool "empty ics hold" true
     (Ic.all_hold Hypergraph.instance Hypergraph.schema [])
 
+(* The memo behind the conflict-graph and SAT-theory caches keeps its
+   most recently used entry first: a hit moves its entry to the front,
+   so it survives the 7 misses that fill the rest of the 8 entries and
+   is evicted only by the 8th. *)
+let test_memo_hit_refreshes () =
+  let schema = Schema.of_list [ ("T", [ "k" ]) ] in
+  let inst i = Instance.of_rows schema [ ("T", [ [ Value.int i ] ]) ] in
+  let memo =
+    Constraints.Memo.create ~hits:(Obs.Counter.make "test.memo_hits") ()
+  in
+  let builds = ref 0 in
+  let get i =
+    Constraints.Memo.find_or_build memo (inst i) [] (fun () ->
+        incr builds;
+        i)
+  in
+  for i = 0 to 7 do
+    ignore (get i)
+  done;
+  check Alcotest.int "eight misses" 8 !builds;
+  check Alcotest.int "oldest entry still cached" 0 (get 0);
+  check Alcotest.int "a hit builds nothing" 8 !builds;
+  for i = 8 to 14 do
+    ignore (get i)
+  done;
+  ignore (get 0);
+  check Alcotest.int "the hit entry survived 7 misses" 15 !builds;
+  for i = 15 to 22 do
+    ignore (get i)
+  done;
+  ignore (get 0);
+  check Alcotest.int "8 misses evict it" 24 !builds
+
 let suite =
   [
     Alcotest.test_case "IND violation (Ex 2.1)" `Quick test_ind_violation;
@@ -138,4 +171,6 @@ let suite =
     Alcotest.test_case "CFD with constant pattern" `Quick test_cfd_constant_pattern;
     Alcotest.test_case "clausal forms" `Quick test_to_clauses;
     Alcotest.test_case "all_hold" `Quick test_all_hold;
+    Alcotest.test_case "memo: a hit refreshes its entry" `Quick
+      test_memo_hit_refreshes;
   ]

@@ -410,6 +410,82 @@ let prop_incremental =
         (Tidsets.of_list (Repairs.Incremental.graph t).Constraints.Conflict_graph.edges)
         expected)
 
+(* CAvSAT's repair theory: [Cavsat.Theory.build], straight from the
+   sorted edge arrays, against [Theory_oracle], the build through the
+   conflict graph it replaced.  The constraints mix a random denial
+   (atomless ones included: violated, they are the empty edge and
+   [no_repairs]; self-joins like R(x,x) give singleton edges) with a
+   random subset of a key, an FD, a three-atom chain (edges of three
+   tuples, so aux variables), a self-violation and an always-violated
+   denial, over instances with NULLs.  Equal variables, equal clause
+   counts, and equal [solve] answers — models included — under rounds
+   of random assumption literals; every round of both runs on one
+   solver, so a refutation either retains must be retained by the other
+   too. *)
+let pool =
+  let x = Term.var "x" and y = Term.var "y" and z = Term.var "z"
+  and w = Term.var "w" in
+  [
+    Ic.key ~rel:"R" [ 0 ];
+    Ic.fd ~rel:"S" ~lhs:[ 1 ] ~rhs:[ 0 ];
+    Ic.denial ~name:"chain"
+      [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; z ]; Atom.make "S" [ z; w ] ];
+    Ic.denial ~name:"loop" [ Atom.make "R" [ x; x ] ];
+  ]
+
+let arb_theory_case =
+  QCheck.make
+    QCheck.Gen.(
+      quad (gen_body ~min_atoms:0) gen_db
+        (pair (list_repeat (List.length pool) bool) (int_range 0 7))
+        (list_size (int_range 1 6)
+           (list_size (int_range 0 3) (int_range (-1000) 1000))))
+    ~print:(fun ((atoms, comps), db, (mask, never), rounds) ->
+      Printf.sprintf "%s on %s, pool mask %s%s, assumptions %s"
+        (print_query (Cq.make ~name:"d" ~comps [] atoms))
+        (print_db db)
+        (String.concat "" (List.map (fun b -> if b then "1" else "0") mask))
+        (if never = 0 then " + never" else "")
+        (String.concat " | "
+           (List.map
+              (fun r -> String.concat "," (List.map string_of_int r))
+              rounds)))
+
+let prop_theory =
+  QCheck.Test.make ~count:500 ~name:"Cavsat.Theory.build = conflict-graph oracle"
+    arb_theory_case (fun ((atoms, comps), db_spec, (mask, never), rounds) ->
+      let db = instance_of db_spec in
+      let ics =
+        (Ic.denial ~name:"d" ~comps atoms
+        :: List.filteri (fun i _ -> List.nth mask i) pool)
+        @ if never = 0 then [ Ic.denial ~name:"never" [] ] else []
+      in
+      let t = Cavsat.Theory.build db schema ics in
+      let o = Theory_oracle.build db schema ics in
+      let max_tid =
+        Option.fold ~none:0 ~some:Tid.to_int
+          (Tid.Set.max_elt_opt (Instance.tids db))
+      in
+      let nvars = t.base.vars in
+      let lit i = if i < 0 then -(1 + (-i mod nvars)) else 1 + (i mod nvars) in
+      t.no_repairs = o.no_repairs
+      && t.base = o.base
+      && List.for_all
+           (fun i ->
+             Cavsat.Theory.var_for t (Tid.of_int i)
+             = Theory_oracle.var_for o (Tid.of_int i))
+           (List.init (max_tid + 3) Fun.id)
+      && List.for_all
+           (fun round ->
+             let assumptions = if nvars = 0 then [] else List.map lit round in
+             let module Inc = Sat.Dpll.Incremental in
+             Inc.solve ~assumptions t.solver = Inc.solve ~assumptions o.solver
+             && Inc.nclauses t.solver = Inc.nclauses o.solver)
+           rounds)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_cq; prop_violation; prop_witness; prop_conflict_graph; prop_incremental ]
+    [
+      prop_cq; prop_violation; prop_witness; prop_conflict_graph;
+      prop_incremental; prop_theory;
+    ]

@@ -808,8 +808,8 @@ let check_fingerprint_split ~facts ~query ~ic_a ~ic_b ~expect_a ~expect_b =
   in
   Alcotest.(check bool) "fingerprints differ" false
     (String.equal
-       (Constraints.Conflict_graph.fingerprint (ics "a"))
-       (Constraints.Conflict_graph.fingerprint (ics "b")))
+       (Constraints.Memo.fingerprint (ics "a"))
+       (Constraints.Memo.fingerprint (ics "b")))
 
 let test_fingerprint_typed_denial () =
   (* [Z = 1] and [Z = "1"] print alike; only the first matches S(x, 1). *)

@@ -553,6 +553,54 @@ let test_metrics_workload_families () =
            body)
   | _ -> Alcotest.fail "METRICS failed"
 
+(* A key rewriting that declines at run time is charged to the route
+   that answered.  proj(x) :- R(x,y) under key R(a) plans as the key
+   rewriting, but R holds a NULL, so SAT answers: the workload store
+   files the query under sat_compilation, and EXPLAIN reports the
+   executed route next to the planned one. *)
+let test_declined_rewriting_charged_to_sat () =
+  let stats = Obs.Stats.create () in
+  let t = Server.Handler.create ~stats ~progress:true () in
+  (match
+     Server.Handler.dispatch t
+       ~payload:
+         [
+           "relation R(a, b)"; "row R(null, null)"; "row R(1, 2)";
+           "key R(a)"; "query proj(X) :- R(X, Y)";
+         ]
+       (P.Load "n1")
+   with
+  | { P.status = `Ok; _ } -> ()
+  | { P.head; _ } -> Alcotest.fail ("LOAD failed: " ^ head));
+  let run cmd =
+    match Server.Handler.dispatch t cmd with
+    | { P.status = `Ok; body; _ } -> body
+    | { P.head; _ } -> Alcotest.fail head
+  in
+  (* The second QUERY is a cache hit: no engine runs, and it must still
+     be charged to the route the first one ran. *)
+  for _ = 1 to 2 do
+    ignore
+      (run
+         (P.Query { sid = "n1"; name = "proj"; method_ = P.Auto;
+                    semantics = P.S; timeout_ms = None }))
+  done;
+  Alcotest.(check (list (pair string int))) "miss and hit charged to SAT"
+    [ ("sat_compilation", 2) ]
+    (List.filter_map
+       (fun (e : Obs.Stats.entry) ->
+         if e.branch = "service" then None else Some (e.branch, e.calls))
+       (Obs.Stats.entries stats));
+  let body =
+    run
+      (P.Explain { sid = "n1"; name = "proj"; method_ = P.Auto; semantics = P.S;
+                   timeout_ms = None })
+  in
+  Alcotest.(check bool) "planned route" true
+    (List.mem "auto_route key_rewriting" body);
+  Alcotest.(check bool) "executed route" true
+    (List.mem "executed_route sat_compilation" body)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_rename_invariant;
@@ -578,6 +626,8 @@ let suite =
       test_phase_attribution_partitions;
     Alcotest.test_case "phase_of_span name mapping" `Quick
       test_phase_of_span_names;
+    Alcotest.test_case "declined rewriting charged to SAT" `Quick
+      test_declined_rewriting_charged_to_sat;
     Alcotest.test_case "WORKLOAD parses and rejects" `Quick test_workload_parse;
     Alcotest.test_case "WORKLOAD without a store is ERR" `Quick
       test_workload_disabled_is_err;
