@@ -12,13 +12,22 @@ let sorted_edges inst schema ics =
              "Conflict_graph.build: %s is not a denial-class constraint"
              (Ic.name ic)))
     ics;
-  (* The violating tid sets of every denial, deduplicated by one sort in
-     [Set.compare] order: edge order, and so the SAT theory's variable
-     numbering, are those of a [Set.Make (Tid.Set)] of the edges. *)
+  (* The violating tid sets of every constraint — key and FD pairs by
+     grouping, other denials by their compiled bodies — deduplicated by
+     one sort in [Set.compare] order: edge order, and so the SAT theory's
+     variable numbering, are those of a [Set.Make (Tid.Set)] of the
+     edges. *)
   List.concat_map
     (fun ic ->
-      List.concat_map (Violation.tid_sets inst)
-        (Option.get (Ic.to_denials schema ic)))
+      match Ic.as_fd schema ic with
+      | Some f ->
+          let pairs = ref [] in
+          Violation.fd_conflicts inst f (fun lo hi _ ->
+              pairs := [| lo; hi |] :: !pairs);
+          !pairs
+      | None ->
+          List.concat_map (Violation.tid_sets inst)
+            (Option.get (Ic.to_denials schema ic)))
     ics
   |> List.sort_uniq Tid.Sorted.compare
 

@@ -17,7 +17,10 @@ val sorted_edges :
 (** The hyperedges alone: the violating tid set of every match of every
     constraint's denials, each an ascending duplicate-free array, the
     list distinct and in {!Relational.Tid.Sorted.compare} order (the
-    order [Set.compare] gives the same sets).  An atomless denial
+    order [Set.compare] gives the same sets).  Keys and FDs give their
+    two-tuple edges by grouping the relation's rows on the lhs
+    ({!Violation.fd_conflicts}); denials and CFDs run their compiled
+    self-join bodies ({!Violation.tid_sets}).  An atomless denial
     violated by its ground comparisons contributes the empty edge.  The
     one place edges are computed: {!build} converts these, and the SAT
     route ([Cavsat.Theory]) consumes them directly, so it neither builds

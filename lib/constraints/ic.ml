@@ -76,6 +76,11 @@ let key_to_fd schema rel positions =
   let rhs = List.filter (fun i -> not (List.mem i positions)) (List.init n Fun.id) in
   { rel; lhs = positions; rhs }
 
+let as_fd schema = function
+  | Fd f -> Some f
+  | Key (r, ps) -> Some (key_to_fd schema r ps)
+  | Denial _ | Ind _ | Cfd _ -> None
+
 let vars prefix n = List.init n (fun i -> Term.Var (Printf.sprintf "%s%d" prefix i))
 
 (* One two-tuple denial per determined attribute: R(x̄) ∧ R(ȳ) with x and y

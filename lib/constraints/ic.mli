@@ -58,6 +58,10 @@ val of_formula : ?name:string -> Logic.Formula.t -> t list option
 val key_to_fd : Relational.Schema.t -> string -> int list -> fd
 (** A key determines all remaining attributes. *)
 
+val as_fd : Relational.Schema.t -> t -> fd option
+(** A key or an FD as the FD it is ({!key_to_fd} for keys); [None] for
+    every other class. *)
+
 val to_denials : Relational.Schema.t -> t -> denial list option
 (** The equivalent set of denial constraints, or [None] for inclusion
     dependencies (which are not denials). *)

@@ -5,6 +5,7 @@ module Binding = Logic.Binding
 module Cq = Logic.Cq
 module Plan = Relational.Plan
 module Columnar = Relational.Columnar
+module Column = Relational.Column
 
 type witness = {
   ic_name : string;
@@ -30,6 +31,92 @@ let tid_sets inst (d : Ic.denial) =
   let table, _ = run_body inst d [] in
   let cols = Cq.tid_columns table (List.length d.atoms) in
   List.init (Columnar.length table) (Tid.Sorted.of_columns cols)
+
+(* Key and FD conflicts by grouping, not by self-join (paper, Examples
+   3.3-3.4): the rows of the relation's columnar view are sorted by
+   their lhs codes, rows with a NULL lhs cell left out (NULL never
+   SQL-equals), and two rows of one group conflict on every rhs position
+   where both cells are non-NULL and their codes differ — exactly the
+   matches of the FD's two-atom denials, one per rhs position.  Within a
+   group rows keep tid order, so [emit lo hi k] gets [lo < hi]; [k] is
+   the number of rhs positions the pair violates, counted with the rhs
+   list's repeats. *)
+let fd_conflicts inst (f : Ic.fd) emit =
+  let view = Instance.columnar inst ~rel:f.rel in
+  let columns = Columnar.columns view in
+  let column p =
+    if p < 0 || p + 1 >= Array.length columns then
+      invalid_arg (Printf.sprintf "Violation: %s has no position %d" f.rel p);
+    columns.(p + 1)
+  in
+  let tids =
+    match columns.(0).Column.data with Column.Ints a -> a | _ -> assert false
+  in
+  let lhs = Array.of_list (List.map (fun p -> Column.eq_codes (column p)) f.lhs) in
+  let lhs_nullable = List.filter Column.has_nulls (List.map column f.lhs) in
+  let rhs =
+    Array.of_list
+      (List.map
+         (fun p ->
+           let c = column p in
+           (Column.eq_codes c, if Column.has_nulls c then Some c else None))
+         f.rhs)
+  in
+  let n = Columnar.length view in
+  let rows =
+    if lhs_nullable = [] then Array.init n Fun.id
+    else
+      let rows = Array.make n 0 and m = ref 0 in
+      for i = 0 to n - 1 do
+        if not (List.exists (fun c -> Column.is_null c i) lhs_nullable) then begin
+          rows.(!m) <- i;
+          incr m
+        end
+      done;
+      Array.sub rows 0 !m
+  in
+  let compare_lhs =
+    match lhs with
+    | [| c |] -> fun i j -> Int.compare c.(i) c.(j)
+    | _ ->
+        fun i j ->
+          let rec go k =
+            if k = Array.length lhs then 0
+            else
+              let c = Int.compare lhs.(k).(i) lhs.(k).(j) in
+              if c <> 0 then c else go (k + 1)
+          in
+          go 0
+  in
+  (* Stable, so every group keeps tid order. *)
+  Array.stable_sort compare_lhs rows;
+  let differing i j =
+    Array.fold_left
+      (fun k (codes, nulls) ->
+        let both =
+          match nulls with
+          | None -> true
+          | Some c -> not (Column.is_null c i || Column.is_null c j)
+        in
+        if both && codes.(i) <> codes.(j) then k + 1 else k)
+      0 rhs
+  in
+  let m = Array.length rows in
+  let g = ref 0 in
+  while !g < m do
+    let e = ref (!g + 1) in
+    while !e < m && compare_lhs rows.(!g) rows.(!e) = 0 do
+      incr e
+    done;
+    for a = !g to !e - 2 do
+      for b = a + 1 to !e - 1 do
+        let i = rows.(a) and j = rows.(b) in
+        let k = differing i j in
+        if k > 0 then emit (Tid.of_int tids.(i)) (Tid.of_int tids.(j)) k
+      done
+    done;
+    g := !e
+  done
 
 (* Matches are listed in descending lexicographic order of their tid
    vectors, so the dedup fold below keeps, per tid set, the match with
@@ -118,7 +205,28 @@ let of_ic inst schema ic =
       List.concat_map (of_denial inst) denials
 
 let all inst schema ics = List.concat_map (of_ic inst schema) ics
-let is_consistent inst schema ics = all inst schema ics = []
+
+(* [List.length (all ...)] without a witness or a binding: keys and FDs
+   through the grouping kernel, other denials by their distinct tid
+   sets, INDs by their dangling tuples. *)
+let count inst schema ics =
+  let count_ic ic =
+    match Ic.as_fd schema ic, ic with
+    | Some f, _ ->
+        let n = ref 0 in
+        fd_conflicts inst f (fun _ _ k -> n := !n + k);
+        !n
+    | None, Ic.Ind i -> List.length (of_ind inst i)
+    | None, _ ->
+        List.fold_left
+          (fun n d ->
+            n + List.length (List.sort_uniq Tid.Sorted.compare (tid_sets inst d)))
+          0
+          (Option.get (Ic.to_denials schema ic))
+  in
+  List.fold_left (fun n ic -> n + count_ic ic) 0 ics
+
+let is_consistent inst schema ics = count inst schema ics = 0
 
 let pp_witness ppf w =
   Format.fprintf ppf "%s: {%a}" w.ic_name

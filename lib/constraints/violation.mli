@@ -24,6 +24,17 @@ val tid_sets : Relational.Instance.t -> Ic.denial -> Relational.Tid.Sorted.t lis
     automorphism), in no particular order; an atomless body violated by
     its ground comparisons yields one empty set. *)
 
+val fd_conflicts :
+  Relational.Instance.t -> Ic.fd ->
+  (Relational.Tid.t -> Relational.Tid.t -> int -> unit) -> unit
+(** The conflicting pairs of a key or FD, found by grouping the rows of
+    the relation's columnar view by their lhs codes (rows with a NULL lhs
+    cell in no group), not by a self-join.  [emit lo hi k] is called once
+    per pair of tuples of one group that differ, both non-NULL, at [k > 0]
+    rhs positions (repeats in [rhs] counted), with [lo < hi]; [k] is the
+    number of the FD's denials ({!Ic.to_denials}) the pair violates.
+    Raises [Invalid_argument] on a position outside the relation. *)
+
 val of_ind : Relational.Instance.t -> Ic.ind -> Relational.Tid.t list
 (** Tids of sub-relation tuples with no matching sup-relation tuple. *)
 
@@ -35,6 +46,12 @@ val of_ic :
 
 val all :
   Relational.Instance.t -> Relational.Schema.t -> Ic.t list -> witness list
+
+val count :
+  Relational.Instance.t -> Relational.Schema.t -> Ic.t list -> int
+(** [List.length (all inst schema ics)] with no witness built: keys and
+    FDs through {!fd_conflicts}, other denials as their distinct
+    {!tid_sets}, INDs as their dangling tuples. *)
 
 val is_consistent :
   Relational.Instance.t -> Relational.Schema.t -> Ic.t list -> bool

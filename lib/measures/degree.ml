@@ -8,7 +8,7 @@ let drastic inst schema ics =
 let safe_ratio num den = if den = 0 then 0.0 else Float.min 1.0 (float_of_int num /. float_of_int den)
 
 let violation_ratio inst schema ics =
-  safe_ratio (List.length (Violation.all inst schema ics)) (Instance.size inst)
+  safe_ratio (Violation.count inst schema ics) (Instance.size inst)
 
 let conflicting_tuple_ratio inst schema ics =
   let g = Conflict_graph.build inst schema ics in

@@ -64,6 +64,28 @@ let of_values (vals : Value.t array) =
   in
   { data; nulls }
 
+(* Row-major input, one column per attribute position: every column
+   starts as [Ints] and is filled unboxed in the same pass over the rows;
+   one that meets a non-[Int] cell is rebuilt by [of_values] afterwards,
+   so every column is exactly the one [of_values] picks. *)
+let of_rows arity (rows : Value.t array array) =
+  let n = Array.length rows in
+  let cells = Array.init arity (fun _ -> Array.make n 0) in
+  let nulls = Array.init arity (fun _ -> bitmap n) in
+  let ints = Array.make arity true in
+  for i = 0 to n - 1 do
+    let row = rows.(i) in
+    for j = 0 to arity - 1 do
+      match row.(j) with
+      | Value.Int x -> Array.unsafe_set cells.(j) i x
+      | Value.Null -> bit_set nulls.(j) i
+      | Value.Real _ | Value.Str _ | Value.Bool _ -> ints.(j) <- false
+    done
+  done;
+  Array.init arity (fun j ->
+      if ints.(j) then { data = Ints cells.(j); nulls = nulls.(j) }
+      else of_values (Array.init n (fun i -> rows.(i).(j))))
+
 (* --- decoding ------------------------------------------------------- *)
 
 (* A decode closure resolving the variant dispatch once per column, not

@@ -20,6 +20,12 @@ val of_values : Value.t array -> t
 (** Build a column, picking the narrowest representation that fits the
     non-null cells. *)
 
+val of_rows : int -> Value.t array array -> t array
+(** [of_rows arity rows]: the [arity] columns of the row-major [rows],
+    each equal to {!of_values} over its slice (same representation, same
+    cells), built in one pass that keeps [Int] cells unboxed; only a
+    column holding a non-[Int], non-NULL cell goes through {!of_values}. *)
+
 val of_ints : int array -> t
 (** A null-free [Ints] column (tid columns). *)
 

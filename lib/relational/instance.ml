@@ -43,12 +43,16 @@ type t = {
   schema : Schema.t;
   by_tid : Fact.t Tid.Map.t;
   by_fact : Tid.t Fact.Map.t;
-  by_rel : Tid.Set.t Smap.t;
+  by_rel : Value.t array Tid.Map.t Smap.t;
+      (* each relation's rows by tid: [tuples] and [columnar] read a
+         relation without one [by_tid] lookup per tuple *)
+  size : int;
   next : int;
   cache : cache;
 }
 
 let c_index_builds = Obs.Counter.make "index.builds"
+let c_columnar_builds = Obs.Counter.make "columnar.builds"
 let c_index_hits = Obs.Counter.make "index.hits"
 let c_join_hash = Obs.Counter.make "join.hash"
 
@@ -117,6 +121,7 @@ let create schema =
     by_tid = Tid.Map.empty;
     by_fact = Fact.Map.empty;
     by_rel = Smap.empty;
+    size = 0;
     next = 1;
     cache = fresh_cache ();
   }
@@ -132,26 +137,28 @@ let check_fact t (f : Fact.t) =
       (Printf.sprintf "Instance: %s expects arity %d, got %d" f.rel expected
          (Fact.arity f))
 
+let rel_rows t rel =
+  Option.value ~default:Tid.Map.empty (Smap.find_opt rel t.by_rel)
+
+(* Add [f] under [tid], which must be free, keeping every view of the
+   instance in step. *)
+let add_at t tid (f : Fact.t) =
+  {
+    t with
+    by_tid = Tid.Map.add tid f t.by_tid;
+    by_fact = Fact.Map.add f tid t.by_fact;
+    by_rel = Smap.add f.rel (Tid.Map.add tid f.row (rel_rows t f.rel)) t.by_rel;
+    size = t.size + 1;
+    cache = cache_after_insert t.cache tid f;
+  }
+
 let insert t (f : Fact.t) =
   check_fact t f;
   match Fact.Map.find_opt f t.by_fact with
   | Some tid -> t, tid
   | None ->
       let tid = Tid.of_int t.next in
-      let rel_tids =
-        match Smap.find_opt f.rel t.by_rel with
-        | Some s -> Tid.Set.add tid s
-        | None -> Tid.Set.singleton tid
-      in
-      ( {
-          t with
-          by_tid = Tid.Map.add tid f t.by_tid;
-          by_fact = Fact.Map.add f tid t.by_fact;
-          by_rel = Smap.add f.rel rel_tids t.by_rel;
-          next = t.next + 1;
-          cache = cache_after_insert t.cache tid f;
-        },
-        tid )
+      ({ (add_at t tid f) with next = t.next + 1 }, tid)
 
 let insert_row t ~rel values = insert t (Fact.make rel values)
 let add t f = fst (insert t f)
@@ -161,14 +168,15 @@ let delete t tid =
   match Tid.Map.find_opt tid t.by_tid with
   | None -> t
   | Some f ->
-      let rel_tids = Tid.Set.remove tid (Smap.find f.rel t.by_rel) in
+      let rel_rows = Tid.Map.remove tid (Smap.find f.rel t.by_rel) in
       {
         t with
         by_tid = Tid.Map.remove tid t.by_tid;
         by_fact = Fact.Map.remove f t.by_fact;
         by_rel =
-          (if Tid.Set.is_empty rel_tids then Smap.remove f.rel t.by_rel
-           else Smap.add f.rel rel_tids t.by_rel);
+          (if Tid.Map.is_empty rel_rows then Smap.remove f.rel t.by_rel
+           else Smap.add f.rel rel_rows t.by_rel);
+        size = t.size - 1;
         cache = cache_after_delete t.cache tid f;
       }
 
@@ -197,29 +205,14 @@ let update_cell t (cell : Tid.Cell.t) v =
   else
     (* Re-insert under the original tid so that change-sets keep referring
        to stable identifiers across attribute updates. *)
-    let rel_tids =
-      match Smap.find_opt f'.rel t.by_rel with
-      | Some s -> Tid.Set.add cell.tid s
-      | None -> Tid.Set.singleton cell.tid
-    in
-    {
-      t with
-      by_tid = Tid.Map.add cell.tid f' t.by_tid;
-      by_fact = Fact.Map.add f' cell.tid t.by_fact;
-      by_rel = Smap.add f'.rel rel_tids t.by_rel;
-      cache = cache_after_insert t.cache cell.tid f';
-    }
+    add_at t cell.tid f'
 
-let tuples t ~rel =
+let declared_rows ~op t rel =
   if not (Schema.mem t.schema rel) then
-    invalid_arg (Printf.sprintf "Instance.tuples: undeclared relation %s" rel);
-  match Smap.find_opt rel t.by_rel with
-  | None -> []
-  | Some tids ->
-      Tid.Set.fold
-        (fun tid acc -> (tid, (fact_of t tid).row) :: acc)
-        tids []
-      |> List.rev
+    invalid_arg (Printf.sprintf "Instance.%s: undeclared relation %s" op rel);
+  rel_rows t rel
+
+let tuples t ~rel = Tid.Map.bindings (declared_rows ~op:"tuples" t rel)
 
 let rows t ~rel = List.map snd (tuples t ~rel)
 
@@ -239,24 +232,31 @@ let rows t ~rel = List.map snd (tuples t ~rel)
 
 let tid_column = "#tid"
 
+(* One walk of the relation's row map fills the tid array and the row
+   array; {!Column.of_rows} then types every attribute column in one
+   pass over the rows. *)
 let columnar t ~rel =
   match Smap.find_opt rel t.cache.columnar with
   | Some c -> c
   | None ->
-      let tups = Array.of_list (tuples t ~rel) in
+      Obs.Counter.incr c_columnar_builds;
+      let m = declared_rows ~op:"columnar" t rel in
       let attrs = (Schema.relation t.schema rel).Schema.attributes in
-      let n = Array.length tups in
-      let tid_col =
-        Column.of_ints (Array.map (fun (tid, _) -> Tid.to_int tid) tups)
-      in
-      let data_cols =
-        Array.init (Array.length attrs) (fun j ->
-            Column.of_values (Array.init n (fun i -> (snd tups.(i)).(j))))
-      in
+      let n = Tid.Map.cardinal m in
+      let tids = Array.make n 0 and rows = Array.make n [||] in
+      let i = ref 0 in
+      Tid.Map.iter
+        (fun tid row ->
+          tids.(!i) <- Tid.to_int tid;
+          rows.(!i) <- row;
+          incr i)
+        m;
       let c =
         Columnar.make
-          (Array.append [| tid_column |] (Array.copy attrs))
-          (Array.append [| tid_col |] data_cols)
+          (Array.append [| tid_column |] attrs)
+          (Array.append
+             [| Column.of_ints tids |]
+             (Column.of_rows (Array.length attrs) rows))
           n
       in
       t.cache.columnar <- Smap.add rel c t.cache.columnar;
@@ -338,14 +338,6 @@ let matching_tuples t ~rel ~bound =
                 bound)
             tups
 
-let key_buckets t ~rel ~positions =
-  let positions = List.sort_uniq Int.compare positions in
-  let ri = rel_index t ~rel ~positions in
-  Vlmap.fold
-    (fun vals tids acc -> (vals, Tid.Set.elements tids) :: acc)
-    ri.groups []
-  |> List.rev
-
 let facts t =
   Tid.Map.fold (fun _ f acc -> Fact.Set.add f acc) t.by_tid Fact.Set.empty
 
@@ -354,12 +346,8 @@ let fact_list t = Tid.Map.fold (fun _ f acc -> f :: acc) t.by_tid [] |> List.rev
    instead of rebalancing through n [add]s. *)
 let tids t =
   Tid.Set.of_list (Tid.Map.fold (fun tid _ acc -> tid :: acc) t.by_tid [])
-let size t = Tid.Map.cardinal t.by_tid
-
-let cardinality t ~rel =
-  match Smap.find_opt rel t.by_rel with
-  | None -> 0
-  | Some s -> Tid.Set.cardinal s
+let size t = t.size
+let cardinality t ~rel = Tid.Map.cardinal (rel_rows t rel)
 
 let restrict t keep =
   Tid.Map.fold

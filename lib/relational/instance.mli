@@ -44,9 +44,10 @@ val mem_fact : t -> Fact.t -> bool
 val mem_tid : t -> Tid.t -> bool
 
 val tuples : t -> rel:string -> (Tid.t * Value.t array) list
-(** All tuples of one relation, in tid order.  Empty list for a declared
-    relation with no tuples; raises [Invalid_argument] on an undeclared
-    relation. *)
+(** All tuples of one relation, in tid order, in O(|rel|): read off the
+    relation's own tid-to-row map, with no lookup per tuple.  Empty list
+    for a declared relation with no tuples; raises [Invalid_argument] on
+    an undeclared relation. *)
 
 val rows : t -> rel:string -> Value.t array list
 
@@ -56,17 +57,23 @@ val tid_column : string
 
 val columnar : t -> rel:string -> Columnar.t
 (** The relation's columnar snapshot: {!tid_column} followed by the
-    schema attributes, rows in tid order (same contents and order as
-    {!tuples}).  Built lazily, memoized per instance version, and
-    invalidated per relation by [insert]/[delete]/[update_cell] — like
-    the secondary indexes.  Raises [Invalid_argument] on an undeclared
-    relation. *)
+    schema attributes, rows in tid order (same contents, order and
+    column representations as {!Columnar.of_rows} over {!tuples}).
+    Built lazily in one pass over the relation's rows ({!Column.of_rows}:
+    unboxed [int] cells, [Column.of_values] only for a column holding a
+    non-[Int] cell), memoized per instance version, and invalidated per
+    relation by [insert]/[delete]/[update_cell] — the views of the other
+    relations carry over.  Each build counts one [columnar.builds].
+    Raises [Invalid_argument] on an undeclared relation. *)
 
 val facts : t -> Fact.Set.t
 val fact_list : t -> Fact.t list
 val tids : t -> Tid.Set.t
 val size : t -> int
+(** Number of facts, in O(1): a count kept by every update. *)
+
 val cardinality : t -> rel:string -> int
+(** Number of facts of one relation; 0 for an undeclared one. *)
 
 val restrict : t -> Tid.Set.t -> t
 (** Keep only the facts addressed by the given tids (used to build
@@ -124,12 +131,6 @@ val probe :
     definitely match [bound] and tuples with a NULL at an indexed position —
     those can still evaluate to [Unknown] and must be re-checked by callers
     that distinguish Unknown from False. *)
-
-val key_buckets :
-  t -> rel:string -> positions:int list -> (Value.t list * Tid.t list) list
-(** Group [rel]'s tids by their values at [positions] (0-based; NULL-free
-    groups only).  One bucket per distinct key value, tids ascending — the
-    bucketed key-violation detector walks buckets with ≥ 2 tids. *)
 
 val digest : t -> int
 (** Content digest (xor of per-(tid, fact) hashes mixed with the

@@ -432,12 +432,12 @@ let exec_explain t (session : Session.t) name method_ semantics =
            (List.length spans))
 
 let exec_check (session : Session.t) =
-  let witnesses =
-    Constraints.Violation.all session.doc.instance session.doc.schema
+  match
+    Constraints.Violation.count session.doc.instance session.doc.schema
       session.doc.ics
-  in
-  if witnesses = [] then P.ok "consistent"
-  else P.ok (Printf.sprintf "inconsistent violations=%d" (List.length witnesses))
+  with
+  | 0 -> P.ok "consistent"
+  | n -> P.ok (Printf.sprintf "inconsistent violations=%d" n)
 
 let exec_repairs (session : Session.t) semantics =
   let count =

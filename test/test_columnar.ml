@@ -383,6 +383,130 @@ let prop_columnar_view_integrity =
       let db = List.fold_left (fun db op -> apply db op) db0 ops in
       List.for_all view_ok [ db0; db ] && dict_ok db)
 
+(* --- the one-pass typed view and the fact count ----------------------- *)
+
+(* Histories over two relations with mixed cell types: Int, Real, Str,
+   Bool and NULL, Ints most often so that columns are sometimes all-Int
+   and an update can turn one mixed (or back).  [Hview] builds the views
+   mid-history, so later steps test what the caches carry over. *)
+type hop =
+  | Hadd of string * int list
+  | Hdel of int
+  | Hset of int * int * int
+  | Hrestrict of int
+  | Hview
+
+let hschema = Schema.of_list [ ("U", [ "a"; "b"; "c" ]); ("V", [ "a" ]) ]
+
+let cell = function
+  | 5 -> Value.Real 1.
+  | 6 -> Value.Str "1"
+  | 7 -> Value.Bool true
+  | 8 -> Value.Null
+  | n -> Value.int (n mod 3)
+
+let gen_cell = QCheck.Gen.(frequency [ (6, int_range 0 4); (1, int_range 5 8) ])
+
+let arb_history =
+  QCheck.make
+    QCheck.Gen.(
+      list_size (int_range 0 25)
+        (frequency
+           [
+             ( 4,
+               map2
+                 (fun u cs -> if u then Hadd ("U", cs) else Hadd ("V", [ List.hd cs ]))
+                 bool (list_repeat 3 gen_cell) );
+             (1, map (fun i -> Hdel i) (int_range 0 30));
+             (2, map3 (fun i p v -> Hset (i, p, v)) (int_range 0 30) (int_range 0 2) gen_cell);
+             (1, map (fun m -> Hrestrict m) (int_range 1 4));
+             (1, return Hview);
+           ]))
+    ~print:(fun ops ->
+      String.concat " "
+        (List.map
+           (function
+             | Hadd (r, cs) ->
+                 Printf.sprintf "+%s(%s)" r
+                   (String.concat "," (List.map (fun c -> Value.to_string (cell c)) cs))
+             | Hdel i -> Printf.sprintf "-%d" i
+             | Hset (i, p, v) -> Printf.sprintf "%d[%d]:=%s" i (p + 1) (Value.to_string (cell v))
+             | Hrestrict m -> Printf.sprintf "keep%%%d" m
+             | Hview -> "view")
+           ops))
+
+let nth_tid db i =
+  match Tid.Set.elements (Instance.tids db) with
+  | [] -> None
+  | ts -> Some (List.nth ts (i mod List.length ts))
+
+let happly db = function
+  | Hadd (rel, cs) -> Instance.add db (Fact.make rel (List.map cell cs))
+  | Hdel i -> Option.fold ~none:db ~some:(Instance.delete db) (nth_tid db i)
+  | Hset (i, p, v) -> (
+      match nth_tid db i with
+      | None -> db
+      | Some tid ->
+          let pos = 1 + (p mod Fact.arity (Instance.fact_of db tid)) in
+          Instance.update_cell db (Tid.Cell.make tid pos) (cell v))
+  | Hrestrict m ->
+      Instance.restrict db
+        (Tid.Set.filter (fun t -> Tid.to_int t mod m <> 0) (Instance.tids db))
+  | Hview ->
+      ignore (Instance.columnar db ~rel:"U");
+      ignore (Instance.columnar db ~rel:"V");
+      db
+
+(* The reference view: [Columnar.of_rows] (one [Column.of_values] per
+   column) over [tuples], with the tid as a leading Int column.  Compared
+   structurally, so the [Column.data] constructor, the cells under NULL
+   slots and the bitmaps must all agree. *)
+let view_matches db rel =
+  let attrs = (Schema.relation hschema rel).Schema.attributes in
+  let expected =
+    Columnar.of_rows
+      (Array.append [| Instance.tid_column |] attrs)
+      (List.map
+         (fun (tid, row) -> Array.append [| Value.int (Tid.to_int tid) |] row)
+         (Instance.tuples db ~rel))
+  in
+  Instance.columnar db ~rel = expected
+
+let prop_typed_view =
+  QCheck.Test.make ~count:500
+    ~name:"Instance.columnar = Columnar.of_rows over tuples after histories"
+    arb_history (fun ops ->
+      let db = List.fold_left happly (Instance.create hschema) ops in
+      view_matches db "U" && view_matches db "V")
+
+let prop_size =
+  QCheck.Test.make ~count:500 ~name:"Instance.size = number of facts after histories"
+    arb_history (fun ops ->
+      List.for_all
+        (fun db ->
+          Instance.size db = List.length (Instance.fact_list db)
+          && Instance.size db
+             = Instance.cardinality db ~rel:"U" + Instance.cardinality db ~rel:"V")
+        (List.fold_left
+           (fun acc op -> happly (List.hd acc) op :: acc)
+           [ Instance.create hschema ] ops))
+
+(* An update that turns an all-Int column mixed rebuilds it through
+   [Column.of_values] (coded), and the update back returns it to [Ints]. *)
+let test_typed_view_fallback () =
+  let db = Instance.of_rows hschema [ ("U", [ [ Value.int 1; Value.int 2; Value.Null ] ]) ] in
+  let tid = List.hd (Tid.Set.elements (Instance.tids db)) in
+  let data db p = (Columnar.columns (Instance.columnar db ~rel:"U")).(p).Relational.Column.data in
+  let is_ints = function Relational.Column.Ints _ -> true | _ -> false in
+  check Alcotest.bool "all-Int column is Ints" true (is_ints (data db 2));
+  check Alcotest.bool "all-NULL column is Ints" true (is_ints (data db 3));
+  let mixed = Instance.update_cell db (Tid.Cell.make tid 2) (Value.Str "x") in
+  check Alcotest.bool "mixed after the update" false (is_ints (data mixed 2));
+  check Alcotest.bool "mixed view = reference" true (view_matches mixed "U");
+  let back = Instance.update_cell mixed (Tid.Cell.make tid 2) (Value.int 7) in
+  check Alcotest.bool "Ints again" true (is_ints (data back 2));
+  check Alcotest.bool "view = reference" true (view_matches back "U")
+
 (* --- descriptive unknown-column errors ------------------------------- *)
 
 let test_ra_unknown_column () =
@@ -418,6 +542,10 @@ let suite =
       test_engine_counters;
     QCheck_alcotest.to_alcotest prop_violation_columnar_eq;
     QCheck_alcotest.to_alcotest prop_columnar_view_integrity;
+    QCheck_alcotest.to_alcotest prop_typed_view;
+    QCheck_alcotest.to_alcotest prop_size;
+    Alcotest.test_case "typed view falls back on a mixed column" `Quick
+      test_typed_view_fallback;
     Alcotest.test_case "Ra unknown-column diagnostics" `Quick
       test_ra_unknown_column;
   ]

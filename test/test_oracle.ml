@@ -314,39 +314,106 @@ let prop_witness =
           = expected)
         (q :: fixed_queries))
 
+(* Beyond the binary R/S schema: a ternary T whose cells mix 0, 2, NULL
+   and three spellings of one — [Int 1], [Real 1.] and [Str "1"], which
+   never equal each other — under a two-column key, an FD with an empty
+   lhs (every pair of tuples is one group) and an FD whose rhs overlaps
+   its lhs (never violated at the shared position). *)
+let wide_schema =
+  Schema.of_list [ ("R", [ "a"; "b" ]); ("S", [ "b"; "c" ]); ("T", [ "a"; "b"; "c" ]) ]
+
+let t_value = function
+  | 0 -> Value.int 0
+  | 1 -> Value.int 1
+  | 2 -> Value.Real 1.
+  | 3 -> Value.Str "1"
+  | 4 -> Value.int 2
+  | _ -> Value.Null
+
+let gen_wide_db =
+  QCheck.Gen.(pair gen_db (list_size (int_range 0 8) (list_repeat 3 (int_range 0 5))))
+
+let print_wide_db (db, ts) =
+  print_db db ^ " T="
+  ^ String.concat ";"
+      (List.map
+         (fun r -> String.concat "," (List.map (fun n -> Value.to_string (t_value n)) r))
+         ts)
+
+let wide_instance_of ((rs, ss), ts) =
+  Instance.of_rows wide_schema
+    [
+      ("R", List.map (fun (a, b) -> [ value_of a; value_of b ]) rs);
+      ("S", List.map (fun (b, c) -> [ value_of b; value_of c ]) ss);
+      ("T", List.map (List.map t_value) ts);
+    ]
+
+let arb_wide_case =
+  QCheck.make
+    QCheck.Gen.(pair (gen_body ~min_atoms:0) gen_wide_db)
+    ~print:(fun ((atoms, comps), db) ->
+      print_query (Cq.make ~name:"d" ~comps [] atoms) ^ " on " ^ print_wide_db db)
+
+let key_fd_ics =
+  [
+    Ic.key ~rel:"R" [ 0 ];
+    Ic.fd ~rel:"S" ~lhs:[ 1 ] ~rhs:[ 0 ];
+    Ic.key ~rel:"T" [ 0; 1 ];
+    Ic.fd ~rel:"T" ~lhs:[] ~rhs:[ 2 ];
+    Ic.fd ~rel:"T" ~lhs:[ 0; 2 ] ~rhs:[ 2; 1 ];
+  ]
+
 (* The conflict hypergraph's edges are the distinct tid sets of every
    denial's oracle matches, in [Set.compare] order (the order the SAT
    theory numbers its variables by), and its conflicting tuples their
    union.  Atomless denials are included: one violated by its ground
-   comparisons is the empty edge. *)
+   comparisons is the empty edge.  Key and FD edges come from grouping,
+   the random denial's from its compiled body; the oracle runs every
+   constraint's denials as nested loops. *)
 let prop_conflict_graph =
   QCheck.Test.make ~count:500 ~name:"Conflict_graph.build edges = naive oracle"
-    (QCheck.make
-       QCheck.Gen.(pair (gen_body ~min_atoms:0) gen_db)
-       ~print:(fun ((atoms, comps), db) ->
-         print_query (Cq.make ~name:"d" ~comps [] atoms) ^ " on " ^ print_db db))
+    arb_wide_case
     (fun ((atoms, comps), db_spec) ->
-      let db = instance_of db_spec in
-      let ics =
-        [
-          Ic.denial ~name:"d" ~comps atoms;
-          Ic.key ~rel:"R" [ 0 ];
-          Ic.fd ~rel:"S" ~lhs:[ 1 ] ~rhs:[ 0 ];
-        ]
-      in
+      let db = wide_instance_of db_spec in
+      let ics = Ic.denial ~name:"d" ~comps atoms :: key_fd_ics in
       let expected =
         Tidsets.elements
           (Tidsets.of_list
              (List.concat_map
                 (fun ic ->
                   List.concat_map (oracle_violation_sets db)
-                    (Option.get (Ic.to_denials schema ic)))
+                    (Option.get (Ic.to_denials wide_schema ic)))
                 ics))
       in
-      let g = Constraints.Conflict_graph.build db schema ics in
+      let g = Constraints.Conflict_graph.build db wide_schema ics in
       List.map Tid.Set.elements g.edges = List.map Tid.Set.elements expected
       && Tid.Set.elements (Constraints.Conflict_graph.conflicting_tids g)
          = Tid.Set.elements (List.fold_left Tid.Set.union Tid.Set.empty expected))
+
+(* [Violation.count] is the number of witnesses [Violation.all] lists,
+   for every constraint class at once: keys and FDs (grouping kernel),
+   CFDs with a wildcard and with a constant rhs, a random denial, and
+   INDs (one into a relation of another arity). *)
+let prop_count =
+  QCheck.Test.make ~count:500 ~name:"Violation.count = length of Violation.all"
+    arb_wide_case
+    (fun ((atoms, comps), db_spec) ->
+      let db = wide_instance_of db_spec in
+      let ics =
+        Ic.denial ~name:"d" ~comps atoms
+        :: Ic.cfd ~rel:"T" ~lhs:[ 0 ] ~rhs:[ 2 ] ~pat:[ (0, Some (Value.int 1)); (2, None) ]
+        :: Ic.cfd ~rel:"T" ~lhs:[ 1 ] ~rhs:[ 0 ] ~pat:[ (1, None); (0, Some (Value.int 0)) ]
+        :: Ic.ind ~sub:("R", [ 1 ]) ~sup:("S", [ 0 ])
+        :: Ic.ind ~sub:("T", [ 0; 1 ]) ~sup:("R", [ 0; 1 ])
+        :: key_fd_ics
+      in
+      List.for_all
+        (fun ic ->
+          Constraints.Violation.count db wide_schema [ ic ]
+          = List.length (Constraints.Violation.all db wide_schema [ ic ]))
+        ics
+      && Constraints.Violation.count db wide_schema ics
+         = List.length (Constraints.Violation.all db wide_schema ics))
 
 (* Incremental maintenance: after a run of inserts and deletes the
    maintained hyperedges are exactly the violation tid sets of the
@@ -486,6 +553,6 @@ let prop_theory =
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_cq; prop_violation; prop_witness; prop_conflict_graph;
+      prop_cq; prop_violation; prop_witness; prop_conflict_graph; prop_count;
       prop_incremental; prop_theory;
     ]

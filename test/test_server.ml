@@ -192,6 +192,35 @@ let test_handler_cache_and_invalidation () =
   Alcotest.(check (list string)) "delete visible" [ "1"; "9" ]
     (List.sort compare r4.P.body)
 
+(* A one-fact UPDATE invalidates only the touched relation's columnar
+   view: the next QUERY rebuilds T's view and reuses S's. *)
+let test_update_rebuilds_one_view () =
+  let h = Server.Handler.create () in
+  let payload =
+    [
+      "relation T(k, v)"; "relation S(v, w)"; "row T(1, 1)"; "row T(1, 2)";
+      "row T(2, 5)"; "row S(1, 7)"; "row S(5, 8)"; "key T(k)"; "key S(v)";
+      "query q(X, W) :- T(X, Y), S(Y, W)";
+    ]
+  in
+  (match Server.Handler.dispatch h ~payload (P.Load "s1") with
+  | { P.status = `Ok; _ } -> ()
+  | { P.head; _ } -> Alcotest.fail ("LOAD failed: " ^ head));
+  let builds () =
+    Obs.Registry.counter_value
+      (Server.Metrics.registry (Server.Handler.metrics h))
+      "columnar.builds"
+  in
+  let r1 = dispatch_line h "QUERY s1 q" in
+  Alcotest.(check (list string)) "answers" [ "2, 8" ] r1.P.body;
+  let before = builds () in
+  Alcotest.(check bool) "views built by the first QUERY" true (before >= 2);
+  ignore (dispatch_line h "UPDATE s1 add T(3, 5)");
+  let r2 = dispatch_line h "QUERY s1 q" in
+  Alcotest.(check (list string)) "new answer" [ "2, 8"; "3, 8" ]
+    (List.sort compare r2.P.body);
+  Alcotest.(check int) "one view rebuilt (T), S's kept" 1 (builds () - before)
+
 let test_handler_reload_redefines_query () =
   (* Same instance and ICs, but q now projects the value column: the
      digest must change so the old answers cannot be replayed. *)
@@ -967,6 +996,8 @@ let suite =
       test_protocol_parse;
     Alcotest.test_case "cache hit then UPDATE invalidates" `Quick
       test_handler_cache_and_invalidation;
+    Alcotest.test_case "UPDATE rebuilds only the touched view" `Quick
+      test_update_rebuilds_one_view;
     Alcotest.test_case "re-LOAD with redefined query misses cache" `Quick
       test_handler_reload_redefines_query;
     Alcotest.test_case "UCQ with rewriting method answers ERR" `Quick
