@@ -1,5 +1,4 @@
 module Fact = Relational.Fact
-module Cnf = Sat.Cnf
 module Dpll = Sat.Dpll
 
 type model = Fact.Set.t
@@ -18,17 +17,17 @@ let c_stable = Obs.Counter.make "asp.stable_models"
    encodes its body truth; without this, the candidate enumeration would
    walk an exponential space of models with freely-true derived atoms. *)
 let clauses_of (g : Ground.t) =
-  let cnf = Cnf.create () in
-  Cnf.reserve cnf g.natoms;
+  let solver = Dpll.create () in
+  Dpll.reserve solver g.natoms;
   let supporting = Hashtbl.create 64 in
   List.iter
     (fun (r : Ground.rule) ->
-      Cnf.add_clause cnf (r.head @ List.map (fun b -> -b) r.pos @ r.neg);
-      let body_var = Cnf.fresh cnf in
+      Dpll.add_clause solver (r.head @ List.map (fun b -> -b) r.pos @ r.neg);
+      let body_var = Dpll.fresh_var solver in
       (* body_var ↔ (∧ pos ∧ ¬neg) *)
-      List.iter (fun b -> Cnf.add_clause cnf [ -body_var; b ]) r.pos;
-      List.iter (fun c -> Cnf.add_clause cnf [ -body_var; -c ]) r.neg;
-      Cnf.add_clause cnf
+      List.iter (fun b -> Dpll.add_clause solver [ -body_var; b ]) r.pos;
+      List.iter (fun c -> Dpll.add_clause solver [ -body_var; -c ]) r.neg;
+      Dpll.add_clause solver
         (body_var :: (List.map (fun b -> -b) r.pos @ r.neg));
       List.iter
         (fun h ->
@@ -38,32 +37,32 @@ let clauses_of (g : Ground.t) =
     g.rules;
   for a = 1 to g.natoms do
     let supports = Option.value ~default:[] (Hashtbl.find_opt supporting a) in
-    Cnf.add_clause cnf (-a :: supports)
+    Dpll.add_clause solver (-a :: supports)
   done;
-  cnf
+  solver
 
 (* Is [m] (as a bool array over atom ids) a minimal model of the reduct
    P^M?  The reduct keeps rules whose negative body is disjoint from M,
    stripped of negation; we ask SAT for a model strictly below M. *)
 let is_minimal_model_of_reduct (g : Ground.t) m =
-  let cnf = Cnf.create () in
-  Cnf.reserve cnf g.natoms;
+  let solver = Dpll.create () in
+  Dpll.reserve solver g.natoms;
   List.iter
     (fun (r : Ground.rule) ->
       if not (List.exists (fun b -> m.(b)) r.neg) then
-        Cnf.add_clause cnf (r.head @ List.map (fun b -> -b) r.pos))
+        Dpll.add_clause solver (r.head @ List.map (fun b -> -b) r.pos))
     g.rules;
   let true_atoms = ref [] in
   for v = 1 to g.natoms do
     if m.(v) then true_atoms := v :: !true_atoms
-    else Cnf.add_clause cnf [ -v ]
+    else Dpll.add_clause solver [ -v ]
   done;
   (* Strictly smaller: some currently-true atom must flip to false. *)
   match !true_atoms with
   | [] -> true
   | ts ->
-      Cnf.add_clause cnf (List.map (fun v -> -v) ts);
-      not (Dpll.satisfiable cnf)
+      Dpll.add_clause solver (List.map (fun v -> -v) ts);
+      not (Dpll.satisfiable solver)
 
 let model_facts (g : Ground.t) m =
   let acc = ref Fact.Set.empty in
@@ -75,8 +74,8 @@ let model_facts (g : Ground.t) m =
 let models_ground g =
   let sp = Obs.Trace.start "asp.stable" in
   Obs.Progress.phase "asp.stable";
-  let cnf = clauses_of g in
-  let candidates = Dpll.enumerate cnf in
+  let solver = clauses_of g in
+  let candidates = Dpll.enumerate solver in
   Obs.Counter.add c_candidates (List.length candidates);
   (* Each reduct minimality check is independent (the ground program is
      read-only and the DPLL call inside is per-candidate state), so the

@@ -1,7 +1,7 @@
 module Tid = Relational.Tid
 module Instance = Relational.Instance
 module Ic = Constraints.Ic
-module Dpll = Sat.Dpll.Incremental
+module Dpll = Sat.Dpll
 
 let c_queries = Obs.Counter.make "cavsat.queries"
 let c_candidates = Obs.Counter.make "cavsat.candidates"

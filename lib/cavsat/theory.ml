@@ -9,7 +9,7 @@ let c_clauses = Obs.Counter.make "cavsat.clauses"
 type stats = { vars : int; clauses : int; conflict_edges : int }
 
 type t = {
-  solver : Sat.Dpll.Incremental.t;
+  solver : Sat.Dpll.t;
   conflicting : int array;
   no_repairs : bool;
   base : stats;
@@ -58,7 +58,7 @@ let of_edges (edge_list : Tid.Sorted.t list) =
   let edges = Array.of_list edge_list in
   let n_edges = Array.length edges in
   let no_repairs = Array.exists (fun e -> Array.length e = 0) edges in
-  let solver = Sat.Dpll.Incremental.create () in
+  let solver = Sat.Dpll.create () in
   let max_tid =
     Array.fold_left
       (fun m e ->
@@ -81,7 +81,7 @@ let of_edges (edge_list : Tid.Sorted.t list) =
   for t = 0 to max_tid do
     let d = var_of_tid.(t) in
     if d > 0 then begin
-      let v = Sat.Dpll.Incremental.fresh_var solver in
+      let v = Sat.Dpll.fresh_var solver in
       var_of_tid.(t) <- v;
       conflicting.(v - 1) <- t;
       start.(v + 1) <- start.(v) + d
@@ -102,7 +102,7 @@ let of_edges (edge_list : Tid.Sorted.t list) =
     (* Independence clauses. *)
     Array.iter
       (fun e ->
-        Sat.Dpll.Incremental.add_clause solver
+        Sat.Dpll.add_clause solver
           (Array.fold_right (fun t lits -> -var t :: lits) e []))
       edges;
     (* Maximality clauses.  An aux-free clause that repeats an earlier
@@ -151,31 +151,31 @@ let of_edges (edge_list : Tid.Sorted.t list) =
           let aux_lits =
             List.map
               (fun e ->
-                let aux = Sat.Dpll.Incremental.fresh_var solver in
+                let aux = Sat.Dpll.fresh_var solver in
                 Array.iter
                   (fun o ->
                     let w = var o in
                     if w <> v then
-                      Sat.Dpll.Incremental.add_clause solver [ -aux; w ])
+                      Sat.Dpll.add_clause solver [ -aux; w ])
                   e;
                 aux)
               !wide
           in
-          Sat.Dpll.Incremental.add_clause solver ((v :: direct) @ aux_lits)
+          Sat.Dpll.add_clause solver ((v :: direct) @ aux_lits)
         end
       end
     done;
     (* Self-violating tuples are in no repair. *)
     Array.iter
       (function
-        | [| t |] -> Sat.Dpll.Incremental.add_clause solver [ -var t ]
+        | [| t |] -> Sat.Dpll.add_clause solver [ -var t ]
         | _ -> ())
       edges
   end;
   let base =
     {
-      vars = Sat.Dpll.Incremental.nvars solver;
-      clauses = Sat.Dpll.Incremental.nclauses solver;
+      vars = Sat.Dpll.nvars solver;
+      clauses = Sat.Dpll.nclauses solver;
       conflict_edges = n_edges;
     }
   in

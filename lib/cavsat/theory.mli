@@ -7,14 +7,14 @@
     enumeration.
 
     Built once per (instance digest × constraints) through {!cached}
-    and shared by all answer candidates — the incremental solver inside
+    and shared by all answer candidates — the persistent solver inside
     keeps the indexed theory; {!Certain} rolls each candidate's clauses
     back after its solve, so the solver stays at its [base] size. *)
 
 type stats = { vars : int; clauses : int; conflict_edges : int }
 
 type t = {
-  solver : Sat.Dpll.Incremental.t;
+  solver : Sat.Dpll.t;
   conflicting : int array;
       (** The tid integers of the conflicting tuples, ascending: the
           tuple at index [i] has solver variable [i + 1].  Sized by the

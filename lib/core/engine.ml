@@ -143,8 +143,9 @@ let run_route t q p = function
   | `Key_rewriting ->
       Rewriting.Key_rewrite.answers (Option.get p.rewriting) t.instance
 
-(* The branch a non-auto method executes — EXPLAIN and the trace
-   attrs report it uniformly whether or not planning was involved. *)
+(* The branch a non-auto method executes — EXPLAIN, the trace attrs
+   and Obs.Progress report it uniformly whether or not planning was
+   involved. *)
 let method_route : answer_method -> string = function
   | `Repair_enumeration -> "repair_enumeration"
   | `Residue_rewriting -> "residue_rewriting"
@@ -204,13 +205,17 @@ let consistent_answers ?(method_ = `Auto) t q =
       Obs.Trace.finish sp;
       raise e
 
+let c_branch = "asp_c"
+
 let consistent_answers_c t q =
   Obs.Trace.with_span "engine.certain_answers_c" (fun () ->
+      Obs.Progress.set_branch c_branch;
       Repair_programs.Asp_cqa.consistent_answers ~semantics:`C q t.schema t.ics
         t.instance)
 
 let consistent_answers_ucq ?(method_ = `Repair_enumeration) t u =
   Obs.Trace.with_span "engine.certain_answers_ucq" @@ fun () ->
+  Obs.Progress.set_branch (method_route (method_ :> answer_method));
   match method_ with
   | `Asp -> Repair_programs.Asp_cqa.consistent_answers_ucq u t.schema t.ics t.instance
   | `Repair_enumeration -> (

@@ -88,6 +88,15 @@ val consistent_answers :
     whatever its (incomplete) rewriting produces — see
     {!Rewriting.Residue_rewrite}. *)
 
+val method_route : answer_method -> string
+(** The branch a forced method executes ([`Sat]: ["sat_compilation"],
+    [`Asp]: ["asp"], ...; ["auto"] for [`Auto], whose branch is
+    {!plan}'s route).  The label {!consistent_answers} and
+    {!consistent_answers_ucq} report to [Obs.Progress.set_branch]. *)
+
+val c_branch : string
+(** ["asp_c"]: the branch {!consistent_answers_c} reports. *)
+
 val consistent_answers_c : t -> Logic.Cq.t -> Relational.Value.t list list
 (** Consistent answers under C-repairs (ASP with weak constraints). *)
 
@@ -97,7 +106,8 @@ val consistent_answers_ucq :
   Logic.Ucq.t ->
   Relational.Value.t list list
 (** Consistent answers to a union of conjunctive queries (default:
-    repair enumeration). *)
+    repair enumeration).  Reports the method's {!method_route} as the
+    branch. *)
 
 val s_repairs : t -> Repairs.Repair.t list
 val c_repairs : t -> Repairs.Repair.t list

@@ -8,40 +8,137 @@ let c_decisions = Obs.Counter.make "sat.dpll.decisions"
 let c_propagations = Obs.Counter.make "sat.dpll.propagations"
 let c_conflicts = Obs.Counter.make "sat.dpll.conflicts"
 let c_learned = Obs.Counter.make "sat.dpll.learned"
-let c_inc_solves = Obs.Counter.make "sat.dpll.incremental_solves"
+let c_solves = Obs.Counter.make "sat.dpll.solves"
 
-type state = {
-  clauses : int array array;
-  nclauses : int;
-  occ : int list array; (* literal index -> clause indices *)
-  assign : int array; (* 0 unknown, 1 true, -1 false *)
-  trail : int array; (* assigned variables in order *)
+(* A persistent solver.  The clause store and occurrence lists grow in
+   place (capacity doubling), so clauses added once are indexed once and
+   every call searches all clauses added so far.  The assignment, trail
+   and weights are blank between calls: each driver blanks them on every
+   exit. *)
+type t = {
+  mutable clauses : int array array; (* capacity-doubled; [0, nclauses) used *)
+  mutable nclauses : int;
+  mutable occ : int list array; (* literal index -> clause indices *)
+  mutable nvars : int;
+  mutable assign : int array; (* 0 unknown, 1 true, -1 false *)
+  mutable trail : int array; (* assigned variables in order *)
   mutable trail_len : int;
-  weight : float array; (* soft cost of assigning a variable true *)
+  mutable synced_vars : int; (* assign/trail/weight are sized for this many *)
+  mutable weight : float array; (* soft cost of assigning a variable true *)
   mutable cost : float; (* total weight of soft variables currently true *)
+  mutable learned : int;
+  mutable root_unsat : bool; (* an empty clause was added *)
+}
+
+type mark = {
+  m_nclauses : int;
+  m_nvars : int;
+  m_learned : int;
+  m_root_unsat : bool;
 }
 
 let lit_index l = if l > 0 then 2 * l else (2 * -l) + 1
 
-let make_state cnf ~soft =
-  let nv = Cnf.nvars cnf in
-  let clauses = Array.of_list (List.rev (Cnf.clauses cnf)) in
-  let occ = Array.make ((2 * nv) + 2) [] in
-  Array.iteri
-    (fun i c -> Array.iter (fun l -> occ.(lit_index l) <- i :: occ.(lit_index l)) c)
-    clauses;
-  let weight = Array.make (nv + 1) 0.0 in
-  List.iter (fun (v, w) -> if v >= 1 && v <= nv then weight.(v) <- w) soft;
+let create () =
   {
-    clauses;
-    nclauses = Array.length clauses;
-    occ;
-    assign = Array.make (nv + 1) 0;
-    trail = Array.make (max 1 nv) 0;
+    clauses = Array.make 16 [||];
+    nclauses = 0;
+    occ = Array.make 64 [];
+    nvars = 0;
+    assign = [||];
+    trail = [||];
     trail_len = 0;
-    weight;
+    synced_vars = -1;
+    weight = [||];
     cost = 0.0;
+    learned = 0;
+    root_unsat = false;
   }
+
+let nvars t = t.nvars
+let nclauses t = t.nclauses
+let learned_clauses t = t.learned
+
+let fresh_var t =
+  t.nvars <- t.nvars + 1;
+  t.nvars
+
+let reserve t v = if v > t.nvars then t.nvars <- v
+
+let mark t =
+  {
+    m_nclauses = t.nclauses;
+    m_nvars = t.nvars;
+    m_learned = t.learned;
+    m_root_unsat = t.root_unsat;
+  }
+
+(* Clause [ci] was the newest when it was indexed, so once every
+   younger clause is gone its entries sit at the heads of its
+   literals' occurrence lists (twice for a repeated literal). *)
+let rollback t m =
+  if m.m_nclauses > t.nclauses || m.m_nvars > t.nvars then
+    invalid_arg "Dpll.rollback: mark is newer than the solver";
+  for ci = t.nclauses - 1 downto m.m_nclauses do
+    Array.iter
+      (fun l ->
+        let idx = lit_index l in
+        t.occ.(idx) <- List.tl t.occ.(idx))
+      t.clauses.(ci);
+    t.clauses.(ci) <- [||]
+  done;
+  t.nclauses <- m.m_nclauses;
+  t.nvars <- m.m_nvars;
+  t.learned <- m.m_learned;
+  t.root_unsat <- m.m_root_unsat
+
+let ensure_occ t idx =
+  if idx >= Array.length t.occ then begin
+    let cap = ref (max 64 (Array.length t.occ)) in
+    while idx >= !cap do
+      cap := !cap * 2
+    done;
+    let occ = Array.make !cap [] in
+    Array.blit t.occ 0 occ 0 (Array.length t.occ);
+    t.occ <- occ
+  end
+
+let add_clause t lits =
+  match lits with
+  | [] -> t.root_unsat <- true
+  | _ ->
+      let arr = Array.of_list lits in
+      Array.iter
+        (fun l ->
+          if l = 0 then invalid_arg "Dpll.add_clause: literal 0";
+          reserve t (abs l))
+        arr;
+      if t.nclauses >= Array.length t.clauses then begin
+        let clauses = Array.make (2 * Array.length t.clauses) [||] in
+        Array.blit t.clauses 0 clauses 0 t.nclauses;
+        t.clauses <- clauses
+      end;
+      let ci = t.nclauses in
+      t.clauses.(ci) <- arr;
+      t.nclauses <- t.nclauses + 1;
+      Array.iter
+        (fun l ->
+          let idx = lit_index l in
+          ensure_occ t idx;
+          t.occ.(idx) <- ci :: t.occ.(idx))
+        arr
+
+(* Size the assignment structures for the current variable count.  The
+   trail is always empty between calls, so growing them is a plain
+   reallocation, not a migration. *)
+let sync t =
+  if t.synced_vars <> t.nvars then begin
+    t.assign <- Array.make (t.nvars + 1) 0;
+    t.trail <- Array.make (max 1 t.nvars) 0;
+    t.weight <- Array.make (t.nvars + 1) 0.0;
+    ensure_occ t ((2 * t.nvars) + 1);
+    t.synced_vars <- t.nvars
+  end
 
 let value st l =
   let v = st.assign.(abs l) in
@@ -182,104 +279,91 @@ let rec search st ~bound ~on_model =
         try_sign false;
         try_sign true
 
-let init cnf ~assumptions ~soft =
-  if List.exists (fun c -> Array.length c = 0) (Cnf.clauses cnf) then None
-  else
-    let st = make_state cnf ~soft in
-    if not (List.for_all (fun l -> assume st l) assumptions) then None
-    else if propagate st 0 then Some st
-    else None
+(* Run [search] over the clauses added so far from the blank
+   assignment, under the assumption literals and with the [soft] weights
+   in force.  The assignment, the weights and the cost are blanked again
+   on every exit — a model, [Stop], or a deadline ([Obs.Progress])
+   raised mid-search — so the next call starts clean. *)
+let run ?(soft = []) t ~assumptions ~bound ~on_model =
+  if not t.root_unsat then begin
+    List.iter (fun l -> reserve t (abs l)) assumptions;
+    sync t;
+    let in_range v = v >= 1 && v <= t.nvars in
+    List.iter (fun (v, w) -> if in_range v then t.weight.(v) <- w) soft;
+    Fun.protect ~finally:(fun () ->
+        undo_to t 0;
+        List.iter (fun (v, _) -> if in_range v then t.weight.(v) <- 0.0) soft;
+        t.cost <- 0.0)
+    @@ fun () ->
+    if List.for_all (assume t) assumptions then
+      try search t ~bound ~on_model with Stop -> ()
+  end
 
-let solve ?(assumptions = []) cnf =
-  let sp = Obs.Trace.start "sat.solve" in
-  Obs.Progress.phase "sat.solve";
-  let result =
-    match init cnf ~assumptions ~soft:[] with
-    | None -> None
-    | Some st ->
-        let result = ref None in
-        (try
-           search st ~bound:(ref infinity) ~on_model:(fun _ m ->
-               result := Some m;
-               raise Stop)
-         with Stop -> ());
-        !result
-  in
+let solve ?(assumptions = []) t =
+  Obs.Trace.with_span "sat.dpll.solve" @@ fun () ->
+  Obs.Counter.incr c_solves;
+  Obs.Progress.tick ();
+  let found = ref None in
+  run t ~assumptions ~bound:(ref infinity) ~on_model:(fun _ m ->
+      found := Some m;
+      raise Stop);
+  let unsat = Option.is_none !found in
+  if unsat && assumptions <> [] && not t.root_unsat then begin
+    (* UNSAT under assumptions: the formula implies the clause of their
+       negations.  Keep it, so the refutation is never re-derived. *)
+    add_clause t (List.map (fun l -> -l) assumptions);
+    t.learned <- t.learned + 1;
+    Obs.Counter.incr c_learned
+  end;
   if Obs.Trace.is_enabled () then
-    Obs.Trace.attr "sat" (if result = None then "unsat" else "sat");
-  Obs.Trace.finish sp;
-  result
+    Obs.Trace.attr "sat" (if unsat then "unsat" else "sat");
+  !found
 
-let satisfiable ?assumptions cnf = solve ?assumptions cnf <> None
+let satisfiable ?assumptions t = solve ?assumptions t <> None
 
-let enumerate_inner ~assumptions ?limit ?project cnf =
-  match init cnf ~assumptions ~soft:[] with
-  | None -> []
-  | Some st ->
-      let seen = Hashtbl.create 64 in
-      let models = ref [] and count = ref 0 in
-      let key m =
-        match project with
-        | None -> Array.to_list m
-        | Some vs -> List.map (fun v -> m.(v)) vs
-      in
-      (try
-         search st ~bound:(ref infinity) ~on_model:(fun _ m ->
-             let k = key m in
-             if not (Hashtbl.mem seen k) then begin
-               Hashtbl.add seen k ();
-               models := m :: !models;
-               incr count;
-               match limit with
-               | Some l when !count >= l -> raise Stop
-               | _ -> ()
-             end)
-       with Stop -> ());
-      List.rev !models
-
-let enumerate ?(assumptions = []) ?limit ?project cnf =
-  let sp = Obs.Trace.start "sat.enumerate" in
+let enumerate ?(assumptions = []) ?limit ?project t =
+  Obs.Trace.with_span "sat.enumerate" @@ fun () ->
   Obs.Progress.phase "sat.enumerate";
-  match enumerate_inner ~assumptions ?limit ?project cnf with
-  | models ->
-      if Obs.Trace.is_enabled () then
-        Obs.Trace.attr_int "models" (List.length models);
-      Obs.Trace.finish sp;
-      models
-  | exception e ->
-      Obs.Trace.finish sp;
-      raise e
-
-let count ?assumptions ?project cnf =
-  List.length (enumerate ?assumptions ?project cnf)
-
-let minimize_weighted ?(assumptions = []) ~soft cnf =
-  let sp = Obs.Trace.start "sat.minimize" in
-  Obs.Progress.phase "sat.minimize";
-  let best =
-    match init cnf ~assumptions ~soft with
-    | None -> None
-    | Some st ->
-        let best = ref None in
-        let bound = ref infinity in
-        (try
-           search st ~bound ~on_model:(fun st m ->
-               if st.cost < !bound then begin
-                 bound := st.cost;
-                 best := Some (st.cost, m);
-                 Obs.Progress.bound (int_of_float (Float.round st.cost));
-                 if st.cost <= 0.0 then raise Stop
-               end)
-         with Stop -> ());
-        !best
+  let seen = Hashtbl.create 64 in
+  let models = ref [] and count = ref 0 in
+  let key m =
+    match project with
+    | None -> Array.to_list m
+    | Some vs -> List.map (fun v -> m.(v)) vs
   in
-  Obs.Trace.finish sp;
-  best
+  run t ~assumptions ~bound:(ref infinity) ~on_model:(fun _ m ->
+      let k = key m in
+      if not (Hashtbl.mem seen k) then begin
+        Hashtbl.add seen k ();
+        models := m :: !models;
+        incr count;
+        match limit with
+        | Some l when !count >= l -> raise Stop
+        | _ -> ()
+      end);
+  if Obs.Trace.is_enabled () then Obs.Trace.attr_int "models" !count;
+  List.rev !models
 
-let minimize ?assumptions ~soft cnf =
+let count ?assumptions ?project t =
+  List.length (enumerate ?assumptions ?project t)
+
+let minimize_weighted ?(assumptions = []) ~soft t =
+  Obs.Trace.with_span "sat.minimize" @@ fun () ->
+  Obs.Progress.phase "sat.minimize";
+  let best = ref None in
+  let bound = ref infinity in
+  run ~soft t ~assumptions ~bound ~on_model:(fun t m ->
+      if t.cost < !bound then begin
+        bound := t.cost;
+        best := Some (t.cost, m);
+        Obs.Progress.bound (int_of_float (Float.round t.cost));
+        if t.cost <= 0.0 then raise Stop
+      end);
+  !best
+
+let minimize ?assumptions ~soft t =
   match
-    minimize_weighted ?assumptions ~soft:(List.map (fun v -> (v, 1.0)) soft)
-      cnf
+    minimize_weighted ?assumptions ~soft:(List.map (fun v -> (v, 1.0)) soft) t
   with
   | None -> None
   | Some (cost, m) -> Some (int_of_float (Float.round cost), m)
@@ -290,203 +374,3 @@ let model_true_vars m =
     if m.(v) then acc := v :: !acc
   done;
   !acc
-
-(* ------------------------------------------------------------------ *)
-(* Incremental solving.
-
-   A persistent solver that accepts clauses and variables between calls
-   and solves under per-call assumption literals.  The clause store and
-   occurrence lists grow in place (capacity doubling), so the formula
-   built by earlier calls is never re-indexed; each [solve] only pays
-   for what was added since the last one.  When a call is unsatisfiable
-   under non-empty assumptions the clause over their negations is
-   implied by the formula, so it is retained.  [mark]/[rollback] undo
-   everything added after a mark — clauses, variables and learned
-   refutations — so a caller that probes many throwaway candidates
-   (lib/cavsat) solves each one against the base formula alone. *)
-
-module Incremental = struct
-  type solver = {
-    mutable clauses : int array array; (* capacity-doubled; [0, n) used *)
-    mutable n : int;
-    mutable occ : int list array; (* literal index -> clause indices *)
-    mutable nvars : int;
-    mutable assign : int array;
-    mutable trail : int array;
-    mutable synced_vars : int; (* assign/trail are sized for this many *)
-    mutable zero_weight : float array;
-    mutable learned : int;
-    mutable root_unsat : bool; (* an empty clause was added *)
-  }
-
-  type t = solver
-  type mark = {
-    m_n : int;
-    m_nvars : int;
-    m_learned : int;
-    m_root_unsat : bool;
-  }
-
-  let create () =
-    {
-      clauses = Array.make 16 [||];
-      n = 0;
-      occ = Array.make 64 [];
-      nvars = 0;
-      assign = [||];
-      trail = [||];
-      synced_vars = -1;
-      zero_weight = [||];
-      learned = 0;
-      root_unsat = false;
-    }
-
-  let mark t =
-    {
-      m_n = t.n;
-      m_nvars = t.nvars;
-      m_learned = t.learned;
-      m_root_unsat = t.root_unsat;
-    }
-
-  (* Clause [ci] was the newest when it was indexed, so once every
-     younger clause is gone its entries sit at the heads of its
-     literals' occurrence lists (twice for a repeated literal). *)
-  let rollback t m =
-    if m.m_n > t.n || m.m_nvars > t.nvars then
-      invalid_arg "Dpll.Incremental.rollback: mark is newer than the solver";
-    for ci = t.n - 1 downto m.m_n do
-      Array.iter
-        (fun l ->
-          let idx = lit_index l in
-          t.occ.(idx) <- List.tl t.occ.(idx))
-        t.clauses.(ci);
-      t.clauses.(ci) <- [||]
-    done;
-    t.n <- m.m_n;
-    t.nvars <- m.m_nvars;
-    t.learned <- m.m_learned;
-    t.root_unsat <- m.m_root_unsat
-
-  let nvars t = t.nvars
-  let nclauses t = t.n
-  let learned_clauses t = t.learned
-
-  let fresh_var t =
-    t.nvars <- t.nvars + 1;
-    t.nvars
-
-  let reserve t v = if v > t.nvars then t.nvars <- v
-
-  let ensure_occ t idx =
-    if idx >= Array.length t.occ then begin
-      let cap = ref (max 64 (Array.length t.occ)) in
-      while idx >= !cap do
-        cap := !cap * 2
-      done;
-      let occ = Array.make !cap [] in
-      Array.blit t.occ 0 occ 0 (Array.length t.occ);
-      t.occ <- occ
-    end
-
-  let add_clause t lits =
-    match lits with
-    | [] -> t.root_unsat <- true
-    | _ ->
-        let arr = Array.of_list lits in
-        Array.iter
-          (fun l ->
-            if l = 0 then invalid_arg "Dpll.Incremental.add_clause: literal 0";
-            reserve t (abs l))
-          arr;
-        if t.n >= Array.length t.clauses then begin
-          let clauses = Array.make (2 * Array.length t.clauses) [||] in
-          Array.blit t.clauses 0 clauses 0 t.n;
-          t.clauses <- clauses
-        end;
-        let ci = t.n in
-        t.clauses.(ci) <- arr;
-        t.n <- t.n + 1;
-        Array.iter
-          (fun l ->
-            let idx = lit_index l in
-            ensure_occ t idx;
-            t.occ.(idx) <- ci :: t.occ.(idx))
-          arr
-
-  (* Size the assignment structures for the current variable count.  The
-     trail is always empty between solves, so growing them is a plain
-     reallocation, not a migration. *)
-  let sync t =
-    if t.synced_vars <> t.nvars then begin
-      t.assign <- Array.make (t.nvars + 1) 0;
-      t.trail <- Array.make (max 1 t.nvars) 0;
-      t.zero_weight <- Array.make (t.nvars + 1) 0.0;
-      ensure_occ t ((2 * t.nvars) + 1);
-      t.synced_vars <- t.nvars
-    end
-
-  (* A [state] view over the shared arrays: [search]/[propagate] run
-     unchanged on it, and [undo_to 0] afterwards restores the blank
-     assignment for the next call. *)
-  let view t =
-    {
-      clauses = t.clauses;
-      nclauses = t.n;
-      occ = t.occ;
-      assign = t.assign;
-      trail = t.trail;
-      trail_len = 0;
-      weight = t.zero_weight;
-      cost = 0.0;
-    }
-
-  let solve ?(assumptions = []) t =
-    let sp = Obs.Trace.start "sat.dpll.solve" in
-    Obs.Counter.incr c_inc_solves;
-    match
-      Obs.Progress.tick ();
-      if t.root_unsat then None
-      else begin
-        List.iter (fun l -> reserve t (abs l)) assumptions;
-        sync t;
-        let st = view t in
-        (* Blank the shared assignment on every exit: a deadline raised
-           inside [search] must not leak its partial trail into the
-           next call. *)
-        let outcome =
-          Fun.protect ~finally:(fun () -> undo_to st 0) @@ fun () ->
-          if not (List.for_all (fun l -> assume st l) assumptions) then None
-          else begin
-            let found = ref None in
-            (try
-               search st ~bound:(ref infinity) ~on_model:(fun _ m ->
-                   found := Some m;
-                   raise Stop)
-             with Stop -> ());
-            !found
-          end
-        in
-        (match outcome with
-        | None when assumptions <> [] ->
-            (* UNSAT under assumptions: the formula implies the clause of
-               their negations.  Keep it, so the refutation is never
-               re-derived. *)
-            add_clause t (List.map (fun l -> -l) assumptions);
-            t.learned <- t.learned + 1;
-            Obs.Counter.incr c_learned
-        | _ -> ());
-        outcome
-      end
-    with
-    | result ->
-        if Obs.Trace.is_enabled () then
-          Obs.Trace.attr "sat" (if result = None then "unsat" else "sat");
-        Obs.Trace.finish sp;
-        result
-    | exception e ->
-        Obs.Trace.finish sp;
-        raise e
-
-  let satisfiable ?assumptions t = solve ?assumptions t <> None
-end

@@ -108,30 +108,6 @@ let components edges =
     edges;
   List.rev_map (fun key -> List.rev (Hashtbl.find groups key)) !order
 
-let minimum edges =
-  if edges = [] then Some []
-  else if List.exists (( = ) []) edges then None
-  else begin
-    let verts = Iset.elements (vertices edges) in
-    let index = Hashtbl.create 64 and back = Hashtbl.create 64 in
-    List.iteri
-      (fun i v ->
-        Hashtbl.add index v (i + 1);
-        Hashtbl.add back (i + 1) v)
-      verts;
-    let cnf = Cnf.create () in
-    Cnf.reserve cnf (List.length verts);
-    List.iter
-      (fun e -> Cnf.add_clause cnf (List.map (Hashtbl.find index) e))
-      edges;
-    match Dpll.minimize ~soft:(List.init (List.length verts) (fun i -> i + 1)) cnf with
-    | None -> None
-    | Some (_cost, model) ->
-        Some (List.map (Hashtbl.find back) (Dpll.model_true_vars model))
-  end
-
-let minimum_size edges = Option.map List.length (minimum edges)
-
 let minimum_weighted ~weight edges =
   if edges = [] then Some []
   else if List.exists (( = ) []) edges then None
@@ -143,19 +119,20 @@ let minimum_weighted ~weight edges =
         Hashtbl.add index v (i + 1);
         Hashtbl.add back (i + 1) v)
       verts;
-    let cnf = Cnf.create () in
-    Cnf.reserve cnf (List.length verts);
+    let solver = Dpll.create () in
+    Dpll.reserve solver (List.length verts);
     List.iter
-      (fun e -> Cnf.add_clause cnf (List.map (Hashtbl.find index) e))
+      (fun e -> Dpll.add_clause solver (List.map (Hashtbl.find index) e))
       edges;
-    let soft =
-      List.mapi (fun i v -> (i + 1, weight v)) verts
-    in
-    match Dpll.minimize_weighted ~soft cnf with
+    let soft = List.mapi (fun i v -> (i + 1, weight v)) verts in
+    match Dpll.minimize_weighted ~soft solver with
     | None -> None
     | Some (_cost, model) ->
         Some (List.map (Hashtbl.find back) (Dpll.model_true_vars model))
   end
+
+let minimum edges = minimum_weighted ~weight:(fun _ -> 1.0) edges
+let minimum_size edges = Option.map List.length (minimum edges)
 
 let minimum_all edges =
   match minimum_size edges with

@@ -161,6 +161,12 @@ let engine_method : P.method_ -> Cqa.Engine.answer_method = function
   | P.Asp -> `Asp
   | P.Sat -> `Sat
 
+(* The engine method a union query runs: unions have no rewriting or
+   SAT route, so everything but method=asp enumerates repairs. *)
+let ucq_method : P.method_ -> [ `Repair_enumeration | `Asp ] = function
+  | P.Asp -> `Asp
+  | _ -> `Repair_enumeration
+
 let with_session t sid f =
   match Session.find t.sessions sid with
   | None -> P.err (Printf.sprintf "unknown session %S (LOAD it first)" sid)
@@ -230,11 +236,9 @@ let exec_query (session : Session.t) name method_ semantics =
                    (Analysis.Classify.ucq_rewriting_diagnostic
                       session.doc.ics u))
           | P.Auto | P.Enum | P.Asp ->
-              let m =
-                match method_ with P.Asp -> `Asp | _ -> `Repair_enumeration
-              in
               let rows =
-                Cqa.Engine.consistent_answers_ucq ~method_:m session.engine u
+                Cqa.Engine.consistent_answers_ucq
+                  ~method_:(ucq_method method_) session.engine u
               in
               P.ok ~body:(List.map pp_row rows)
                 (Printf.sprintf "answers=%d" (List.length rows))))
@@ -246,27 +250,25 @@ let query_cache_key (session : Session.t) name method_ semantics =
       semantics_label semantics;
     ]
 
-(* The plan branch a QUERY/EXPLAIN executes: the auto route for
-   method=auto, the forced method's branch otherwise.  Shared by the
-   EXPLAIN plan section and by workload attribution. *)
+(* The one semantics x method -> branch table: the branch a
+   QUERY/EXPLAIN executes, as the engine reports it to Obs.Progress.
+   [route] is a single query's planned route, forced under method=auto
+   only; without it the query is a union, which runs [ucq_method]. *)
+let branch ?route method_ semantics =
+  match (semantics, method_, route) with
+  | P.C, _, _ -> Cqa.Engine.c_branch
+  | P.S, m, None ->
+      Cqa.Engine.method_route (ucq_method m :> Cqa.Engine.answer_method)
+  | P.S, P.Auto, Some r -> Cqa.Engine.route_label (Lazy.force r)
+  | P.S, m, Some _ -> Cqa.Engine.method_route (engine_method m)
+
+(* The plan branch of a QUERY/EXPLAIN, for workload attribution. *)
 let branch_of (session : Session.t) (u : Logic.Ucq.t) method_ semantics =
   match u.Logic.Ucq.disjuncts with
-  | [ q ] -> (
-      match (semantics, method_) with
-      | P.C, _ -> "asp_c"
-      | P.S, P.Auto ->
-          Cqa.Engine.route_label
-            (Cqa.Engine.plan session.engine q).Cqa.Engine.route
-      | P.S, P.Enum -> "repair_enumeration"
-      | P.S, P.Rewriting -> "residue_rewriting"
-      | P.S, P.Key_rewriting -> "key_rewriting"
-      | P.S, P.Asp -> "asp"
-      | P.S, P.Sat -> "sat_compilation")
-  | _ -> (
-      match (semantics, method_) with
-      | P.C, _ -> "asp_c"
-      | P.S, P.Asp -> "asp"
-      | P.S, _ -> "repair_enumeration")
+  | [ q ] ->
+      branch method_ semantics
+        ~route:(lazy (Cqa.Engine.plan session.engine q).Cqa.Engine.route)
+  | _ -> branch method_ semantics
 
 (* Workload identity of a QUERY/EXPLAIN: semantics-qualified fingerprint
    (Cqa.Fingerprint — canonical variable renaming, constants abstracted)
@@ -344,14 +346,7 @@ let plan_lines (session : Session.t) name method_ semantics =
       | [ q ] ->
           let p = Cqa.Engine.plan session.engine q in
           let branch =
-            match (semantics, method_) with
-            | P.C, _ -> "asp_c"
-            | P.S, P.Auto -> Cqa.Engine.route_label p.Cqa.Engine.route
-            | P.S, P.Enum -> "repair_enumeration"
-            | P.S, P.Rewriting -> "residue_rewriting"
-            | P.S, P.Key_rewriting -> "key_rewriting"
-            | P.S, P.Asp -> "asp"
-            | P.S, P.Sat -> "sat_compilation"
+            branch method_ semantics ~route:(Lazy.from_val p.Cqa.Engine.route)
           in
           [
             "-- plan";
@@ -366,12 +361,7 @@ let plan_lines (session : Session.t) name method_ semantics =
           ]
       | disjuncts ->
           let c = Analysis.Classify.classify_ucq session.doc.ics u in
-          let branch =
-            match (semantics, method_) with
-            | P.C, _ -> "asp_c"
-            | P.S, P.Asp -> "asp"
-            | P.S, _ -> "repair_enumeration"
-          in
+          let branch = branch method_ semantics in
           [
             "-- plan";
             Printf.sprintf "branch %s (union query, %d disjuncts)" branch

@@ -7,7 +7,7 @@ module Schema = Relational.Schema
 module Instance = Relational.Instance
 module Value = Relational.Value
 module Ic = Constraints.Ic
-module Inc = Sat.Dpll.Incremental
+module Dpll = Sat.Dpll
 open Logic
 
 let check = Alcotest.check
@@ -18,94 +18,93 @@ let z = Term.var "z"
 let rows = Alcotest.(list (list string))
 let strings_of = List.map (List.map Value.to_string)
 
-(* ---- Dpll.Incremental ------------------------------------------------ *)
+(* ---- Dpll: the persistent solver ----------------------------------- *)
 
 let test_incremental_basic () =
-  let s = Inc.create () in
-  Inc.add_clause s [ 1; 2 ];
-  Inc.add_clause s [ -1; 2 ];
-  check Alcotest.bool "sat" true (Inc.satisfiable s);
+  let s = Dpll.create () in
+  Dpll.add_clause s [ 1; 2 ];
+  Dpll.add_clause s [ -1; 2 ];
+  check Alcotest.bool "sat" true (Dpll.satisfiable s);
   (* Growing the formula between calls is visible to the next call. *)
-  Inc.add_clause s [ -2 ];
-  check Alcotest.bool "now unsat" false (Inc.satisfiable s);
+  Dpll.add_clause s [ -2 ];
+  check Alcotest.bool "now unsat" false (Dpll.satisfiable s);
   (* Root-level unsatisfiability is permanent. *)
-  check Alcotest.bool "still unsat" false (Inc.satisfiable s)
+  check Alcotest.bool "still unsat" false (Dpll.satisfiable s)
 
 let test_incremental_assumptions () =
-  let s = Inc.create () in
-  let a = Inc.fresh_var s and b = Inc.fresh_var s in
-  Inc.add_clause s [ -a; b ];
-  Inc.add_clause s [ -b ];
-  check Alcotest.bool "free: sat" true (Inc.satisfiable s);
-  check Alcotest.int "no learned clauses yet" 0 (Inc.learned_clauses s);
+  let s = Dpll.create () in
+  let a = Dpll.fresh_var s and b = Dpll.fresh_var s in
+  Dpll.add_clause s [ -a; b ];
+  Dpll.add_clause s [ -b ];
+  check Alcotest.bool "free: sat" true (Dpll.satisfiable s);
+  check Alcotest.int "no learned clauses yet" 0 (Dpll.learned_clauses s);
   (* Assuming a forces b, contradicting ¬b: unsat under the assumption,
      and the refutation ¬a is retained. *)
-  check Alcotest.bool "under a: unsat" false (Inc.satisfiable ~assumptions:[ a ] s);
-  check Alcotest.int "refutation retained" 1 (Inc.learned_clauses s);
-  (match Inc.solve s with
+  check Alcotest.bool "under a: unsat" false (Dpll.satisfiable ~assumptions:[ a ] s);
+  check Alcotest.int "refutation retained" 1 (Dpll.learned_clauses s);
+  (match Dpll.solve s with
   | None -> Alcotest.fail "formula itself is satisfiable"
   | Some m -> check Alcotest.bool "learned unit forces a false" false m.(a));
   (* The solver stays reusable after an unsat call. *)
-  check Alcotest.bool "still sat free" true (Inc.satisfiable s)
+  check Alcotest.bool "still sat free" true (Dpll.satisfiable s)
 
 let test_incremental_empty_clause () =
-  let s = Inc.create () in
-  Inc.add_clause s [ 1 ];
-  Inc.add_clause s [];
-  check Alcotest.bool "empty clause: unsat" false (Inc.satisfiable s)
+  let s = Dpll.create () in
+  Dpll.add_clause s [ 1 ];
+  Dpll.add_clause s [];
+  check Alcotest.bool "empty clause: unsat" false (Dpll.satisfiable s)
 
 let test_incremental_many_selectors () =
   (* The cavsat usage pattern: a fixed theory, then one selector per
      probe, each retired after its call. *)
-  let s = Inc.create () in
-  let v1 = Inc.fresh_var s and v2 = Inc.fresh_var s in
-  Inc.add_clause s [ v1; v2 ];
-  Inc.add_clause s [ -v1; -v2 ];
+  let s = Dpll.create () in
+  let v1 = Dpll.fresh_var s and v2 = Dpll.fresh_var s in
+  Dpll.add_clause s [ v1; v2 ];
+  Dpll.add_clause s [ -v1; -v2 ];
   for _ = 1 to 20 do
-    let sel = Inc.fresh_var s in
-    Inc.add_clause s [ -sel; v1 ];
-    Inc.add_clause s [ -sel; v2 ];
-    (match Inc.solve ~assumptions:[ sel ] s with
+    let sel = Dpll.fresh_var s in
+    Dpll.add_clause s [ -sel; v1 ];
+    Dpll.add_clause s [ -sel; v2 ];
+    (match Dpll.solve ~assumptions:[ sel ] s with
     | Some _ -> Alcotest.fail "selector forces v1∧v2 against ¬(v1∧v2)"
     | None -> ());
-    check Alcotest.bool "theory survives probe" true (Inc.satisfiable s)
+    check Alcotest.bool "theory survives probe" true (Dpll.satisfiable s)
   done;
-  check Alcotest.int "twenty refutations retained" 20 (Inc.learned_clauses s)
+  check Alcotest.int "twenty refutations retained" 20 (Dpll.learned_clauses s)
 
 let test_incremental_rollback () =
-  let s = Inc.create () in
-  let a = Inc.fresh_var s and b = Inc.fresh_var s in
-  Inc.add_clause s [ a; b ];
-  let m = Inc.mark s in
-  let sel = Inc.fresh_var s in
-  Inc.add_clause s [ -sel; -a; -a ];
-  Inc.add_clause s [ -sel; -b ];
+  let s = Dpll.create () in
+  let a = Dpll.fresh_var s and b = Dpll.fresh_var s in
+  Dpll.add_clause s [ a; b ];
+  let m = Dpll.mark s in
+  let sel = Dpll.fresh_var s in
+  Dpll.add_clause s [ -sel; -a; -a ];
+  Dpll.add_clause s [ -sel; -b ];
   check Alcotest.bool "selector refuted" false
-    (Inc.satisfiable ~assumptions:[ sel ] s);
-  check Alcotest.int "refutation retained" 1 (Inc.learned_clauses s);
-  Inc.add_clause s [];
-  check Alcotest.bool "root unsat" false (Inc.satisfiable s);
-  Inc.rollback s m;
-  check Alcotest.int "vars back to the mark" 2 (Inc.nvars s);
-  check Alcotest.int "clauses back to the mark" 1 (Inc.nclauses s);
-  check Alcotest.int "learned back to the mark" 0 (Inc.learned_clauses s);
-  check Alcotest.bool "root unsat undone" true (Inc.satisfiable s);
+    (Dpll.satisfiable ~assumptions:[ sel ] s);
+  check Alcotest.int "refutation retained" 1 (Dpll.learned_clauses s);
+  Dpll.add_clause s [];
+  check Alcotest.bool "root unsat" false (Dpll.satisfiable s);
+  Dpll.rollback s m;
+  check Alcotest.int "vars back to the mark" 2 (Dpll.nvars s);
+  check Alcotest.int "clauses back to the mark" 1 (Dpll.nclauses s);
+  check Alcotest.int "learned back to the mark" 0 (Dpll.learned_clauses s);
+  check Alcotest.bool "root unsat undone" true (Dpll.satisfiable s);
   (* The occurrence lists were unwound too: a selector reusing the
      released variable propagates against the base formula only. *)
-  let sel' = Inc.fresh_var s in
+  let sel' = Dpll.fresh_var s in
   check Alcotest.int "variable number reused" sel sel';
-  Inc.add_clause s [ -sel'; -a ];
-  (match Inc.solve ~assumptions:[ sel' ] s with
+  Dpll.add_clause s [ -sel'; -a ];
+  (match Dpll.solve ~assumptions:[ sel' ] s with
   | None -> Alcotest.fail "only the new selector clause constrains a"
   | Some m -> check Alcotest.bool "a dropped, b kept" true ((not m.(a)) && m.(b)));
-  Inc.rollback s m;
-  check Alcotest.int "second rollback" 1 (Inc.nclauses s);
+  Dpll.rollback s m;
+  check Alcotest.int "second rollback" 1 (Dpll.nclauses s);
   Alcotest.check_raises "mark past the solver"
-    (Invalid_argument
-       "Dpll.Incremental.rollback: mark is newer than the solver")
+    (Invalid_argument "Dpll.rollback: mark is newer than the solver")
     (fun () ->
-      let s' = Inc.create () in
-      Inc.rollback s' m)
+      let s' = Dpll.create () in
+      Dpll.rollback s' m)
 
 (* A deadline raised inside the search must leave the shared assignment
    blank.  (v1 ∨ v2) ∧ (v3 ∨ v4) ∧ ...: the search decides odd variables
@@ -120,9 +119,9 @@ let test_incremental_deadline_leaves_solver_blank () =
   @@ fun () ->
   let cut = ref 0 in
   for budget = 0 to 10 do
-    let s = Inc.create () in
+    let s = Dpll.create () in
     for i = 0 to 5 do
-      Inc.add_clause s [ (2 * i) + 1; (2 * i) + 2 ]
+      Dpll.add_clause s [ (2 * i) + 1; (2 * i) + 2 ]
     done;
     let now = ref 0.0 in
     let clock () =
@@ -133,13 +132,13 @@ let test_incremental_deadline_leaves_solver_blank () =
       Obs.Progress.create ~deadline_s:(float budget +. 0.5) ~clock
         ~label:"solve" ~id:0 ()
     in
-    (match Obs.Progress.run c (fun () -> Inc.solve s) with
+    (match Obs.Progress.run c (fun () -> Dpll.solve s) with
     | _ -> ()
     | exception Obs.Progress.Deadline_exceeded -> incr cut);
     check Alcotest.bool
       (Printf.sprintf "blank after budget %d" budget)
       true
-      (Inc.satisfiable ~assumptions:[ 1; 3; 5; 7; 9; 11 ] s)
+      (Dpll.satisfiable ~assumptions:[ 1; 3; 5; 7; 9; 11 ] s)
   done;
   check Alcotest.bool "the sweep cut solves mid-search" true (!cut > 2)
 
@@ -164,7 +163,7 @@ let test_theory_key_block () =
   check Alcotest.int "one conflict edge" 1
     t.Cavsat.Theory.base.Cavsat.Theory.conflict_edges;
   (* Exactly the two singleton repairs: models = maximal independent sets. *)
-  match Inc.solve t.Cavsat.Theory.solver with
+  match Dpll.solve t.Cavsat.Theory.solver with
   | None -> Alcotest.fail "theory of a repairable instance is satisfiable"
   | Some m -> check Alcotest.bool "exactly one kept" true (m.(1) <> m.(2))
 
@@ -524,9 +523,9 @@ let test_theory_size_constant () =
   let base = t.Cavsat.Theory.base in
   let solver = t.Cavsat.Theory.solver in
   check Alcotest.int "nclauses = base" base.Cavsat.Theory.clauses
-    (Inc.nclauses solver);
-  check Alcotest.int "nvars = base" base.Cavsat.Theory.vars (Inc.nvars solver);
-  check Alcotest.int "no learned clause left" 0 (Inc.learned_clauses solver)
+    (Dpll.nclauses solver);
+  check Alcotest.int "nvars = base" base.Cavsat.Theory.vars (Dpll.nvars solver);
+  check Alcotest.int "no learned clause left" 0 (Dpll.learned_clauses solver)
 
 (* The key rewriting declines instances with NULLs; under keys the
    engine then answers by SAT, not by enumerating repairs. *)
@@ -650,6 +649,39 @@ let test_declined_rewriting_reports_sat () =
         (attr "route");
       check Alcotest.(option string) "executed" (Some "sat_compilation")
         (attr "executed_route")
+
+(* C-semantics and union queries never plan a route, but they report
+   their branch all the same: a deadline ERR or INFLIGHT line must not
+   read branch=?. *)
+let test_c_and_union_report_branch () =
+  let db =
+    Instance.of_rows rs_schema
+      [
+        ("R", [ [ Value.int 1; Value.int 10 ]; [ Value.int 1; Value.int 11 ] ]);
+        ("S", [ [ Value.int 7; Value.int 10 ] ]);
+      ]
+  in
+  let eng = Cqa.Engine.create ~schema:rs_schema ~ics:rs_keys db in
+  let r_keys = Cq.make ~name:"r" [ x ] [ Atom.make "R" [ x; y ] ] in
+  let s_keys = Cq.make ~name:"s" [ x ] [ Atom.make "S" [ x; y ] ] in
+  let union = Logic.Ucq.make [ r_keys; s_keys ] in
+  let branch run =
+    let c = Obs.Progress.create ~label:"query" ~id:0 () in
+    let answers = Obs.Progress.run c run in
+    (Obs.Progress.branch c, List.length answers)
+  in
+  check
+    Alcotest.(pair string int)
+    "C-semantics CQ" ("asp_c", 1)
+    (branch (fun () -> Cqa.Engine.consistent_answers_c eng r_keys));
+  check
+    Alcotest.(pair string int)
+    "union, enumeration" ("repair_enumeration", 2)
+    (branch (fun () -> Cqa.Engine.consistent_answers_ucq eng union));
+  check
+    Alcotest.(pair string int)
+    "union, ASP" ("asp", 2)
+    (branch (fun () -> Cqa.Engine.consistent_answers_ucq ~method_:`Asp eng union))
 
 (* ---- qcheck equivalence (SAT ≡ enumeration) -------------------------- *)
 
@@ -780,6 +812,8 @@ let suite =
       test_declined_rewriting_reports_sat;
     Alcotest.test_case "engine: NULL fallback is SAT" `Quick
       test_null_fallback_is_sat;
+    Alcotest.test_case "engine: C and union queries report their branch"
+      `Quick test_c_and_union_report_branch;
     QCheck_alcotest.to_alcotest prop_sat_equals_enum_keys;
     QCheck_alcotest.to_alcotest prop_sat_equals_enum_denial;
     QCheck_alcotest.to_alcotest prop_sat_equals_enum_chain;

@@ -545,9 +545,9 @@ let prop_theory =
       && List.for_all
            (fun round ->
              let assumptions = if nvars = 0 then [] else List.map lit round in
-             let module Inc = Sat.Dpll.Incremental in
-             Inc.solve ~assumptions t.solver = Inc.solve ~assumptions o.solver
-             && Inc.nclauses t.solver = Inc.nclauses o.solver)
+             Sat.Dpll.solve ~assumptions t.solver
+             = Sat.Dpll.solve ~assumptions o.solver
+             && Sat.Dpll.nclauses t.solver = Sat.Dpll.nclauses o.solver)
            rounds)
 
 let suite =

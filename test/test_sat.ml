@@ -1,76 +1,75 @@
-module Cnf = Sat.Cnf
 module Dpll = Sat.Dpll
 module Hs = Sat.Hitting_set
 
 let check = Alcotest.check
 
 let test_sat_simple () =
-  let cnf = Cnf.create () in
-  let a = Cnf.fresh cnf and b = Cnf.fresh cnf in
-  Cnf.add_clause cnf [ a; b ];
-  Cnf.add_clause cnf [ -a ];
-  (match Dpll.solve cnf with
+  let s = Dpll.create () in
+  let a = Dpll.fresh_var s and b = Dpll.fresh_var s in
+  Dpll.add_clause s [ a; b ];
+  Dpll.add_clause s [ -a ];
+  (match Dpll.solve s with
   | None -> Alcotest.fail "satisfiable"
   | Some m ->
       check Alcotest.bool "a false" false m.(a);
       check Alcotest.bool "b true" true m.(b));
-  Cnf.add_clause cnf [ -b ];
-  check Alcotest.bool "now unsat" false (Dpll.satisfiable cnf)
+  Dpll.add_clause s [ -b ];
+  check Alcotest.bool "now unsat" false (Dpll.satisfiable s)
 
 let test_empty_clause () =
-  let cnf = Cnf.create () in
-  Cnf.add_clause cnf [];
-  check Alcotest.bool "empty clause unsat" false (Dpll.satisfiable cnf)
+  let s = Dpll.create () in
+  Dpll.add_clause s [];
+  check Alcotest.bool "empty clause unsat" false (Dpll.satisfiable s)
 
 let test_assumptions () =
-  let cnf = Cnf.create () in
-  let a = Cnf.fresh cnf and b = Cnf.fresh cnf in
-  Cnf.add_clause cnf [ a; b ];
+  let s = Dpll.create () in
+  let a = Dpll.fresh_var s and b = Dpll.fresh_var s in
+  Dpll.add_clause s [ a; b ];
   check Alcotest.bool "assume -a -b conflicts" false
-    (Dpll.satisfiable ~assumptions:[ -a; -b ] cnf);
-  check Alcotest.bool "assume -a ok" true (Dpll.satisfiable ~assumptions:[ -a ] cnf)
+    (Dpll.satisfiable ~assumptions:[ -a; -b ] s);
+  check Alcotest.bool "assume -a ok" true (Dpll.satisfiable ~assumptions:[ -a ] s)
 
 let test_enumerate () =
-  let cnf = Cnf.create () in
-  let a = Cnf.fresh cnf and b = Cnf.fresh cnf in
-  Cnf.add_clause cnf [ a; b ];
-  let models = Dpll.enumerate cnf in
+  let s = Dpll.create () in
+  let a = Dpll.fresh_var s and b = Dpll.fresh_var s in
+  Dpll.add_clause s [ a; b ];
+  let models = Dpll.enumerate s in
   check Alcotest.int "three models of a∨b" 3 (List.length models);
-  let proj = Dpll.enumerate ~project:[ a ] cnf in
+  let proj = Dpll.enumerate ~project:[ a ] s in
   check Alcotest.int "two projections on a" 2 (List.length proj);
-  let limited = Dpll.enumerate ~limit:1 cnf in
+  let limited = Dpll.enumerate ~limit:1 s in
   check Alcotest.int "limit respected" 1 (List.length limited)
 
 let test_enumerate_count_pigeons () =
   (* 3 pigeons, 3 holes, exactly-one encodings: 6 permutation models. *)
-  let cnf = Cnf.create () in
-  let var = Array.init 3 (fun _ -> Array.init 3 (fun _ -> Cnf.fresh cnf)) in
+  let s = Dpll.create () in
+  let var = Array.init 3 (fun _ -> Array.init 3 (fun _ -> Dpll.fresh_var s)) in
   for p = 0 to 2 do
-    Cnf.add_clause cnf [ var.(p).(0); var.(p).(1); var.(p).(2) ];
+    Dpll.add_clause s [ var.(p).(0); var.(p).(1); var.(p).(2) ];
     for h = 0 to 2 do
       for h' = h + 1 to 2 do
-        Cnf.add_clause cnf [ -var.(p).(h); -var.(p).(h') ]
+        Dpll.add_clause s [ -var.(p).(h); -var.(p).(h') ]
       done
     done
   done;
   for h = 0 to 2 do
     for p = 0 to 2 do
       for p' = p + 1 to 2 do
-        Cnf.add_clause cnf [ -var.(p).(h); -var.(p').(h) ]
+        Dpll.add_clause s [ -var.(p).(h); -var.(p').(h) ]
       done
     done
   done;
-  check Alcotest.int "6 permutations" 6 (Dpll.count cnf)
+  check Alcotest.int "6 permutations" 6 (Dpll.count s)
 
 let test_minimize () =
-  let cnf = Cnf.create () in
-  let vs = List.init 4 (fun _ -> Cnf.fresh cnf) in
+  let s = Dpll.create () in
+  let vs = List.init 4 (fun _ -> Dpll.fresh_var s) in
   (match vs with
   | [ a; b; c; d ] ->
-      Cnf.add_clause cnf [ a; b ];
-      Cnf.add_clause cnf [ b; c ];
-      Cnf.add_clause cnf [ c; d ];
-      (match Dpll.minimize ~soft:vs cnf with
+      Dpll.add_clause s [ a; b ];
+      Dpll.add_clause s [ b; c ];
+      Dpll.add_clause s [ c; d ];
+      (match Dpll.minimize ~soft:vs s with
       | None -> Alcotest.fail "sat"
       | Some (cost, m) ->
           check Alcotest.int "vertex cover of path is 2" 2 cost;
@@ -80,10 +79,10 @@ let test_minimize () =
   | _ -> assert false)
 
 let test_minimize_zero () =
-  let cnf = Cnf.create () in
-  let a = Cnf.fresh cnf and b = Cnf.fresh cnf in
-  Cnf.add_clause cnf [ a; -b ];
-  match Dpll.minimize ~soft:[ a; b ] cnf with
+  let s = Dpll.create () in
+  let a = Dpll.fresh_var s and b = Dpll.fresh_var s in
+  Dpll.add_clause s [ a; -b ];
+  match Dpll.minimize ~soft:[ a; b ] s with
   | Some (0, _) -> ()
   | _ -> Alcotest.fail "all-false model exists"
 

@@ -155,63 +155,136 @@ let test_ucq_gains_over_cq () =
 
 (* --- SAT differential vs brute force --- *)
 
+let satisfies clauses assignment =
+  List.for_all
+    (fun clause ->
+      List.exists
+        (fun lit ->
+          let v = abs lit in
+          if lit > 0 then assignment.(v) else not assignment.(v))
+        clause)
+    clauses
+
 let brute_force_models nvars clauses =
-  let satisfied assignment =
-    List.for_all
-      (fun clause ->
-        List.exists
-          (fun lit ->
-            let v = abs lit in
-            if lit > 0 then assignment.(v) else not assignment.(v))
-          clause)
-      clauses
-  in
   let models = ref [] in
   for mask = 0 to (1 lsl nvars) - 1 do
     let assignment = Array.make (nvars + 1) false in
     for v = 1 to nvars do
       assignment.(v) <- mask land (1 lsl (v - 1)) <> 0
     done;
-    if satisfied assignment then models := assignment :: !models
+    if satisfies clauses assignment then models := assignment :: !models
   done;
   !models
 
+(* The least number of [soft] variables true in a brute-force model;
+   [max_int] when there is none. *)
+let brute_force_minimum nvars soft clauses =
+  brute_force_models nvars clauses
+  |> List.map (fun m -> List.length (List.filter (fun v -> m.(v)) soft))
+  |> List.fold_left min max_int
+
+let gen_lit =
+  QCheck.Gen.(map (fun (v, s) -> if s then v else -v) (pair (int_range 1 5) bool))
+
+let print_clause c = "(" ^ String.concat "|" (List.map string_of_int c) ^ ")"
+
 let arb_cnf =
   QCheck.make
-    QCheck.Gen.(
-      let lit = map (fun (v, s) -> if s then v else -v) (pair (int_range 1 5) bool) in
-      list_size (int_range 0 8) (list_size (int_range 1 3) lit))
-    ~print:(fun clauses ->
-      String.concat " & "
-        (List.map
-           (fun c -> "(" ^ String.concat "|" (List.map string_of_int c) ^ ")")
-           clauses))
+    QCheck.Gen.(list_size (int_range 0 8) (list_size (int_range 1 3) gen_lit))
+    ~print:(fun clauses -> String.concat " & " (List.map print_clause clauses))
+
+let solver_of clauses =
+  let s = Sat.Dpll.create () in
+  Sat.Dpll.reserve s 5;
+  List.iter (Sat.Dpll.add_clause s) clauses;
+  s
 
 let prop_sat_differential =
   QCheck.Test.make ~count:200 ~name:"DPLL model count = brute force" arb_cnf
     (fun clauses ->
-      let cnf = Sat.Cnf.create () in
-      Sat.Cnf.reserve cnf 5;
-      List.iter (Sat.Cnf.add_clause cnf) clauses;
-      Sat.Dpll.count cnf = List.length (brute_force_models 5 clauses))
+      Sat.Dpll.count (solver_of clauses)
+      = List.length (brute_force_models 5 clauses))
 
 let prop_sat_minimize_differential =
   QCheck.Test.make ~count:200 ~name:"DPLL minimize = brute force minimum"
     arb_cnf
     (fun clauses ->
-      let cnf = Sat.Cnf.create () in
-      Sat.Cnf.reserve cnf 5;
-      List.iter (Sat.Cnf.add_clause cnf) clauses;
       let soft = [ 1; 2; 3; 4; 5 ] in
-      let brute =
-        brute_force_models 5 clauses
-        |> List.map (fun m ->
-               List.length (List.filter (fun v -> m.(v)) soft))
-        |> List.fold_left min max_int
-      in
-      match Sat.Dpll.minimize ~soft cnf with
+      let brute = brute_force_minimum 5 soft clauses in
+      match Sat.Dpll.minimize ~soft (solver_of clauses) with
       | None -> brute = max_int
       | Some (cost, _) -> cost = brute)
+
+(* One persistent solver driven by a script of clause additions, marks,
+   rollbacks and checks.  At every check, solve, enumerate, count and
+   minimize (under the check's assumptions) must agree with brute force
+   over the clauses live at that point: those added since the last
+   surviving mark was taken, plus those under it.  Solves refuted under
+   assumptions leave learned clauses behind, and rollbacks take them
+   back with the rest. *)
+let arb_solver_script =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (6, map (fun c -> `Add c) (list_size (int_range 1 3) gen_lit));
+        (1, return (`Add []));
+        (2, return `Mark);
+        (2, return `Rollback);
+        (3, map (fun a -> `Check a) (list_size (int_range 0 2) gen_lit));
+      ]
+  in
+  QCheck.make
+    (list_size (int_range 0 16) op)
+    ~print:(fun ops ->
+      String.concat " ; "
+        (List.map
+           (function
+             | `Add c -> "add " ^ print_clause c
+             | `Mark -> "mark"
+             | `Rollback -> "rollback"
+             | `Check a -> "check " ^ print_clause a)
+           ops))
+
+let prop_sat_persistent_solver =
+  QCheck.Test.make ~count:300
+    ~name:"DPLL drivers on a rolled-back solver = brute force"
+    arb_solver_script
+    (fun ops ->
+      let s = solver_of [] in
+      let soft = [ 1; 2; 3; 4; 5 ] in
+      let agrees live assumptions =
+        let constraints = live @ List.map (fun l -> [ l ]) assumptions in
+        let brute = brute_force_models 5 constraints in
+        (match Sat.Dpll.solve ~assumptions s with
+        | None -> brute = []
+        | Some m -> satisfies constraints m)
+        && (let models = Sat.Dpll.enumerate ~assumptions s in
+            List.length models = List.length brute
+            && List.for_all (satisfies constraints) models)
+        && Sat.Dpll.count ~assumptions s = List.length brute
+        &&
+        match Sat.Dpll.minimize ~assumptions ~soft s with
+        | None -> brute = []
+        | Some (cost, m) ->
+            cost = brute_force_minimum 5 soft constraints
+            && satisfies constraints m
+      in
+      let rec run live marks = function
+        | [] -> agrees live []
+        | `Add c :: ops ->
+            Sat.Dpll.add_clause s c;
+            run (c :: live) marks ops
+        | `Mark :: ops -> run live ((Sat.Dpll.mark s, live) :: marks) ops
+        | `Rollback :: ops -> (
+            match marks with
+            | [] -> run live marks ops
+            | (m, live') :: marks ->
+                Sat.Dpll.rollback s m;
+                run live' marks ops)
+        | `Check a :: ops -> agrees live a && run live marks ops
+      in
+      run [] [] ops)
 
 let suite =
   [
@@ -229,4 +302,5 @@ let suite =
     Alcotest.test_case "UCQs gain over single CQs" `Quick test_ucq_gains_over_cq;
     QCheck_alcotest.to_alcotest prop_sat_differential;
     QCheck_alcotest.to_alcotest prop_sat_minimize_differential;
+    QCheck_alcotest.to_alcotest prop_sat_persistent_solver;
   ]

@@ -12,7 +12,7 @@ module Tid = Relational.Tid
 module Conflict_graph = Constraints.Conflict_graph
 
 type t = {
-  solver : Sat.Dpll.Incremental.t;
+  solver : Sat.Dpll.t;
   var_of_tid : (int, int) Hashtbl.t;
   no_repairs : bool;
   base : Cavsat.Theory.stats;
@@ -24,12 +24,12 @@ let build inst schema ics =
   let graph = Conflict_graph.build_cached inst schema ics in
   let conflicting = Conflict_graph.conflicting_tids graph in
   let no_repairs = List.exists Tid.Set.is_empty graph.Conflict_graph.edges in
-  let solver = Sat.Dpll.Incremental.create () in
+  let solver = Sat.Dpll.create () in
   let var_of_tid = Hashtbl.create 64 in
   Tid.Set.iter
     (fun tid ->
       Hashtbl.replace var_of_tid (Tid.to_int tid)
-        (Sat.Dpll.Incremental.fresh_var solver))
+        (Sat.Dpll.fresh_var solver))
     conflicting;
   let var tid = Hashtbl.find var_of_tid (Tid.to_int tid) in
   let edges_of = Hashtbl.create 64 in
@@ -46,7 +46,7 @@ let build inst schema ics =
     (* Independence clauses. *)
     List.iter
       (fun e ->
-        Sat.Dpll.Incremental.add_clause solver
+        Sat.Dpll.add_clause solver
           (List.map (fun tid -> -var tid) (Tid.Set.elements e)))
       graph.Conflict_graph.edges;
     (* Maximality clauses, deduplicated by literal set: the two tuples
@@ -73,15 +73,15 @@ let build inst schema ics =
             let aux_lits =
               List.map
                 (fun e ->
-                  let aux = Sat.Dpll.Incremental.fresh_var solver in
+                  let aux = Sat.Dpll.fresh_var solver in
                   Tid.Set.iter
                     (fun o ->
-                      Sat.Dpll.Incremental.add_clause solver [ -aux; var o ])
+                      Sat.Dpll.add_clause solver [ -aux; var o ])
                     (Tid.Set.remove tid e);
                   aux)
                 wide
             in
-            Sat.Dpll.Incremental.add_clause solver
+            Sat.Dpll.add_clause solver
               (var tid :: List.sort_uniq Int.compare direct @ aux_lits)
           end
         end)
@@ -90,14 +90,14 @@ let build inst schema ics =
     List.iter
       (fun e ->
         match Tid.Set.elements e with
-        | [ t ] -> Sat.Dpll.Incremental.add_clause solver [ -var t ]
+        | [ t ] -> Sat.Dpll.add_clause solver [ -var t ]
         | _ -> ())
       graph.Conflict_graph.edges
   end;
   let base =
     {
-      Cavsat.Theory.vars = Sat.Dpll.Incremental.nvars solver;
-      clauses = Sat.Dpll.Incremental.nclauses solver;
+      Cavsat.Theory.vars = Sat.Dpll.nvars solver;
+      clauses = Sat.Dpll.nclauses solver;
       conflict_edges = List.length graph.Conflict_graph.edges;
     }
   in
