@@ -796,7 +796,9 @@ let b16 ~quick () =
    sat.hitting_set.nodes stay at zero while cavsat.sat_calls counts the
    incremental refutations; conflict_graph.cache_misses stays at zero
    too, since the theory is built from the conflict edges without a
-   conflict graph. *)
+   conflict graph.  Then add/delete pairs through [Engine.update], each
+   write followed by a SAT read: the reads patch the theory, so the row's
+   theory_builds_during_updates must be zero. *)
 let b17 ~quick () =
   header "B17" "SAT compilation vs enumeration vs ASP (cqa-sat)"
     "the CAvSAT encoding answers the coNP-hard join at sizes where \
@@ -833,6 +835,44 @@ let b17 ~quick () =
       assert (d "sat.hitting_set.nodes" = 0);
       assert (d "cavsat.sat_calls" > 0);
       assert (d "conflict_graph.cache_misses" = 0);
+      (* Update pairs through [Engine.update]: a second, witness-less
+         claimant joins R key i (the answer x = i may drop), a SAT read,
+         the claimant leaves, another read.  Each read patches the theory
+         the previous one left, so none builds one; the answers must
+         match the key rewriting on a fresh engine. *)
+      let update_pairs = 4 in
+      let builds_during_updates = ref 0 in
+      let read eng =
+        let before = Obs.Registry.counter_snapshot (Obs.Registry.current ()) in
+        let got = Cqa.Engine.consistent_answers ~method_:`Sat eng q in
+        let delta =
+          Obs.Registry.counter_delta ~since:before (Obs.Registry.current ())
+        in
+        builds_during_updates :=
+          !builds_during_updates
+          + Option.value ~default:0 (List.assoc_opt "cavsat.theory_builds" delta);
+        let fresh =
+          Cqa.Engine.create ~schema:Gen.hard_join_schema ~ics
+            eng.Cqa.Engine.instance
+        in
+        assert (
+          List.sort compare got
+          = List.sort compare (Cqa.Engine.consistent_answers fresh q))
+      in
+      ignore
+        (List.fold_left
+           (fun eng i ->
+             let claimant =
+               Relational.Fact.make "R" [ Value.int i; Value.int (2_000_000 + i) ]
+             in
+             let eng = Cqa.Engine.update eng `Add claimant in
+             read eng;
+             let eng = Cqa.Engine.update eng `Del claimant in
+             read eng;
+             eng)
+           engine
+           (List.init update_pairs Fun.id));
+      assert (!builds_during_updates = 0);
       let enum_ns =
         if n > enum_cutoff then None
         else begin
@@ -873,6 +913,9 @@ let b17 ~quick () =
             Bench_json.int (d "repairs.enumerations"));
            ("conflict_graph_misses_during_sat",
             Bench_json.int (d "conflict_graph.cache_misses"));
+           ("update_pairs", Bench_json.int update_pairs);
+           ("theory_builds_during_updates",
+            Bench_json.int !builds_during_updates);
            ("sat_ns", Bench_json.num sat_ns);
          ]
         @ (match enum_ns with

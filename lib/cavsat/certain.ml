@@ -59,7 +59,18 @@ let candidate_certain (theory : Theory.t) peak witnesses =
       Obs.Counter.incr c_sat_calls;
       Dpll.solve ~assumptions:[ s ] solver = None
 
-let consistent_answers inst schema ics q =
+(* Lock [theory] for [inst].  A theory found in the memo may be patched
+   to a later instance by another engine's read before this one takes
+   its lock; then the lookup is made again. *)
+let rec lock_for ?delta theory inst schema ics =
+  Mutex.lock theory.Theory.lock;
+  if Theory.encodes theory inst then theory
+  else begin
+    Mutex.unlock theory.Theory.lock;
+    lock_for ?delta (Theory.cached ?delta inst schema ics) inst schema ics
+  end
+
+let consistent_answers ?delta inst schema ics q =
   List.iter
     (fun ic ->
       if not (Ic.is_denial_class ic) then
@@ -73,18 +84,18 @@ let consistent_answers inst schema ics q =
   Obs.Counter.incr c_queries;
   Obs.Progress.phase "cavsat";
   match
-    let theory = Theory.cached inst schema ics in
+    let theory = Theory.cached ?delta inst schema ics in
     if theory.Theory.no_repairs then []
     else begin
       let candidates = Witness.answers_with_witnesses q inst in
       Obs.Counter.add c_candidates (List.length candidates);
+      let theory = lock_for ?delta theory inst schema ics in
       let peak =
         {
           vars = theory.Theory.base.Theory.vars;
           clauses = theory.Theory.base.Theory.clauses;
         }
       in
-      Mutex.lock theory.Theory.lock;
       let certain =
         match
           List.filter

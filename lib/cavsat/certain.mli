@@ -23,6 +23,7 @@
     for EXPLAIN. *)
 
 val consistent_answers :
+  ?delta:Theory.delta ->
   Relational.Instance.t ->
   Relational.Schema.t ->
   Constraints.Ic.t list ->
@@ -32,4 +33,6 @@ val consistent_answers :
     [Engine.consistent_answers ~method_:`Repair_enumeration] on every
     denial-class input.  Raises [Invalid_argument] when some constraint
     is not denial-class (inclusion dependencies repair by insertion;
-    the conflict-graph theory does not capture them). *)
+    the conflict-graph theory does not capture them).  [delta] is
+    passed to {!Theory.cached}: the instance's theory may be patched
+    from [delta.from]'s. *)

@@ -3,7 +3,7 @@ module Instance = Relational.Instance
 
 type t = { vertices : Tid.Set.t; edges : Tid.Set.t list }
 
-let sorted_edges inst schema ics =
+let check_denial_class ics =
   List.iter
     (fun ic ->
       if not (Ic.is_denial_class ic) then
@@ -11,25 +11,46 @@ let sorted_edges inst schema ics =
           (Printf.sprintf
              "Conflict_graph.build: %s is not a denial-class constraint"
              (Ic.name ic)))
-    ics;
-  (* The violating tid sets of every constraint — key and FD pairs by
-     grouping, other denials by their compiled bodies — deduplicated by
-     one sort in [Set.compare] order: edge order, and so the SAT theory's
-     variable numbering, are those of a [Set.Make (Tid.Set)] of the
-     edges. *)
+    ics
+
+(* The violating tid sets of every constraint — key and FD pairs by
+   grouping, other denials by their compiled bodies — deduplicated by
+   one sort in [Set.compare] order: edge order, and so the SAT theory's
+   variable numbering, are those of a [Set.Make (Tid.Set)] of the
+   edges.  [pinned] restricts every source to the matches containing
+   one tuple. *)
+let edges ?pinned inst schema ics =
   List.concat_map
     (fun ic ->
       match Ic.as_fd schema ic with
       | Some f ->
           let pairs = ref [] in
-          Violation.fd_conflicts inst f (fun lo hi _ ->
+          Violation.fd_conflicts ?pinned inst f (fun lo hi _ ->
               pairs := [| lo; hi |] :: !pairs);
           !pairs
       | None ->
-          List.concat_map (Violation.tid_sets inst)
+          List.concat_map (Violation.tid_sets ?pinned inst)
             (Option.get (Ic.to_denials schema ic)))
     ics
   |> List.sort_uniq Tid.Sorted.compare
+
+let sorted_edges inst schema ics =
+  check_denial_class ics;
+  edges inst schema ics
+
+(* A key or FD over another relation cannot hold the tuple: it is
+   skipped before its view is read. *)
+let edges_with inst schema ics tid =
+  check_denial_class ics;
+  match Instance.find_fact inst tid with
+  | None -> []
+  | Some fact ->
+      let touches ic =
+        match Ic.as_fd schema ic with
+        | Some f -> String.equal f.Ic.rel fact.Relational.Fact.rel
+        | None -> true
+      in
+      edges ~pinned:tid inst schema (List.filter touches ics)
 
 let build inst schema ics =
   Obs.Trace.with_span "conflict_graph.build" @@ fun () ->

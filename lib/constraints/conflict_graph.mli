@@ -29,6 +29,19 @@ val sorted_edges :
     dependency — INDs are not denials and their repairs are not captured
     by a conflict hypergraph. *)
 
+val edges_with :
+  Relational.Instance.t -> Relational.Schema.t -> Ic.t list ->
+  Relational.Tid.t -> Relational.Tid.Sorted.t list
+(** Exactly the edges of {!sorted_edges} that contain the tuple, in the
+    same order, without computing the others: a key or FD reads only the
+    tuple's lhs group ([Violation.fd_conflicts ~pinned], one scan, no
+    sort), and any other denial runs its compiled body once per atom
+    over the tuple's relation with that atom pinned to the tuple
+    ([Violation.tid_sets ~pinned]).  [[]] for a tid absent from the
+    instance.  The per-tuple delta behind the SAT theory's patches
+    ([Cavsat.Theory]) and [Repairs.Incremental.insert].  Raises
+    [Invalid_argument] as {!sorted_edges} does. *)
+
 val build :
   Relational.Instance.t -> Relational.Schema.t -> Ic.t list -> t
 (** {!sorted_edges} as tid sets, with every tuple of the instance as a

@@ -18,18 +18,37 @@ let create ~hits ?misses () =
    and "1" alike, and a CFD without its pattern). *)
 let fingerprint (ics : Ic.t list) = Marshal.to_string ics [ No_sharing ]
 
-let find_or_build t inst ics build =
-  let key = Instance.digest inst in
+let find_or_build ?patch t inst ics build =
   let fp = fingerprint ics in
-  let matches (k, f, cached, _) =
-    k = key && String.equal f fp
-    && (cached == inst || Instance.equal_with_tids cached inst)
+  let matches inst =
+    let key = Instance.digest inst in
+    fun (k, f, cached, _) ->
+      k = key && String.equal f fp
+      && (cached == inst || Instance.equal_with_tids cached inst)
   in
   let hit =
+    let here = matches inst in
     Mutex.protect t.lock (fun () ->
-        match List.find_opt matches t.entries with
+        match List.find_opt here t.entries with
         | Some ((_, _, _, v) as e) ->
             t.entries <- e :: List.filter (fun e' -> e' != e) t.entries;
+            Some v
+        | None -> None)
+  in
+  let file v =
+    Mutex.protect t.lock (fun () ->
+        t.entries <-
+          (Instance.digest inst, fp, inst, v)
+          :: List.filteri (fun i _ -> i < capacity - 1) t.entries)
+  in
+  (* The base's entry leaves the memo before [f] changes its value, so
+     no lookup of the base is handed a value in mid-change. *)
+  let take base =
+    let there = matches base in
+    Mutex.protect t.lock (fun () ->
+        match List.find_opt there t.entries with
+        | Some ((_, _, _, v) as e) ->
+            t.entries <- List.filter (fun e' -> e' != e) t.entries;
             Some v
         | None -> None)
   in
@@ -37,11 +56,14 @@ let find_or_build t inst ics build =
   | Some v ->
       Obs.Counter.incr t.hits;
       v
-  | None ->
-      Option.iter Obs.Counter.incr t.misses;
-      let v = build () in
-      Mutex.protect t.lock (fun () ->
-          t.entries <-
-            (key, fp, inst, v)
-            :: List.filteri (fun i _ -> i < capacity - 1) t.entries);
-      v
+  | None -> (
+      match Option.bind patch (fun (base, f) -> Option.bind (take base) f) with
+      | Some v ->
+          Obs.Counter.incr t.hits;
+          file v;
+          v
+      | None ->
+          Option.iter Obs.Counter.incr t.misses;
+          let v = build () in
+          file v;
+          v)

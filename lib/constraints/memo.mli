@@ -22,7 +22,14 @@ val fingerprint : Ic.t list -> string
     included).  Only meaningful within one process. *)
 
 val find_or_build :
+  ?patch:Relational.Instance.t * ('a -> 'a option) ->
   'a t -> Relational.Instance.t -> Ic.t list -> (unit -> 'a) -> 'a
 (** The cached value for this instance and constraint list, or the
     result of the thunk, which is then cached in front, evicting the
-    least recently used entry when the memo is full. *)
+    least recently used entry when the memo is full.  On a miss with
+    [patch = (base, f)], the entry held for [base] (same constraints)
+    moves to the new key instead: it is taken out of the memo, and when
+    [f] turns its value into [Some v], [v] is cached in front and
+    counted as a hit; on [None], or with no entry for [base], the thunk
+    runs.  Taken out first, the base's value is never handed to another
+    lookup while [f] changes it. *)

@@ -27,21 +27,102 @@ let run_body inst (d : Ic.denial) vars =
   in
   (table, find)
 
-let tid_sets inst (d : Ic.denial) =
-  let table, _ = run_body inst d [] in
-  let cols = Cq.tid_columns table (List.length d.atoms) in
-  List.init (Columnar.length table) (Tid.Sorted.of_columns cols)
+(* [plan] with the scan emitting column [col] restricted to tid [x]. *)
+let pin_scan col x plan =
+  let rec go : Plan.t -> Plan.t = function
+    | Scan { tid = Some c; _ } as scan when String.equal c col ->
+        Filter
+          ( All [ { op = Eq; left = Col col; right = Const (Value.int x) } ],
+            scan )
+    | Filter (f, p) -> Filter (f, go p)
+    | Join (a, b) -> Join (go a, go b)
+    | Semijoin (a, b) -> Semijoin (go a, go b)
+    | Antijoin (a, b) -> Antijoin (go a, go b)
+    | Project (cs, p) -> Project (cs, go p)
+    | Distinct p -> Distinct (go p)
+    | Union (a, b) -> Union (go a, go b)
+    | Diff (a, b) -> Diff (go a, go b)
+    | (Scan _ | Table _) as p -> p
+  in
+  go plan
+
+let tid_sets ?pinned inst (d : Ic.denial) =
+  let n_atoms = List.length d.atoms in
+  let sets plan =
+    let table =
+      Plan.run inst (Plan.Project (List.init n_atoms Cq.tid_col, plan))
+    in
+    let cols = Cq.tid_columns table n_atoms in
+    List.init (Columnar.length table) (Tid.Sorted.of_columns cols)
+  in
+  let plan, _ = Cq.compile_body ~tids:true d.atoms d.comps in
+  match pinned with
+  | None -> sets plan
+  | Some tid -> (
+      (* One run per atom that can match the tuple, its scan pinned. *)
+      match Instance.find_fact inst tid with
+      | None -> []
+      | Some fact ->
+          List.concat
+            (List.mapi
+               (fun i (a : Logic.Atom.t) ->
+                 if String.equal a.rel fact.Relational.Fact.rel then
+                   sets (pin_scan (Cq.tid_col i) (Tid.to_int tid) plan)
+                 else [])
+               d.atoms))
+
+(* Stable LSD radix sort of [rows] on [codes], 11 bits a pass over the
+   codes less their minimum (an unsigned difference, so any int range
+   sorts right): O(n) per pass and no comparator call. *)
+let radix_sort codes rows =
+  let m = Array.length rows in
+  let lo = ref max_int and hi = ref min_int in
+  Array.iter
+    (fun r ->
+      let c = codes.(r) in
+      if c < !lo then lo := c;
+      if c > !hi then hi := c)
+    rows;
+  let span = !hi - !lo and lo = !lo in
+  let src = ref rows and dst = ref (Array.make m 0) in
+  let count = Array.make 2049 0 in
+  let shift = ref 0 in
+  while !shift < 63 && span lsr !shift <> 0 do
+    let sh = !shift and s = !src and d = !dst in
+    Array.fill count 0 2049 0;
+    Array.iter
+      (fun r ->
+        let k = ((codes.(r) - lo) lsr sh) land 2047 in
+        count.(k + 1) <- count.(k + 1) + 1)
+      s;
+    for k = 1 to 2048 do
+      count.(k) <- count.(k) + count.(k - 1)
+    done;
+    Array.iter
+      (fun r ->
+        let k = ((codes.(r) - lo) lsr sh) land 2047 in
+        d.(count.(k)) <- r;
+        count.(k) <- count.(k) + 1)
+      s;
+    src := d;
+    dst := s;
+    shift := sh + 11
+  done;
+  !src
 
 (* Key and FD conflicts by grouping, not by self-join (paper, Examples
-   3.3-3.4): the rows of the relation's columnar view are sorted by
+   3.3-3.4): the rows of the relation's columnar view are ordered by
    their lhs codes, rows with a NULL lhs cell left out (NULL never
    SQL-equals), and two rows of one group conflict on every rhs position
    where both cells are non-NULL and their codes differ — exactly the
-   matches of the FD's two-atom denials, one per rhs position.  Within a
-   group rows keep tid order, so [emit lo hi k] gets [lo < hi]; [k] is
-   the number of rhs positions the pair violates, counted with the rhs
-   list's repeats. *)
-let fd_conflicts inst (f : Ic.fd) emit =
+   matches of the FD's two-atom denials, one per rhs position.  Rows in
+   LOAD order usually arrive grouped already, which one pass detects;
+   otherwise a stable radix sort per lhs column, last column first.
+   Within a group rows keep tid order, so [emit lo hi k] gets
+   [lo < hi]; [k] is the number of rhs positions the pair violates,
+   counted with the rhs list's repeats.  With [pinned], only the pinned
+   row's group is read, in one scan with no sort. *)
+let fd_conflicts ?pinned inst (f : Ic.fd) emit =
   let view = Instance.columnar inst ~rel:f.rel in
   let columns = Columnar.columns view in
   let column p =
@@ -63,33 +144,8 @@ let fd_conflicts inst (f : Ic.fd) emit =
          f.rhs)
   in
   let n = Columnar.length view in
-  let rows =
-    if lhs_nullable = [] then Array.init n Fun.id
-    else
-      let rows = Array.make n 0 and m = ref 0 in
-      for i = 0 to n - 1 do
-        if not (List.exists (fun c -> Column.is_null c i) lhs_nullable) then begin
-          rows.(!m) <- i;
-          incr m
-        end
-      done;
-      Array.sub rows 0 !m
-  in
-  let compare_lhs =
-    match lhs with
-    | [| c |] -> fun i j -> Int.compare c.(i) c.(j)
-    | _ ->
-        fun i j ->
-          let rec go k =
-            if k = Array.length lhs then 0
-            else
-              let c = Int.compare lhs.(k).(i) lhs.(k).(j) in
-              if c <> 0 then c else go (k + 1)
-          in
-          go 0
-  in
-  (* Stable, so every group keeps tid order. *)
-  Array.stable_sort compare_lhs rows;
+  let null_lhs i = List.exists (fun c -> Column.is_null c i) lhs_nullable in
+  let same_lhs i j = Array.for_all (fun codes -> codes.(i) = codes.(j)) lhs in
   let differing i j =
     Array.fold_left
       (fun k (codes, nulls) ->
@@ -101,22 +157,74 @@ let fd_conflicts inst (f : Ic.fd) emit =
         if both && codes.(i) <> codes.(j) then k + 1 else k)
       0 rhs
   in
-  let m = Array.length rows in
-  let g = ref 0 in
-  while !g < m do
-    let e = ref (!g + 1) in
-    while !e < m && compare_lhs rows.(!g) rows.(!e) = 0 do
-      incr e
-    done;
-    for a = !g to !e - 2 do
-      for b = a + 1 to !e - 1 do
-        let i = rows.(a) and j = rows.(b) in
-        let k = differing i j in
-        if k > 0 then emit (Tid.of_int tids.(i)) (Tid.of_int tids.(j)) k
+  let pair i j =
+    let k = differing i j in
+    if k > 0 then emit (Tid.of_int tids.(i)) (Tid.of_int tids.(j)) k
+  in
+  match pinned with
+  | Some tid ->
+      (* The view is in tid order: find the pinned row, then its group. *)
+      let x = Tid.to_int tid in
+      let rec find lo hi =
+        if lo >= hi then None
+        else
+          let mid = (lo + hi) lsr 1 in
+          if tids.(mid) = x then Some mid
+          else if tids.(mid) < x then find (mid + 1) hi
+          else find lo mid
+      in
+      Option.iter
+        (fun p ->
+          if not (null_lhs p) then
+            for i = 0 to n - 1 do
+              if i <> p && same_lhs i p then
+                if i < p then pair i p else pair p i
+            done)
+        (find 0 n)
+  | None ->
+      let rows =
+        if lhs_nullable = [] then Array.init n Fun.id
+        else
+          let rows = Array.make n 0 and m = ref 0 in
+          for i = 0 to n - 1 do
+            if not (null_lhs i) then begin
+              rows.(!m) <- i;
+              incr m
+            end
+          done;
+          Array.sub rows 0 !m
+      in
+      (* Are row [i]'s lhs codes lexicographically at most row [j]'s? *)
+      let ordered i j =
+        let k = ref 0 in
+        while !k < Array.length lhs && lhs.(!k).(i) = lhs.(!k).(j) do
+          incr k
+        done;
+        !k = Array.length lhs || lhs.(!k).(i) < lhs.(!k).(j)
+      in
+      let m = Array.length rows in
+      let grouped = ref true and i = ref 1 in
+      while !grouped && !i < m do
+        grouped := ordered rows.(!i - 1) rows.(!i);
+        incr i
+      done;
+      let rows =
+        if !grouped then rows
+        else Array.fold_right radix_sort lhs rows
+      in
+      let g = ref 0 in
+      while !g < m do
+        let e = ref (!g + 1) in
+        while !e < m && same_lhs rows.(!g) rows.(!e) do
+          incr e
+        done;
+        for a = !g to !e - 2 do
+          for b = a + 1 to !e - 1 do
+            pair rows.(a) rows.(b)
+          done
+        done;
+        g := !e
       done
-    done;
-    g := !e
-  done
 
 (* Matches are listed in descending lexicographic order of their tid
    vectors, so the dedup fold below keeps, per tid set, the match with

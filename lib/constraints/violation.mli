@@ -17,14 +17,20 @@ val of_denial : Relational.Instance.t -> Ic.denial -> witness list
 (** All distinct violating tuple sets of one denial constraint, each with
     a representative match's binding. *)
 
-val tid_sets : Relational.Instance.t -> Ic.denial -> Relational.Tid.Sorted.t list
+val tid_sets :
+  ?pinned:Relational.Tid.t ->
+  Relational.Instance.t -> Ic.denial -> Relational.Tid.Sorted.t list
 (** The tid set of every match of one denial's body, read straight off
     the compiled body's tid columns with no binding built.  Repeats
     included (a symmetric body matches each conflict once per
     automorphism), in no particular order; an atomless body violated by
-    its ground comparisons yields one empty set. *)
+    its ground comparisons yields one empty set.  With [pinned], only
+    matches containing that tuple: one run per body atom over its
+    relation, with that atom's scan filtered to the tuple (none if the
+    tuple is absent). *)
 
 val fd_conflicts :
+  ?pinned:Relational.Tid.t ->
   Relational.Instance.t -> Ic.fd ->
   (Relational.Tid.t -> Relational.Tid.t -> int -> unit) -> unit
 (** The conflicting pairs of a key or FD, found by grouping the rows of
@@ -33,6 +39,10 @@ val fd_conflicts :
     per pair of tuples of one group that differ, both non-NULL, at [k > 0]
     rhs positions (repeats in [rhs] counted), with [lo < hi]; [k] is the
     number of the FD's denials ({!Ic.to_denials}) the pair violates.
+    Rows already grouped (checked in one pass) are not sorted; otherwise
+    a stable radix sort groups them, so groups keep tid order.  With
+    [pinned], only the pairs containing that tuple are emitted, from one
+    scan of its group (none if it is absent from the relation).
     Raises [Invalid_argument] on a position outside the relation. *)
 
 val of_ind : Relational.Instance.t -> Ic.ind -> Relational.Tid.t list

@@ -2,10 +2,15 @@ module Instance = Relational.Instance
 module Value = Relational.Value
 module Ic = Constraints.Ic
 
+type since = Cavsat.Theory.delta option Atomic.t
+
 type t = {
   instance : Instance.t;
   schema : Relational.Schema.t;
   ics : Ic.t list;
+  since : since;
+      (* The net writes since the last instance whose SAT theory may be
+         cached; [None]: since this one.  A SAT read resets it. *)
 }
 
 type answer_method =
@@ -28,7 +33,41 @@ let method_label = function
   | `Sat -> "sat"
   | `Auto -> "auto"
 
-let create ~schema ~ics instance = { instance; schema; ics }
+let create ~schema ~ics instance =
+  { instance; schema; ics; since = Atomic.make None }
+
+(* O(fact): one instance write and one step of the net delta; no view,
+   edge or clause is touched here.  Tids are never reused, so deleting
+   a tuple added since the base just forgets it. *)
+let update t op fact =
+  let next instance tid =
+    let d =
+      match Atomic.get t.since with
+      | Some d -> d
+      | None ->
+          {
+            Cavsat.Theory.from = t.instance;
+            added = Relational.Tid.Set.empty;
+            deleted = Relational.Tid.Set.empty;
+          }
+    in
+    let d =
+      match op with
+      | `Add -> { d with added = Relational.Tid.Set.add tid d.added }
+      | `Del when Relational.Tid.Set.mem tid d.added ->
+          { d with added = Relational.Tid.Set.remove tid d.added }
+      | `Del -> { d with deleted = Relational.Tid.Set.add tid d.deleted }
+    in
+    { t with instance; since = Atomic.make (Some d) }
+  in
+  match op with
+  | `Add ->
+      let instance, tid = Instance.insert t.instance fact in
+      if instance == t.instance then t else next instance tid
+  | `Del -> (
+      match Instance.tid_of t.instance fact with
+      | None -> t
+      | Some tid -> next (Instance.delete t.instance tid) tid)
 
 let is_consistent t = Ic.all_hold t.instance t.schema t.ics
 
@@ -81,7 +120,13 @@ let route_label = function
 
 let denial_class t = List.for_all Ic.is_denial_class t.ics
 
-let by_sat t q = Cavsat.Certain.consistent_answers t.instance t.schema t.ics q
+(* The theory is looked up with the writes since the base, so the
+   base's cached theory is patched rather than rebuilt; after the read
+   the memo holds this instance's theory, which becomes the base. *)
+let by_sat t q =
+  let delta = Atomic.get t.since in
+  Fun.protect ~finally:(fun () -> Atomic.set t.since None) @@ fun () ->
+  Cavsat.Certain.consistent_answers ?delta t.instance t.schema t.ics q
 
 let plan t q =
   let classification, rewriting =

@@ -13,10 +13,15 @@
     All methods agree where they are defined; the [`Auto] method picks the
     cheapest one that is exact for the given query and constraints. *)
 
+type since
+(** The net tid delta from the last instance whose SAT theory may be
+    cached; see {!update}. *)
+
 type t = private {
   instance : Relational.Instance.t;
   schema : Relational.Schema.t;
   ics : Constraints.Ic.t list;
+  since : since;
 }
 
 type answer_method =
@@ -33,6 +38,17 @@ val create :
   ics:Constraints.Ic.t list ->
   Relational.Instance.t ->
   t
+
+val update : t -> [ `Add | `Del ] -> Relational.Fact.t -> t
+(** The engine over the instance with one fact added or deleted, or [t]
+    itself when that changes nothing (a present fact added, an absent
+    one deleted).  O(fact): besides the instance write it only records
+    the net tids added and deleted since the last instance whose SAT
+    theory may be cached — this engine's base, or this engine itself
+    once a SAT read ran on it.  The first SAT read after the writes
+    passes that delta to {!Cavsat.Theory.cached}, which patches the
+    base's theory instead of rebuilding it.  Raises [Invalid_argument]
+    as {!Relational.Instance.insert} does. *)
 
 val is_consistent : t -> bool
 

@@ -3,16 +3,18 @@
     the surface in this direction").
 
     Keeps the conflict hypergraph of a denial-class constraint set
-    synchronized with tuple insertions and deletions: an insertion only
-    searches for violations involving the new tuple, a deletion only drops
-    the edges containing it.  Repairs and consistent answers are then
+    synchronized with tuple insertions and deletions: the graph starts
+    from {!Constraints.Conflict_graph.sorted_edges}, an insertion only
+    adds {!Constraints.Conflict_graph.edges_with} the new tuple, a
+    deletion only drops the edges containing it.  Repairs and consistent answers are then
     recomputed from the maintained graph without rescanning the database. *)
 
 type t
 
 val create :
   Relational.Instance.t -> Relational.Schema.t -> Constraints.Ic.t list -> t
-(** Raises [Invalid_argument] on non-denial-class constraints. *)
+(** Raises [Invalid_argument] on non-denial-class constraints (the
+    message of {!Constraints.Conflict_graph.sorted_edges}). *)
 
 val instance : t -> Relational.Instance.t
 val graph : t -> Constraints.Conflict_graph.t

@@ -12,12 +12,15 @@ let c_solves = Obs.Counter.make "sat.dpll.solves"
 
 (* A persistent solver.  The clause store and occurrence lists grow in
    place (capacity doubling), so clauses added once are indexed once and
-   every call searches all clauses added so far.  The assignment, trail
-   and weights are blank between calls: each driver blanks them on every
-   exit. *)
+   every call searches all clauses added so far.  A removed clause keeps
+   its slot as [[||]] (no clause is ever empty otherwise: the empty
+   clause only sets [root_unsat]) and leaves the occurrence lists.  The
+   assignment, trail and weights are blank between calls: each driver
+   blanks them on every exit. *)
 type t = {
   mutable clauses : int array array; (* capacity-doubled; [0, nclauses) used *)
   mutable nclauses : int;
+  mutable removed : int; (* slots in [0, nclauses) holding [[||]] *)
   mutable occ : int list array; (* literal index -> clause indices *)
   mutable nvars : int;
   mutable assign : int array; (* 0 unknown, 1 true, -1 false *)
@@ -43,6 +46,7 @@ let create () =
   {
     clauses = Array.make 16 [||];
     nclauses = 0;
+    removed = 0;
     occ = Array.make 64 [];
     nvars = 0;
     assign = [||];
@@ -57,6 +61,7 @@ let create () =
 
 let nvars t = t.nvars
 let nclauses t = t.nclauses
+let removed_clauses t = t.removed
 let learned_clauses t = t.learned
 
 let fresh_var t =
@@ -75,16 +80,19 @@ let mark t =
 
 (* Clause [ci] was the newest when it was indexed, so once every
    younger clause is gone its entries sit at the heads of its
-   literals' occurrence lists (twice for a repeated literal). *)
+   literals' occurrence lists (twice for a repeated literal).  A removed
+   clause has no entries left to pop. *)
 let rollback t m =
   if m.m_nclauses > t.nclauses || m.m_nvars > t.nvars then
     invalid_arg "Dpll.rollback: mark is newer than the solver";
   for ci = t.nclauses - 1 downto m.m_nclauses do
+    let c = t.clauses.(ci) in
+    if Array.length c = 0 then t.removed <- t.removed - 1;
     Array.iter
       (fun l ->
         let idx = lit_index l in
         t.occ.(idx) <- List.tl t.occ.(idx))
-      t.clauses.(ci);
+      c;
     t.clauses.(ci) <- [||]
   done;
   t.nclauses <- m.m_nclauses;
@@ -127,6 +135,37 @@ let add_clause t lits =
           ensure_occ t idx;
           t.occ.(idx) <- ci :: t.occ.(idx))
         arr
+
+(* Unindex clause [ci] (one occurrence-list entry per literal, so a
+   repeated literal drops both of its entries) and blank its slot.  The
+   slot is never reused, so clause indices stay stable. *)
+let remove_clause t ci =
+  if ci < 0 || ci >= t.nclauses then
+    invalid_arg "Dpll.remove_clause: no such clause";
+  if t.learned > 0 then
+    invalid_arg "Dpll.remove_clause: the solver holds learned clauses";
+  let c = t.clauses.(ci) in
+  if Array.length c > 0 then begin
+    let rec drop = function
+      | [] -> []
+      | x :: rest -> if x = ci then rest else x :: drop rest
+    in
+    Array.iter
+      (fun l ->
+        let idx = lit_index l in
+        t.occ.(idx) <- drop t.occ.(idx))
+      c;
+    t.clauses.(ci) <- [||];
+    t.removed <- t.removed + 1
+  end
+
+let clauses t =
+  let acc = ref [] in
+  for ci = t.nclauses - 1 downto 0 do
+    let c = t.clauses.(ci) in
+    if Array.length c > 0 then acc := Array.to_list c :: !acc
+  done;
+  !acc
 
 (* Size the assignment structures for the current variable count.  The
    trail is always empty between calls, so growing them is a plain
@@ -214,7 +253,8 @@ let assume st l =
 
 (* Pick an unassigned variable from the shortest unsatisfied clause, falling
    back to any free variable once every clause is satisfied (so that leaves
-   of the search are complete assignments). *)
+   of the search are complete assignments).  A removed clause's empty slot
+   has no unassigned literal, so the scan passes over it. *)
 let pick_branch st =
   let best = ref 0 and best_len = ref max_int in
   (try

@@ -10,7 +10,9 @@
     indexed once.  Every call searches all clauses added so far, under
     per-call assumption literals.  {!mark} and {!rollback} take back
     everything added after a point, so throwaway probes leave the solver
-    as they found it.
+    as they found it.  {!remove_clause} takes back one clause for good:
+    a theory kept across updates ([Cavsat.Theory]) drops the clauses of
+    deleted conflicts that way.
 
     It favours simplicity and correctness over raw speed: propagation
     scans occurrence lists, and branching picks the first unassigned
@@ -36,23 +38,44 @@ val reserve : t -> int -> unit
 
 val add_clause : t -> int list -> unit
 (** Add a clause (non-zero literals; variables beyond the range are
-    reserved).  The empty clause marks the solver permanently
-    unsatisfiable (until a {!rollback} to a mark taken before it).
-    Raises [Invalid_argument] on literal 0. *)
+    reserved).  A non-empty clause gets the index {!nclauses} had before
+    the call.  The empty clause takes no index; it marks the solver
+    permanently unsatisfiable (until a {!rollback} to a mark taken
+    before it).  Raises [Invalid_argument] on literal 0. *)
+
+val remove_clause : t -> int -> unit
+(** Remove the clause with this index: it leaves the occurrence lists,
+    so propagation and branching no longer see it.  Its slot stays, so
+    no other clause's index moves, {!nclauses} does not drop, and the
+    solver never compacts itself; removing a removed clause does
+    nothing.  Removal is a base-level operation: a {!rollback} to a mark
+    taken before the removal does not restore the clause (rolling back
+    past the clause's own addition drops its slot).  Cost is linear in
+    the occurrence lists of its literals.  Raises [Invalid_argument] on
+    an index outside [0, nclauses), and while the solver holds a learned
+    refutation ({!learned_clauses} > 0): it may rest on the clause. *)
 
 val mark : t -> mark
 
 val rollback : t -> mark -> unit
 (** Restore the solver to the mark: clauses added since (learned
     refutations included) leave the clause store and the occurrence
-    lists, variables allocated since are released for reuse, and the
+    lists (clauses removed before the mark stay removed), variables allocated since are released for reuse, and the
     learned-clause count and root unsatisfiability return to their
     values at the mark.  Cost is linear in the size of the clauses
     removed.  Raises [Invalid_argument] if the solver was rolled back
     past the mark already. *)
 
 val nvars : t -> int
+
 val nclauses : t -> int
+(** Clause slots in use, removed ones included. *)
+
+val removed_clauses : t -> int
+(** Slots whose clause was removed. *)
+
+val clauses : t -> int list list
+(** The live clauses (removed ones skipped), in index order. *)
 
 val learned_clauses : t -> int
 (** Number of assumption-refutation clauses currently in the solver:

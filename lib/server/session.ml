@@ -86,15 +86,12 @@ let chain digest ~op fact =
   add_fact b fact;
   hex_md5 b
 
-let engine_of (doc : Cqa.Parse.document) =
-  Cqa.Engine.create ~schema:doc.schema ~ics:doc.ics doc.instance
-
-let load store ~id doc =
+let load store ~id (doc : Cqa.Parse.document) =
   let t =
     {
       id;
       doc;
-      engine = engine_of doc;
+      engine = Cqa.Engine.create ~schema:doc.schema ~ics:doc.ics doc.instance;
       digest = digest_of doc;
       cache_keys = Hashtbl.create 16;
     }
@@ -129,18 +126,14 @@ let take_keys t =
 
 let apply_update t ~op ~rel values =
   let fact = Fact.make rel values in
-  match
-    match op with
-    | `Add -> Instance.add t.doc.instance fact
-    | `Del -> Instance.delete_fact t.doc.instance fact
-  with
+  match Cqa.Engine.update t.engine op fact with
   | exception Invalid_argument msg -> Error msg
-  | instance when instance == t.doc.instance ->
+  | engine when engine == t.engine ->
       (* A duplicate add or an absent delete: nothing changed, so the
          engine, the digest and the cache entries under it all stand. *)
       Ok ()
-  | instance ->
-      t.doc <- { t.doc with instance };
-      t.engine <- engine_of t.doc;
+  | engine ->
+      t.doc <- { t.doc with instance = engine.instance };
+      t.engine <- engine;
       t.digest <- chain t.digest ~op fact;
       Ok ()

@@ -66,7 +66,9 @@ val take_keys : t -> string list
 val apply_update :
   t -> op:[ `Add | `Del ] -> rel:string -> Relational.Value.t list ->
   (unit, string) result
-(** Insert or delete one fact, rebuild the engine and advance the
+(** Insert or delete one fact, take the next engine from
+    {!Cqa.Engine.update} (so the first SAT read after it patches the
+    cached theory instead of rebuilding it) and advance the
     digest to [MD5("update" ‖ old digest ‖ op ‖ fact)] — O(|fact|), the
     document is not re-hashed.  Adding a present fact or deleting an
     absent one changes nothing: [doc], [engine] and [digest] are left as

@@ -183,14 +183,14 @@ let test_theory_sized_by_conflicts () =
   in
   let t = Cavsat.Theory.build db rs_schema rs_keys in
   check Alcotest.int "two conflicting tids kept" 2
-    (Array.length t.Cavsat.Theory.conflicting);
+    (Array.length (Cavsat.Theory.conflicting t));
   let vars =
     Relational.Tid.Set.elements (Instance.tids db)
     |> List.filter_map (Cavsat.Theory.var_for t)
   in
   check Alcotest.(list int) "variables of the conflicting pair" [ 1; 2 ] vars;
   check Alcotest.bool "top tids" true
-    (Array.for_all (fun tid -> tid >= 2000) t.Cavsat.Theory.conflicting)
+    (Array.for_all (fun tid -> tid >= 2000) (Cavsat.Theory.conflicting t))
 
 let test_theory_cache () =
   let db =
@@ -593,6 +593,69 @@ let test_cold_theory_span () =
         (Obs.Stats.phase_of_span s.Obs.Trace.name)
   | l -> Alcotest.failf "%d cavsat.theory_build spans" (List.length l)
 
+(* Reads after writes patch the theory: a third claimant joins the key
+   group {t1, t2} (two edges in; the shared at-least-one clause of the
+   pair makes way for the triple's), then leaves (two edges and that
+   clause out, the pair's clause back).  Four clauses are then removed
+   against two live ones, so the next read builds cold, tagged. *)
+let test_patch_then_dead_clause_rebuild () =
+  let db =
+    Instance.of_rows rs_schema
+      [
+        ( "R",
+          [ [ Value.int 9101; Value.int 1 ]; [ Value.int 9101; Value.int 2 ] ] );
+        ("S", [ [ Value.int 9102; Value.int 1 ] ]);
+      ]
+  in
+  let claimant = Relational.Fact.make "R" [ Value.int 9101; Value.int 3 ] in
+  let read eng =
+    let answers, spans =
+      Obs.Trace.collect (fun () ->
+          Cqa.Engine.consistent_answers ~method_:`Sat eng hard)
+    in
+    check rows "SAT = enumeration"
+      (strings_of (certain_enum eng.Cqa.Engine.instance hard))
+      (strings_of answers);
+    let named n = List.filter (fun (s : Obs.Trace.span) -> s.name = n) spans in
+    let attrs n =
+      match named n with
+      | [ s ] -> Some s.Obs.Trace.attrs
+      | [] -> None
+      | l -> Alcotest.failf "%d %s spans" (List.length l) n
+    in
+    (attrs "cavsat.theory_build", attrs "cavsat.theory_patch")
+  in
+  let eng = Cqa.Engine.create ~schema:rs_schema ~ics:rs_keys db in
+  (match read eng with
+  | Some _, None -> ()
+  | _ -> Alcotest.fail "first read: one cold build");
+  let eng = Cqa.Engine.update eng `Add claimant in
+  (match read eng with
+  | None, Some a ->
+      List.iter
+        (fun (k, v) -> check Alcotest.(option string) k (Some v) (List.assoc_opt k a))
+        [
+          ("tids_added", "1"); ("tids_deleted", "0"); ("edges_added", "2");
+          ("edges_removed", "0"); ("clauses_removed", "1");
+        ];
+      check Alcotest.(option string) "phase" (Some "sat")
+        (Obs.Stats.phase_of_span "cavsat.theory_patch")
+  | _ -> Alcotest.fail "read after the add: one patch, no build");
+  let eng = Cqa.Engine.update eng `Del claimant in
+  (match read eng with
+  | None, Some a ->
+      check Alcotest.(option string) "edges_removed" (Some "2")
+        (List.assoc_opt "edges_removed" a);
+      check Alcotest.(option string) "clauses_removed" (Some "3")
+        (List.assoc_opt "clauses_removed" a)
+  | _ -> Alcotest.fail "read after the delete: one patch, no build");
+  let eng = Cqa.Engine.update eng `Add claimant in
+  match read eng with
+  | Some a, None ->
+      check Alcotest.(option string) "tagged" (Some "dead_clauses")
+        (List.assoc_opt "rebuild" a)
+  | _ -> Alcotest.fail "removed clauses outnumber the live ones: a cold build"
+
 (* A three-tuple denial: the chain R(x,y), S(y,z), S(z,w). *)
 let chain =
   Ic.denial ~name:"chain"
@@ -806,6 +869,8 @@ let suite =
       test_theory_sized_by_conflicts;
     Alcotest.test_case "theory: cold build span, no conflict graph" `Quick
       test_cold_theory_span;
+    Alcotest.test_case "theory: patched by updates, rebuilt when dead" `Quick
+      test_patch_then_dead_clause_rebuild;
     Alcotest.test_case "theory: maximality clause behind a wide edge" `Quick
       test_maximality_behind_wide_edge;
     Alcotest.test_case "engine: declined rewriting reports SAT" `Quick

@@ -157,6 +157,63 @@ let test_memo_hit_refreshes () =
   ignore (get 0);
   check Alcotest.int "8 misses evict it" 24 !builds
 
+(* A patch moves the base's entry: the new instance hits, the base
+   misses, and a refused patch ([None]) falls back to the build. *)
+let test_memo_patch_moves () =
+  let schema = Schema.of_list [ ("T", [ "k" ]) ] in
+  let inst i = Instance.of_rows schema [ ("T", [ [ Value.int i ] ]) ] in
+  let memo =
+    Constraints.Memo.create ~hits:(Obs.Counter.make "test.memo_patch_hits") ()
+  in
+  let builds = ref 0 in
+  let get ?patch i =
+    Constraints.Memo.find_or_build ?patch memo (inst i) [] (fun () ->
+        incr builds;
+        i)
+  in
+  ignore (get 1);
+  check Alcotest.int "patched from 1" 101
+    (get ~patch:(inst 1, fun v -> Some (v + 100)) 2);
+  check Alcotest.int "no build for the patch" 1 !builds;
+  check Alcotest.int "the new key hits" 101 (get 2);
+  check Alcotest.int "the base no longer hits" 1 (get 1);
+  check Alcotest.int "so it was built" 2 !builds;
+  check Alcotest.int "a refused patch builds" 3
+    (get ~patch:(inst 1, fun _ -> None) 3);
+  check Alcotest.int "no base entry: build" 4
+    (get ~patch:(inst 1, fun v -> Some v) 4);
+  check Alcotest.int "builds" 4 !builds
+
+(* Key groups arriving out of tid order and interleaved: the rows are
+   grouped by a sort, and each group keeps tid order, so every pair
+   comes out [lo < hi] and groups come out in key order. *)
+let test_fd_conflicts_unsorted () =
+  let schema = Schema.of_list [ ("R", [ "k"; "v" ]) ] in
+  let db =
+    Instance.of_rows schema
+      [
+        ( "R",
+          List.map
+            (fun (k, x) -> [ Value.int k; Value.int x ])
+            [ (3, 1); (2, 2); (3, 3); (1, 4); (2, 5); (1, 6); (3, 7) ] );
+      ]
+  in
+  let f = Option.get (Ic.as_fd schema (Ic.key ~rel:"R" [ 0 ])) in
+  let pairs = ref [] in
+  Violation.fd_conflicts db f (fun lo hi _ ->
+      pairs := (Tid.to_int lo, Tid.to_int hi) :: !pairs);
+  check
+    Alcotest.(list (pair int int))
+    "groups in key order, pairs in tid order"
+    [ (4, 6); (2, 5); (1, 3); (1, 7); (3, 7) ]
+    (List.rev !pairs);
+  let pinned = ref [] in
+  Violation.fd_conflicts ~pinned:(Tid.of_int 3) db f (fun lo hi _ ->
+      pinned := (Tid.to_int lo, Tid.to_int hi) :: !pinned);
+  check
+    Alcotest.(list (pair int int))
+    "pinned: the tuple's group only" [ (1, 3); (3, 7) ] (List.rev !pinned)
+
 let suite =
   [
     Alcotest.test_case "IND violation (Ex 2.1)" `Quick test_ind_violation;
@@ -173,4 +230,8 @@ let suite =
     Alcotest.test_case "all_hold" `Quick test_all_hold;
     Alcotest.test_case "memo: a hit refreshes its entry" `Quick
       test_memo_hit_refreshes;
+    Alcotest.test_case "memo: a patch moves its entry" `Quick
+      test_memo_patch_moves;
+    Alcotest.test_case "key groups out of tid order" `Quick
+      test_fd_conflicts_unsorted;
   ]

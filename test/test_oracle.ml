@@ -550,9 +550,196 @@ let prop_theory =
              && Sat.Dpll.nclauses t.solver = Sat.Dpll.nclauses o.solver)
            rounds)
 
+let theory_ics ((atoms, comps), (mask, never)) =
+  (Ic.denial ~name:"d" ~comps atoms
+  :: List.filteri (fun i _ -> List.nth mask i) pool)
+  @ if never = 0 then [ Ic.denial ~name:"never" [] ] else []
+
+(* [Conflict_graph.edges_with]: for every tuple (and one absent tid),
+   exactly the edges of [sorted_edges] holding it, in their order. *)
+let prop_edges_with =
+  QCheck.Test.make ~count:300 ~name:"Conflict_graph.edges_with = filtered sorted_edges"
+    arb_theory_case (fun (body, db_spec, pool_mask, _) ->
+      let db = instance_of db_spec in
+      let ics = theory_ics (body, pool_mask) in
+      let all = Constraints.Conflict_graph.sorted_edges db schema ics in
+      let tids = Tid.Set.elements (Instance.tids db) in
+      List.for_all
+        (fun tid ->
+          Constraints.Conflict_graph.edges_with db schema ics tid
+          = List.filter (Array.mem tid) all)
+        (Tid.of_int (List.length tids + 100) :: tids))
+
+(* Add/delete histories with patch points.  [Write] is one update of
+   [arb_updates]; [Read] patches the theory over the net delta since the
+   previous read, as the first SAT read after writes does. *)
+type step = Write of update | Read
+
+let gen_steps =
+  QCheck.Gen.(
+    list_size (int_range 1 14)
+      (frequency
+         [
+           ( 3,
+             map3
+               (fun r a b -> Write (Ins (r, a, b)))
+               (oneofl [ "R"; "S" ]) (int_range 0 4) (int_range 0 4) );
+           (2, map (fun i -> Write (Del i)) (int_range 0 20));
+           (2, return Read);
+         ]))
+
+let print_steps steps =
+  String.concat " "
+    (List.map
+       (function
+         | Write (Ins (r, a, b)) -> Printf.sprintf "+%s(%d,%d)" r a b
+         | Write (Del i) -> Printf.sprintf "-%d" i
+         | Read -> "read")
+       steps)
+
+let apply_write inst = function
+  | Ins (rel, a, b) ->
+      let inst', tid = Instance.insert inst (Fact.make rel [ value_of a; value_of b ]) in
+      if inst' == inst then (inst, None) else (inst', Some (`Add, tid))
+  | Del i -> (
+      match Tid.Set.elements (Instance.tids inst) with
+      | [] -> (inst, None)
+      | ts ->
+          let tid = List.nth ts (i mod List.length ts) in
+          (Instance.delete inst tid, Some (`Del, tid)))
+
+(* A theory's live clauses with every variable named — a tuple by its
+   tid, an aux variable by its (edge, tuple) — each clause's literals
+   sorted, the clauses sorted: equal for theories of one instance
+   whatever their numbering and clause order. *)
+let named_clauses (t : Cavsat.Theory.t) =
+  List.map
+    (fun c ->
+      List.sort compare
+        (List.map
+           (fun l ->
+             match Cavsat.Theory.name_of t (abs l) with
+             | Some n -> (l > 0, n)
+             | None -> Alcotest.failf "clause literal %d names no variable" l)
+           c))
+    (Sat.Dpll.clauses t.solver)
+  |> List.sort compare
+
+let same_theory (patched : Cavsat.Theory.t) (fresh : Cavsat.Theory.t) max_tid =
+  patched.no_repairs = fresh.no_repairs
+  && patched.base.conflict_edges = fresh.base.conflict_edges
+  && Cavsat.Theory.conflicting patched = Cavsat.Theory.conflicting fresh
+  && List.for_all
+       (fun i ->
+         Option.is_some (Cavsat.Theory.var_for patched (Tid.of_int i))
+         = Array.mem i (Cavsat.Theory.conflicting fresh))
+       (List.init (max_tid + 3) Fun.id)
+  && named_clauses patched = named_clauses fresh
+
+let arb_patch_case =
+  QCheck.make
+    QCheck.Gen.(
+      quad (gen_body ~min_atoms:0) gen_db
+        (pair (list_repeat (List.length pool) bool) (int_range 0 7))
+        gen_steps)
+    ~print:(fun ((atoms, comps), db, (mask, never), steps) ->
+      Printf.sprintf "%s on %s, pool mask %s%s, then %s"
+        (print_query (Cq.make ~name:"d" ~comps [] atoms))
+        (print_db db)
+        (String.concat "" (List.map (fun b -> if b then "1" else "0") mask))
+        (if never = 0 then " + never" else "")
+        (print_steps steps))
+
+(* The patched theory, at every read and at the end, equals a fresh
+   [Theory.build] of the instance: same live clauses once variables are
+   named, same [no_repairs], [var_for] defined on exactly the
+   conflicting tids.  Shapes: a random denial (atomless, self-joins,
+   comparisons, NULL constants) with a subset of a key, an FD, a
+   3-tuple chain, R(x,x) and an always-violated denial, on
+   NULL-carrying instances. *)
+let prop_patch =
+  QCheck.Test.make ~count:400 ~name:"patched Cavsat theory = fresh Theory.build"
+    arb_patch_case (fun (body, db_spec, pool_mask, steps) ->
+      let ics = theory_ics (body, pool_mask) in
+      let db = instance_of db_spec in
+      let theory = Cavsat.Theory.build db schema ics in
+      let check inst =
+        let max_tid =
+          Option.fold ~none:0 ~some:Tid.to_int (Tid.Set.max_elt_opt (Instance.tids inst))
+          + List.length steps
+        in
+        same_theory theory (Cavsat.Theory.build inst schema ics) max_tid
+      in
+      let read (d : Cavsat.Theory.delta) inst =
+        Cavsat.Theory.patch theory d inst schema ics;
+        check inst
+      in
+      let rec run (d : Cavsat.Theory.delta) inst = function
+        | [] -> read d inst
+        | Read :: steps ->
+            read d inst
+            && run { from = inst; added = Tid.Set.empty; deleted = Tid.Set.empty } inst steps
+        | Write w :: steps -> (
+            match apply_write inst w with
+            | inst, None -> run d inst steps
+            | inst, Some (`Add, tid) -> run { d with added = Tid.Set.add tid d.added } inst steps
+            | inst, Some (`Del, tid) ->
+                let d =
+                  if Tid.Set.mem tid d.added then { d with added = Tid.Set.remove tid d.added }
+                  else { d with deleted = Tid.Set.add tid d.deleted }
+                in
+                run d inst steps)
+      in
+      run { from = db; added = Tid.Set.empty; deleted = Tid.Set.empty } db steps)
+
+(* SAT ≡ enumeration on patched theories, through the engine: writes
+   via [Engine.update], a random query read by [`Sat] at every read and
+   at the end (the read patches the memo's theory over the writes
+   since the previous one), against repair enumeration on the same
+   engine. *)
+let prop_sat_after_updates =
+  QCheck.Test.make ~count:200 ~name:"SAT = enumeration on patched theories"
+    (QCheck.make
+       QCheck.Gen.(
+         quad gen_query (pair (gen_body ~min_atoms:0) gen_db)
+           (pair (list_repeat (List.length pool) bool) (int_range 0 7))
+           gen_steps)
+       ~print:(fun (q, ((atoms, comps), db), (mask, never), steps) ->
+         Printf.sprintf "%s under %s on %s, pool mask %s%s, then %s"
+           (print_query q)
+           (print_query (Cq.make ~name:"d" ~comps [] atoms))
+           (print_db db)
+           (String.concat "" (List.map (fun b -> if b then "1" else "0") mask))
+           (if never = 0 then " + never" else "")
+           (print_steps steps)))
+    (fun (q, (body, db_spec), pool_mask, steps) ->
+      let ics = theory_ics (body, pool_mask) in
+      let agrees eng =
+        List.sort rows_cmp (Cqa.Engine.consistent_answers ~method_:`Sat eng q)
+        = List.sort rows_cmp
+            (Cqa.Engine.consistent_answers ~method_:`Repair_enumeration eng q)
+      in
+      let step eng = function
+        | Read -> if agrees eng then Some eng else None
+        | Write (Ins (rel, a, b)) ->
+            Some (Cqa.Engine.update eng `Add (Fact.make rel [ value_of a; value_of b ]))
+        | Write (Del i) -> (
+            match Instance.fact_list eng.Cqa.Engine.instance with
+            | [] -> Some eng
+            | fs -> Some (Cqa.Engine.update eng `Del (List.nth fs (i mod List.length fs))))
+      in
+      let eng = Cqa.Engine.create ~schema ~ics (instance_of db_spec) in
+      match
+        List.fold_left (fun eng s -> Option.bind eng (fun e -> step e s)) (Some eng)
+          (Read :: steps)
+      with
+      | Some eng -> agrees eng
+      | None -> false)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_cq; prop_violation; prop_witness; prop_conflict_graph; prop_count;
-      prop_incremental; prop_theory;
+      prop_incremental; prop_theory; prop_edges_with; prop_patch;
+      prop_sat_after_updates;
     ]

@@ -984,8 +984,82 @@ let test_cache_soundness_differential () =
   Alcotest.(check bool) "the scripts exercised cache hits" true
     (!differential_hits > 0)
 
+(* ---- UPDATE/QUERY pairs patch the SAT theory ------------------------- *)
+
+(* A conp-shaped document: the Boolean hard join under keys, two R key
+   groups of ten (90 conflict edges) and a contested S key.  The
+   updates add and delete tuples under fresh R keys, one of which joins
+   S(102, 5) and flips the answer, and delete and re-add a tuple of a
+   big group. *)
+let conp_doc_lines =
+  [ "relation R(a, b)"; "relation S(c, d)" ]
+  @ List.init 10 (fun i -> Printf.sprintf "row R(1, %d)" (i + 1))
+  @ List.init 10 (fun i -> Printf.sprintf "row R(2, %d)" (i + 11))
+  @ [
+      "row S(101, 1)"; "row S(101, 11)"; "row S(102, 5)"; "key R(a)";
+      "key S(c)"; "query q() :- R(X, Y), S(Z, Y)";
+    ]
+
+let conp_updates =
+  List.concat
+    (List.init 7 (fun j ->
+         let k = 50 + j in
+         [
+           Printf.sprintf "add R(%d, 5)" k; Printf.sprintf "add R(%d, 6)" k;
+           Printf.sprintf "del R(%d, 5)" k; Printf.sprintf "del R(%d, 6)" k;
+         ]))
+  @ [ "del R(1, 3)"; "add R(1, 3)" ]
+
+let test_updates_patch_theory () =
+  let h = Server.Handler.create () in
+  let reg = Obs.Registry.current () in
+  let before = Obs.Registry.counter_snapshot reg in
+  load_lines h "s" conp_doc_lines;
+  let agrees () =
+    let auto = dispatch_line h "QUERY s q" in
+    let enum = dispatch_line h "QUERY s q method=enum" in
+    Alcotest.(check bool) "query ok" true (auto.P.status = `Ok);
+    Alcotest.(check (list string)) "auto = enumeration" enum.P.body auto.P.body;
+    auto.P.body
+  in
+  let first = agrees () in
+  let answers =
+    first
+    :: List.map
+         (fun u ->
+           let r = dispatch_line h ("UPDATE s " ^ u) in
+           Alcotest.(check bool) ("update ok: " ^ u) true (r.P.status = `Ok);
+           agrees ())
+         conp_updates
+  in
+  Alcotest.(check int) "30 updates" 30 (List.length conp_updates);
+  Alcotest.(check bool) "the answer flips" true
+    (List.mem [ "true" ] answers && List.mem [] answers);
+  let delta = Obs.Registry.counter_delta ~since:before reg in
+  let d name = Option.value ~default:0 (List.assoc_opt name delta) in
+  Alcotest.(check int) "one theory build over the run" 1
+    (d "cavsat.theory_builds");
+  Alcotest.(check int) "every other read patched" 30
+    (d "cavsat.theory_patches");
+  (* Two sessions of one document share its theory; a write to one moves
+     the theory to it, and the other's reads are unchanged. *)
+  load_lines h "a" conp_doc_lines;
+  load_lines h "b" conp_doc_lines;
+  let query sid = (dispatch_line h ("QUERY " ^ sid ^ " q")).P.body in
+  let b0 = query "b" and a0 = query "a" in
+  Alcotest.(check (list string)) "same document, same answer" b0 a0;
+  ignore (dispatch_line h "UPDATE a add R(3, 5)");
+  Alcotest.(check (list string)) "a sees its write" [ "true" ] (query "a");
+  ignore (dispatch_line h "UPDATE b add R(3, 9)");
+  ignore (dispatch_line h "UPDATE b del R(3, 9)");
+  Alcotest.(check (list string)) "b is unchanged" b0 (query "b");
+  Alcotest.(check (list string)) "b = enumeration"
+    (dispatch_line h "QUERY b q method=enum").P.body (query "b")
+
 let suite =
   [
+    Alcotest.test_case "UPDATE/QUERY pairs patch the SAT theory" `Quick
+      test_updates_patch_theory;
     Alcotest.test_case "lru eviction order and capacity" `Quick
       test_lru_eviction;
     Alcotest.test_case "lru overwrite promotes" `Quick test_lru_overwrite;

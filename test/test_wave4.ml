@@ -215,13 +215,15 @@ let prop_sat_minimize_differential =
       | None -> brute = max_int
       | Some (cost, _) -> cost = brute)
 
-(* One persistent solver driven by a script of clause additions, marks,
-   rollbacks and checks.  At every check, solve, enumerate, count and
-   minimize (under the check's assumptions) must agree with brute force
-   over the clauses live at that point: those added since the last
-   surviving mark was taken, plus those under it.  Solves refuted under
-   assumptions leave learned clauses behind, and rollbacks take them
-   back with the rest. *)
+(* One persistent solver driven by a script of clause additions,
+   removals, marks, rollbacks and checks.  At every check, solve,
+   enumerate, count and minimize (under the check's assumptions) must
+   agree with brute force over the clauses live at that point: those
+   added since the last surviving mark was taken, plus those under it,
+   less those removed (a rollback does not bring a removed clause
+   back).  Solves refuted under assumptions leave learned clauses
+   behind, and rollbacks take them back with the rest; a removal while
+   one is held must be refused. *)
 let arb_solver_script =
   let open QCheck.Gen in
   let op =
@@ -231,6 +233,7 @@ let arb_solver_script =
         (1, return (`Add []));
         (2, return `Mark);
         (2, return `Rollback);
+        (2, map (fun i -> `Remove i) (int_range 0 15));
         (3, map (fun a -> `Check a) (list_size (int_range 0 2) gen_lit));
       ]
   in
@@ -243,6 +246,7 @@ let arb_solver_script =
              | `Add c -> "add " ^ print_clause c
              | `Mark -> "mark"
              | `Rollback -> "rollback"
+             | `Remove i -> "remove #" ^ string_of_int i
              | `Check a -> "check " ^ print_clause a)
            ops))
 
@@ -270,19 +274,50 @@ let prop_sat_persistent_solver =
             cost = brute_force_minimum 5 soft constraints
             && satisfies constraints m
       in
+      (* [live]: (clause index, clause), the index -1 for the empty
+         clause, which takes none.  [removed]: indices removed so far. *)
+      let removed = ref [] in
       let rec run live marks = function
-        | [] -> agrees live []
+        | [] -> agrees (List.map snd live) []
         | `Add c :: ops ->
+            let ci = if c = [] then -1 else Sat.Dpll.nclauses s in
             Sat.Dpll.add_clause s c;
-            run (c :: live) marks ops
+            run ((ci, c) :: live) marks ops
+        | `Remove i :: ops -> (
+            match List.filter (fun (ci, _) -> ci >= 0) live with
+            | [] -> run live marks ops
+            | held when Sat.Dpll.learned_clauses s > 0 ->
+                (match Sat.Dpll.remove_clause s (fst (List.hd held)) with
+                | () -> false
+                | exception Invalid_argument _ -> true)
+                && run live marks ops
+            | held ->
+                let ci, _ = List.nth held (i mod List.length held) in
+                Sat.Dpll.remove_clause s ci;
+                removed := ci :: !removed;
+                run (List.filter (fun (cj, _) -> cj <> ci) live) marks ops)
         | `Mark :: ops -> run live ((Sat.Dpll.mark s, live) :: marks) ops
         | `Rollback :: ops -> (
             match marks with
             | [] -> run live marks ops
             | (m, live') :: marks ->
                 Sat.Dpll.rollback s m;
-                run live' marks ops)
-        | `Check a :: ops -> agrees live a && run live marks ops
+                (* Slots past the mark are free again. *)
+                removed :=
+                  List.filter (fun ci -> ci < Sat.Dpll.nclauses s) !removed;
+                run
+                  (List.filter (fun (ci, _) -> not (List.mem ci !removed)) live')
+                  marks ops)
+        | `Check a :: ops ->
+            let indexed =
+              List.filter_map
+                (fun (ci, c) -> if ci >= 0 then Some c else None)
+                live
+            in
+            agrees (List.map snd live) a
+            && (Sat.Dpll.learned_clauses s > 0
+               || Sat.Dpll.clauses s = List.rev indexed)
+            && run live marks ops
       in
       run [] [] ops)
 
