@@ -2,15 +2,19 @@ module Instance = Relational.Instance
 module Value = Relational.Value
 module Ic = Constraints.Ic
 
-type since = Cavsat.Theory.delta option Atomic.t
+(* Where the writes stand against the last instance whose SAT theory
+   may be cached: no SAT read ran on this engine or its ancestors
+   ([No_theory]; writes record nothing, so a session that never reads
+   through SAT pins no old instance), one ran on this very instance
+   ([At_base]), or the net writes since that instance ([Delta]). *)
+type state = No_theory | At_base | Delta of Cavsat.Theory.delta
+type since = state Atomic.t
 
 type t = {
   instance : Instance.t;
   schema : Relational.Schema.t;
   ics : Ic.t list;
-  since : since;
-      (* The net writes since the last instance whose SAT theory may be
-         cached; [None]: since this one.  A SAT read resets it. *)
+  since : since;  (* A SAT read sets it to [At_base]. *)
 }
 
 type answer_method =
@@ -34,31 +38,35 @@ let method_label = function
   | `Auto -> "auto"
 
 let create ~schema ~ics instance =
-  { instance; schema; ics; since = Atomic.make None }
+  { instance; schema; ics; since = Atomic.make No_theory }
 
 (* O(fact): one instance write and one step of the net delta; no view,
    edge or clause is touched here.  Tids are never reused, so deleting
    a tuple added since the base just forgets it. *)
 let update t op fact =
+  let step (d : Cavsat.Theory.delta) tid =
+    match op with
+    | `Add -> { d with added = Relational.Tid.Set.add tid d.added }
+    | `Del when Relational.Tid.Set.mem tid d.added ->
+        { d with added = Relational.Tid.Set.remove tid d.added }
+    | `Del -> { d with deleted = Relational.Tid.Set.add tid d.deleted }
+  in
   let next instance tid =
-    let d =
+    let since =
       match Atomic.get t.since with
-      | Some d -> d
-      | None ->
-          {
-            Cavsat.Theory.from = t.instance;
-            added = Relational.Tid.Set.empty;
-            deleted = Relational.Tid.Set.empty;
-          }
+      | No_theory -> No_theory
+      | Delta d -> Delta (step d tid)
+      | At_base ->
+          Delta
+            (step
+               {
+                 Cavsat.Theory.from = t.instance;
+                 added = Relational.Tid.Set.empty;
+                 deleted = Relational.Tid.Set.empty;
+               }
+               tid)
     in
-    let d =
-      match op with
-      | `Add -> { d with added = Relational.Tid.Set.add tid d.added }
-      | `Del when Relational.Tid.Set.mem tid d.added ->
-          { d with added = Relational.Tid.Set.remove tid d.added }
-      | `Del -> { d with deleted = Relational.Tid.Set.add tid d.deleted }
-    in
-    { t with instance; since = Atomic.make (Some d) }
+    { t with instance; since = Atomic.make since }
   in
   match op with
   | `Add ->
@@ -122,10 +130,14 @@ let denial_class t = List.for_all Ic.is_denial_class t.ics
 
 (* The theory is looked up with the writes since the base, so the
    base's cached theory is patched rather than rebuilt; after the read
-   the memo holds this instance's theory, which becomes the base. *)
+   the memo holds this instance's theory, which becomes the base.
+   Without a base (no SAT read before the writes) the read builds
+   cold, as on a memo miss. *)
 let by_sat t q =
-  let delta = Atomic.get t.since in
-  Fun.protect ~finally:(fun () -> Atomic.set t.since None) @@ fun () ->
+  let delta =
+    match Atomic.get t.since with Delta d -> Some d | No_theory | At_base -> None
+  in
+  Fun.protect ~finally:(fun () -> Atomic.set t.since At_base) @@ fun () ->
   Cavsat.Certain.consistent_answers ?delta t.instance t.schema t.ics q
 
 let plan t q =

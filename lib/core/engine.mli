@@ -15,7 +15,7 @@
 
 type since
 (** The net tid delta from the last instance whose SAT theory may be
-    cached; see {!update}. *)
+    cached, if a SAT read ran; see {!update}. *)
 
 type t = private {
   instance : Relational.Instance.t;
@@ -47,8 +47,11 @@ val update : t -> [ `Add | `Del ] -> Relational.Fact.t -> t
     theory may be cached — this engine's base, or this engine itself
     once a SAT read ran on it.  The first SAT read after the writes
     passes that delta to {!Cavsat.Theory.cached}, which patches the
-    base's theory instead of rebuilding it.  Raises [Invalid_argument]
-    as {!Relational.Instance.insert} does. *)
+    base's theory instead of rebuilding it.  On an engine no SAT read
+    ran on (nor on the engines it was written from), nothing is
+    recorded and no earlier instance is kept alive; a later SAT read
+    builds its theory cold.  Raises [Invalid_argument] as
+    {!Relational.Instance.insert} does. *)
 
 val is_consistent : t -> bool
 

@@ -6,7 +6,11 @@
    is dictionary-coded through the global {!Dict}.  NULL is carried
    out-of-band in the bitmap; the cell under a null slot is a dummy (0
    for primitives, the code of [Value.Null] for coded columns), so
-   kernels must consult the bitmap before trusting a cell. *)
+   kernels must consult the bitmap before trusting a cell.
+
+   A column also carries the hash index that single-key joins build
+   over it (see "join index" below), filled at the first join that
+   builds over the column and read by every later one. *)
 
 type data =
   | Ints of int array
@@ -14,7 +18,16 @@ type data =
   | Bools of bool array
   | Codes of int array (* global Dict codes; null slots hold Null's code *)
 
-type t = { data : data; nulls : Bytes.t }
+(* A chained hash index over [codes]: [slots] (a power of two, at least
+   twice the rows) holds the first row of each key's chain or -1, and
+   [next] links each row to the next row with its key, in ascending row
+   order.  Keys are read from [codes] itself, so the index costs
+   |slots| + |rows| words. *)
+type index = { codes : int array; slots : int array; next : int array }
+
+type t = { data : data; nulls : Bytes.t; mutable index : index option }
+
+let make data nulls = { data; nulls; index = None }
 
 (* --- NULL bitmap ---------------------------------------------------- *)
 
@@ -44,7 +57,7 @@ let length c =
 
 (* --- construction --------------------------------------------------- *)
 
-let of_ints a = { data = Ints (Array.copy a); nulls = bitmap (Array.length a) }
+let of_ints a = make (Ints (Array.copy a)) (bitmap (Array.length a))
 
 let of_values (vals : Value.t array) =
   let n = Array.length vals in
@@ -62,7 +75,7 @@ let of_values (vals : Value.t array) =
       Bools (Array.map (function Value.Bool x -> x | _ -> false) vals)
     else Codes (Array.map Dict.intern vals)
   in
-  { data; nulls }
+  make data nulls
 
 (* Row-major input, one column per attribute position: every column
    starts as [Ints] and is filled unboxed in the same pass over the rows;
@@ -83,7 +96,7 @@ let of_rows arity (rows : Value.t array array) =
     done
   done;
   Array.init arity (fun j ->
-      if ints.(j) then { data = Ints cells.(j); nulls = nulls.(j) }
+      if ints.(j) then make (Ints cells.(j)) nulls.(j)
       else of_values (Array.init n (fun i -> rows.(i).(j))))
 
 (* --- decoding ------------------------------------------------------- *)
@@ -117,7 +130,7 @@ let gather c (idx : int array) =
     | Bools a -> Bools (Array.map (fun i -> Array.unsafe_get a i) idx)
     | Codes a -> Codes (Array.map (fun i -> Array.unsafe_get a i) idx)
   in
-  { data; nulls }
+  make data nulls
 
 let concat a b =
   let na = length a and nb = length b in
@@ -135,7 +148,7 @@ let concat a b =
       for i = 0 to nb - 1 do
         if bit_get b.nulls i then bit_set nulls (na + i)
       done;
-      { data; nulls }
+      make data nulls
   | Reals x, Reals y ->
       let nulls = bitmap (na + nb) in
       for i = 0 to na - 1 do
@@ -144,7 +157,7 @@ let concat a b =
       for i = 0 to nb - 1 do
         if bit_get b.nulls i then bit_set nulls (na + i)
       done;
-      { data = Reals (Array.append x y); nulls }
+      make (Reals (Array.append x y)) nulls
   | Bools x, Bools y ->
       let nulls = bitmap (na + nb) in
       for i = 0 to na - 1 do
@@ -153,7 +166,7 @@ let concat a b =
       for i = 0 to nb - 1 do
         if bit_get b.nulls i then bit_set nulls (na + i)
       done;
-      { data = Bools (Array.append x y); nulls }
+      make (Bools (Array.append x y)) nulls
   | _ ->
       let ga = getter a and gb = getter b in
       of_values
@@ -195,3 +208,63 @@ let pair_eq_codes a b =
             Array.init (length c) (fun i -> Dict.intern (g i))
       in
       (enc a, enc b)
+
+(* --- join index ----------------------------------------------------- *)
+
+let c_index_builds = Obs.Counter.make "join.index_builds"
+
+(* Fibonacci hashing on the upper bits keeps clustered keys spread. *)
+let hash k mask = (k * 0x2545F4914F6CDD1D) lsr 8 land mask
+
+(* The slot holding [k]'s chain, or the empty slot where it would go.
+   Top-level, so a probe allocates no closure. *)
+let rec slot_of codes slots mask k s =
+  let h = Array.unsafe_get slots s in
+  if h < 0 || Array.unsafe_get codes h = k then s
+  else slot_of codes slots mask k ((s + 1) land mask)
+
+(* Rows are inserted back to front, so each chain runs in ascending row
+   order.  NULL rows are left out: NULL never joins. *)
+let build_index c codes =
+  Obs.Counter.incr c_index_builds;
+  let n = Array.length codes in
+  let cap = ref 16 in
+  while !cap < 2 * n do
+    cap := 2 * !cap
+  done;
+  let mask = !cap - 1 in
+  let slots = Array.make !cap (-1) and next = Array.make n (-1) in
+  let nulls = has_nulls c in
+  for j = n - 1 downto 0 do
+    if not (nulls && bit_get c.nulls j) then begin
+      let k = Array.unsafe_get codes j in
+      let s = slot_of codes slots mask k (hash k mask) in
+      Array.unsafe_set next j (Array.unsafe_get slots s);
+      Array.unsafe_set slots s j
+    end
+  done;
+  { codes; slots; next }
+
+let own_cells c codes =
+  match c.data with
+  | Ints a | Codes a -> a == codes
+  | Reals _ | Bools _ -> false
+
+(* Kept on the column only when [codes] are the column's own cells,
+   which never change; an index over re-encoded codes serves one join.
+   Racing domains may both build it: the indexes are equal and the
+   field is published in one write. *)
+let index c codes =
+  match c.index with
+  | Some ix when ix.codes == codes -> ix
+  | _ ->
+      let ix = build_index c codes in
+      if own_cells c codes then c.index <- Some ix;
+      ix
+
+let index_find ix k =
+  let slots = ix.slots in
+  let mask = Array.length slots - 1 in
+  Array.unsafe_get slots (slot_of ix.codes slots mask k (hash k mask))
+
+let index_next ix j = Array.unsafe_get ix.next j

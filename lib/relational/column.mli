@@ -14,7 +14,17 @@ type data =
   | Bools of bool array
   | Codes of int array  (** global {!Dict} codes; null slots hold Null's code *)
 
-type t = { data : data; nulls : Bytes.t }
+type index
+(** A hash index over one column's codes, built by single-key joins;
+    see {!val-index}. *)
+
+type t = private {
+  data : data;
+  nulls : Bytes.t;
+  mutable index : index option;
+      (** Filled by the first join that builds over the column; read
+          only through {!val-index}. *)
+}
 
 val of_values : Value.t array -> t
 (** Build a column, picking the narrowest representation that fits the
@@ -56,3 +66,33 @@ val pair_eq_codes : t -> t -> int array * int array
     difference): the returned arrays are comparable with each other.
     Null slots decode to Null's dictionary code, so join kernels must
     additionally mask nulls via {!is_null} to keep SQL semantics. *)
+
+(** {2 Join index}
+
+    Single-key joins, semijoins and antijoins probe a hash index over
+    their build side's join codes.  [index c codes] returns one:
+
+    - it is {e built} at the first join whose build side is [c] (never
+      when the column is made, so loading a document builds none),
+      counted in [join.index_builds];
+    - it is {e kept} on [c] when [codes] is [c]'s own cell array —
+      what {!pair_eq_codes} returns for a [Codes] column, or for an
+      [Ints] column compared raw (no NULLs on either side) — and then
+      {e reused} by every later join that builds over [c] with those
+      codes.  Columns are immutable and a written relation's view is a
+      new column, so a kept index is never stale;
+    - over re-encoded codes (mixed types, [Ints] holding NULLs, [Bools],
+      [Reals]) it is built for that one join and not kept.
+
+    Domains may race to build the same index; both builds are equal and
+    the field is published in one write.  NULL rows are not indexed. *)
+
+val index : t -> int array -> index
+(** [index c codes]: the index of [c]'s non-NULL rows keyed by [codes]
+    (one code per row of [c]). *)
+
+val index_find : index -> int -> int
+(** The lowest row whose code is the key, or -1.  Allocates nothing. *)
+
+val index_next : index -> int -> int
+(** The next higher row with the same code as row [j], or -1. *)

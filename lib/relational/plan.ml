@@ -16,8 +16,17 @@
    - join output order is nested-loop order (left-major, right
      ascending).
 
+   Single-key joins, semijoins and antijoins probe the build side's
+   {!Column.index}: the index is kept on the column it was built over
+   and reused by every later join that builds over that column, so a
+   join against an unchanged base relation's view builds no hash table.
+   The build side is always the right input.  Multi-key joins hash
+   their key tuples per call.
+
    Counters: [scan.columnar] per scan executed, [join.fused] per fused
-   hash-join/semijoin/antijoin kernel. *)
+   hash-join/semijoin/antijoin kernel, [join.index_builds] (counted in
+   {!Column}) per single-key join index built — kept on its column, or
+   for one join when the codes were re-encoded. *)
 
 type op = Eq | Neq | Lt | Le | Gt | Ge
 type operand = Col of string | Const of Value.t
@@ -197,11 +206,11 @@ let restrict_cols tbl needed =
 
 module Itbl = Hashtbl.Make (Int)
 
-(* Open-addressing int→int hash table for the join/dedup inner loops:
+(* Open-addressing int→int hash table for the dedup kernel's ranks:
    linear probing over two flat arrays, no boxing, no per-probe
    allocation (stdlib [Hashtbl.find_opt] allocates an option per
-   probe).  Values must be ≥ 0; [vals.(slot) = -1] marks an empty
-   slot. *)
+   probe, and a local recursive probe a closure).  Values must be ≥ 0;
+   [vals.(slot) = -1] marks an empty slot. *)
 module Iot = struct
   type t = { keys : int array; vals : int array; mask : int }
 
@@ -215,27 +224,19 @@ module Iot = struct
   (* Fibonacci hashing on the upper bits keeps clustered keys spread. *)
   let slot t k = (k * 0x2545F4914F6CDD1D) lsr 8 land t.mask
 
+  (* The slot bound to [k], or the empty slot where it would go. *)
+  let rec probe keys vals mask k s =
+    if Array.unsafe_get vals s = -1 || Array.unsafe_get keys s = k then s
+    else probe keys vals mask k ((s + 1) land mask)
+
   (* The value bound to [k], or -1. *)
-  let find t k =
-    let rec probe s =
-      let v = Array.unsafe_get t.vals s in
-      if v = -1 then -1
-      else if Array.unsafe_get t.keys s = k then v
-      else probe ((s + 1) land t.mask)
-    in
-    probe (slot t k)
+  let find t k = Array.unsafe_get t.vals (probe t.keys t.vals t.mask k (slot t k))
 
   (* Binds [k] to [v ≥ 0], overwriting any previous binding. *)
   let replace t k v =
-    let rec probe s =
-      if Array.unsafe_get t.vals s = -1 then begin
-        Array.unsafe_set t.keys s k;
-        Array.unsafe_set t.vals s v
-      end
-      else if Array.unsafe_get t.keys s = k then Array.unsafe_set t.vals s v
-      else probe ((s + 1) land t.mask)
-    in
-    probe (slot t k)
+    let s = probe t.keys t.vals t.mask k (slot t k) in
+    Array.unsafe_set t.keys s k;
+    Array.unsafe_set t.vals s v
 end
 
 (* In-place quicksort (median-of-three, insertion sort below 16) for
@@ -473,22 +474,14 @@ let match_pairs ta tb shared =
       Obs.Counter.incr c_join_fused;
       let ca = Columnar.column ta key and cb = Columnar.column tb key in
       let xa, xb = Column.pair_eq_codes ca cb in
-      let head = Iot.create (max 16 nb) in
-      let next = Array.make (max 1 nb) (-1) in
-      for j = nb - 1 downto 0 do
-        if not (Column.is_null cb j) then begin
-          let h = Iot.find head xb.(j) in
-          if h >= 0 then next.(j) <- h;
-          Iot.replace head xb.(j) j
-        end
-      done;
+      let ix = Column.index cb xb in
       for i = 0 to na - 1 do
         if not (Column.is_null ca i) then begin
-          let j = ref (Iot.find head xa.(i)) in
+          let j = ref (Column.index_find ix xa.(i)) in
           while !j >= 0 do
             Ibuf.push ia i;
             Ibuf.push ib !j;
-            j := next.(!j)
+            j := Column.index_next ix !j
           done
         end
       done
@@ -545,18 +538,15 @@ let presence_sel ~anti ta tb shared =
   let nb = Columnar.length tb in
   match shared with
   | [ key ] ->
-      (* Single-column membership: plain int hashing, no per-row key
-         allocation. *)
+      (* Single-column membership: a probe of the build column's
+         index, no per-row key allocation. *)
       let ca = Columnar.column ta key and cb = Columnar.column tb key in
       let xa, xb = Column.pair_eq_codes ca cb in
-      let present = Iot.create (max 16 nb) in
-      for j = 0 to nb - 1 do
-        if not (Column.is_null cb j) then Iot.replace present xb.(j) 0
-      done;
+      let ix = Column.index cb xb in
       let sel = Ibuf.create () in
       for i = 0 to Columnar.length ta - 1 do
         let matched =
-          (not (Column.is_null ca i)) && Iot.find present xa.(i) >= 0
+          (not (Column.is_null ca i)) && Column.index_find ix xa.(i) >= 0
         in
         if matched <> anti then Ibuf.push sel i
       done;

@@ -57,7 +57,14 @@ let pp ppf = function
   | Bool b -> Format.pp_print_bool ppf b
   | Null -> Format.pp_print_string ppf "NULL"
 
-let to_string v = Format.asprintf "%a" pp v
+(* The text [pp] prints, without a formatter per call: these are the
+   conversions the [Format.pp_print_*] functions use. *)
+let to_string = function
+  | Int x -> Int.to_string x
+  | Real r -> string_of_float r
+  | Str s -> s
+  | Bool b -> string_of_bool b
+  | Null -> "NULL"
 
 let hash = function
   | Int x -> Hashtbl.hash (2, x)

@@ -38,5 +38,6 @@ val bool : bool -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** The text {!pp} prints, built without a formatter. *)
 
 val hash : t -> int

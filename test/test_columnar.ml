@@ -44,28 +44,83 @@ let arb_db =
 
 (* --- Plan kernels = Ra operators ------------------------------------ *)
 
-let ra_rel cols rows =
+(* How a table's cells are written.  NULL-bearing Ints ([value_of]) are
+   re-encoded by every join, so their joins build an index for that one
+   call; NULL-free Ints and string codes are joined on the column's own
+   cells, so the index is kept on the build column and reused.  A mixed
+   Int/Str column is coded: against an Ints column it makes whichever
+   side is not coded take the re-encoding path, and its even cells still
+   join Ints. *)
+type repr = Nullable_ints | Ints | Strs | Mixed
+
+let cell_of repr n =
+  match repr with
+  | Nullable_ints -> value_of n
+  | Ints -> Value.int n
+  | Strs -> if n >= 4 then Value.Null else Value.str (string_of_int n)
+  | Mixed -> if n mod 2 = 0 then Value.int n else Value.str (string_of_int n)
+
+let repr_name = function
+  | Nullable_ints -> "nullable-ints"
+  | Ints -> "ints"
+  | Strs -> "strs"
+  | Mixed -> "mixed"
+
+let ra_rel ?(repr = Nullable_ints) cols rows =
   {
     Ra.cols = Array.of_list cols;
-    rows = List.map (fun (a, b) -> [| value_of a; value_of b |]) rows;
+    rows = List.map (fun (a, b) -> [| cell_of repr a; cell_of repr b |]) rows;
   }
 
 let same_rel r1 r2 = r1.Ra.cols = r2.Ra.cols && r1.Ra.rows = r2.Ra.rows
 
+let index_builds () =
+  Obs.Registry.counter_value (Obs.Registry.current ()) "join.index_builds"
+
+(* Representations of R, of S, and of a second copy of R joined
+   against S's columns after the first two runs. *)
+let arb_kernel =
+  let reprs = QCheck.Gen.oneofl [ Nullable_ints; Ints; Strs; Mixed ] in
+  QCheck.make
+    QCheck.Gen.(pair (triple reprs reprs reprs) (QCheck.gen arb_db))
+    ~print:(fun ((ra, rb, ralt), db) ->
+      Printf.sprintf "%s / %s, then %s: %s" (repr_name ra) (repr_name rb)
+        (repr_name ralt) (Option.get arb_db.QCheck.print db))
+
 let prop_plan_ops_eq =
-  QCheck.Test.make ~count:300 ~name:"Plan kernels = Ra operators" arb_db
-    (fun (rs, ss) ->
+  QCheck.Test.make ~count:300 ~name:"Plan kernels = Ra operators" arb_kernel
+    (fun ((repr_a, repr_b, repr_alt), (rs, ss)) ->
       let inst = Instance.create schema in
-      let a = ra_rel [ "a"; "b" ] rs
-      and b = ra_rel [ "b"; "c" ] ss
-      and a2 = ra_rel [ "a"; "b" ] ss in
-      let ta = Plan.Table (Ra.to_columnar a)
-      and tb = Plan.Table (Ra.to_columnar b)
-      and ta2 = Plan.Table (Ra.to_columnar a2) in
+      let a = ra_rel ~repr:repr_a [ "a"; "b" ] rs
+      and b = ra_rel ~repr:repr_b [ "b"; "c" ] ss
+      and a2 = ra_rel ~repr:repr_a [ "a"; "b" ] ss
+      and a_alt = ra_rel ~repr:repr_alt [ "a"; "b" ] rs in
+      let table r = Plan.Table (Ra.to_columnar r) in
+      let ta = table a and ta2 = table a2 in
       let run p = Ra.of_columnar (Plan.run inst p) in
+      (* Each join runs twice on the same fresh tables: the first run
+         meets the build column without an index, the second reuses the
+         one the first kept (or, over re-encoded codes, builds its own
+         again).  A third run joins the same build table against R
+         written another way: an index kept over S's own cells must not
+         serve the re-encoded codes that pairing may ask for. *)
+      let twice mk oracle =
+        let tb = table b in
+        let p = mk (table a) tb in
+        let b0 = index_builds () in
+        let first = run p in
+        let b1 = index_builds () in
+        let second = run p in
+        let b2 = index_builds () in
+        same_rel first (oracle a b)
+        && same_rel second (oracle a b)
+        && b2 - b1 <= b1 - b0
+        && same_rel (run (mk (table a_alt) tb)) (oracle a_alt b)
+      in
       let eq1 = { Plan.op = Plan.Eq; left = Col "a"; right = Const (Value.int 1) } in
       let lt = { Plan.op = Plan.Lt; left = Col "a"; right = Col "b" } in
-      let anti_expect =
+      let neq_ac = { Plan.op = Plan.Neq; left = Col "a"; right = Col "c" } in
+      let antijoin a b =
         let joined = Ra.semijoin a b in
         { a with Ra.rows = List.filter (fun r -> not (List.mem r joined.Ra.rows)) a.Ra.rows }
       in
@@ -73,9 +128,15 @@ let prop_plan_ops_eq =
       && same_rel
            (run (Plan.Filter (All [ lt ], ta)))
            (Ra.select (fun _ row -> Plan.eval_op Plan.Lt row.(0) row.(1)) a)
-      && same_rel (run (Plan.Join (ta, tb))) (Ra.natural_join a b)
-      && same_rel (run (Plan.Semijoin (ta, tb))) (Ra.semijoin a b)
-      && same_rel (run (Plan.Antijoin (ta, tb))) anti_expect
+      && twice (fun ta tb -> Plan.Join (ta, tb)) Ra.natural_join
+      && twice (fun ta tb -> Plan.Semijoin (ta, tb)) Ra.semijoin
+      && twice (fun ta tb -> Plan.Antijoin (ta, tb)) antijoin
+      && twice
+           (fun ta tb -> Plan.Filter (All [ neq_ac ], Plan.Join (ta, tb)))
+           (fun a b ->
+             Ra.select
+               (fun _ row -> Plan.eval_op Plan.Neq row.(0) row.(2))
+               (Ra.natural_join a b))
       && same_rel (run (Plan.Union (ta, ta2))) (Ra.union a a2)
       && same_rel (run (Plan.Diff (ta, ta2))) (Ra.difference a a2)
       && same_rel (run (Plan.Distinct ta)) (Ra.distinct a)
@@ -507,6 +568,163 @@ let test_typed_view_fallback () =
   check Alcotest.bool "Ints again" true (is_ints (data back 2));
   check Alcotest.bool "view = reference" true (view_matches back "U")
 
+(* --- join indexes on views ------------------------------------------- *)
+
+(* R ⋈ S on b over the relations' views: S's b column is the build side,
+   NULL-free Ints, so its index is kept on the view's column. *)
+let join_rs =
+  let v x = Plan.Avar x in
+  Plan.Join
+    ( Plan.Scan { rel = "R"; args = [ v "a"; v "b" ]; tid = None },
+      Plan.Scan { rel = "S"; args = [ v "b"; v "c" ]; tid = None } )
+
+let sorted_rows tbl = List.sort compare (Columnar.rows tbl)
+
+type jop = Jadd of bool * int * int | Jdel of int | Jset of int * int * int
+
+let arb_join_history =
+  QCheck.make
+    QCheck.Gen.(
+      pair
+        (pair
+           (list_size (int_range 0 8) (pair (int_range 0 5) (int_range 0 5)))
+           (list_size (int_range 0 8) (pair (int_range 0 5) (int_range 0 5))))
+        (list_size (int_range 1 15)
+           (frequency
+              [
+                (3, map3 (fun r x y -> Jadd (r, x, y)) bool (int_range 0 5) (int_range 0 5));
+                (1, map (fun i -> Jdel i) (int_range 0 20));
+                ( 2,
+                  map3 (fun i p x -> Jset (i, p, x)) (int_range 0 20) (int_range 1 2)
+                    (int_range 0 5) );
+              ])))
+    ~print:(fun ((rs, ss), ops) ->
+      let row (a, b) = Printf.sprintf "%d,%d" a b in
+      Printf.sprintf "R=%s S=%s then %s"
+        (String.concat ";" (List.map row rs))
+        (String.concat ";" (List.map row ss))
+        (String.concat " "
+           (List.map
+              (function
+                | Jadd (r, x, y) -> Printf.sprintf "+%s(%d,%d)" (if r then "R" else "S") x y
+                | Jdel i -> Printf.sprintf "-%d" i
+                | Jset (i, p, x) -> Printf.sprintf "%d[%d]:=%d" i p x)
+              ops)))
+
+(* At every point of an insert/delete/update_cell history the join equals
+   a fresh instance's, and running it twice builds S's index once: on
+   the first run when S's view is new (the write touched S), never when
+   the view, and with it the index, carried over. *)
+let prop_join_views =
+  QCheck.Test.make ~count:300
+    ~name:"view joins = fresh instance's, one index build per view"
+    arb_join_history (fun ((rs, ss), ops) ->
+      let ints = List.map (fun (x, y) -> [ Value.int x; Value.int y ]) in
+      let db0 = Instance.of_rows schema [ ("R", ints rs); ("S", ints ss) ] in
+      let write db = function
+        | Jadd (r, x, y) ->
+            Instance.add db
+              (Fact.make (if r then "R" else "S") [ Value.int x; Value.int y ])
+        | Jdel i -> Option.fold ~none:db ~some:(Instance.delete db) (nth_tid db i)
+        | Jset (i, p, x) -> (
+            match nth_tid db i with
+            | None -> db
+            | Some tid -> Instance.update_cell db (Tid.Cell.make tid p) (Value.int x))
+      in
+      let last_view = ref None in
+      let point db =
+        let view = Instance.columnar db ~rel:"S" in
+        let fresh_view =
+          match !last_view with Some v -> v != view | None -> true
+        in
+        last_view := Some view;
+        let b0 = index_builds () in
+        let first = Plan.run db join_rs in
+        let b1 = index_builds () in
+        let second = Plan.run db join_rs in
+        let b2 = index_builds () in
+        let fresh_db = Instance.of_facts schema (Instance.fact_list db) in
+        let expected = sorted_rows (Plan.run fresh_db join_rs) in
+        sorted_rows first = expected
+        && Columnar.rows second = Columnar.rows first
+        && b1 - b0 = (if fresh_view then 1 else 0)
+        && b2 - b1 = 0
+      in
+      let rec go db = function
+        | [] -> true
+        | op :: rest ->
+            let db = write db op in
+            point db && go db rest
+      in
+      point db0 && go db0 ops)
+
+(* Two domains join against one view column whose index nobody has built
+   yet; whichever build is published, both results equal the oracle. *)
+let test_join_index_race () =
+  let n = 400 in
+  for round = 1 to 10 do
+    let rs = List.init n (fun i -> (i, (i * 7 + round) mod (n / 2)))
+    and ss = List.init n (fun i -> ((i * 3) mod (n / 2), i)) in
+    let ints = List.map (fun (x, y) -> [ Value.int x; Value.int y ]) in
+    let db = Instance.of_rows schema [ ("R", ints rs); ("S", ints ss) ] in
+    ignore (Instance.columnar db ~rel:"R");
+    ignore (Instance.columnar db ~rel:"S");
+    let expected =
+      Ra.natural_join (ra_rel ~repr:Ints [ "a"; "b" ] rs)
+        (ra_rel ~repr:Ints [ "b"; "c" ] ss)
+    in
+    let ready = Atomic.make 0 in
+    let worker () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      Ra.of_columnar (Plan.run db join_rs)
+    in
+    let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+    let r1 = Domain.join d1 and r2 = Domain.join d2 in
+    check Alcotest.bool
+      (Printf.sprintf "round %d: both domains = oracle" round)
+      true
+      (same_rel r1 expected && same_rel r2 expected)
+  done
+
+(* A probe of the join index allocates nothing: 10k probe rows that
+   match nothing allocate no more than 1k such rows, the index being
+   warm in both cases. *)
+let test_probe_allocates_nothing () =
+  let inst = Instance.create schema in
+  let tb =
+    Plan.Table
+      (Ra.to_columnar
+         (ra_rel ~repr:Ints [ "b"; "c" ] (List.init 1000 (fun i -> (i, i)))))
+  in
+  let probe rows =
+    Plan.Table
+      (Ra.to_columnar
+         (ra_rel ~repr:Ints [ "a"; "b" ]
+            (List.init rows (fun i -> (i, 1_000_000 + i)))))
+  in
+  let small = probe 1_000 and big = probe 10_000 in
+  let words plan =
+    ignore (Plan.run inst plan);
+    let before = Gc.minor_words () in
+    ignore (Plan.run inst plan);
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun (name, mk) ->
+      let w_small = words (mk small) and w_big = words (mk big) in
+      check Alcotest.bool
+        (Printf.sprintf "%s: 10k probes %.0f words, 1k probes %.0f words" name
+           w_big w_small)
+        true
+        (w_big -. w_small < 1000.))
+    [
+      ("join", fun ta -> Plan.Join (ta, tb));
+      ("semijoin", fun ta -> Plan.Semijoin (ta, tb));
+    ]
+
 (* --- descriptive unknown-column errors ------------------------------- *)
 
 let test_ra_unknown_column () =
@@ -533,6 +751,11 @@ let test_ra_unknown_column () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_plan_ops_eq;
+    QCheck_alcotest.to_alcotest prop_join_views;
+    Alcotest.test_case "domains racing to build one join index" `Quick
+      test_join_index_race;
+    Alcotest.test_case "join index probes allocate nothing" `Quick
+      test_probe_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_rewrite_columnar_eq;
     QCheck_alcotest.to_alcotest prop_cq_columnar_eq;
     QCheck_alcotest.to_alcotest prop_formula_columnar_eq;

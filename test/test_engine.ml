@@ -90,8 +90,38 @@ let test_c_semantics () =
     (List.length (Engine.consistent_answers eng qd));
   check Alcotest.int "C: one" 1 (List.length (Engine.consistent_answers_c eng qd))
 
+(* A session whose reads never go through SAT keeps no earlier instance
+   alive across its writes: the LOAD instance, with its views and their
+   join indexes, is collectable once the engine has moved past it. *)
+let[@inline never] load_employees weak =
+  let db =
+    Instance.of_facts Employee.schema (Instance.fact_list Employee.instance)
+  in
+  Weak.set weak 0 (Some db);
+  Engine.create ~schema:Employee.schema ~ics:[ Employee.key ] db
+
+let test_writes_without_sat_pin_nothing () =
+  let weak = Weak.create 1 in
+  let eng = ref (load_employees weak) in
+  ignore (Engine.consistent_answers !eng q_proj);
+  for i = 1 to 20 do
+    eng :=
+      Engine.update !eng `Add
+        (Relational.Fact.make "Employee"
+           [ Value.str (Printf.sprintf "e%d" i); Value.int i ]);
+    ignore (Engine.consistent_answers !eng q_proj)
+  done;
+  Gc.full_major ();
+  let collected = Option.is_none (Weak.get weak 0) in
+  (* The engine is used after the collection, so it was live through it. *)
+  check Alcotest.int "23 certain names" 23
+    (List.length (Engine.consistent_answers !eng q_proj));
+  check Alcotest.bool "LOAD instance collected" true collected
+
 let suite =
   [
+    Alcotest.test_case "writes without a SAT read pin no instance" `Quick
+      test_writes_without_sat_pin_nothing;
     Alcotest.test_case "all methods agree (full tuple)" `Quick test_methods_agree;
     Alcotest.test_case "all methods agree (projection)" `Quick
       test_projection_methods;

@@ -151,9 +151,36 @@ let prop_tvl_lattice =
       && equal ((a ||| b) ||| c) (a ||| (b ||| c))
       && equal (not_ (not_ a)) a)
 
+(* [Value.to_string] builds the text directly; it must stay the text
+   [Value.pp] prints, including the float corner cases and strings that
+   hold newlines or commas. *)
+let arb_value =
+  let open QCheck.Gen in
+  QCheck.make ~print:(fun v -> Format.asprintf "%a" Value.pp v)
+    (oneof
+       [
+         map Value.int int;
+         map Value.str
+           (oneof
+              [
+                string_printable;
+                oneofl [ ""; "a,b"; "line\nbreak"; "\n"; ",,\n,"; String.make 200 'x' ];
+              ]);
+         map Value.bool bool;
+         return Value.Null;
+         map Value.real float;
+         map Value.real
+           (oneofl [ nan; infinity; neg_infinity; -0.; 0.; 1e300; -1e-300; 0.1; 5e-324 ]);
+       ])
+
+let prop_value_to_string =
+  QCheck.Test.make ~count:1000 ~name:"Value.to_string = Format.asprintf Value.pp"
+    arb_value (fun v -> Value.to_string v = Format.asprintf "%a" Value.pp v)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_tvl_de_morgan;
+    QCheck_alcotest.to_alcotest prop_value_to_string;
     QCheck_alcotest.to_alcotest prop_tvl_lattice;
     Alcotest.test_case "value equality and sql_eq" `Quick test_value_equality;
     Alcotest.test_case "three-valued truth tables" `Quick test_tvl_tables;
