@@ -239,8 +239,8 @@ let e9 () =
   in
   let violated =
     not
-      (Constraints.Ic.holds retrieved P.Universities.global_schema
-         P.Universities.global_fd)
+      (Constraints.Violation.is_consistent retrieved
+         P.Universities.global_schema [ P.Universities.global_fd ])
   in
   let rows =
     Integration.Global_cqa.consistent_answers gav
@@ -266,13 +266,15 @@ let e9 () =
 (* E10: Section 6 — CFDs and quality answers. *)
 let e10 () =
   let fd_holds =
-    Constraints.Ic.holds P.Customers.instance P.Customers.schema P.Customers.fd1
-    && Constraints.Ic.holds P.Customers.instance P.Customers.schema P.Customers.fd2
+    Constraints.Violation.is_consistent P.Customers.instance P.Customers.schema
+      [ P.Customers.fd1 ]
+    && Constraints.Violation.is_consistent P.Customers.instance
+         P.Customers.schema [ P.Customers.fd2 ]
   in
   let cfd_violated =
     not
-      (Constraints.Ic.holds P.Customers.instance P.Customers.schema
-         P.Customers.cfd)
+      (Constraints.Violation.is_consistent P.Customers.instance
+         P.Customers.schema [ P.Customers.cfd ])
   in
   let quality =
     Cleaning.Quality.quality_answers P.Customers.instance P.Customers.schema

@@ -101,8 +101,9 @@ let doc_text db =
 
 (* One full replay: fresh socket, loop, sessions and request mix (the
    RNG is re-seeded per pass, so every pass sees the same stream).
-   Returns the loop (for registry/workload readback), the wall time of
-   the request phase, the STATS body, and the still-open client. *)
+   Returns the loop (for workload readback), the still-open client, the
+   wall time of the request phase, the STATS body and the counters
+   before it. *)
 let run_pass ~tag ~requests ?metrics_fd ?stats ?sampler ?(progress = true) () =
   let sock =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -150,10 +151,18 @@ let run_pass ~tag ~requests ?metrics_fd ?stats ?sampler ?(progress = true) () =
     ignore (request loop c line)
   done;
   let elapsed = Unix.gettimeofday () -. t0 in
+  (* The counters as the replay left them, before STATS: its reply
+     prints latency figures whose length varies from run to run, and
+     counting its bytes would make [bytes_out] vary with them. *)
+  let counters =
+    Obs.Registry.counters_list
+      (Server.Metrics.registry
+         (Server.Handler.metrics (Server.Loop.handler loop)))
+  in
   let stats_body = request loop c "STATS" in
-  (loop, c, elapsed, stats_body, sock)
+  (loop, c, elapsed, stats_body, counters, sock)
 
-let finish_pass (loop, c, _, _, sock) =
+let finish_pass (loop, c, _, _, _, sock) =
   ignore (request loop c "QUIT");
   Unix.close c.fd;
   Unix.unlink sock
@@ -187,7 +196,7 @@ let () =
 
   (* Pass 1 — workload introspection off: the baseline the committed
      BENCH_serve.json row and counters come from. *)
-  let ((loop, _, elapsed, stats, _) as pass1) =
+  let ((_, _, elapsed, stats, counters, _) as pass1) =
     run_pass ~tag:"plain" ~requests ?metrics_fd ()
   in
   let metric name =
@@ -240,7 +249,7 @@ let () =
     Obs.Sampler.create ~capacity:64 ~threshold_s:0.050 ~sample_every:101 ()
   in
   Gc.compact ();
-  let ((loop2, c2, elapsed2, _, _) as pass2) =
+  let ((loop2, c2, elapsed2, _, _, _) as pass2) =
     run_pass ~tag:"workload" ~requests ~stats:wstats ~sampler:wsampler ()
   in
   (* The recorded ratio compares back-to-back pairs, not global minima:
@@ -259,7 +268,7 @@ let () =
   let aa_check = Sys.getenv_opt "CQA_SERVE_AA" <> None in
   let armed_pass tag =
     Gc.compact ();
-    let ((_, _, e, _, _) as p) =
+    let ((_, _, e, _, _, _) as p) =
       (if aa_check then run_pass ~tag ~requests ()
        else
          run_pass ~tag ~requests
@@ -274,7 +283,7 @@ let () =
   in
   let plain_pass tag =
     Gc.compact ();
-    let ((_, _, e, _, _) as p) = run_pass ~tag ~requests () in
+    let ((_, _, e, _, _, _) as p) = run_pass ~tag ~requests () in
     finish_pass p;
     e
   in
@@ -335,17 +344,23 @@ let () =
      production default (an Obs.Progress context per session-touching
      request — heartbeats, INFLIGHT registration, flight recorder) and
      the plain side turns it off.  The overhead budget is a hard gate:
-     the in-flight machinery must stay under 5% or the bench fails. *)
+     the in-flight machinery must stay under 5% or the bench fails.
+     Single pair ratios spread over 0.98-1.03 between quartiles, with
+     tails past 0.8 and 1.2, on a 2-core host: the median of 8 pairs
+     then read 1.05 on unchanged code now and again, so the gate takes
+     the median of 32 pairs (ten runs: 0.99-1.03), which still reads
+     1.09-1.17 with ~10% added to every armed request. *)
+  let progress_pairs = 32 in
   let progress_ratios = ref [] in
   let timed_pass ~progress tag =
     Gc.compact ();
-    let ((_, _, e, _, _) as p) =
+    let ((_, _, e, _, _, _) as p) =
       run_pass ~tag ~requests ~progress:(progress && not aa_check) ()
     in
     finish_pass p;
     e
   in
-  for i = 1 to 8 do
+  for i = 1 to progress_pairs do
     let tag suffix = Printf.sprintf "progress-%s-%d" suffix i in
     let p, a =
       if i mod 2 = 1 then begin
@@ -364,20 +379,15 @@ let () =
     let n = List.length l in
     (List.nth l ((n - 1) / 2) +. List.nth l (n / 2)) /. 2.0
   in
-  Printf.printf "progress ratio  %.3f (armed/plain, median of 8 pairs)\n"
-    progress_ratio;
+  Printf.printf "progress ratio  %.3f (armed/plain, median of %d pairs)\n"
+    progress_ratio progress_pairs;
   Bench_json.record ~bench:"serve_progress"
     [
       ("requests", Bench_json.int requests);
       ("progress_ratio", Bench_json.num progress_ratio);
     ];
 
-  Bench_json.write
-    ~counters:
-      (Obs.Registry.counters_list
-         (Server.Metrics.registry
-            (Server.Handler.metrics (Server.Loop.handler loop))))
-    "BENCH_serve.json";
+  Bench_json.write ~counters "BENCH_serve.json";
   finish_pass pass2;
   finish_pass pass1;
   if progress_ratio > 1.05 then begin

@@ -36,8 +36,8 @@ let () =
   let fd1 = Constraints.Ic.fd ~rel:"Cust" ~lhs:[ 0; 1; 2 ] ~rhs:[ 4; 5; 6 ] in
   let fd2 = Constraints.Ic.fd ~rel:"Cust" ~lhs:[ 0; 1 ] ~rhs:[ 5 ] in
   Format.printf "plain FDs hold? %b %b@."
-    (Constraints.Ic.holds db schema fd1)
-    (Constraints.Ic.holds db schema fd2);
+    (Constraints.Violation.is_consistent db schema [ fd1 ])
+    (Constraints.Violation.is_consistent db schema [ fd2 ]);
 
   (* ... but the CFD [CC=44, Zip] -> [Street] does not: UK zips determine
      the street, and mike and rick share EH4 8LE with different streets. *)
@@ -45,7 +45,8 @@ let () =
     Constraints.Ic.cfd ~rel:"Cust" ~lhs:[ 0; 6 ] ~rhs:[ 4 ]
       ~pat:[ (0, Some (Value.int 44)); (6, None); (4, None) ]
   in
-  Format.printf "CFD holds? %b@." (Constraints.Ic.holds db schema cfd);
+  Format.printf "CFD holds? %b@."
+    (Constraints.Violation.is_consistent db schema [ cfd ]);
 
   (* Quality answers: what is certain across all repairs of the CFD. *)
   let names =
@@ -82,7 +83,8 @@ let () =
         c.old_value Value.pp c.new_value)
     result.Cleaning.Cost_clean.changes;
   Format.printf "cleaned instance consistent? %b@."
-    (Constraints.Ic.all_hold result.Cleaning.Cost_clean.cleaned schema [ cfd ]);
+    (Constraints.Violation.is_consistent result.Cleaning.Cost_clean.cleaned
+       schema [ cfd ]);
 
   (* Inconsistency measures before and after. *)
   let report label inst =

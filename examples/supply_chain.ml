@@ -32,7 +32,8 @@ let () =
       ]
   in
   let ind = Constraints.Ic.ind ~sub:("Supply", [ 2 ]) ~sup:("Articles", [ 0 ]) in
-  Format.printf "ID satisfied? %b@." (Constraints.Ic.holds db schema ind);
+  Format.printf "ID satisfied? %b@."
+    (Constraints.Violation.is_consistent db schema [ ind ]);
 
   (* The query Q(z): what items are supplied?  Dirty answers include I3. *)
   let q =

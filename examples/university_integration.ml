@@ -55,7 +55,7 @@ let () =
      locally consistent) and the mediator cannot update them. *)
   let global_fd = Constraints.Ic.fd ~rel:"Stds" ~lhs:[ 0 ] ~rhs:[ 1 ] in
   Format.printf "global FD holds? %b@."
-    (Constraints.Ic.holds retrieved global_schema global_fd);
+    (Constraints.Violation.is_consistent retrieved global_schema [ global_fd ]);
 
   (* Query: student numbers and names.  Plain GAV answering leaks both
      names for 101; CQA keeps only what every virtual repair agrees on. *)

@@ -1,7 +1,7 @@
 module Instance = Relational.Instance
 module Tid = Relational.Tid
 module Value = Relational.Value
-module Ic = Constraints.Ic
+module Violation = Constraints.Violation
 
 type t = {
   tid : Tid.t;
@@ -15,8 +15,6 @@ let has_answer q answer inst =
     (fun row -> List.for_all2 Value.equal row answer)
     (Logic.Cq.answers q inst)
 
-let consistent inst schema ics = Ic.all_hold inst schema ics
-
 let rec subsets k pool =
   if k = 0 then [ [] ]
   else
@@ -25,7 +23,7 @@ let rec subsets k pool =
     | x :: rest -> List.map (fun s -> x :: s) (subsets (k - 1) rest) @ subsets k rest
 
 let actual_causes inst schema ~ics q ~answer =
-  if not (consistent inst schema ics) then
+  if not (Violation.is_consistent inst schema ics) then
     invalid_arg "Under_ics.actual_causes: instance violates the constraints";
   if not (has_answer q answer inst) then
     invalid_arg "Under_ics.actual_causes: not an answer";
@@ -40,14 +38,17 @@ let actual_causes inst schema ~ics q ~answer =
       (fun gamma ->
         let gamma_set = Tid.Set.of_list gamma in
         let d_gamma = without gamma_set in
-        if consistent d_gamma schema ics && has_answer q answer d_gamma then
+        if
+          Violation.is_consistent d_gamma schema ics
+          && has_answer q answer d_gamma
+        then
           List.iter
             (fun tid ->
               if (not (Tid.Set.mem tid gamma_set)) && not (Hashtbl.mem found tid)
               then
                 let d_tau = Instance.delete d_gamma tid in
                 if
-                  consistent d_tau schema ics
+                  Violation.is_consistent d_tau schema ics
                   && not (has_answer q answer d_tau)
                 then
                   Hashtbl.replace found tid

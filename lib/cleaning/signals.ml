@@ -138,7 +138,7 @@ let apply ?(min_confidence = 0.6) ?(max_rounds = 10) inst schema ics =
           cleaned = inst;
           applied = List.rev applied;
           skipped = low;
-          consistent = Ic.all_hold inst schema ics;
+          consistent = Constraints.Violation.is_consistent inst schema ics;
         }
     | s :: _ when round < max_rounds ->
         (* Apply one highest-confidence suggestion, then re-derive: each fix
@@ -150,7 +150,7 @@ let apply ?(min_confidence = 0.6) ?(max_rounds = 10) inst schema ics =
           cleaned = inst;
           applied = List.rev applied;
           skipped = suggestions;
-          consistent = Ic.all_hold inst schema ics;
+          consistent = Constraints.Violation.is_consistent inst schema ics;
         }
   in
   go inst [] 0

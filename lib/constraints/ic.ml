@@ -194,36 +194,6 @@ let to_clauses schema ic =
       | Some ds -> List.map denial_clause ds
       | None -> [])
 
-let denial_query (d : denial) = Logic.Cq.make ~name:d.name ~comps:d.comps [] d.atoms
-
-let ind_holds inst (i : ind) =
-  let sub_rel, sub_ps = i.sub and sup_rel, sup_ps = i.sup in
-  let project ps (row : Value.t array) = List.map (fun p -> row.(p)) ps in
-  let sup_keys =
-    List.fold_left
-      (fun acc row -> project sup_ps row :: acc)
-      []
-      (Relational.Instance.rows inst ~rel:sup_rel)
-  in
-  List.for_all
-    (fun row ->
-      let k = project sub_ps row in
-      (* A NULL in the projected key satisfies the IND vacuously, as for
-         SQL foreign keys. *)
-      List.exists Value.is_null k
-      || List.exists (fun k' -> List.for_all2 Value.equal k k') sup_keys)
-    (Relational.Instance.rows inst ~rel:sub_rel)
-
-let holds inst schema ic =
-  match ic with
-  | Ind i -> ind_holds inst i
-  | _ -> (
-      match to_denials schema ic with
-      | Some ds -> List.for_all (fun d -> not (Logic.Cq.holds (denial_query d) inst)) ds
-      | None -> assert false)
-
-let all_hold inst schema ics = List.for_all (holds inst schema) ics
-
 let pp ppf ic =
   match ic with
   | Denial d ->

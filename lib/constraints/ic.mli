@@ -74,6 +74,4 @@ val to_clauses : Relational.Schema.t -> t -> Logic.Clause.t list
     head variables becomes [¬R(x̄) ∨ S(ȳ)].  INDs with existential variables
     have no clausal form over the schema and yield []. *)
 
-val holds : Relational.Instance.t -> Relational.Schema.t -> t -> bool
-val all_hold : Relational.Instance.t -> Relational.Schema.t -> t list -> bool
 val pp : Format.formatter -> t -> unit

@@ -278,23 +278,60 @@ let of_denial inst (d : Ic.denial) =
   in
   List.rev witnesses
 
+(* Dangling sub tuples by an antijoin over the columnar views: the sub
+   tuples with no NULL key cell (a NULL satisfies the IND, as for SQL
+   foreign keys), less those whose key joins a sup tuple.  Each sup
+   position joins the sub column of the first pair naming it; a later
+   pair on the same sup position equates its sub column with that one
+   instead, and one sub column paired with two sup positions is a
+   repeated variable of the sup scan. *)
 let of_ind inst (i : Ic.ind) =
   let sub_rel, sub_ps = i.Ic.sub and sup_rel, sup_ps = i.Ic.sup in
-  let project ps (row : Value.t array) = List.map (fun p -> row.(p)) ps in
-  (* Membership in the sup-side projection is an index probe per sub tuple
-     instead of a scan of sup per sub tuple.  NULL keys are vacuously
-     satisfied, matching [Value.equal]'s Null = Null on the old scan path
-     never firing because NULL sub keys were skipped first. *)
-  let sup_has k =
-    Instance.matching_tuples inst ~rel:sup_rel
-      ~bound:(List.map2 (fun p v -> (p, v)) sup_ps k)
-    <> []
+  let by_sup = List.combine sup_ps sub_ps in
+  let arity rel = Relational.Schema.arity (Instance.schema inst) rel in
+  let s p = Printf.sprintf "s%d" p in
+  let eq a b =
+    { Plan.op = Plan.Eq; left = Plan.Col (s a); right = Plan.Col (s b) }
   in
-  List.filter_map
-    (fun (tid, row) ->
-      let k = project sub_ps row in
-      if List.exists Value.is_null k || sup_has k then None else Some tid)
-    (Instance.tuples inst ~rel:sub_rel)
+  let tid = Instance.tid_column in
+  let sub =
+    Plan.Scan
+      {
+        rel = sub_rel;
+        args = List.init (arity sub_rel) (fun p -> Plan.Avar (s p));
+        tid = Some tid;
+      }
+  in
+  let sup_arg q =
+    match List.assoc_opt q by_sup with
+    | Some p -> Plan.Avar (s p)
+    | None -> Plan.Avar (Printf.sprintf "t%d" q)
+  in
+  let sup =
+    Plan.Scan
+      { rel = sup_rel; args = List.init (arity sup_rel) sup_arg; tid = None }
+  in
+  let non_null =
+    Plan.Filter (Plan.All (List.map (fun p -> eq p p) sub_ps), sub)
+  in
+  let joined =
+    Plan.Semijoin
+      ( Plan.Filter
+          ( Plan.All
+              (List.map (fun (q, p) -> eq p (List.assoc q by_sup)) by_sup),
+            sub ),
+        sup )
+  in
+  let table =
+    Plan.run inst
+      (Plan.Antijoin
+         (Plan.Project ([ tid ], non_null), Plan.Project ([ tid ], joined)))
+  in
+  let tids = Columnar.column table tid in
+  List.init (Columnar.length table) (fun r ->
+      match Column.get tids r with
+      | Value.Int t -> Tid.of_int t
+      | _ -> assert false)
 
 let of_ic inst schema ic =
   match ic with

@@ -77,7 +77,8 @@ let update t op fact =
       | None -> t
       | Some tid -> next (Instance.delete t.instance tid) tid)
 
-let is_consistent t = Ic.all_hold t.instance t.schema t.ics
+let is_consistent t =
+  Constraints.Violation.is_consistent t.instance t.schema t.ics
 
 module Rows = Set.Make (struct
   type t = Value.t list

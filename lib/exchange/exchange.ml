@@ -138,7 +138,9 @@ let chase setting source =
   match egd_chase setting target with
   | Failed _ as f -> f
   | Solution target ->
-      if Constraints.Ic.all_hold target setting.target_schema setting.target_ics
+      if
+        Constraints.Violation.is_consistent target setting.target_schema
+          setting.target_ics
       then Solution target
       else Failed "target constraints violated by the exchanged data"
 

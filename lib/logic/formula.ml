@@ -3,6 +3,7 @@ module Tvl = Relational.Tvl
 module Value = Relational.Value
 module Plan = Relational.Plan
 module Columnar = Relational.Columnar
+module Column = Relational.Column
 
 let c_scan_row = Obs.Counter.make "scan.row"
 
@@ -161,72 +162,85 @@ let match_row_tvl env (a : Atom.t) row =
     in
     go 0 Tvl.True a.args
 
-(* All argument positions of [a] with their forced values, or [None] if
-   some variable is unbound (the caller falls back to the scan, which
-   reproduces the historical unbound-variable error behaviour). *)
-let atom_bound env (a : Atom.t) =
-  let rec go i acc = function
-    | [] -> Some (List.rev acc)
-    | Term.Const c :: rest -> go (i + 1) ((i, c) :: acc) rest
-    | Term.Var x :: rest -> (
-        match Binding.find env x with
-        | Some v -> go (i + 1) ((i, v) :: acc) rest
-        | None -> None)
-  in
-  go 0 [] a.args
+(* Row lookups private to one [eval]/[holds]/[interpret] call: per
+   (relation, positions), the relation's rows grouped by their values at
+   those positions, rows with a NULL there left out (NULL SQL-equals
+   nothing).  A group is built at its first lookup and dropped with the
+   call, so the interpreter, the reference the compiled plans are
+   checked against, shares no index with them. *)
+module Vtbl = Hashtbl.Make (struct
+  type t = Value.t list
 
-let rec eval inst env f : Tvl.t =
+  let equal = List.equal Value.equal
+  let hash = Hashtbl.hash
+end)
+
+type ctx = {
+  inst : Instance.t;
+  groups : (string * int list, Value.t array list Vtbl.t) Hashtbl.t;
+}
+
+let context inst = { inst; groups = Hashtbl.create 8 }
+
+(* Rows in tid order, within each group too. *)
+let group ctx rel positions =
+  match Hashtbl.find_opt ctx.groups (rel, positions) with
+  | Some g -> g
+  | None ->
+      let g = Vtbl.create 64 in
+      List.iter
+        (fun row ->
+          let k = List.map (fun p -> row.(p)) positions in
+          if not (List.exists Value.is_null k) then
+            Vtbl.replace g k
+              (row :: Option.value ~default:[] (Vtbl.find_opt g k)))
+        (List.rev (Instance.rows ctx.inst ~rel));
+      Hashtbl.replace ctx.groups (rel, positions) g;
+      g
+
+(* The rows of [a]'s relation that SQL-equal [v] at every [(p, v)] of
+   [bound] (positions ascending, as [bound_pattern] lists them) — or all
+   of them when nothing is bound or the atom's arity is not the
+   relation's, which [match_row] then filters. *)
+let candidates ctx (a : Atom.t) bound =
+  let schema = Instance.schema ctx.inst in
+  if
+    bound = []
+    || not
+         (Relational.Schema.mem schema a.rel
+         && Relational.Schema.arity schema a.rel = List.length a.args)
+  then Instance.rows ctx.inst ~rel:a.rel
+  else if List.exists (fun (_, v) -> Value.is_null v) bound then []
+  else
+    Option.value ~default:[]
+      (Vtbl.find_opt
+         (group ctx a.rel (List.map fst bound))
+         (List.map snd bound))
+
+let rec eval_in ctx env f : Tvl.t =
   match f with
   | True -> Tvl.True
   | False -> Tvl.False
   | Atom a ->
-      let scan () =
-        List.fold_left
-          (fun acc (_tid, row) ->
-            match acc with
-            | Tvl.True -> Tvl.True
-            | _ -> Tvl.(acc ||| match_row_tvl env a row))
-          Tvl.False
-          (Instance.tuples inst ~rel:a.Atom.rel)
-      in
-      let schema = Instance.schema inst in
-      let indexable =
-        Relational.Schema.mem schema a.Atom.rel
-        && Relational.Schema.arity schema a.Atom.rel = List.length a.Atom.args
-      in
-      (match (if indexable then atom_bound env a else None) with
-      | None -> scan ()
-      | Some bound -> (
-          if List.exists (fun (_, v) -> Value.is_null v) bound then
-            (* A NULL-valued binding compares Unknown against every row:
-               only the scan computes the right Unknown/False mix. *)
-            scan ()
-          else
-            match Instance.probe inst ~rel:a.Atom.rel ~bound with
-            | `All _ -> scan ()
-            | `Hash (definite, null_candidates) ->
-                (* Every position is bound, so a definite index match makes
-                   the atom True outright; otherwise only rows with a NULL
-                   in some compared position can still lift False to
-                   Unknown. *)
-                if definite <> [] then Tvl.True
-                else
-                  List.fold_left
-                    (fun acc (_tid, row) ->
-                      Tvl.(acc ||| match_row_tvl env a row))
-                    Tvl.False null_candidates))
+      List.fold_left
+        (fun acc row ->
+          match acc with
+          | Tvl.True -> Tvl.True
+          | _ -> Tvl.(acc ||| match_row_tvl env a row))
+        Tvl.False
+        (Instance.rows ctx.inst ~rel:a.Atom.rel)
   | Cmp c -> Binding.eval_cmp env c
-  | Not f -> Tvl.not_ (eval inst env f)
-  | And (a, b) -> Tvl.(eval inst env a &&& eval inst env b)
-  | Or (a, b) -> Tvl.(eval inst env a ||| eval inst env b)
-  | Implies (a, b) -> Tvl.(not_ (eval inst env a) ||| eval inst env b)
-  | Exists (vs, f) -> Tvl.of_bool (exists_sat inst env vs f)
-  | Forall (vs, f) -> Tvl.of_bool (not (exists_sat inst env vs (Not f)))
+  | Not f -> Tvl.not_ (eval_in ctx env f)
+  | And (a, b) -> Tvl.(eval_in ctx env a &&& eval_in ctx env b)
+  | Or (a, b) -> Tvl.(eval_in ctx env a ||| eval_in ctx env b)
+  | Implies (a, b) -> Tvl.(not_ (eval_in ctx env a) ||| eval_in ctx env b)
+  | Exists (vs, f) -> Tvl.of_bool (exists_sat ctx env vs f)
+  | Forall (vs, f) -> Tvl.of_bool (not (exists_sat ctx env vs (Not f)))
 
-and exists_sat inst env vs f =
+and exists_sat ctx env vs f =
   let exception Found in
   try
-    sat inst env vs (flatten_conj (nnf f)) (fun _ -> raise Found);
+    sat ctx env vs (flatten_conj (nnf f)) (fun _ -> raise Found);
     false
   with Found -> true
 
@@ -236,11 +250,11 @@ and exists_sat inst env vs f =
    from the residual conjuncts (its truth is witnessed by that tuple), which
    is also what lets a NULL-valued tuple satisfy its own atom while still
    failing any join it participates in. *)
-and sat inst env vs conjs k =
+and sat ctx env vs conjs k =
   let unbound = List.filter (fun v -> not (Binding.mem env v)) vs in
   match unbound with
   | [] ->
-      if List.for_all (fun c -> eval inst env c = Tvl.True) conjs then k env
+      if List.for_all (fun c -> eval_in ctx env c = Tvl.True) conjs then k env
   | _ -> (
       let is_generator = function
         | Atom a -> List.exists (fun v -> List.mem v unbound) (Atom.vars a)
@@ -253,28 +267,28 @@ and sat inst env vs conjs k =
       in
       match split [] conjs with
       | Some (Atom a, rest) ->
-          (* Candidate rows come from an index probe over the positions the
-             environment and the pending equality conjuncts force; rows the
-             probe drops would fail [match_row] or the final conjunct
+          (* Candidate rows are those matching the positions the
+             environment and the pending equality conjuncts force; rows
+             left out would fail [match_row] or the final conjunct
              evaluation.  [rest] keeps every comparison, so the pruning
              comparisons are still re-checked before [k] fires. *)
           let pending =
             List.filter_map (function Cmp c -> Some c | _ -> None) rest
           in
           List.iter
-            (fun (_tid, row) ->
+            (fun row ->
               match match_row env a row with
-              | Some env' -> sat inst env' vs rest k
+              | Some env' -> sat ctx env' vs rest k
               | None -> ())
-            (Instance.matching_tuples inst ~rel:a.Atom.rel
-               ~bound:(bound_pattern env a pending))
+            (candidates ctx a (bound_pattern env a pending))
       | Some _ -> assert false
       | None ->
           let v = List.hd unbound in
           List.iter
-            (fun value -> sat inst (Binding.bind env v value) vs conjs k)
-            (Instance.active_domain inst))
+            (fun value -> sat ctx (Binding.bind env v value) vs conjs k)
+            (Instance.active_domain ctx.inst))
 
+let eval inst env f = eval_in (context inst) env f
 let holds inst f = eval inst Binding.empty f = Tvl.True
 
 module Row_set = Set.Make (struct
@@ -285,29 +299,43 @@ end)
 
 (* --- compiled columnar evaluation ----------------------------------- *)
 
-(* Compilation of the guarded ∃∀-shape the FO rewritings produce
-   (see [Rewriting.Key_rewrite]).  The unit is a *conjunction*: after
-   [flatten_conj], the items the interpreter evaluates are positive
-   atoms (generators), comparisons (definite filters) and guards
-   [∀ū (A' → cond1 ∧ ... ∧ condk)] evaluated per generated binding.
-   That conjunction compiles to
+(* Compilation of the guarded ∃∀-shapes the FO rewritings produce.  The
+   unit is a *conjunction*: after [flatten_conj], the items the
+   interpreter evaluates are positive atoms (generators), comparisons
+   (definite filters) and guards evaluated per generated binding.  That
+   conjunction compiles to
 
-     conj = (⋈ atoms) σ comparisons
-            ∖ π( ⋃ per-guard refutation branches )
+     conj = (⋈ atoms) σ comparisons ∖ π( ⋃ per-guard refutations )
 
-   where each guard's refutation test ranges over [conj ⋈ A'] (the
-   key-mates of each surviving binding): a negated comparison becomes a
-   disjunctive filter branch, and a child [∃ v̄ conj'] becomes an
-   antijoin against the recursively compiled child conjunction —
-   quantifiers are two-valued exactly as in [eval]/[sat], and a
-   NULL-keyed mate join refutes nothing (NULL never joins), matching
-   the interpreter's definite-match generators.
+   Two guard shapes compile:
 
-   Conditions of any other shape — in particular a bare atom, which
-   [eval] judges in three-valued logic where [False] (no row matches
-   even through NULL) differs from not-definitely-true — fall back to
-   the interpreter, as does any conjunct outside the shape above and
-   any quantified variable no atom generates (the interpreter
+   - the key rewriting's [∀ū (A → cond1 ∧ ... ∧ condk)]
+     ([Rewriting.Key_rewrite]): its refutation ranges over [conj ⋈ A]
+     (the key-mates of each surviving binding); a negated comparison
+     becomes a disjunctive filter branch, and a child [∃ v̄ conj']
+     becomes an antijoin against the recursively compiled child
+     conjunction;
+   - the residue rewriting's [∀ū (¬B1 ∨ ... ∨ ¬Bm ∨ L1 ∨ ... ∨ Lk)]
+     ([Rewriting.Residue_rewrite]), with comparisons [Li]: it is
+     refuted by one conjunction [B1 ∧ ... ∧ Bm ∧ ¬L1 ∧ ... ∧ ¬Lk],
+     compiled over the conjunction table by [compile_conj ~seed].  A
+     literal [u ≠ t] with [u] a guard variable of some [Bi] is
+     substituted into the atoms instead: its refutation needs [u = t]
+     definitely true, which is what a join on [t] gives (the argument
+     [bound_pattern] rests on), while kept as a filter it would leave
+     [u] to a cross product.  A bare disjunction of such literals (no
+     [∀], e.g. [¬S(x) ∨ ¬S(y)]) compiles the same way when no column it
+     compares holds a NULL: [eval] reads it in three-valued logic, where
+     an Unknown literal refutes too, and without NULLs (and with only
+     [=]/[≠]) nothing is Unknown.
+
+   Quantifiers are two-valued exactly as in [eval]/[sat], and a
+   NULL-keyed join refutes nothing (NULL never joins), matching the
+   interpreter's definite-match generators.  Any other shape — a bare
+   positive atom under a guard ([eval] tells False from Unknown there),
+   the [pre → ∀ …] residues of constraints with constants, a bare
+   disjunction over nullable columns — falls back to the interpreter,
+   as does any quantified variable no atom generates (the interpreter
    enumerates the active domain for those). *)
 
 exception Unsupported_plan
@@ -317,6 +345,51 @@ let rec strip_exists = function
       let vs', g = strip_exists f in
       (vs @ vs', g)
   | f -> ([], f)
+
+(* The residue guard [∀us body] as the atoms and comparisons whose
+   conjunction refutes it (see above), after substituting the [u ≠ t]
+   literals away; [None] if a [True] disjunct makes it refute nothing. *)
+let refutation us body =
+  let rec literals = function
+    | Or (a, b) -> literals a @ literals b
+    | False -> []
+    | (True | Not (Atom _) | Cmp _) as l -> [ l ]
+    | _ -> raise Unsupported_plan
+  in
+  let lits = literals body in
+  let rec subst us atoms cmps =
+    let generated = List.concat_map Atom.vars atoms in
+    let pick (c : Cmp.t) =
+      let side l t =
+        match l with
+        | Term.Var u
+          when c.op = Cmp.Neq && List.mem u us && List.mem u generated
+               && not (Term.equal t l || t = Term.Const Value.Null) ->
+            Some (c, u, t)
+        | _ -> None
+      in
+      match side c.left c.right with None -> side c.right c.left | s -> s
+    in
+    match List.find_map pick cmps with
+    | None ->
+        if atoms = [] || not (List.for_all (fun u -> List.mem u generated) us)
+        then raise Unsupported_plan;
+        (atoms, List.map Cmp.negate cmps)
+    | Some (c, u, t) ->
+        let s = Subst.singleton u t in
+        subst
+          (List.filter (fun v -> v <> u) us)
+          (List.map (Subst.apply_atom s) atoms)
+          (List.filter_map
+             (fun c' -> if c' == c then None else Some (Subst.apply_cmp s c'))
+             cmps)
+  in
+  if List.mem True lits then None
+  else
+    Some
+      (subst us
+         (List.filter_map (function Not (Atom b) -> Some b | _ -> None) lits)
+         (List.filter_map (function Cmp c -> Some c | _ -> None) lits))
 
 let plan_of_formula inst f =
   let schema = Instance.schema inst in
@@ -345,6 +418,33 @@ let plan_of_formula inst f =
     if not (List.for_all (fun v -> List.mem v cols) vs) then
       raise Unsupported_plan
   in
+  (* A residue guard (see [refutation]); [three_valued] for a bare
+     disjunction. *)
+  let residue ?(three_valued = false) guard us body =
+    match refutation us body with
+    | None -> []
+    | Some (atoms, negs) ->
+        [ `Refute (free_vars guard, atoms, negs, three_valued) ]
+  in
+  (* Can a literal of a bare disjunction be Unknown, over the
+     conjunction [table]?  Only through a NULL — in a column it compares
+     or a constant — or an order comparison (Unknown across types). *)
+  let unknown_possible table atoms negs =
+    let null = function
+      | Term.Const v -> Value.is_null v
+      | Term.Var x -> Column.has_nulls (Columnar.column table x)
+    in
+    List.exists
+      (fun (c : Cmp.t) ->
+        (c.op <> Cmp.Eq && c.op <> Cmp.Neq) || null c.left || null c.right)
+      negs
+    || List.exists
+         (fun (b : Atom.t) ->
+           List.exists null b.args
+           || Array.exists Column.has_nulls
+                (Columnar.columns (Instance.columnar inst ~rel:b.rel)))
+         atoms
+  in
   (* Row-identity column for guard subtraction; the leading '#' keeps it
      out of the variable namespace (like [Instance.tid_column]). *)
   let ord_col = "#ord" in
@@ -362,7 +462,10 @@ let plan_of_formula inst f =
                 (* A mate variable outside the mate atom would send the
                    refutation search to the active domain. *)
                 require us (Atom.vars mate);
-                (ats, (mate, conds) :: gs, cs)
+                (ats, `Mate (mate, conds) :: gs, cs)
+            | Forall (us, body) -> (ats, residue item us body @ gs, cs)
+            | Or _ | Not (Atom _) ->
+                (ats, residue ~three_valued:true item [] item @ gs, cs)
             | Cmp c -> (ats, gs, c :: cs)
             | _ -> raise Unsupported_plan)
           ([], [], []) items
@@ -396,22 +499,39 @@ let plan_of_formula inst f =
              values alone, and value-equal rows pick up the same mate
              matches, so identity subtraction removes exactly the
              value-refuted rows. *)
-          let filtered =
-            if guards = [] then filtered
+          let table =
+            if guards = [] then None
             else begin
               let tbl = Plan.run inst filtered in
               let n = Columnar.length tbl in
-              let ord = Relational.Column.of_ints (Array.init n Fun.id) in
-              Plan.Table
+              let ord = Column.of_ints (Array.init n Fun.id) in
+              Some
                 (Columnar.make
                    (Array.append (Columnar.cols tbl) [| ord_col |])
                    (Array.append (Columnar.columns tbl) [| ord |])
                    n)
             end
           in
+          let filtered =
+            match table with None -> filtered | Some t -> Plan.Table t
+          in
           let bads =
             List.concat_map
-              (fun (mate, conds) ->
+              (function
+              | `Refute (free, atoms, negs, three_valued) -> (
+                  require free all_cols;
+                  if
+                    three_valued
+                    && unknown_possible (Option.get table) atoms negs
+                  then raise Unsupported_plan;
+                  match
+                    compile_conj ~seed:filtered
+                      (List.map (fun a -> Atom a) atoms
+                      @ List.map (fun c -> Cmp c) negs)
+                  with
+                  | `Empty -> []
+                  | `Plan (p, _) -> [ p ])
+              | `Mate (mate, conds) ->
                 let jm = Plan.Join (filtered, scan_plan mate) in
                 let jm_cols = Plan.cols jm in
                 let conds = flatten_conj conds in
@@ -535,7 +655,7 @@ let plan_answers inst ~free f =
            [Value.compare] — the [Row_set.elements] order for
            equal-length rows — so no set rebuild is needed. *)
         let getters =
-          Array.map Relational.Column.getter (Columnar.columns table)
+          Array.map Column.getter (Columnar.columns table)
         in
         let k = Array.length getters in
         let row i =
@@ -549,7 +669,7 @@ let plan_answers inst ~free f =
 let interpret inst ~free f =
   Obs.Counter.incr c_scan_row;
   let acc = ref Row_set.empty in
-  sat inst Binding.empty free (flatten_conj (nnf f)) (fun env ->
+  sat (context inst) Binding.empty free (flatten_conj (nnf f)) (fun env ->
       let row =
         List.map
           (fun v ->

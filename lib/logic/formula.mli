@@ -13,10 +13,14 @@
       some binding makes the body definitely true, and [Forall x φ] is
       [¬Exists x ¬φ].
 
-    The evaluator is generator-driven: existential variables are bound by
-    scanning positive atom conjuncts rather than the whole active domain
-    whenever possible, so rewritten queries evaluate in time close to a
-    hand-written SQL plan. *)
+    Two evaluators share these semantics.  {!answers} compiles the
+    rewritings' shapes to a columnar {!Relational.Plan} — the one
+    executor of FO rewritings.  {!eval}, {!holds} and {!interpret} are the
+    generator-driven row interpreter, the reference the plans are
+    checked and benchmarked against: existential variables are bound by
+    positive atom conjuncts rather than the whole active domain whenever
+    possible, through lookups private to the call (rows grouped by the
+    positions a binding fixes), sharing no index with the executor. *)
 
 type t =
   | True
@@ -66,22 +70,34 @@ val answers :
     existential variable is range-restricted by a positive atom conjunct,
     and falls back to active-domain enumeration otherwise.
 
-    When the formula has the guarded ∃∀-shape the FO rewritings produce —
-    a conjunction of atoms, guarded atoms [A ∧ ∀ū (A' → conds)] and
-    comparisons under an existential prefix — evaluation compiles to a
-    fused columnar {!Relational.Plan}: guards subtract the rows refuted by
-    each refutation branch (negated-comparison filters and antijoins
-    against child guards) via row-identity antijoins on a synthetic
-    ordinal column.  A child whose own atoms do not generate all its free
-    variables is seeded with the distinct mate-join values of them, so
-    the antijoin matches on every variable the child shares with its
-    guard.  Other shapes (and free variables needing active-domain
-    enumeration) run {!interpret}. *)
+    The compiled fragment: under an existential prefix, a conjunction of
+    atoms (joined), comparisons (filters) and guards evaluated per
+    binding, each guard subtracting the bindings it refutes through a
+    row-identity antijoin on a synthetic ordinal column:
+    - the key rewriting's [∀ū (A → cond1 ∧ … ∧ condk)], refuted over the
+      mate join [conj ⋈ A] by a negated-comparison filter or an antijoin
+      against a child [∃ v̄ conj'] (a child whose own atoms do not
+      generate all its free variables is seeded with the distinct
+      mate-join values of them);
+    - the residue rewriting's [∀ū (¬B1 ∨ … ∨ ¬Bm ∨ L1 ∨ … ∨ Lk)] with
+      comparisons [Li], refuted by the one conjunction
+      [B1 ∧ … ∧ Bm ∧ ¬L1 ∧ … ∧ ¬Lk] joined onto the bindings, after each
+      [u ≠ t] with [u ∈ ū] is substituted into the atoms (so a key
+      guard [∀ū (¬R(ū) ∨ x ≠ u1 ∨ y = u2)] is a join on [x], not a cross
+      product);
+    - a bare disjunction of such literals (a residue with no quantified
+      variable, e.g. [¬S(x) ∨ ¬S(y)]) when no column or constant it
+      compares is NULL and its comparisons are [=]/[≠], where its
+      three-valued reading cannot be Unknown.
+    Other shapes — residue preconditions [pre → …] (constraints with
+    constants), bare disjunctions over NULLs, bare positive atoms under
+    a guard, variables only the active domain binds — run {!interpret}. *)
 
 val interpret :
   Relational.Instance.t -> free:string list -> t -> Relational.Value.t list list
 (** {!answers} on the generator-driven interpreter alone, never compiled:
-    the reference the compiled plans are checked and benchmarked against.
-    Each call counts one [scan.row]. *)
+    the reference the compiled plans are checked and benchmarked against,
+    and the fallback for shapes outside the compiled fragment.  Each call
+    counts one [scan.row]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,40 +1,6 @@
 module Smap = Map.Make (String)
 
-(* ------------------------------------------------------------------ *)
-(* Secondary indexes.
-
-   Every instance carries a cache of lazily built secondary indexes: for a
-   relation and a (sorted, duplicate-free) list of attribute positions, the
-   index groups the relation's tids by the value tuple at those positions.
-   Tuples with a NULL at any indexed position are kept aside in [inulls] —
-   NULL never satisfies a join, but three-valued evaluation still needs to
-   find those tuples to distinguish Unknown from False.
-
-   The cache is per-version: the persistent update operations build the new
-   instance with a cache whose already-built indexes are incrementally
-   patched (one Map update per index), so a long-lived instance keeps its
-   indexes across the repair search's insert/delete/update churn.  Building
-   and memoizing mutate only the cache record, and always by replacing a
-   whole persistent map behind a single mutable field — concurrent readers
-   (parallel repair checking) see either the old or the new map, and a lost
-   racing build merely repeats work. *)
-
-module Vlmap = Map.Make (struct
-  type t = Value.t list
-
-  let compare = List.compare Value.compare
-end)
-
-module Ixkey = Map.Make (struct
-  type t = string * int list
-
-  let compare = Stdlib.compare
-end)
-
-type rel_index = { groups : Tid.Set.t Vlmap.t; inulls : Tid.Set.t }
-
 type cache = {
-  mutable idx : rel_index Ixkey.t;
   mutable raw_digest : int option; (* xor of per-fact hashes *)
   mutable columnar : Columnar.t Smap.t; (* per-relation columnar views *)
 }
@@ -51,12 +17,9 @@ type t = {
   cache : cache;
 }
 
-let c_index_builds = Obs.Counter.make "index.builds"
 let c_columnar_builds = Obs.Counter.make "columnar.builds"
-let c_index_hits = Obs.Counter.make "index.hits"
-let c_join_hash = Obs.Counter.make "join.hash"
 
-let fresh_cache () = { idx = Ixkey.empty; raw_digest = None; columnar = Smap.empty }
+let fresh_cache () = { raw_digest = None; columnar = Smap.empty }
 
 (* Digest contribution of one (tid, fact) pair.  The tid matters: two
    instances with equal fact sets but different insertion orders address
@@ -65,55 +28,15 @@ let fresh_cache () = { idx = Ixkey.empty; raw_digest = None; columnar = Smap.emp
 let fact_digest tid (f : Fact.t) =
   Fact.hash f lxor (Tid.hash tid * 0x85ebca6b)
 
-let values_at positions (row : Value.t array) =
-  List.map (fun p -> row.(p)) positions
-
-let index_add positions tid (f : Fact.t) ri =
-  let vals = values_at positions f.row in
-  if List.exists Value.is_null vals then
-    { ri with inulls = Tid.Set.add tid ri.inulls }
-  else
-    let tids =
-      match Vlmap.find_opt vals ri.groups with
-      | Some s -> Tid.Set.add tid s
-      | None -> Tid.Set.singleton tid
-    in
-    { ri with groups = Vlmap.add vals tids ri.groups }
-
-let index_remove positions tid (f : Fact.t) ri =
-  let vals = values_at positions f.row in
-  if List.exists Value.is_null vals then
-    { ri with inulls = Tid.Set.remove tid ri.inulls }
-  else
-    match Vlmap.find_opt vals ri.groups with
-    | None -> ri
-    | Some s ->
-        let s = Tid.Set.remove tid s in
-        {
-          ri with
-          groups =
-            (if Tid.Set.is_empty s then Vlmap.remove vals ri.groups
-             else Vlmap.add vals s ri.groups);
-        }
-
-(* The cache of the instance obtained by inserting/removing one fact: every
-   already-built index of that fact's relation is patched; the rest are
-   shared as-is. *)
-let cache_with patch cache tid (f : Fact.t) =
+(* The cache of the instance obtained by inserting/removing [f] under
+   [tid]: the digest is patched, the touched relation's columnar view
+   is stale, and the other views carry over (they are immutable
+   snapshots, safe to share). *)
+let cache_with cache tid (f : Fact.t) =
   {
-    idx =
-      Ixkey.mapi
-        (fun (rel, positions) ri ->
-          if String.equal rel f.rel then patch positions tid f ri else ri)
-        cache.idx;
     raw_digest = Option.map (fun d -> d lxor fact_digest tid f) cache.raw_digest;
-    (* The touched relation's columnar view is stale; the others carry
-       over (they are immutable snapshots, safe to share). *)
     columnar = Smap.remove f.rel cache.columnar;
   }
-
-let cache_after_insert cache tid f = cache_with index_add cache tid f
-let cache_after_delete cache tid f = cache_with index_remove cache tid f
 
 let create schema =
   {
@@ -149,7 +72,7 @@ let add_at t tid (f : Fact.t) =
     by_fact = Fact.Map.add f tid t.by_fact;
     by_rel = Smap.add f.rel (Tid.Map.add tid f.row (rel_rows t f.rel)) t.by_rel;
     size = t.size + 1;
-    cache = cache_after_insert t.cache tid f;
+    cache = cache_with t.cache tid f;
   }
 
 let insert t (f : Fact.t) =
@@ -177,7 +100,7 @@ let delete t tid =
           (if Tid.Map.is_empty rel_rows then Smap.remove f.rel t.by_rel
            else Smap.add f.rel rel_rows t.by_rel);
         size = t.size - 1;
-        cache = cache_after_delete t.cache tid f;
+        cache = cache_with t.cache tid f;
       }
 
 let tid_of t f = Fact.Map.find_opt f t.by_fact
@@ -219,12 +142,13 @@ let rows t ~rel = List.map snd (tuples t ~rel)
 (* ------------------------------------------------------------------ *)
 (* Columnar views.
 
-   Like the secondary indexes, a relation's columnar snapshot is built
-   lazily, memoized in the per-version cache, and invalidated (per
-   relation) by the persistent update operations via [cache_with].
-   The memo follows the same benign-race discipline: the whole map is
-   replaced behind one mutable field, so concurrent readers see either
-   the old or the new map and a lost racing build merely repeats work.
+   A relation's columnar snapshot is built lazily, memoized in the
+   per-version cache, and invalidated (per relation) by the persistent
+   update operations via [cache_with].  Building and memoizing mutate
+   only the cache record, and always by replacing a whole persistent
+   map behind a single mutable field: concurrent readers (parallel
+   repair checking) see either the old or the new map, and a lost
+   racing build merely repeats work.
 
    Every view carries the synthetic leading column [tid_column] holding
    the tuple identifiers; plans that do not need tids simply never ask
@@ -261,82 +185,6 @@ let columnar t ~rel =
       in
       t.cache.columnar <- Smap.add rel c t.cache.columnar;
       c
-
-(* Find (or build and memoize) the index of [rel] over [positions], which
-   must be sorted, duplicate-free and within the relation's arity. *)
-let rel_index t ~rel ~positions =
-  let key = (rel, positions) in
-  match Ixkey.find_opt key t.cache.idx with
-  | Some ri ->
-      Obs.Counter.incr c_index_hits;
-      ri
-  | None ->
-      Obs.Counter.incr c_index_builds;
-      let ri =
-        List.fold_left
-          (fun ri (tid, row) ->
-            index_add positions tid { Fact.rel; row } ri)
-          { groups = Vlmap.empty; inulls = Tid.Set.empty }
-          (tuples t ~rel)
-      in
-      t.cache.idx <- Ixkey.add key ri t.cache.idx;
-      ri
-
-let tuples_of_tids t tids =
-  Tid.Set.fold (fun tid acc -> (tid, (fact_of t tid).row) :: acc) tids []
-  |> List.rev
-
-let normalize_bound bound =
-  let bound =
-    List.sort_uniq
-      (fun (p, v) (p', v') ->
-        match Int.compare p p' with 0 -> Value.compare v v' | c -> c)
-      bound
-  in
-  let positions = List.map fst bound in
-  if List.length (List.sort_uniq Int.compare positions) <> List.length positions
-  then None (* same position constrained to two different values *)
-  else Some (positions, List.map snd bound)
-
-let probe t ~rel ~bound =
-  match bound with
-  | [] -> `All (tuples t ~rel)
-  | _ -> (
-      let arity = if Schema.mem t.schema rel then Schema.arity t.schema rel else 0 in
-      if List.exists (fun (p, _) -> p < 0 || p >= arity) bound then
-        (* Out-of-range constraint (arity-mismatched atom): let the caller's
-           own row matching reject everything. *)
-        `All (tuples t ~rel)
-      else
-        match normalize_bound bound with
-        | None -> `Hash ([], [])
-        | Some (positions, vals) ->
-            let ri = rel_index t ~rel ~positions in
-            Obs.Counter.incr c_join_hash;
-            let definite =
-              if List.exists Value.is_null vals then []
-              else
-                match Vlmap.find_opt vals ri.groups with
-                | None -> []
-                | Some tids -> tuples_of_tids t tids
-            in
-            `Hash (definite, tuples_of_tids t ri.inulls))
-
-let matching_tuples t ~rel ~bound =
-  if List.exists (fun (_, v) -> Value.is_null v) bound then []
-  else
-    match probe t ~rel ~bound with
-    | `Hash (definite, _) -> definite
-    | `All tups ->
-        if bound = [] then tups
-        else
-          List.filter
-            (fun (_, row) ->
-              List.for_all
-                (fun (p, v) ->
-                  p < Array.length row && Tvl.to_bool (Value.sql_eq row.(p) v))
-                bound)
-            tups
 
 let facts t =
   Tid.Map.fold (fun _ f acc -> Fact.Set.add f acc) t.by_tid Fact.Set.empty

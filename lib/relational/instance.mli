@@ -100,38 +100,6 @@ val active_domain : t -> Value.t list
 val fold_facts : (Tid.t -> Fact.t -> 'a -> 'a) -> t -> 'a -> 'a
 val pp : Format.formatter -> t -> unit
 
-(** {1 Secondary indexes}
-
-    Instances carry lazily built, memoized hash indexes: for a relation and
-    a set of attribute positions, an index groups the relation's tids by the
-    value tuple at those positions.  Indexes survive the persistent-update
-    API — [insert]/[delete]/[update_cell] incrementally patch every index
-    already built for the touched relation — so a long-lived instance keeps
-    its indexes across repair-search churn.  All lookups are exactly
-    equivalent to naive scans and preserve tid order. *)
-
-val matching_tuples :
-  t -> rel:string -> bound:(int * Value.t) list -> (Tid.t * Value.t array) list
-(** The tuples of [rel] whose row SQL-equals [v] at 0-based position [p] for
-    every [(p, v)] in [bound], in tid order.  [bound = []] is [tuples].
-    NULL never SQL-equals anything, so a NULL bound value yields [].  Served
-    from a (possibly freshly built) composite index; out-of-range positions
-    fall back to a scan so arity-tolerant callers keep their semantics. *)
-
-val probe :
-  t ->
-  rel:string ->
-  bound:(int * Value.t) list ->
-  [ `All of (Tid.t * Value.t array) list
-  | `Hash of (Tid.t * Value.t array) list * (Tid.t * Value.t array) list ]
-(** Three-valued-logic-aware lookup.  [`All tuples] means the caller must
-    scan ([bound = []], or a bound position is out of range).  Each
-    index lookup counts one [join.hash].
-    [`Hash (definite, null_candidates)] splits the relation into tuples that
-    definitely match [bound] and tuples with a NULL at an indexed position —
-    those can still evaluate to [Unknown] and must be re-checked by callers
-    that distinguish Unknown from False. *)
-
 val digest : t -> int
 (** Content digest (xor of per-(tid, fact) hashes mixed with the
     cardinality), maintained incrementally across updates.  Digest equality

@@ -127,7 +127,7 @@ let test_under_ics_without_constraint () =
 let test_under_ics_with_psi () =
   let ics = [ Courses.psi ] in
   check Alcotest.bool "psi satisfied" true
-    (Constraints.Ic.all_hold Courses.instance Courses.schema ics);
+    (Constraints.Violation.is_consistent Courses.instance Courses.schema ics);
   let rho tid =
     Under_ics.responsibility Courses.instance Courses.schema ~ics Courses.q
       ~answer:Courses.john (Tid.of_int tid)

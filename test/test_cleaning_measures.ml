@@ -100,8 +100,8 @@ let test_cost_clean_fd () =
     Cost_clean.clean Employee.instance Employee.schema [ Employee.key ]
   in
   check Alcotest.bool "cleaned is consistent" true
-    (Constraints.Ic.all_hold result.Cost_clean.cleaned Employee.schema
-       [ Employee.key ]);
+    (Constraints.Violation.is_consistent result.Cost_clean.cleaned
+       Employee.schema [ Employee.key ]);
   check Alcotest.int "one change suffices" 1 result.Cost_clean.cost
 
 let test_cost_clean_supports_majority () =
@@ -121,7 +121,8 @@ let test_cost_clean_supports_majority () =
   let key = Constraints.Ic.key ~rel:"T" [ 0 ] in
   let result = Cost_clean.clean db schema [ key ] in
   check Alcotest.bool "consistent" true
-    (Constraints.Ic.all_hold result.Cost_clean.cleaned schema [ key ]);
+    (Constraints.Violation.is_consistent result.Cost_clean.cleaned schema
+       [ key ]);
   (* The value 9 (support 1) is overwritten by 7 (support 2). *)
   List.iter
     (fun (c : Cost_clean.change) ->
@@ -171,10 +172,10 @@ let test_workload_generators () =
     Workload.Gen.denial_instance ~seed:3 ~n:30 ~conflict_fraction:0.3 ()
   in
   check Alcotest.bool "denial instance inconsistent" false
-    (Constraints.Ic.all_hold db2 (Instance.schema db2) [ kappa ]);
+    (Constraints.Violation.is_consistent db2 (Instance.schema db2) [ kappa ]);
   let db3, ind = Workload.Gen.ind_instance ~seed:3 ~n:30 ~dangling_fraction:0.2 () in
   check Alcotest.bool "ind instance inconsistent" false
-    (Constraints.Ic.all_hold db3 (Instance.schema db3) [ ind ])
+    (Constraints.Violation.is_consistent db3 (Instance.schema db3) [ ind ])
 
 let suite =
   [

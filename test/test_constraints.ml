@@ -11,7 +11,7 @@ let check = Alcotest.check
 
 let test_ind_violation () =
   check Alcotest.bool "ID violated" false
-    (Ic.holds Supply.instance Supply.schema Supply.ind);
+    (Violation.is_consistent Supply.instance Supply.schema [ Supply.ind ]);
   let dangling = Violation.of_ind Supply.instance
       (match Supply.ind with Ic.Ind i -> i | _ -> assert false)
   in
@@ -23,11 +23,12 @@ let test_ind_null_vacuous () =
       [ ("Supply", [ [ v "C1"; v "R1"; Value.Null ] ]); ("Articles", []) ]
   in
   check Alcotest.bool "NULL fk is vacuously fine" true
-    (Ic.holds db Supply.schema Supply.ind)
+    (Violation.is_consistent db Supply.schema [ Supply.ind ])
 
 let test_key_to_fd_and_violation () =
   check Alcotest.bool "key violated" false
-    (Ic.holds Employee.instance Employee.schema Employee.key);
+    (Violation.is_consistent Employee.instance Employee.schema
+       [ Employee.key ]);
   let ws = Violation.of_ic Employee.instance Employee.schema Employee.key in
   check Alcotest.int "one conflicting pair" 1 (List.length ws);
   let w = List.hd ws in
@@ -39,7 +40,7 @@ let test_fd_null_does_not_violate () =
       [ ("Employee", [ [ Value.Null; i 5 ]; [ Value.Null; i 8 ] ]) ]
   in
   check Alcotest.bool "NULL keys do not clash" true
-    (Ic.holds db Employee.schema Employee.key)
+    (Violation.is_consistent db Employee.schema [ Employee.key ])
 
 let test_denial_violation () =
   let ws = Violation.of_ic Denial.instance Denial.schema Denial.kappa in
@@ -80,13 +81,16 @@ let test_cfd () =
   in
   let fd1 = Ic.fd ~rel:"Cust" ~lhs:[ 0; 1; 2 ] ~rhs:[ 4; 5; 6 ] in
   let fd2 = Ic.fd ~rel:"Cust" ~lhs:[ 0; 1 ] ~rhs:[ 5 ] in
-  check Alcotest.bool "plain FD 1 holds" true (Ic.holds db schema fd1);
-  check Alcotest.bool "plain FD 2 holds" true (Ic.holds db schema fd2);
+  check Alcotest.bool "plain FD 1 holds" true
+    (Violation.is_consistent db schema [ fd1 ]);
+  check Alcotest.bool "plain FD 2 holds" true
+    (Violation.is_consistent db schema [ fd2 ]);
   let cfd =
     Ic.cfd ~rel:"Cust" ~lhs:[ 0; 6 ] ~rhs:[ 4 ]
       ~pat:[ (0, Some (Value.int 44)); (6, None); (4, None) ]
   in
-  check Alcotest.bool "CFD violated" false (Ic.holds db schema cfd);
+  check Alcotest.bool "CFD violated" false
+    (Violation.is_consistent db schema [ cfd ]);
   let ws = Violation.of_ic db schema cfd in
   check Alcotest.int "one CFD conflict" 1 (List.length ws)
 
@@ -101,7 +105,8 @@ let test_cfd_constant_pattern () =
     Ic.cfd ~rel:"T" ~lhs:[ 0 ] ~rhs:[ 1 ]
       ~pat:[ (0, Some (v "nl")); (1, Some (v "amsterdam")) ]
   in
-  check Alcotest.bool "constant CFD violated" false (Ic.holds db schema cfd);
+  check Alcotest.bool "constant CFD violated" false
+    (Violation.is_consistent db schema [ cfd ]);
   let ws = Violation.of_ic db schema cfd in
   check Alcotest.int "single-tuple violation" 1 (List.length ws)
 
@@ -120,9 +125,10 @@ let test_to_clauses () =
 
 let test_all_hold () =
   check Alcotest.bool "hypergraph dcs all violated somewhere" false
-    (Ic.all_hold Hypergraph.instance Hypergraph.schema Hypergraph.dcs);
+    (Violation.is_consistent Hypergraph.instance Hypergraph.schema
+       Hypergraph.dcs);
   check Alcotest.bool "empty ics hold" true
-    (Ic.all_hold Hypergraph.instance Hypergraph.schema [])
+    (Violation.is_consistent Hypergraph.instance Hypergraph.schema [])
 
 (* The memo behind the conflict-graph and SAT-theory caches keeps its
    most recently used entry first: a hit moves its entry to the front,
@@ -214,6 +220,52 @@ let test_fd_conflicts_unsorted () =
     Alcotest.(list (pair int int))
     "pinned: the tuple's group only" [ (1, 3); (3, 7) ] (List.rev !pinned)
 
+(* [Violation.of_ind]'s antijoin against a nested loop over the tuples,
+   with NULL cells on either side and positions repeated on either side:
+   a sub tuple dangles when no NULL is in its key and no sup tuple
+   carries that key. *)
+let prop_of_ind_nested_loop =
+  let schema = Schema.of_list [ ("R", [ "a"; "b"; "c" ]); ("S", [ "a"; "b" ]) ] in
+  let value_of n = if n >= 3 then Value.Null else Value.int n in
+  let inds =
+    [
+      { Ic.sub = ("R", [ 0 ]); sup = ("S", [ 1 ]) };
+      { Ic.sub = ("R", [ 1; 2 ]); sup = ("S", [ 0; 1 ]) };
+      { Ic.sub = ("S", [ 0; 0 ]); sup = ("R", [ 1; 2 ]) };
+      { Ic.sub = ("S", [ 0; 1 ]); sup = ("R", [ 2; 2 ]) };
+      { Ic.sub = ("S", [ 0 ]); sup = ("S", [ 1 ]) };
+    ]
+  in
+  let nested_loop inst (i : Ic.ind) =
+    let project ps (row : Value.t array) = List.map (fun p -> row.(p)) ps in
+    let sup_rows = Instance.rows inst ~rel:(fst i.sup) in
+    List.filter_map
+      (fun (tid, row) ->
+        let k = project (snd i.sub) row in
+        if
+          List.exists Value.is_null k
+          || List.exists
+               (fun r -> List.for_all2 Value.equal k (project (snd i.sup) r))
+               sup_rows
+        then None
+        else Some tid)
+      (Instance.tuples inst ~rel:(fst i.sub))
+  in
+  QCheck.Test.make ~count:300 ~name:"of_ind = nested loop, with NULLs"
+    QCheck.(
+      pair
+        (small_list (triple (int_bound 3) (int_bound 3) (int_bound 3)))
+        (small_list (pair (int_bound 3) (int_bound 3))))
+    (fun (rs, ss) ->
+      let inst =
+        Instance.of_rows schema
+          [
+            ("R", List.map (fun (a, b, c) -> List.map value_of [ a; b; c ]) rs);
+            ("S", List.map (fun (a, b) -> List.map value_of [ a; b ]) ss);
+          ]
+      in
+      List.for_all (fun i -> Violation.of_ind inst i = nested_loop inst i) inds)
+
 let suite =
   [
     Alcotest.test_case "IND violation (Ex 2.1)" `Quick test_ind_violation;
@@ -234,4 +286,5 @@ let suite =
       test_memo_patch_moves;
     Alcotest.test_case "key groups out of tid order" `Quick
       test_fd_conflicts_unsorted;
+    QCheck_alcotest.to_alcotest prop_of_ind_nested_loop;
   ]

@@ -4,9 +4,7 @@
 module Schema = Relational.Schema
 module Instance = Relational.Instance
 module Value = Relational.Value
-module Fact = Relational.Fact
 module Tid = Relational.Tid
-module Tvl = Relational.Tvl
 open Logic
 
 let check = Alcotest.check
@@ -50,12 +48,13 @@ let prop_indexed_join_eq =
            (fun (q : Cq.t) -> List.mem q.name [ "join"; "const"; "selfjoin"; "triangle" ])
            Test_oracle.fixed_queries))
 
-(* --- indexed formula evaluation vs the naive oracle ------------------ *)
+(* --- formula evaluation vs the naive oracle -------------------------- *)
 
-(* [Formula.holds] finds candidate rows through [Instance.probe] and
-   [matching_tuples]; the oracle's nested loops use no index. *)
-let prop_indexed_formula_eq =
-  QCheck.Test.make ~count:300 ~name:"indexed Formula.holds = naive" arb_db
+(* [Formula.holds] finds candidate rows through lookups private to the
+   call, grouped by the bound positions; the oracle's nested loops group
+   nothing. *)
+let prop_formula_holds_eq =
+  QCheck.Test.make ~count:300 ~name:"Formula.holds = naive oracle" arb_db
     (fun db_spec ->
       let db = instance_of db_spec in
       List.for_all
@@ -114,99 +113,6 @@ let prop_bucketed_violations_eq =
       in
       List.sort_uniq compare bucketed = List.sort_uniq compare pairwise
       && List.length bucketed = List.length (List.sort_uniq compare bucketed))
-
-(* --- index integrity across the persistent-update API --------------- *)
-
-type op = Ins of int * int * int | Del of int | Upd of int * int * int
-
-let arb_ops =
-  QCheck.make
-    QCheck.Gen.(
-      pair
-        (list_size (int_range 0 6)
-           (triple (int_range 0 3) (int_range 0 4) (int_range 0 2)))
-        (list_size (int_range 0 12)
-           (oneof
-              [
-                map
-                  (fun (k, v, w) -> Ins (k, v, w))
-                  (triple (int_range 0 3) (int_range 0 4) (int_range 0 2));
-                map (fun i -> Del i) (int_range 0 20);
-                map
-                  (fun (i, p, v) -> Upd (i, p, v))
-                  (triple (int_range 0 20) (int_range 0 2) (int_range 0 4));
-              ])))
-    ~print:(fun (rows, ops) ->
-      let pp_op = function
-        | Ins (k, v, w) -> Printf.sprintf "I(%d,%d,%d)" k v w
-        | Del i -> Printf.sprintf "D%d" i
-        | Upd (i, p, v) -> Printf.sprintf "U(%d,%d,%d)" i p v
-      in
-      Printf.sprintf "rows=%s ops=%s"
-        (String.concat ";"
-           (List.map (fun (k, v, w) -> Printf.sprintf "%d,%d,%d" k v w) rows))
-        (String.concat ";" (List.map pp_op ops)))
-
-let apply db = function
-  | Ins (k, v, w) ->
-      Instance.add db (Fact.make "T" [ value_of k; value_of v; Value.int w ])
-  | Del i -> (
-      match Tid.Set.elements (Instance.tids db) with
-      | [] -> db
-      | ts -> Instance.delete db (List.nth ts (i mod List.length ts)))
-  | Upd (i, p, v) -> (
-      match Tid.Set.elements (Instance.tids db) with
-      | [] -> db
-      | ts ->
-          Instance.update_cell db
-            (Tid.Cell.make (List.nth ts (i mod List.length ts)) (p + 1))
-            (value_of v))
-
-let naive_matching db ~rel ~bound =
-  List.filter
-    (fun (_, row) ->
-      List.for_all
-        (fun (p, v) ->
-          p < Array.length row && Tvl.to_bool (Value.sql_eq row.(p) v))
-        bound)
-    (Instance.tuples db ~rel)
-
-let prop_index_integrity =
-  QCheck.Test.make ~count:300
-    ~name:"indexes stay exact across insert/delete/update_cell" arb_ops
-    (fun (rows, ops) ->
-          let db0 =
-            Instance.of_rows vschema
-              [
-                ( "T",
-                  List.map
-                    (fun (k, v, w) -> [ value_of k; value_of v; Value.int w ])
-                    rows );
-              ]
-          in
-          (* Build indexes *before* the updates so what's under test is the
-             incremental patching, not a fresh build. *)
-          ignore (Instance.matching_tuples db0 ~rel:"T" ~bound:[ (0, Value.int 0) ]);
-          ignore
-            (Instance.matching_tuples db0 ~rel:"T"
-               ~bound:[ (1, Value.int 0); (2, Value.int 0) ]);
-          let db = List.fold_left apply db0 ops in
-          let bounds =
-            [ [] ]
-            @ List.concat_map
-                (fun v ->
-                  [
-                    [ (0, Value.int v) ];
-                    [ (1, Value.int v) ];
-                    [ (1, Value.int v); (2, Value.int v) ];
-                  ])
-                [ 0; 1; 2; 3 ]
-          in
-          List.for_all
-            (fun bound ->
-              Instance.matching_tuples db ~rel:"T" ~bound
-              = naive_matching db ~rel:"T" ~bound)
-            bounds)
 
 (* --- Par.map = List.map --------------------------------------------- *)
 
@@ -288,9 +194,8 @@ let prop_components_compose =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_indexed_join_eq;
-    QCheck_alcotest.to_alcotest prop_indexed_formula_eq;
+    QCheck_alcotest.to_alcotest prop_formula_holds_eq;
     QCheck_alcotest.to_alcotest prop_bucketed_violations_eq;
-    QCheck_alcotest.to_alcotest prop_index_integrity;
     QCheck_alcotest.to_alcotest prop_par_map_eq;
     Alcotest.test_case "Par.map small-workload cutoff" `Quick test_par_cutoff;
     Alcotest.test_case "Par.map re-raises chunk exceptions" `Quick

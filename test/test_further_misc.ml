@@ -320,7 +320,8 @@ cfd Cust: cc = 44, zip -> street
   | [ (Constraints.Ic.Cfd c) as ic ] ->
       check Alcotest.(list int) "lhs positions" [ 0; 1 ] c.Constraints.Ic.lhs;
       check Alcotest.bool "violated by the EH4 pair" false
-        (Constraints.Ic.holds doc.Cqa.Parse.instance doc.Cqa.Parse.schema ic)
+        (Constraints.Violation.is_consistent doc.Cqa.Parse.instance
+           doc.Cqa.Parse.schema [ ic ])
   | _ -> Alcotest.fail "expected one CFD"
 
 let test_parse_find_ucq () =

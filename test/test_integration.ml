@@ -75,7 +75,7 @@ let q_names =
 let test_global_cqa () =
   let retrieved = Gav.retrieved_instance gav sources_52 in
   check Alcotest.bool "global FD violated" false
-    (Constraints.Ic.holds retrieved global_schema global_fd);
+    (Constraints.Violation.is_consistent retrieved global_schema [ global_fd ]);
   let rows =
     Global_cqa.consistent_answers gav ~sources:sources_52 ~ics:[ global_fd ]
       q_names

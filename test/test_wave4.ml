@@ -89,7 +89,8 @@ let test_ic_of_formula () =
   match Constraints.Ic.of_formula ~name:"kappa_f" f with
   | Some [ ic ] ->
       check Alcotest.bool "violated like kappa" false
-        (Constraints.Ic.holds P.Denial.instance P.Denial.schema ic);
+        (Constraints.Violation.is_consistent P.Denial.instance P.Denial.schema
+           [ ic ]);
       let repairs =
         Repairs.S_repair.enumerate P.Denial.instance P.Denial.schema [ ic ]
       in

@@ -74,7 +74,7 @@ let test_resolve_with_key () =
   List.iter
     (fun inst ->
       check Alcotest.bool "key holds" true
-        (Constraints.Ic.holds inst people_schema key))
+        (Constraints.Violation.is_consistent inst people_schema [ key ]))
     resolved
 
 let test_prefix_similarity () =
