@@ -22,12 +22,12 @@ let clauses_of (g : Ground.t) =
   let supporting = Hashtbl.create 64 in
   List.iter
     (fun (r : Ground.rule) ->
-      Dpll.add_clause solver (r.head @ List.map (fun b -> -b) r.pos @ r.neg);
+      Dpll.add_clause_list solver (r.head @ List.map (fun b -> -b) r.pos @ r.neg);
       let body_var = Dpll.fresh_var solver in
       (* body_var ↔ (∧ pos ∧ ¬neg) *)
-      List.iter (fun b -> Dpll.add_clause solver [ -body_var; b ]) r.pos;
-      List.iter (fun c -> Dpll.add_clause solver [ -body_var; -c ]) r.neg;
-      Dpll.add_clause solver
+      List.iter (fun b -> Dpll.add_clause solver [| -body_var; b |]) r.pos;
+      List.iter (fun c -> Dpll.add_clause solver [| -body_var; -c |]) r.neg;
+      Dpll.add_clause_list solver
         (body_var :: (List.map (fun b -> -b) r.pos @ r.neg));
       List.iter
         (fun h ->
@@ -37,7 +37,7 @@ let clauses_of (g : Ground.t) =
     g.rules;
   for a = 1 to g.natoms do
     let supports = Option.value ~default:[] (Hashtbl.find_opt supporting a) in
-    Dpll.add_clause solver (-a :: supports)
+    Dpll.add_clause_list solver (-a :: supports)
   done;
   solver
 
@@ -50,18 +50,18 @@ let is_minimal_model_of_reduct (g : Ground.t) m =
   List.iter
     (fun (r : Ground.rule) ->
       if not (List.exists (fun b -> m.(b)) r.neg) then
-        Dpll.add_clause solver (r.head @ List.map (fun b -> -b) r.pos))
+        Dpll.add_clause_list solver (r.head @ List.map (fun b -> -b) r.pos))
     g.rules;
   let true_atoms = ref [] in
   for v = 1 to g.natoms do
     if m.(v) then true_atoms := v :: !true_atoms
-    else Dpll.add_clause solver [ -v ]
+    else Dpll.add_clause solver [| -v |]
   done;
   (* Strictly smaller: some currently-true atom must flip to false. *)
   match !true_atoms with
   | [] -> true
   | ts ->
-      Dpll.add_clause solver (List.map (fun v -> -v) ts);
+      Dpll.add_clause_list solver (List.map (fun v -> -v) ts);
       not (Dpll.satisfiable solver)
 
 let model_facts (g : Ground.t) m =

@@ -1,4 +1,3 @@
-module Tid = Relational.Tid
 module Instance = Relational.Instance
 module Ic = Constraints.Ic
 module Dpll = Sat.Dpll
@@ -15,49 +14,68 @@ let c_witness_clauses = Obs.Counter.make "cavsat.witness_clauses"
    span, since rollback returns the solver to the base size. *)
 type peak = { mutable vars : int; mutable clauses : int }
 
-(* The literals "some conflicting member of [w] is deleted", ascending
-   by tid; [[]] when no member is in a conflict. *)
-let witness_lits theory (w : Tid.Sorted.t) =
-  Array.fold_right
-    (fun tid lits ->
-      match Theory.var_for theory tid with Some v -> -v :: lits | None -> lits)
-    w []
+(* Does witness [i] have a member in some conflict?  One without
+   survives in every repair. *)
+let touched theory (w : Witness.t) i =
+  let j = ref (Witness.start w i) and stop = Witness.stop w i in
+  while !j < stop && Theory.var_of_tid theory w.tids.(!j) = 0 do
+    incr j
+  done;
+  !j < stop
 
-(* Is [row] a certain answer?  Holding the theory lock: mark the solver,
-   allocate a selector s, assert per witness "s → some conflicting
-   member of the witness is deleted", and solve under assumption s.  A
-   model is an S-repair killing every witness, so SAT refutes certainty;
-   UNSAT proves every repair keeps a witness, i.e. the answer is
-   certain.  Either way the solver is rolled back to the mark (on the
-   exception path too), so every solve sees the base theory plus
-   exactly one candidate and the cached theory never grows. *)
-let candidate_certain (theory : Theory.t) peak witnesses =
-  let rec clauses acc = function
-    | [] -> Some (List.rev acc)
-    | w :: ws -> (
-        match witness_lits theory w with
-        | [] -> None
-        | lits -> clauses (lits :: acc) ws)
-  in
-  match clauses [] witnesses with
-  | None ->
-      (* A witness no constraint touches survives in every repair. *)
-      Obs.Counter.incr c_clean_witness;
-      true
-  | Some clauses ->
-      let solver = theory.Theory.solver in
-      let m = Dpll.mark solver in
-      Fun.protect ~finally:(fun () -> Dpll.rollback solver m) @@ fun () ->
-      let s = Dpll.fresh_var solver in
-      List.iter
-        (fun lits ->
-          Obs.Counter.incr c_witness_clauses;
-          Dpll.add_clause solver (-s :: lits))
-        clauses;
-      peak.vars <- max peak.vars (Dpll.nvars solver);
-      peak.clauses <- max peak.clauses (Dpll.nclauses solver);
-      Obs.Counter.incr c_sat_calls;
-      Dpll.solve ~assumptions:[ s ] solver = None
+(* The clause "s → some conflicting member of witness [i] is deleted",
+   [| -s; -v1; … |] with the members ascending by tid, gathered in
+   [buf] (a slot per body atom and one for s) with one lookup per
+   member.  The usual short clauses are allocated inline: [Array.sub]
+   is a C call. *)
+let witness_clause theory (w : Witness.t) i s buf =
+  buf.(0) <- -s;
+  let n = ref 1 in
+  for j = Witness.start w i to Witness.stop w i - 1 do
+    let v = Theory.var_of_tid theory w.tids.(j) in
+    if v <> 0 then begin
+      buf.(!n) <- -v;
+      incr n
+    end
+  done;
+  match !n with
+  | 2 -> [| buf.(0); buf.(1) |]
+  | 3 -> [| buf.(0); buf.(1); buf.(2) |]
+  | n -> Array.sub buf 0 n
+
+(* Is candidate [c] a certain answer?  Holding the theory lock: mark the
+   solver, allocate a selector s, assert per witness "s → some
+   conflicting member of the witness is deleted", and solve under
+   assumption s.  A model is an S-repair killing every witness, so SAT
+   refutes certainty; UNSAT proves every repair keeps a witness, i.e.
+   the answer is certain.  Either way the solver is rolled back to the
+   mark (on the exception path too), so every solve sees the base
+   theory plus exactly one candidate and the cached theory never
+   grows. *)
+let candidate_certain (theory : Theory.t) peak w buf (c : Witness.candidate) =
+  let i = ref c.first in
+  while !i < c.last && touched theory w !i do
+    incr i
+  done;
+  if !i < c.last then begin
+    (* A witness no constraint touches survives in every repair. *)
+    Obs.Counter.incr c_clean_witness;
+    true
+  end
+  else begin
+    let solver = theory.Theory.solver in
+    let m = Dpll.mark solver in
+    Fun.protect ~finally:(fun () -> Dpll.rollback solver m) @@ fun () ->
+    let s = Dpll.fresh_var solver in
+    for i = c.first to c.last - 1 do
+      Obs.Counter.incr c_witness_clauses;
+      Dpll.add_clause solver (witness_clause theory w i s buf)
+    done;
+    peak.vars <- max peak.vars (Dpll.nvars solver);
+    peak.clauses <- max peak.clauses (Dpll.nclauses solver);
+    Obs.Counter.incr c_sat_calls;
+    Dpll.solve ~assumptions:[ s ] solver = None
+  end
 
 (* Lock [theory] for [inst].  A theory found in the memo may be patched
    to a later instance by another engine's read before this one takes
@@ -87,7 +105,8 @@ let consistent_answers ?delta inst schema ics q =
     let theory = Theory.cached ?delta inst schema ics in
     if theory.Theory.no_repairs then []
     else begin
-      let candidates = Witness.answers_with_witnesses q inst in
+      let w, candidates = Witness.answers_with_witnesses q inst in
+      let buf = Array.make (List.length q.Logic.Cq.body + 1) 0 in
       Obs.Counter.add c_candidates (List.length candidates);
       let theory = lock_for ?delta theory inst schema ics in
       let peak =
@@ -99,9 +118,9 @@ let consistent_answers ?delta inst schema ics q =
       let certain =
         match
           List.filter
-            (fun (_, ws) ->
+            (fun c ->
               Obs.Progress.tick ();
-              candidate_certain theory peak ws)
+              candidate_certain theory peak w buf c)
             candidates
         with
         | rows -> rows
@@ -118,7 +137,7 @@ let consistent_answers ?delta inst schema ics q =
         Obs.Trace.attr_int "candidates" (List.length candidates);
         Obs.Trace.attr_int "certain" (List.length certain)
       end;
-      List.map fst certain
+      List.map (fun (c : Witness.candidate) -> c.row) certain
     end
   with
   | rows ->

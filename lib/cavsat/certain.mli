@@ -13,6 +13,16 @@
     solve, so every call sees the base theory plus one candidate and
     the cached theory keeps its built size across queries.
 
+    The witnesses come as one {!Witness.t} arena.  A candidate is
+    settled as certain, with no clause added, as soon as one of its
+    witnesses has no member in any conflict.  Otherwise each witness
+    becomes one clause array [[| -s; -v1; … |]] (members ascending by
+    tid), built straight from the arena and handed to the solver
+    uncopied, in witness order.  Past the compiled body's table and the
+    arena, a warm read allocates per witness only that array and its
+    occurrence-list cells, which the rollback drops: no witness set,
+    literal list or closure.
+
     Counters: [cavsat.queries], [cavsat.candidates], [cavsat.certain],
     [cavsat.clean_witness] (candidates settled without a SAT call),
     [cavsat.sat_calls], [cavsat.witness_clauses], plus the theory-layer

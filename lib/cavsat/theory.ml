@@ -11,12 +11,83 @@ let c_clauses = Obs.Counter.make "cavsat.clauses"
 
 type stats = { vars : int; clauses : int; conflict_edges : int }
 
-module Itbl = Hashtbl.Make (struct
-  type t = int
+(* Conflicting tid -> variable: open addressing with linear probing
+   over two flat arrays ([min_int] marks an empty slot), doubled at half
+   load, removal by backward shift so no tombstones build up across
+   patches.  A lookup allocates nothing: the per-witness loops of
+   [Certain] read it once per witness member. *)
+module Vtbl = struct
+  type t = { mutable keys : int array; mutable vals : int array; mutable size : int }
 
-  let equal = Int.equal
-  let hash x = x land max_int
-end)
+  let empty = min_int
+
+  let create n =
+    let cap = ref 16 in
+    while !cap < 2 * n do
+      cap := !cap * 2
+    done;
+    { keys = Array.make !cap empty; vals = Array.make !cap 0; size = 0 }
+
+  let home mask k = (k * 0x2545F4914F6CDD1D) lsr 17 land mask
+
+  (* The slot holding [k], or the empty slot where it would go. *)
+  let rec probe keys mask k s =
+    let x = Array.unsafe_get keys s in
+    if x = k || x = empty then s else probe keys mask k ((s + 1) land mask)
+
+  (* The variable of tid [k], or 0. *)
+  let find t k =
+    let mask = Array.length t.keys - 1 in
+    let s = probe t.keys mask k (home mask k) in
+    if Array.unsafe_get t.keys s = k then Array.unsafe_get t.vals s else 0
+
+  let rec replace t k v =
+    if 2 * (t.size + 1) > Array.length t.keys then begin
+      let keys = t.keys and vals = t.vals in
+      t.keys <- Array.make (2 * Array.length keys) empty;
+      t.vals <- Array.make (2 * Array.length keys) 0;
+      t.size <- 0;
+      Array.iteri (fun s k -> if k <> empty then replace t k vals.(s)) keys
+    end;
+    let mask = Array.length t.keys - 1 in
+    let s = probe t.keys mask k (home mask k) in
+    if t.keys.(s) = empty then t.size <- t.size + 1;
+    t.keys.(s) <- k;
+    t.vals.(s) <- v
+
+  (* Empty slot [i], then pull back every later entry of its run whose
+     home is not in the cyclic range (i, j]. *)
+  let remove t k =
+    let keys = t.keys and mask = Array.length t.keys - 1 in
+    let i = ref (probe keys mask k (home mask k)) in
+    if keys.(!i) = k then begin
+      t.size <- t.size - 1;
+      keys.(!i) <- empty;
+      let j = ref ((!i + 1) land mask) in
+      while keys.(!j) <> empty do
+        let h = home mask keys.(!j) in
+        let stays = if !i <= !j then !i < h && h <= !j else !i < h || h <= !j in
+        if not stays then begin
+          keys.(!i) <- keys.(!j);
+          t.vals.(!i) <- t.vals.(!j);
+          keys.(!j) <- empty;
+          i := !j
+        end;
+        j := (!j + 1) land mask
+      done
+    end
+
+  let keys t =
+    let a = Array.make t.size 0 and n = ref 0 in
+    Array.iter
+      (fun k ->
+        if k <> empty then begin
+          a.(!n) <- k;
+          incr n
+        end)
+      t.keys;
+    a
+end
 
 (* An aux-free maximality clause, shared by every tuple whose closed
    binary neighbourhood is [key]: [refs] of them. *)
@@ -40,7 +111,7 @@ type edge = {
 type use = Free | Tuple of tuple | Aux of int * int (* edge id, owner tid *)
 
 type state = {
-  var_of : int Itbl.t; (* conflicting tid -> variable *)
+  var_of : Vtbl.t; (* conflicting tid -> variable *)
   mutable uses : use array; (* variable -> what it stands for *)
   mutable edges : edge array; (* [0, n_edges) used; ids never reused *)
   mutable n_edges : int;
@@ -62,10 +133,13 @@ type delta = { from : Instance.t; added : Tid.Set.t; deleted : Tid.Set.t }
 
 type name = Tuple of Tid.t | Aux of Tid.Sorted.t * Tid.t
 
-let var_for t tid = Itbl.find_opt t.state.var_of (Tid.to_int tid)
+let var_of_tid t tid = Vtbl.find t.state.var_of tid
+
+let var_for t tid =
+  match var_of_tid t (Tid.to_int tid) with 0 -> None | v -> Some v
 
 let conflicting t =
-  let a = Array.of_seq (Itbl.to_seq_keys t.state.var_of) in
+  let a = Vtbl.keys t.state.var_of in
   Array.sort Int.compare a;
   a
 
@@ -117,7 +191,7 @@ let encodes t inst =
 
 let add solver lits =
   let ci = Dpll.nclauses solver in
-  Dpll.add_clause solver lits;
+  Dpll.add_clause_list solver lits;
   ci
 
 (* A variable with no live clause: a freed one first, else a fresh one. *)
@@ -152,7 +226,7 @@ let new_tuple st solver tid =
     new_var st solver
       (Tuple { tid; edges = []; shared = None; own = []; aux = [] })
   in
-  Itbl.add st.var_of tid v;
+  Vtbl.replace st.var_of tid v;
   v
 
 (* Tuple [v]'s maximality clause: aux variables and their implications
@@ -282,7 +356,7 @@ let of_edges inst (edge_list : Tid.Sorted.t list) =
   let n_vars = Array.fold_left ( + ) 0 var_of_tid in
   let st =
     {
-      var_of = Itbl.create (max 16 n_vars);
+      var_of = Vtbl.create n_vars;
       uses = Array.make (n_vars + 1) Free;
       edges = Array.make n_edges no_edge;
       n_edges = 0;
@@ -418,7 +492,7 @@ let patch t d inst schema ics =
   (* Every touched encoding goes before any is redone: a shared clause
      and a freed variable must be let go by all their holders first. *)
   let touched =
-    List.map (Itbl.find st.var_of) (List.sort_uniq Int.compare !touched)
+    List.map (Vtbl.find st.var_of) (List.sort_uniq Int.compare !touched)
   in
   List.iter (release_tuple st solver) touched;
   let kept, dropped =
@@ -426,7 +500,7 @@ let patch t d inst schema ics =
   in
   List.iter
     (fun v ->
-      Itbl.remove st.var_of (tuple_of st v).tid;
+      Vtbl.remove st.var_of (tuple_of st v).tid;
       free_var st v)
     dropped;
   if not t.no_repairs then List.iter (encode_tuple st solver) kept;
@@ -467,7 +541,7 @@ let cached ?delta inst schema ics =
       then Some "dead_clauses"
       else if
         Tid.Set.cardinal d.added + Tid.Set.cardinal d.deleted
-        > Itbl.length t.state.var_of
+        > t.state.var_of.Vtbl.size
       then Some "large_delta"
       else if Dpll.learned_clauses solver > 0 then Some "learned_clauses"
       else None;

@@ -129,6 +129,10 @@ val var_for : t -> Relational.Tid.t -> int option
 (** The solver variable of a conflicting tuple; [None] for tuples
     outside every conflict (kept by all repairs). *)
 
+val var_of_tid : t -> int -> int
+(** {!var_for} on a tid integer, with [0] for [None]: a lookup that
+    allocates nothing, for the per-witness loops of [Certain]. *)
+
 val conflicting : t -> int array
 (** The tid integers of the conflicting tuples, ascending. *)
 

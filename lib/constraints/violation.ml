@@ -71,44 +71,56 @@ let tid_sets ?pinned inst (d : Ic.denial) =
                  else [])
                d.atoms))
 
-(* Stable LSD radix sort of [rows] on [codes], 11 bits a pass over the
-   codes less their minimum (an unsigned difference, so any int range
-   sorts right): O(n) per pass and no comparator call. *)
+(* Stable LSD radix sort of [rows] on [codes] less their minimum (an
+   unsigned difference, so any int range sorts right): O(n) per pass
+   and no comparator call.  The span's bits are split evenly into as
+   few passes of at most 8 bits as cover them, so the count array has
+   at most 256 slots (a minor-heap block) and a small span sorts in one
+   pass over a small array; the loops are plain [for]s. *)
 let radix_sort codes rows =
   let m = Array.length rows in
   let lo = ref max_int and hi = ref min_int in
-  Array.iter
-    (fun r ->
-      let c = codes.(r) in
-      if c < !lo then lo := c;
-      if c > !hi then hi := c)
-    rows;
-  let span = !hi - !lo and lo = !lo in
-  let src = ref rows and dst = ref (Array.make m 0) in
-  let count = Array.make 2049 0 in
-  let shift = ref 0 in
-  while !shift < 63 && span lsr !shift <> 0 do
-    let sh = !shift and s = !src and d = !dst in
-    Array.fill count 0 2049 0;
-    Array.iter
-      (fun r ->
-        let k = ((codes.(r) - lo) lsr sh) land 2047 in
-        count.(k + 1) <- count.(k + 1) + 1)
-      s;
-    for k = 1 to 2048 do
-      count.(k) <- count.(k) + count.(k - 1)
-    done;
-    Array.iter
-      (fun r ->
-        let k = ((codes.(r) - lo) lsr sh) land 2047 in
-        d.(count.(k)) <- r;
-        count.(k) <- count.(k) + 1)
-      s;
-    src := d;
-    dst := s;
-    shift := sh + 11
+  for i = 0 to m - 1 do
+    let c = codes.(rows.(i)) in
+    if c < !lo then lo := c;
+    if c > !hi then hi := c
   done;
-  !src
+  let span = !hi - !lo and lo = !lo in
+  let bits = ref 0 in
+  while !bits < 63 && span lsr !bits <> 0 do
+    incr bits
+  done;
+  if !bits = 0 then rows
+  else begin
+    let passes = (!bits + 7) / 8 in
+    let width = (!bits + passes - 1) / passes in
+    let mask = (1 lsl width) - 1 in
+    let count = Array.make (mask + 1) 0 in
+    let src = ref rows and dst = ref (Array.make m 0) in
+    for p = 0 to passes - 1 do
+      let sh = p * width and s = !src and d = !dst in
+      Array.fill count 0 (mask + 1) 0;
+      for i = 0 to m - 1 do
+        let k = ((codes.(s.(i)) - lo) lsr sh) land mask in
+        count.(k) <- count.(k) + 1
+      done;
+      let sum = ref 0 in
+      for k = 0 to mask do
+        let c = count.(k) in
+        count.(k) <- !sum;
+        sum := !sum + c
+      done;
+      for i = 0 to m - 1 do
+        let r = s.(i) in
+        let k = ((codes.(r) - lo) lsr sh) land mask in
+        d.(count.(k)) <- r;
+        count.(k) <- count.(k) + 1
+      done;
+      src := d;
+      dst := s
+    done;
+    !src
+  end
 
 (* Key and FD conflicts by grouping, not by self-join (paper, Examples
    3.3-3.4): the rows of the relation's columnar view are ordered by
@@ -145,17 +157,25 @@ let fd_conflicts ?pinned inst (f : Ic.fd) emit =
   in
   let n = Columnar.length view in
   let null_lhs i = List.exists (fun c -> Column.is_null c i) lhs_nullable in
-  let same_lhs i j = Array.for_all (fun codes -> codes.(i) = codes.(j)) lhs in
+  let same_lhs i j =
+    let k = ref 0 in
+    while !k < Array.length lhs && lhs.(!k).(i) = lhs.(!k).(j) do
+      incr k
+    done;
+    !k = Array.length lhs
+  in
   let differing i j =
-    Array.fold_left
-      (fun k (codes, nulls) ->
-        let both =
-          match nulls with
-          | None -> true
-          | Some c -> not (Column.is_null c i || Column.is_null c j)
-        in
-        if both && codes.(i) <> codes.(j) then k + 1 else k)
-      0 rhs
+    let k = ref 0 in
+    for p = 0 to Array.length rhs - 1 do
+      let codes, nulls = rhs.(p) in
+      let both =
+        match nulls with
+        | None -> true
+        | Some c -> not (Column.is_null c i || Column.is_null c j)
+      in
+      if both && codes.(i) <> codes.(j) then incr k
+    done;
+    !k
   in
   let pair i j =
     let k = differing i j in

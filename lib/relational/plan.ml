@@ -83,20 +83,48 @@ let rec cols = function
 (* --- small growable int buffer -------------------------------------- *)
 
 module Ibuf = struct
-  type t = { mutable a : int array; mutable n : int }
+  (* The slots fill one array, doubled up to [chunk] slots; past that,
+     full chunks are set aside and a fresh one started.  No piece is
+     larger than the minor heap takes (256 words), so a buffer that
+     grows to n slots leaves only minor garbage behind, and [contents]
+     is the one exact-size copy. *)
+  type t = {
+    mutable full : int array list; (* chunks of [chunk] slots, newest first *)
+    mutable nfull : int; (* slots in [full] *)
+    mutable a : int array;
+    mutable n : int;
+  }
 
-  let create () = { a = Array.make 64 0; n = 0 }
+  let chunk = 256
+
+  let create () = { full = []; nfull = 0; a = Array.make 64 0; n = 0 }
 
   let push b x =
-    if b.n = Array.length b.a then begin
-      let a' = Array.make (2 * b.n) 0 in
-      Array.blit b.a 0 a' 0 b.n;
-      b.a <- a'
-    end;
+    if b.n = Array.length b.a then
+      if b.n < chunk then begin
+        let a' = Array.make (2 * b.n) 0 in
+        Array.blit b.a 0 a' 0 b.n;
+        b.a <- a'
+      end
+      else begin
+        b.full <- b.a :: b.full;
+        b.nfull <- b.nfull + b.n;
+        b.a <- Array.make chunk 0;
+        b.n <- 0
+      end;
     Array.unsafe_set b.a b.n x;
     b.n <- b.n + 1
 
-  let contents b = Array.sub b.a 0 b.n
+  let contents b =
+    match b.full with
+    | [] -> Array.sub b.a 0 b.n
+    | full ->
+        let out = Array.make (b.nfull + b.n) 0 in
+        Array.blit b.a 0 out b.nfull b.n;
+        List.iteri
+          (fun i c -> Array.blit c 0 out (b.nfull - ((i + 1) * chunk)) chunk)
+          full;
+        out
 end
 
 (* --- predicate compilation ------------------------------------------ *)

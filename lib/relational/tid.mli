@@ -18,9 +18,9 @@ module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 
 (** Small tid sets as sorted, duplicate-free arrays: the form in which
-    body matches (query witnesses, conflict edges) are read off the
-    [#tid<i>] columns of a compiled body, without building a {!Set} per
-    match. *)
+    conflict edges are read off the [#tid<i>] columns of a compiled
+    body, without building a {!Set} per match (query witnesses are read
+    into one flat arena instead, [Cavsat.Witness]). *)
 module Sorted : sig
   type tid := t
   type t = tid array

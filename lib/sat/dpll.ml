@@ -88,11 +88,10 @@ let rollback t m =
   for ci = t.nclauses - 1 downto m.m_nclauses do
     let c = t.clauses.(ci) in
     if Array.length c = 0 then t.removed <- t.removed - 1;
-    Array.iter
-      (fun l ->
-        let idx = lit_index l in
-        t.occ.(idx) <- List.tl t.occ.(idx))
-      c;
+    for i = 0 to Array.length c - 1 do
+      let idx = lit_index c.(i) in
+      t.occ.(idx) <- List.tl t.occ.(idx)
+    done;
     t.clauses.(ci) <- [||]
   done;
   t.nclauses <- m.m_nclauses;
@@ -111,30 +110,31 @@ let ensure_occ t idx =
     t.occ <- occ
   end
 
-let add_clause t lits =
-  match lits with
-  | [] -> t.root_unsat <- true
-  | _ ->
-      let arr = Array.of_list lits in
-      Array.iter
-        (fun l ->
-          if l = 0 then invalid_arg "Dpll.add_clause: literal 0";
-          reserve t (abs l))
-        arr;
-      if t.nclauses >= Array.length t.clauses then begin
-        let clauses = Array.make (2 * Array.length t.clauses) [||] in
-        Array.blit t.clauses 0 clauses 0 t.nclauses;
-        t.clauses <- clauses
-      end;
-      let ci = t.nclauses in
-      t.clauses.(ci) <- arr;
-      t.nclauses <- t.nclauses + 1;
-      Array.iter
-        (fun l ->
-          let idx = lit_index l in
-          ensure_occ t idx;
-          t.occ.(idx) <- ci :: t.occ.(idx))
-        arr
+(* The solver keeps [arr] itself as the clause: no copy is made. *)
+let add_clause t arr =
+  if Array.length arr = 0 then t.root_unsat <- true
+  else begin
+    for i = 0 to Array.length arr - 1 do
+      let l = arr.(i) in
+      if l = 0 then invalid_arg "Dpll.add_clause: literal 0";
+      reserve t (abs l)
+    done;
+    if t.nclauses >= Array.length t.clauses then begin
+      let clauses = Array.make (2 * Array.length t.clauses) [||] in
+      Array.blit t.clauses 0 clauses 0 t.nclauses;
+      t.clauses <- clauses
+    end;
+    let ci = t.nclauses in
+    t.clauses.(ci) <- arr;
+    t.nclauses <- t.nclauses + 1;
+    for i = 0 to Array.length arr - 1 do
+      let idx = lit_index arr.(i) in
+      ensure_occ t idx;
+      t.occ.(idx) <- ci :: t.occ.(idx)
+    done
+  end
+
+let add_clause_list t lits = add_clause t (Array.of_list lits)
 
 (* Unindex clause [ci] (one occurrence-list entry per literal, so a
    repeated literal drops both of its entries) and blank its slot.  The
@@ -193,55 +193,63 @@ let assign_lit st l =
       st.assign.(v) <- (if l > 0 then 1 else -1);
       st.trail.(st.trail_len) <- v;
       st.trail_len <- st.trail_len + 1;
-      if l > 0 then st.cost <- st.cost +. st.weight.(v);
+      (* [cost] is a boxed field: only a weighted variable touches it. *)
+      if l > 0 && st.weight.(v) <> 0.0 then st.cost <- st.cost +. st.weight.(v);
       true
 
 let undo_to st mark =
   while st.trail_len > mark do
     st.trail_len <- st.trail_len - 1;
     let v = st.trail.(st.trail_len) in
-    if st.assign.(v) = 1 then st.cost <- st.cost -. st.weight.(v);
+    if st.assign.(v) = 1 && st.weight.(v) <> 0.0 then
+      st.cost <- st.cost -. st.weight.(v);
     st.assign.(v) <- 0
   done
 
-(* Unit propagation from trail position [from].  Returns false on conflict. *)
-let propagate st from =
-  let qhead = ref from in
-  let ok = ref true in
-  while !ok && !qhead < st.trail_len do
-    let v = st.trail.(!qhead) in
-    incr qhead;
-    let falsified = if st.assign.(v) = 1 then -v else v in
-    let check ci =
-      if !ok then begin
-        let c = st.clauses.(ci) in
-        let sat = ref false and unassigned = ref 0 and unit_lit = ref 0 in
-        Array.iter
-          (fun l ->
-            match value st l with
-            | 1 -> sat := true
-            | 0 ->
-                incr unassigned;
-                unit_lit := l
-            | _ -> ())
-          c;
-        if not !sat then
-          if !unassigned = 0 then begin
-            Obs.Counter.incr c_conflicts;
-            ok := false
-          end
-          else if !unassigned = 1 then
-            if assign_lit st !unit_lit then
-              Obs.Counter.incr c_propagations
-            else begin
-              Obs.Counter.incr c_conflicts;
-              ok := false
-            end
+(* Visit the clauses of [occ] (those containing a literal just made
+   false): a falsified clause is a conflict, a clause with one
+   unassigned literal and none true forces it.  Returns false on
+   conflict.  Loops over plain arguments, so visiting a clause
+   allocates nothing. *)
+let rec propagate_occ st = function
+  | [] -> true
+  | ci :: rest ->
+      let c = st.clauses.(ci) in
+      let n = Array.length c in
+      let i = ref 0 and unassigned = ref 0 and unit_lit = ref 0 in
+      while !i < n do
+        let l = c.(!i) in
+        match value st l with
+        | 1 -> i := n + 1
+        | 0 ->
+            incr unassigned;
+            unit_lit := l;
+            incr i
+        | _ -> incr i
+      done;
+      if !i > n then propagate_occ st rest
+      else if !unassigned = 0 then begin
+        Obs.Counter.incr c_conflicts;
+        false
       end
-    in
-    List.iter check st.occ.(lit_index falsified)
-  done;
-  !ok
+      else if !unassigned = 1 then
+        if assign_lit st !unit_lit then begin
+          Obs.Counter.incr c_propagations;
+          propagate_occ st rest
+        end
+        else begin
+          Obs.Counter.incr c_conflicts;
+          false
+        end
+      else propagate_occ st rest
+
+(* Unit propagation from trail position [from].  Returns false on conflict. *)
+let rec propagate st from =
+  if from >= st.trail_len then true
+  else
+    let v = st.trail.(from) in
+    let falsified = if st.assign.(v) = 1 then -v else v in
+    propagate_occ st st.occ.(lit_index falsified) && propagate st (from + 1)
 
 let assume st l =
   let mark = st.trail_len in
@@ -257,38 +265,34 @@ let assume st l =
    has no unassigned literal, so the scan passes over it. *)
 let pick_branch st =
   let best = ref 0 and best_len = ref max_int in
-  (try
-     for ci = 0 to st.nclauses - 1 do
-       let c = st.clauses.(ci) in
-       let sat = ref false and unassigned = ref 0 and cand = ref 0 in
-       Array.iter
-         (fun l ->
-           match value st l with
-           | 1 -> sat := true
-           | 0 ->
-               incr unassigned;
-               if !cand = 0 then cand := abs l
-           | _ -> ())
-         c;
-       if (not !sat) && !unassigned > 0 && !unassigned < !best_len then begin
-         best := !cand;
-         best_len := !unassigned;
-         if !best_len <= 2 then raise Exit
-       end
-     done
-   with Exit -> ());
+  let ci = ref 0 in
+  while !ci < st.nclauses do
+    let c = st.clauses.(!ci) in
+    let n = Array.length c in
+    let i = ref 0 and unassigned = ref 0 and cand = ref 0 in
+    while !i < n do
+      let l = c.(!i) in
+      match value st l with
+      | 1 -> i := n + 1
+      | 0 ->
+          incr unassigned;
+          if !cand = 0 then cand := abs l;
+          incr i
+      | _ -> incr i
+    done;
+    if !i = n && !unassigned > 0 && !unassigned < !best_len then begin
+      best := !cand;
+      best_len := !unassigned
+    end;
+    ci := if !best_len <= 2 then st.nclauses else !ci + 1
+  done;
   if !best <> 0 then Some !best
   else begin
-    let free = ref 0 in
-    (try
-       for v = 1 to Array.length st.assign - 1 do
-         if st.assign.(v) = 0 then begin
-           free := v;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    if !free = 0 then None else Some !free
+    let v = ref 1 and n = Array.length st.assign in
+    while !v < n && st.assign.(!v) <> 0 do
+      incr v
+    done;
+    if !v < n then Some !v else None
   end
 
 exception Stop
@@ -351,7 +355,7 @@ let solve ?(assumptions = []) t =
   if unsat && assumptions <> [] && not t.root_unsat then begin
     (* UNSAT under assumptions: the formula implies the clause of their
        negations.  Keep it, so the refutation is never re-derived. *)
-    add_clause t (List.map (fun l -> -l) assumptions);
+    add_clause_list t (List.map (fun l -> -l) assumptions);
     t.learned <- t.learned + 1;
     Obs.Counter.incr c_learned
   end;

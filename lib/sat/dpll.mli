@@ -16,7 +16,10 @@
 
     It favours simplicity and correctness over raw speed: propagation
     scans occurrence lists, and branching picks the first unassigned
-    variable of the shortest unsatisfied clause.  Counters live under
+    variable of the shortest unsatisfied clause.  Both scans are plain
+    loops over the clause arrays: visiting a clause allocates nothing,
+    so a solve's garbage is its model and the per-call bookkeeping, not
+    a function of the clauses it reads.  Counters live under
     [sat.dpll.*]. *)
 
 type t
@@ -36,12 +39,17 @@ val fresh_var : t -> int
 val reserve : t -> int -> unit
 (** Ensure the variable range covers the given number. *)
 
-val add_clause : t -> int list -> unit
+val add_clause : t -> int array -> unit
 (** Add a clause (non-zero literals; variables beyond the range are
-    reserved).  A non-empty clause gets the index {!nclauses} had before
-    the call.  The empty clause takes no index; it marks the solver
-    permanently unsatisfiable (until a {!rollback} to a mark taken
-    before it).  Raises [Invalid_argument] on literal 0. *)
+    reserved).  The solver keeps the array itself as the clause, with no
+    copy: the caller must not write to it afterwards.  A non-empty
+    clause gets the index {!nclauses} had before the call.  The empty
+    clause takes no index; it marks the solver permanently
+    unsatisfiable (until a {!rollback} to a mark taken before it).
+    Raises [Invalid_argument] on literal 0. *)
+
+val add_clause_list : t -> int list -> unit
+(** {!add_clause} of the list's literals, in order. *)
 
 val remove_clause : t -> int -> unit
 (** Remove the clause with this index: it leaves the occurrence lists,

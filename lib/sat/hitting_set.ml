@@ -122,7 +122,7 @@ let minimum_weighted ~weight edges =
     let solver = Dpll.create () in
     Dpll.reserve solver (List.length verts);
     List.iter
-      (fun e -> Dpll.add_clause solver (List.map (Hashtbl.find index) e))
+      (fun e -> Dpll.add_clause_list solver (List.map (Hashtbl.find index) e))
       edges;
     let soft = List.mapi (fun i v -> (i + 1, weight v)) verts in
     match Dpll.minimize_weighted ~soft solver with

@@ -22,11 +22,11 @@ let strings_of = List.map (List.map Value.to_string)
 
 let test_incremental_basic () =
   let s = Dpll.create () in
-  Dpll.add_clause s [ 1; 2 ];
-  Dpll.add_clause s [ -1; 2 ];
+  Dpll.add_clause s [| 1; 2 |];
+  Dpll.add_clause s [| -1; 2 |];
   check Alcotest.bool "sat" true (Dpll.satisfiable s);
   (* Growing the formula between calls is visible to the next call. *)
-  Dpll.add_clause s [ -2 ];
+  Dpll.add_clause s [| -2 |];
   check Alcotest.bool "now unsat" false (Dpll.satisfiable s);
   (* Root-level unsatisfiability is permanent. *)
   check Alcotest.bool "still unsat" false (Dpll.satisfiable s)
@@ -34,8 +34,8 @@ let test_incremental_basic () =
 let test_incremental_assumptions () =
   let s = Dpll.create () in
   let a = Dpll.fresh_var s and b = Dpll.fresh_var s in
-  Dpll.add_clause s [ -a; b ];
-  Dpll.add_clause s [ -b ];
+  Dpll.add_clause s [| -a; b |];
+  Dpll.add_clause s [| -b |];
   check Alcotest.bool "free: sat" true (Dpll.satisfiable s);
   check Alcotest.int "no learned clauses yet" 0 (Dpll.learned_clauses s);
   (* Assuming a forces b, contradicting ¬b: unsat under the assumption,
@@ -50,8 +50,8 @@ let test_incremental_assumptions () =
 
 let test_incremental_empty_clause () =
   let s = Dpll.create () in
-  Dpll.add_clause s [ 1 ];
-  Dpll.add_clause s [];
+  Dpll.add_clause s [| 1 |];
+  Dpll.add_clause s [||];
   check Alcotest.bool "empty clause: unsat" false (Dpll.satisfiable s)
 
 let test_incremental_many_selectors () =
@@ -59,12 +59,12 @@ let test_incremental_many_selectors () =
      probe, each retired after its call. *)
   let s = Dpll.create () in
   let v1 = Dpll.fresh_var s and v2 = Dpll.fresh_var s in
-  Dpll.add_clause s [ v1; v2 ];
-  Dpll.add_clause s [ -v1; -v2 ];
+  Dpll.add_clause s [| v1; v2 |];
+  Dpll.add_clause s [| -v1; -v2 |];
   for _ = 1 to 20 do
     let sel = Dpll.fresh_var s in
-    Dpll.add_clause s [ -sel; v1 ];
-    Dpll.add_clause s [ -sel; v2 ];
+    Dpll.add_clause s [| -sel; v1 |];
+    Dpll.add_clause s [| -sel; v2 |];
     (match Dpll.solve ~assumptions:[ sel ] s with
     | Some _ -> Alcotest.fail "selector forces v1∧v2 against ¬(v1∧v2)"
     | None -> ());
@@ -75,15 +75,15 @@ let test_incremental_many_selectors () =
 let test_incremental_rollback () =
   let s = Dpll.create () in
   let a = Dpll.fresh_var s and b = Dpll.fresh_var s in
-  Dpll.add_clause s [ a; b ];
+  Dpll.add_clause s [| a; b |];
   let m = Dpll.mark s in
   let sel = Dpll.fresh_var s in
-  Dpll.add_clause s [ -sel; -a; -a ];
-  Dpll.add_clause s [ -sel; -b ];
+  Dpll.add_clause s [| -sel; -a; -a |];
+  Dpll.add_clause s [| -sel; -b |];
   check Alcotest.bool "selector refuted" false
     (Dpll.satisfiable ~assumptions:[ sel ] s);
   check Alcotest.int "refutation retained" 1 (Dpll.learned_clauses s);
-  Dpll.add_clause s [];
+  Dpll.add_clause s [||];
   check Alcotest.bool "root unsat" false (Dpll.satisfiable s);
   Dpll.rollback s m;
   check Alcotest.int "vars back to the mark" 2 (Dpll.nvars s);
@@ -94,7 +94,7 @@ let test_incremental_rollback () =
      released variable propagates against the base formula only. *)
   let sel' = Dpll.fresh_var s in
   check Alcotest.int "variable number reused" sel sel';
-  Dpll.add_clause s [ -sel'; -a ];
+  Dpll.add_clause s [| -sel'; -a |];
   (match Dpll.solve ~assumptions:[ sel' ] s with
   | None -> Alcotest.fail "only the new selector clause constrains a"
   | Some m -> check Alcotest.bool "a dropped, b kept" true ((not m.(a)) && m.(b)));
@@ -121,7 +121,7 @@ let test_incremental_deadline_leaves_solver_blank () =
   for budget = 0 to 10 do
     let s = Dpll.create () in
     for i = 0 to 5 do
-      Dpll.add_clause s [ (2 * i) + 1; (2 * i) + 2 ]
+      Dpll.add_clause s [| (2 * i) + 1; (2 * i) + 2 |]
     done;
     let now = ref 0.0 in
     let clock () =
@@ -309,7 +309,10 @@ let test_selfjoin_single_tid_witness () =
   in
   let case facts expected =
     let db = Instance.of_rows schema [ ("T", facts) ] in
-    let witnesses = Cavsat.Witness.answers_with_witnesses q db in
+    let witnesses =
+      let w, cands = Cavsat.Witness.answers_with_witnesses q db in
+      List.map (fun (c : Cavsat.Witness.candidate) -> (c.row, Cavsat.Witness.sets w c)) cands
+    in
     let sat = Cavsat.Certain.consistent_answers db schema keys q in
     let eng = Cqa.Engine.create ~schema ~ics:keys db in
     check rows "agrees with enumeration"
@@ -831,6 +834,95 @@ let prop_auto_equals_enum_nulls =
       equivalent ~via:`Auto rs_keys spec
       && equivalent ~via:`Auto (deny :: rs_keys) spec)
 
+(* ---- allocation: no garbage per witness, none per visited clause ---- *)
+
+(* The Boolean hard join q() :- R(X,Y), S(Z,Y) under keys R[a], S[c],
+   [blocks] times three value-disjoint gadgets: an R key group with a
+   witness for one claimant, one with witnesses for both, and a
+   contested S key with one witness — four witnesses a block, none of
+   them clean, so every read compiles all of them into the solver. *)
+let hard_join blocks =
+  let schema = Schema.of_list [ ("R", [ "a"; "b" ]); ("S", [ "c"; "d" ]) ] in
+  let r = ref [] and s = ref [] and next = ref 0 in
+  let fresh () =
+    incr next;
+    Value.int !next
+  in
+  for _ = 1 to blocks do
+    let k = fresh () and j1 = fresh () and j2 = fresh () in
+    r := [ k; j1 ] :: [ k; j2 ] :: !r;
+    s := [ fresh (); j1 ] :: !s;
+    let k = fresh () and j1 = fresh () and j2 = fresh () in
+    r := [ k; j1 ] :: [ k; j2 ] :: !r;
+    s := [ fresh (); j1 ] :: [ fresh (); j2 ] :: !s;
+    let k = fresh () and c = fresh () and j = fresh () in
+    r := [ k; j ] :: !r;
+    s := [ c; j ] :: [ c; fresh () ] :: !s
+  done;
+  (schema, Instance.of_rows schema [ ("R", List.rev !r); ("S", List.rev !s) ])
+
+(* A warm read (theory built and cached) allocates per witness only
+   what the solver keeps until the rollback: the clause array and its
+   occurrence-list cells, 13 words for a two-member witness.  Witness
+   sets, literal lists and per-clause closures would cost far more. *)
+let test_warm_read_allocation () =
+  let keys = [ Ic.key ~rel:"R" [ 0 ]; Ic.key ~rel:"S" [ 0 ] ] in
+  let q =
+    Cq.make ~name:"q" []
+      [ Atom.make "R" [ x; y ]; Atom.make "S" [ z; y ] ]
+  in
+  let words blocks =
+    let schema, db = hard_join blocks in
+    let witnesses =
+      List.fold_left
+        (fun n (c : Cavsat.Witness.candidate) -> n + c.last - c.first)
+        0
+        (snd (Cavsat.Witness.answers_with_witnesses q db))
+    in
+    let read () = Cavsat.Certain.consistent_answers db schema keys q in
+    check rows "certain" [ [] ] (strings_of (read ()));
+    ignore (read ());
+    let before = Gc.minor_words () in
+    ignore (read ());
+    (witnesses, Gc.minor_words () -. before)
+  in
+  let n1, w1 = words 250 and n4, w4 = words 1000 in
+  check Alcotest.(pair int int) "witnesses" (1000, 4000) (n1, n4);
+  let per = (w4 -. w1) /. float_of_int (n4 - n1) in
+  check Alcotest.bool
+    (Printf.sprintf "%.1f minor words per extra witness (%.0f at 1k, %.0f at 4k)"
+       per w1 w4)
+    true (per < 24.)
+
+(* Propagating a chain x1 → x2 → … → xn to its refutation [¬xn] visits
+   every clause once; the words a solve allocates must not grow with n.
+   The solver is sized by a first solve and rolled back after each, so
+   the measured one starts from the same state at both lengths. *)
+let test_propagation_allocation () =
+  let words n =
+    let s = Dpll.create () in
+    for i = 1 to n - 1 do
+      Dpll.add_clause s [| -i; i + 1 |]
+    done;
+    Dpll.add_clause s [| -n |];
+    let solve () =
+      let m = Dpll.mark s in
+      let r = Dpll.solve ~assumptions:[ 1 ] s in
+      Dpll.rollback s m;
+      r
+    in
+    check Alcotest.bool "refuted" true (solve () = None);
+    let before = Gc.minor_words () in
+    ignore (solve ());
+    Gc.minor_words () -. before
+  in
+  let w1 = words 1_000 and w10 = words 10_000 in
+  check Alcotest.bool
+    (Printf.sprintf "10k-clause chain %.0f words, 1k-clause chain %.0f words"
+       w10 w1)
+    true
+    (Float.abs (w10 -. w1) < 200.)
+
 let suite =
   [
     Alcotest.test_case "incremental: grow and solve" `Quick test_incremental_basic;
@@ -853,6 +945,10 @@ let suite =
     Alcotest.test_case "certain: INDs refused" `Quick test_certain_rejects_inds;
     Alcotest.test_case "witness: self-join tuple used twice" `Quick
       test_selfjoin_single_tid_witness;
+    Alcotest.test_case "certain: warm read allocates O(1) per witness" `Quick
+      test_warm_read_allocation;
+    Alcotest.test_case "dpll: propagation allocates nothing per clause" `Quick
+      test_propagation_allocation;
     Alcotest.test_case "certain: clean witness skips SAT" `Quick
       test_clean_witness_skips_sat;
     Alcotest.test_case "engine: auto routes coNP tier to SAT" `Quick

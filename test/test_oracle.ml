@@ -288,31 +288,113 @@ let prop_violation =
    the matches producing it, each an ascending duplicate-free array, in
    [Set.compare] order — compared element by element, so the array
    form's sortedness and order are checked along with its content. *)
+let witness_ok db (q : Cq.t) =
+  let expected =
+    List.map
+      (fun row ->
+        ( row,
+          List.map Tid.Set.elements
+            (Tidsets.elements
+               (Tidsets.of_list
+                  (List.filter_map
+                     (fun (tids, env) ->
+                       if head_row env q = row then Some (tid_set tids) else None)
+                     (matches db q.body q.comps)))) ))
+      (oracle_answers q db)
+  in
+  List.map
+    (fun (row, ws) -> (row, List.map Array.to_list ws))
+    (let w, cands = Cavsat.Witness.answers_with_witnesses q db in
+     List.map
+       (fun (c : Cavsat.Witness.candidate) -> (c.row, Cavsat.Witness.sets w c))
+       cands)
+  = expected
+
+(* Bodies that steer the witness arena down each of its paths on most
+   instances: a join whose rows arrive in set order (copied as they
+   come), a symmetric self-join matching each pair twice and a loop
+   once (repeated sets, rows out of order, sets narrower than the body:
+   the permutation path with offsets), a three-atom chain, and atomless
+   bodies (k = 0: one empty set). *)
+let arena_queries =
+  let x = Term.var "x" and y = Term.var "y" and z = Term.var "z" in
+  [
+    Cq.make ~name:"in_order" [ x ] [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; z ] ];
+    Cq.make ~name:"sym" [] [ Atom.make "R" [ x; y ]; Atom.make "R" [ y; x ] ];
+    Cq.make ~name:"sym_head" [ x ] [ Atom.make "R" [ x; y ]; Atom.make "R" [ y; x ] ];
+    Cq.make ~name:"chain3" []
+      [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; z ]; Atom.make "R" [ z; Term.var "w" ] ];
+    Cq.make ~name:"atomless" [ Term.int 7 ] [];
+    Cq.make ~name:"atomless_cmp"
+      ~comps:[ Cmp.make Cmp.Lt (Term.int 1) (Term.int 2) ]
+      [] [];
+  ]
+
 let prop_witness =
   QCheck.Test.make ~count:500 ~name:"Cavsat witness sets = naive oracle" arb_query_db
     (fun (q, db_spec) ->
       let db = instance_of db_spec in
-      List.for_all
-        (fun (q : Cq.t) ->
-          let expected =
-            List.map
-              (fun row ->
-                ( row,
-                  List.map Tid.Set.elements
-                    (Tidsets.elements
-                       (Tidsets.of_list
-                          (List.filter_map
-                             (fun (tids, env) ->
-                               if head_row env q = row then Some (tid_set tids)
-                               else None)
-                             (matches db q.body q.comps)))) ))
-              (oracle_answers q db)
-          in
-          List.map
-            (fun (row, ws) -> (row, List.map Array.to_list ws))
-            (Cavsat.Witness.answers_with_witnesses q db)
-          = expected)
-        (q :: fixed_queries))
+      List.for_all (witness_ok db) ((q :: fixed_queries) @ arena_queries))
+
+(* The path the arena builder takes on [q], read off the same compiled
+   body: rows already in (answer, tid set) order are copied as they
+   come ([`In_order]), others go through the sorted permutation;
+   [`Narrow] when some match has fewer distinct tids than atoms (the
+   arena needs offsets). *)
+let arena_path db (q : Cq.t) =
+  let plan, find = Cq.compile_body ~tids:true q.body q.comps in
+  let k = List.length q.body in
+  let vars = Cq.head_vars q in
+  let table =
+    Relational.Plan.run db
+      (Relational.Plan.Project (List.init k Cq.tid_col @ Cq.rep_cols find vars, plan))
+  in
+  let n = Relational.Columnar.length table in
+  let cols = Cq.tid_columns table k in
+  let head =
+    List.map
+      (fun x -> Relational.Column.getter (Relational.Columnar.column table (find x)))
+      vars
+  in
+  let key r = (List.map (fun get -> get r) head, Tid.Sorted.of_columns cols r) in
+  let compare (h1, w1) (h2, w2) =
+    match List.compare Value.compare h1 h2 with
+    | 0 -> Tid.Sorted.compare w1 w2
+    | c -> c
+  in
+  let rec in_order r = r >= n || (compare (key (r - 1)) (key r) <= 0 && in_order (r + 1)) in
+  let narrow = List.exists (fun r -> Array.length (snd (key r)) < k) (List.init n Fun.id) in
+  if n = 0 then [ `Empty ]
+  else
+    (if k = 0 then `Atomless else if in_order 1 then `In_order else `Permuted)
+    :: (if narrow then [ `Narrow ] else [])
+
+(* The property above draws every arena path: over a seeded run of its
+   generator, each path is taken, and the witness sets agree with the
+   oracle on each. *)
+let test_witness_paths () =
+  let rand = Random.State.make [| 25 |] in
+  let seen = Hashtbl.create 8 in
+  for _ = 1 to 200 do
+    let q, spec = QCheck.Gen.generate1 ~rand (QCheck.Gen.pair gen_query gen_db) in
+    let db = instance_of spec in
+    List.iter
+      (fun (q : Cq.t) ->
+        List.iter (fun p -> Hashtbl.replace seen p ()) (arena_path db q);
+        if not (witness_ok db q) then
+          Alcotest.failf "witness sets differ from the oracle: %s on %s"
+            (print_query q) (print_db spec))
+      ((q :: fixed_queries) @ arena_queries)
+  done;
+  List.iter
+    (fun (name, p) ->
+      Alcotest.(check bool) (name ^ " drawn") true (Hashtbl.mem seen p))
+    [
+      ("rows in order", `In_order);
+      ("rows permuted", `Permuted);
+      ("atomless body", `Atomless);
+      ("sets narrower than the body", `Narrow);
+    ]
 
 (* Beyond the binary R/S schema: a ternary T whose cells mix 0, 2, NULL
    and three spellings of one — [Int 1], [Real 1.] and [Str "1"], which
@@ -414,6 +496,84 @@ let prop_count =
         ics
       && Constraints.Violation.count db wide_schema ics
          = List.length (Constraints.Violation.all db wide_schema ics))
+
+(* [Violation.fd_conflicts] on relations too large and too unordered
+   for its one-pass grouping check: rows in random LOAD order, lhs
+   values from [groups] keys [stride] apart, so the codes' span takes one
+   to four radix passes (NULL-free int cells are their own codes; a NULL
+   in a third of the cases switches the column to dictionary codes).
+   The emitted pairs, in order, are those of the oracle: the rows with
+   no NULL lhs cell stably sorted by their lhs codes, each group's pairs
+   in tid order, a pair emitted when both rhs cells are non-NULL and
+   differ. *)
+let prop_fd_grouping =
+  let schema = Schema.of_list [ ("T", [ "a"; "b"; "c" ]) ] in
+  QCheck.Test.make ~count:60 ~name:"fd_conflicts on unordered rows = stable-sort oracle"
+    QCheck.(
+      quad (int_range 2 1200) (oneofl [ 3; 300 ]) (oneofl [ 1; 257; 65_537 ]) int)
+    (fun (n, groups, stride, seed) ->
+      let rand = Random.State.make [| seed |] in
+      let nulls = seed mod 3 = 0 in
+      let cell ?(stride = 1) span =
+        if nulls && Random.State.int rand 20 = 0 then Value.Null
+        else Value.int (stride * Random.State.int rand span)
+      in
+      let rows = List.init n (fun _ -> [ cell ~stride groups; cell 3; cell 3 ]) in
+      let db = Instance.of_rows schema [ ("T", rows) ] in
+      let view = Instance.columnar db ~rel:"T" in
+      let columns = Relational.Columnar.columns view in
+      let tid i = Relational.Column.get columns.(0) i in
+      let codes = Array.init 3 (fun p -> Relational.Column.eq_codes columns.(p + 1)) in
+      let codes p = codes.(p) in
+      let null p i = Relational.Column.is_null columns.(p + 1) i in
+      let emitted fd =
+        let acc = ref [] in
+        Constraints.Violation.fd_conflicts db fd (fun lo hi k ->
+            acc := (Tid.to_int lo, Tid.to_int hi, k) :: !acc);
+        List.rev !acc
+      in
+      let expected (fd : Ic.fd) =
+        let key i = List.map (fun p -> (codes p).(i)) fd.lhs in
+        let rows =
+          List.stable_sort
+            (fun i j -> compare (key i) (key j))
+            (List.filter
+               (fun i -> not (List.exists (fun p -> null p i) fd.lhs))
+               (List.init (Relational.Columnar.length view) Fun.id))
+        in
+        let rec groups = function
+          | [] -> []
+          | i :: _ as l ->
+              let g, rest = List.partition (fun j -> key j = key i) l in
+              g :: groups rest
+        in
+        List.concat_map
+          (fun g ->
+            List.concat_map
+              (fun (a, i) ->
+                List.filter_map
+                  (fun (b, j) ->
+                    let k =
+                      List.length
+                        (List.filter
+                           (fun p -> (not (null p i || null p j)) && (codes p).(i) <> (codes p).(j))
+                           fd.rhs)
+                    in
+                    if b > a && k > 0 then
+                      match (tid i, tid j) with
+                      | Value.Int ti, Value.Int tj -> Some (ti, tj, k)
+                      | _ -> None
+                    else None)
+                  (List.mapi (fun b j -> (b, j)) g))
+              (List.mapi (fun a i -> (a, i)) g))
+          (groups rows)
+      in
+      List.for_all
+        (fun (fd : Ic.fd) -> emitted fd = expected fd)
+        [
+          { Ic.rel = "T"; lhs = [ 0 ]; rhs = [ 1; 2 ] };
+          { Ic.rel = "T"; lhs = [ 0; 1 ]; rhs = [ 2 ] };
+        ])
 
 (* Incremental maintenance: after a run of inserts and deletes the
    maintained hyperedges are exactly the violation tid sets of the
@@ -740,6 +900,8 @@ let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_cq; prop_violation; prop_witness; prop_conflict_graph; prop_count;
+      prop_fd_grouping;
       prop_incremental; prop_theory; prop_edges_with; prop_patch;
       prop_sat_after_updates;
     ]
+  @ [ Alcotest.test_case "Cavsat witness arena: every path drawn" `Quick test_witness_paths ]

@@ -6,25 +6,25 @@ let check = Alcotest.check
 let test_sat_simple () =
   let s = Dpll.create () in
   let a = Dpll.fresh_var s and b = Dpll.fresh_var s in
-  Dpll.add_clause s [ a; b ];
-  Dpll.add_clause s [ -a ];
+  Dpll.add_clause s [| a; b |];
+  Dpll.add_clause s [| -a |];
   (match Dpll.solve s with
   | None -> Alcotest.fail "satisfiable"
   | Some m ->
       check Alcotest.bool "a false" false m.(a);
       check Alcotest.bool "b true" true m.(b));
-  Dpll.add_clause s [ -b ];
+  Dpll.add_clause s [| -b |];
   check Alcotest.bool "now unsat" false (Dpll.satisfiable s)
 
 let test_empty_clause () =
   let s = Dpll.create () in
-  Dpll.add_clause s [];
+  Dpll.add_clause s [||];
   check Alcotest.bool "empty clause unsat" false (Dpll.satisfiable s)
 
 let test_assumptions () =
   let s = Dpll.create () in
   let a = Dpll.fresh_var s and b = Dpll.fresh_var s in
-  Dpll.add_clause s [ a; b ];
+  Dpll.add_clause s [| a; b |];
   check Alcotest.bool "assume -a -b conflicts" false
     (Dpll.satisfiable ~assumptions:[ -a; -b ] s);
   check Alcotest.bool "assume -a ok" true (Dpll.satisfiable ~assumptions:[ -a ] s)
@@ -32,7 +32,7 @@ let test_assumptions () =
 let test_enumerate () =
   let s = Dpll.create () in
   let a = Dpll.fresh_var s and b = Dpll.fresh_var s in
-  Dpll.add_clause s [ a; b ];
+  Dpll.add_clause s [| a; b |];
   let models = Dpll.enumerate s in
   check Alcotest.int "three models of a∨b" 3 (List.length models);
   let proj = Dpll.enumerate ~project:[ a ] s in
@@ -45,17 +45,17 @@ let test_enumerate_count_pigeons () =
   let s = Dpll.create () in
   let var = Array.init 3 (fun _ -> Array.init 3 (fun _ -> Dpll.fresh_var s)) in
   for p = 0 to 2 do
-    Dpll.add_clause s [ var.(p).(0); var.(p).(1); var.(p).(2) ];
+    Dpll.add_clause s [| var.(p).(0); var.(p).(1); var.(p).(2) |];
     for h = 0 to 2 do
       for h' = h + 1 to 2 do
-        Dpll.add_clause s [ -var.(p).(h); -var.(p).(h') ]
+        Dpll.add_clause s [| -var.(p).(h); -var.(p).(h') |]
       done
     done
   done;
   for h = 0 to 2 do
     for p = 0 to 2 do
       for p' = p + 1 to 2 do
-        Dpll.add_clause s [ -var.(p).(h); -var.(p').(h) ]
+        Dpll.add_clause s [| -var.(p).(h); -var.(p').(h) |]
       done
     done
   done;
@@ -66,9 +66,9 @@ let test_minimize () =
   let vs = List.init 4 (fun _ -> Dpll.fresh_var s) in
   (match vs with
   | [ a; b; c; d ] ->
-      Dpll.add_clause s [ a; b ];
-      Dpll.add_clause s [ b; c ];
-      Dpll.add_clause s [ c; d ];
+      Dpll.add_clause s [| a; b |];
+      Dpll.add_clause s [| b; c |];
+      Dpll.add_clause s [| c; d |];
       (match Dpll.minimize ~soft:vs s with
       | None -> Alcotest.fail "sat"
       | Some (cost, m) ->
@@ -81,7 +81,7 @@ let test_minimize () =
 let test_minimize_zero () =
   let s = Dpll.create () in
   let a = Dpll.fresh_var s and b = Dpll.fresh_var s in
-  Dpll.add_clause s [ a; -b ];
+  Dpll.add_clause s [| a; -b |];
   match Dpll.minimize ~soft:[ a; b ] s with
   | Some (0, _) -> ()
   | _ -> Alcotest.fail "all-false model exists"

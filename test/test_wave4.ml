@@ -197,7 +197,7 @@ let arb_cnf =
 let solver_of clauses =
   let s = Sat.Dpll.create () in
   Sat.Dpll.reserve s 5;
-  List.iter (Sat.Dpll.add_clause s) clauses;
+  List.iter (Sat.Dpll.add_clause_list s) clauses;
   s
 
 let prop_sat_differential =
@@ -282,7 +282,7 @@ let prop_sat_persistent_solver =
         | [] -> agrees (List.map snd live) []
         | `Add c :: ops ->
             let ci = if c = [] then -1 else Sat.Dpll.nclauses s in
-            Sat.Dpll.add_clause s c;
+            Sat.Dpll.add_clause_list s c;
             run ((ci, c) :: live) marks ops
         | `Remove i :: ops -> (
             match List.filter (fun (ci, _) -> ci >= 0) live with

@@ -46,7 +46,7 @@ let build inst schema ics =
     (* Independence clauses. *)
     List.iter
       (fun e ->
-        Sat.Dpll.add_clause solver
+        Sat.Dpll.add_clause_list solver
           (List.map (fun tid -> -var tid) (Tid.Set.elements e)))
       graph.Conflict_graph.edges;
     (* Maximality clauses, deduplicated by literal set: the two tuples
@@ -76,12 +76,12 @@ let build inst schema ics =
                   let aux = Sat.Dpll.fresh_var solver in
                   Tid.Set.iter
                     (fun o ->
-                      Sat.Dpll.add_clause solver [ -aux; var o ])
+                      Sat.Dpll.add_clause solver [| -aux; var o |])
                     (Tid.Set.remove tid e);
                   aux)
                 wide
             in
-            Sat.Dpll.add_clause solver
+            Sat.Dpll.add_clause_list solver
               (var tid :: List.sort_uniq Int.compare direct @ aux_lits)
           end
         end)
@@ -90,7 +90,7 @@ let build inst schema ics =
     List.iter
       (fun e ->
         match Tid.Set.elements e with
-        | [ t ] -> Sat.Dpll.add_clause solver [ -var t ]
+        | [ t ] -> Sat.Dpll.add_clause solver [| -var t |]
         | _ -> ())
       graph.Conflict_graph.edges
   end;
