@@ -10,7 +10,8 @@
 
    A column also carries the hash index that single-key joins build
    over it (see "join index" below), filled at the first join that
-   builds over the column and read by every later one. *)
+   builds over the column and read by every later one, and the count of
+   rows joins probed from it, which decides when that index is earned. *)
 
 type data =
   | Ints of int array
@@ -25,9 +26,13 @@ type data =
    |slots| + |rows| words. *)
 type index = { codes : int array; slots : int array; next : int array }
 
-type t = { data : data; nulls : Bytes.t; mutable index : index option }
-
-let make data nulls = { data; nulls; index = None }
+type t = {
+  data : data;
+  nulls : Bytes.t;
+  has_nulls : bool;
+  mutable index : index option;
+  mutable probed : int;
+}
 
 (* --- NULL bitmap ---------------------------------------------------- *)
 
@@ -43,10 +48,14 @@ let bit_get b i =
 
 let is_null c i = bit_get c.nulls i
 
-let has_nulls c =
-  let n = Bytes.length c.nulls in
-  let rec go i = i < n && (Bytes.unsafe_get c.nulls i <> '\000' || go (i + 1)) in
-  go 0
+(* Columns are immutable, so whether any slot is NULL is read off the
+   bitmap once, when the column is made. *)
+let make data nulls =
+  let n = Bytes.length nulls in
+  let rec any i = i < n && (Bytes.unsafe_get nulls i <> '\000' || any (i + 1)) in
+  { data; nulls; has_nulls = any 0; index = None; probed = 0 }
+
+let has_nulls c = c.has_nulls
 
 let length c =
   match c.data with
@@ -234,9 +243,9 @@ let build_index c codes =
   done;
   let mask = !cap - 1 in
   let slots = Array.make !cap (-1) and next = Array.make n (-1) in
-  let nulls = has_nulls c in
   for j = n - 1 downto 0 do
-    if not (nulls && bit_get c.nulls j) then begin
+    if j land 4095 = 0 then Obs.Progress.tick ();
+    if not (c.has_nulls && bit_get c.nulls j) then begin
       let k = Array.unsafe_get codes j in
       let s = slot_of codes slots mask k (hash k mask) in
       Array.unsafe_set next j (Array.unsafe_get slots s);
@@ -261,6 +270,18 @@ let index c codes =
       let ix = build_index c codes in
       if own_cells c codes then c.index <- Some ix;
       ix
+
+let note_probes c n = c.probed <- c.probed + n
+
+(* A kept index is worth building for a column only once the rows joins
+   have probed from it exceed its length: a view read once after a
+   write never pays for one. *)
+let earned_index c codes =
+  match c.index with
+  | Some ix when ix.codes == codes -> Some ix
+  | _ ->
+      if own_cells c codes && c.probed > length c then Some (index c codes)
+      else None
 
 let index_find ix k =
   let slots = ix.slots in

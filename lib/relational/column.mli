@@ -21,9 +21,11 @@ type index
 type t = private {
   data : data;
   nulls : Bytes.t;
+  has_nulls : bool;
   mutable index : index option;
       (** Filled by the first join that builds over the column; read
-          only through {!val-index}. *)
+          only through {!val-index} and {!earned_index}. *)
+  mutable probed : int;  (** Rows joins probed from it ({!note_probes}). *)
 }
 
 val of_values : Value.t array -> t
@@ -42,6 +44,7 @@ val of_ints : int array -> t
 val length : t -> int
 val is_null : t -> int -> bool
 val has_nulls : t -> bool
+(** Some slot is NULL.  Computed once, when the column is made. *)
 
 val get : t -> int -> Value.t
 (** Decode one cell ([Value.Null] at null slots). *)
@@ -84,12 +87,28 @@ val pair_eq_codes : t -> t -> int array * int array
     - over re-encoded codes (mixed types, [Ints] holding NULLs, [Bools],
       [Reals]) it is built for that one join and not kept.
 
+    The build side is a join's right input, unless the left is larger
+    and has {e earned} a kept index ({!earned_index}).  A view read once
+    after a write never earns one, so it builds no index it cannot
+    amortise.
+
     Domains may race to build the same index; both builds are equal and
-    the field is published in one write.  NULL rows are not indexed. *)
+    the field is published in one write.  A lost increment of the
+    unsynchronised probe count only delays the earning.  NULL rows are
+    not indexed. *)
 
 val index : t -> int array -> index
 (** [index c codes]: the index of [c]'s non-NULL rows keyed by [codes]
     (one code per row of [c]). *)
+
+val note_probes : t -> int -> unit
+(** [note_probes c n]: a join probed [n] of [c]'s rows into another
+    column's index. *)
+
+val earned_index : t -> int array -> index option
+(** [c]'s kept index over [codes] if it has one, or has earned one —
+    the rows joins probed from it exceed its length — built now; else
+    [None], always so over codes that are not [c]'s own cells. *)
 
 val index_find : index -> int -> int
 (** The lowest row whose code is the key, or -1.  Allocates nothing. *)

@@ -20,13 +20,18 @@
    {!Column.index}: the index is kept on the column it was built over
    and reused by every later join that builds over that column, so a
    join against an unchanged base relation's view builds no hash table.
-   The build side is always the right input.  Multi-key joins hash
-   their key tuples per call.
+   The build side is the right input, unless a single-key join's larger
+   left input has earned a kept index ({!Column.earned_index}); the
+   join then probes from the right and radix-sorts the pairs back into
+   nested-loop order.  Multi-key kernels and [Diff] probe a {!Keys}
+   index, the same flat layout, built per call.  Every node ticks
+   {!Obs.Progress}, and so does every 4,096th row of a loop.
 
    Counters: [scan.columnar] per scan executed, [join.fused] per fused
-   hash-join/semijoin/antijoin kernel, [join.index_builds] (counted in
-   {!Column}) per single-key join index built — kept on its column, or
-   for one join when the codes were re-encoded. *)
+   hash-join/semijoin/antijoin kernel, [join.probe_rows] the rows those
+   kernels and [Diff] probed into an index, [join.index_builds] (counted
+   in {!Column}) per single-key join index built — kept on its column,
+   or for one join when the codes were re-encoded. *)
 
 type op = Eq | Neq | Lt | Le | Gt | Ge
 type operand = Col of string | Const of Value.t
@@ -52,6 +57,7 @@ type t =
 
 let c_scan_columnar = Obs.Counter.make "scan.columnar"
 let c_join_fused = Obs.Counter.make "join.fused"
+let c_probe_rows = Obs.Counter.make "join.probe_rows"
 
 (* --- static output columns ------------------------------------------ *)
 
@@ -232,39 +238,63 @@ let restrict_cols tbl needed =
           (Array.of_list (List.map (Columnar.column tbl) names))
           (Columnar.length tbl)
 
-module Itbl = Hashtbl.Make (Int)
+(* A deadline stops a large join from inside its loops. *)
+let tick_rows i = if i land 4095 = 0 then Obs.Progress.tick ()
 
-(* Open-addressing int→int hash table for the dedup kernel's ranks:
-   linear probing over two flat arrays, no boxing, no per-probe
-   allocation (stdlib [Hashtbl.find_opt] allocates an option per
-   probe, and a local recursive probe a closure).  Values must be ≥ 0;
-   [vals.(slot) = -1] marks an empty slot. *)
-module Iot = struct
-  type t = { keys : int array; vals : int array; mask : int }
+(* A chained index over the rows of k code arrays, in {!Column.index}'s
+   layout: [slots] (a power of two, at least twice the rows) holds the
+   lowest row of each key tuple's chain or -1, [next] the next row with
+   its tuple.  The slot is picked by a mixed hash of the row's k codes
+   and its head checked against the arrays, so no tuple is allocated.
+   Built per call, never kept. *)
+module Keys = struct
+  type t = { keys : int array array; slots : int array; next : int array }
 
-  let create n =
-    let cap = ref 16 in
-    while !cap < 2 * n do
-      cap := !cap * 2
+  let hash keys i mask =
+    let h = ref 0 in
+    for p = 0 to Array.length keys - 1 do
+      h := (!h + Array.unsafe_get (Array.unsafe_get keys p) i) * 0x2545F4914F6CDD1D
     done;
-    { keys = Array.make !cap 0; vals = Array.make !cap (-1); mask = !cap - 1 }
+    (!h lsr 8) land mask
 
-  (* Fibonacci hashing on the upper bits keeps clustered keys spread. *)
-  let slot t k = (k * 0x2545F4914F6CDD1D) lsr 8 land t.mask
+  (* Row [i] of [probe] equals row [j] of [keys].  Top-level, like
+     [slot], so a probe allocates no closure. *)
+  let rec same probe i keys j p =
+    p < 0
+    || Array.unsafe_get (Array.unsafe_get probe p) i
+       = Array.unsafe_get (Array.unsafe_get keys p) j
+       && same probe i keys j (p - 1)
 
-  (* The slot bound to [k], or the empty slot where it would go. *)
-  let rec probe keys vals mask k s =
-    if Array.unsafe_get vals s = -1 || Array.unsafe_get keys s = k then s
-    else probe keys vals mask k ((s + 1) land mask)
+  (* The slot holding row [i]'s tuple, or the empty slot where it would go. *)
+  let rec slot t probe i mask s =
+    let h = Array.unsafe_get t.slots s in
+    if h < 0 || same probe i t.keys h (Array.length probe - 1) then s
+    else slot t probe i mask ((s + 1) land mask)
 
-  (* The value bound to [k], or -1. *)
-  let find t k = Array.unsafe_get t.vals (probe t.keys t.vals t.mask k (slot t k))
+  (* The lowest row whose tuple is row [i] of [probe], or -1. *)
+  let find t probe i =
+    let mask = Array.length t.slots - 1 in
+    Array.unsafe_get t.slots (slot t probe i mask (hash probe i mask))
 
-  (* Binds [k] to [v ≥ 0], overwriting any previous binding. *)
-  let replace t k v =
-    let s = probe t.keys t.vals t.mask k (slot t k) in
-    Array.unsafe_set t.keys s k;
-    Array.unsafe_set t.vals s v
+  let rec null_at (cs : Column.t array) i p =
+    p >= 0 && (Column.is_null cs.(p) i || null_at cs i (p - 1))
+
+  (* All [n] rows of [keys] but those NULL in a column of [nullable].
+     Rows go in back to front, so every chain runs ascending. *)
+  let build keys n nullable =
+    let cap = ref 16 in
+    while !cap < 2 * n do cap := 2 * !cap done;
+    let mask = !cap - 1 in
+    let t = { keys; slots = Array.make !cap (-1); next = Array.make (max 1 n) (-1) } in
+    for j = n - 1 downto 0 do
+      tick_rows j;
+      if not (null_at nullable j (Array.length nullable - 1)) then begin
+        let s = slot t keys j mask (hash keys j mask) in
+        t.next.(j) <- t.slots.(s);
+        t.slots.(s) <- j
+      end
+    done;
+    t
 end
 
 (* In-place quicksort (median-of-three, insertion sort below 16) for
@@ -314,46 +344,35 @@ let sort_ints (a : int array) =
   let n = Array.length a in
   if n > 1 then qsort 0 (n - 1)
 
-(* Value-order ranks for the cells of [c] selected by [idx]: an int per
-   selected row such that rank comparison coincides with [Value.compare]
-   on the decoded cells, paired with a radix bound (ranks all sit in
-   [0, radix) when the bound is finite-ish).  Int columns rank by the
-   raw value shifted to zero — no hashing, no boxing; other columns
-   dense-rank their distinct codes, decoding each distinct value once.
+(* Value-order ranks for the cells of [c]: an int per row such that rank
+   comparison coincides with [Value.compare] on the decoded cells,
+   paired with a radix bound (ranks all sit in [0, radix) when the
+   bound is finite-ish).  Int columns rank by the raw value shifted to
+   zero — no hashing, no boxing; other columns dense-rank their
+   distinct codes, decoding each once, at the lowest row holding it.
    A [max_int] radix marks ranks usable for comparison but not for
    radix packing (sparse ints whose range overflows). *)
-let value_ranks (c : Column.t) codes (idx : int array) =
+let value_ranks (c : Column.t) codes =
+  let n = Array.length codes in
   match c.Column.data with
   | Column.Ints a when not (Column.has_nulls c) ->
-      if Array.length idx = 0 then ([||], 1)
-      else begin
-        let mn = ref max_int and mx = ref min_int in
-        Array.iter
-          (fun i ->
-            let v = Array.unsafe_get a i in
-            if v < !mn then mn := v;
-            if v > !mx then mx := v)
-          idx;
-        let mn = !mn and range = !mx - !mn + 1 in
-        if range > 0 then (Array.map (fun i -> a.(i) - mn) idx, range)
-        else (Array.map (fun i -> a.(i)) idx, max_int)
-      end
+      let mn = Array.fold_left min max_int a and mx = Array.fold_left max min_int a in
+      let range = mx - mn + 1 in
+      if n = 0 then ([||], 1)
+      else if range > 0 then (Array.map (fun v -> v - mn) a, range)
+      else (Array.copy a, max_int)
   | _ ->
-      let n_idx = Array.length idx in
-      let seen = Iot.create (max 16 n_idx) in
-      let uniq = ref [] in
-      Array.iter
-        (fun i ->
-          let code = codes.(i) in
-          if Iot.find seen code = -1 then begin
-            Iot.replace seen code 0;
-            uniq := (code, Column.get c i) :: !uniq
-          end)
-        idx;
-      let sorted = List.sort (fun (_, a) (_, b) -> Value.compare a b) !uniq in
-      let rank = Iot.create (max 16 n_idx) in
-      List.iteri (fun r (code, _) -> Iot.replace rank code r) sorted;
-      (Array.map (fun i -> Iot.find rank codes.(i)) idx, List.length sorted)
+      let key = [| codes |] in
+      let ix = Keys.build key n [||] in
+      let firsts = List.filter (fun i -> Keys.find ix key i = i) (List.init n Fun.id) in
+      let sorted =
+        List.sort
+          (fun (_, a) (_, b) -> Value.compare a b)
+          (List.map (fun i -> (i, Column.get c i)) firsts)
+      in
+      let rank = Array.make n 0 in
+      List.iteri (fun r (i, _) -> rank.(i) <- r) sorted;
+      (Array.init n (fun i -> rank.(Keys.find ix key i)), List.length sorted)
 
 (* Set semantics + the sorted ([Value.compare]) row order.
 
@@ -372,8 +391,7 @@ let distinct_table tbl =
   let k = Array.length keys in
   if n = 0 then tbl
   else begin
-    let idx_all = Array.init n Fun.id in
-    let rr = Array.init k (fun j -> value_ranks columns.(j) keys.(j) idx_all) in
+    let rr = Array.init k (fun j -> value_ranks columns.(j) keys.(j)) in
     let ranks = Array.map fst rr and radix = Array.map snd rr in
     let fits =
       Array.fold_left (fun acc m -> acc *. float_of_int m) (float_of_int n) radix
@@ -402,13 +420,9 @@ let distinct_table tbl =
     end
     else begin
       let sel = Ibuf.create () in
-      let seen : (int array, unit) Hashtbl.t = Hashtbl.create (max 16 n) in
+      let seen = Keys.build keys n [||] in
       for i = 0 to n - 1 do
-        let key = Array.init k (fun j -> (keys.(j)).(i)) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.add seen key ();
-          Ibuf.push sel i
-        end
+        if Keys.find seen keys i = i then Ibuf.push sel i
       done;
       let idx = Ibuf.contents sel in
       let order = Array.init (Array.length idx) Fun.id in
@@ -471,6 +485,7 @@ let exec_scan inst needed ~rel ~args ~tid =
         let sel = Ibuf.create () in
         let matcher i = List.for_all (fun m -> m i) ms in
         for i = 0 to Columnar.length base - 1 do
+          tick_rows i;
           if matcher i then Ibuf.push sel i
         done;
         let idx = Ibuf.contents sel in
@@ -483,132 +498,145 @@ let exec_scan inst needed ~rel ~args ~tid =
 
 (* --- joins ----------------------------------------------------------- *)
 
+(* Stable LSD radix sort of the pairs by [ia] (rows below [n]), 8 bits
+   a pass, through one pair of scratch arrays: linear in the pairs, and
+   free when they already come in order. *)
+let sort_pairs ia ib n =
+  let m = Array.length ia in
+  let rec sorted k = k >= m || (ia.(k - 1) <= ia.(k) && sorted (k + 1)) in
+  if sorted 1 then (ia, ib)
+  else begin
+    let src = ref (ia, ib) and dst = ref (Array.make m 0, Array.make m 0) in
+    let start = Array.make 257 0 and shift = ref 0 in
+    while (n - 1) lsr !shift > 0 do
+      let (sa, sb), (da, db) = (!src, !dst) in
+      let digit k = (Array.unsafe_get sa k lsr !shift) land 255 in
+      Array.fill start 0 257 0;
+      for k = 0 to m - 1 do
+        start.(digit k + 1) <- start.(digit k + 1) + 1
+      done;
+      for d = 1 to 256 do
+        start.(d) <- start.(d) + start.(d - 1)
+      done;
+      for k = 0 to m - 1 do
+        let d = digit k in
+        da.(start.(d)) <- sa.(k);
+        db.(start.(d)) <- sb.(k);
+        start.(d) <- start.(d) + 1
+      done;
+      src := (da, db);
+      dst := (sa, sb);
+      shift := !shift + 8
+    done;
+    !src
+  end
+
+(* Probes the [n] rows of column [c] (codes [x]) into [ix], pushing
+   each probe row to [pr] and each of its matches to [fr]. *)
+let probe_index ix (c : Column.t) x n pr fr =
+  for r = 0 to n - 1 do
+    tick_rows r;
+    if not (Column.is_null c r) then begin
+      let f = ref (Column.index_find ix x.(r)) in
+      while !f >= 0 do
+        Ibuf.push pr r;
+        Ibuf.push fr !f;
+        f := Column.index_next ix !f
+      done
+    end
+  done
+
+(* [tb]'s multi-key index on [shared], without the rows NULL in a key,
+   plus [ta]'s key codes and its key columns that hold NULLs. *)
+let keys_index ta tb shared =
+  let ca = List.map (Columnar.column ta) shared
+  and cb = List.map (Columnar.column tb) shared in
+  let xa, xb = List.split (List.map2 Column.pair_eq_codes ca cb) in
+  let nullable cs = Array.of_list (List.filter Column.has_nulls cs) in
+  ( Keys.build (Array.of_list xb) (Columnar.length tb) (nullable cb),
+    Array.of_list xa,
+    nullable ca )
+
 (* Matching row-index pairs of [ta] ⋈ [tb] on [shared], in nested-loop
-   order: [ta]-major, [tb] ascending within each [ta] row.  The hash
-   table is chained through a [next] array built back-to-front, so each
-   probe walks its matches in ascending [tb] order. *)
+   order: [ta]-major, [tb] ascending within each [ta] row.  Each chain
+   of an index runs in ascending row order, so probing [ta]'s rows into
+   [tb]'s index yields that order directly.  A single-key join whose
+   larger left side has earned a kept index probes [tb]'s rows into it
+   instead, and [sort_pairs] restores the order. *)
 let match_pairs ta tb shared =
   let na = Columnar.length ta and nb = Columnar.length tb in
   let ia = Ibuf.create () and ib = Ibuf.create () in
+  let swapped = ref false in
   (match shared with
   | [] ->
       for i = 0 to na - 1 do
+        tick_rows i;
         for j = 0 to nb - 1 do
           Ibuf.push ia i;
           Ibuf.push ib j
         done
       done
-  | [ key ] ->
+  | [ key ] -> (
       Obs.Counter.incr c_join_fused;
       let ca = Columnar.column ta key and cb = Columnar.column tb key in
       let xa, xb = Column.pair_eq_codes ca cb in
-      let ix = Column.index cb xb in
+      match if na > nb then Column.earned_index ca xa else None with
+      | Some ix ->
+          swapped := true;
+          Obs.Counter.add c_probe_rows nb;
+          probe_index ix cb xb nb ib ia
+      | None ->
+          Column.note_probes ca na;
+          Obs.Counter.add c_probe_rows na;
+          probe_index (Column.index cb xb) ca xa na ia ib)
+  | keys ->
+      Obs.Counter.incr c_join_fused;
+      Obs.Counter.add c_probe_rows na;
+      let ix, xa, nullable = keys_index ta tb keys in
       for i = 0 to na - 1 do
-        if not (Column.is_null ca i) then begin
-          let j = ref (Column.index_find ix xa.(i)) in
+        tick_rows i;
+        if not (Keys.null_at nullable i (Array.length nullable - 1)) then begin
+          let j = ref (Keys.find ix xa i) in
           while !j >= 0 do
             Ibuf.push ia i;
             Ibuf.push ib !j;
-            j := Column.index_next ix !j
+            j := Array.unsafe_get ix.Keys.next !j
           done
         end
-      done
-  | keys ->
-      Obs.Counter.incr c_join_fused;
-      let pairs =
-        List.map
-          (fun nm ->
-            let ca = Columnar.column ta nm and cb = Columnar.column tb nm in
-            (ca, cb, Column.pair_eq_codes ca cb))
-          keys
-      in
-      let k = List.length pairs in
-      let cas = Array.of_list (List.map (fun (c, _, _) -> c) pairs) in
-      let cbs = Array.of_list (List.map (fun (_, c, _) -> c) pairs) in
-      let xas = Array.of_list (List.map (fun (_, _, (x, _)) -> x) pairs) in
-      let xbs = Array.of_list (List.map (fun (_, _, (_, x)) -> x) pairs) in
-      let null_at cs i =
-        let rec go j = j < k && (Column.is_null cs.(j) i || go (j + 1)) in
-        go 0
-      in
-      let head : (int array, int) Hashtbl.t = Hashtbl.create (max 16 nb) in
-      let next = Array.make (max 1 nb) (-1) in
-      for j = nb - 1 downto 0 do
-        if not (null_at cbs j) then begin
-          let key = Array.init k (fun p -> (xbs.(p)).(j)) in
-          (match Hashtbl.find_opt head key with
-          | Some h -> next.(j) <- h
-          | None -> ());
-          Hashtbl.replace head key j
-        end
-      done;
-      for i = 0 to na - 1 do
-        if not (null_at cas i) then begin
-          let key = Array.init k (fun p -> (xas.(p)).(i)) in
-          match Hashtbl.find_opt head key with
-          | None -> ()
-          | Some h ->
-              let j = ref h in
-              while !j >= 0 do
-                Ibuf.push ia i;
-                Ibuf.push ib !j;
-                j := next.(!j)
-              done
-        end
       done);
-  (Ibuf.contents ia, Ibuf.contents ib)
+  let ia = Ibuf.contents ia and ib = Ibuf.contents ib in
+  if !swapped then sort_pairs ia ib na else (ia, ib)
 
 (* Row indexes of [ta] that have (or lack) a [shared]-match in [tb].
    NULL keys never match: the semijoin drops them, the antijoin keeps
    them. *)
 let presence_sel ~anti ta tb shared =
   Obs.Counter.incr c_join_fused;
-  let nb = Columnar.length tb in
-  match shared with
+  let na = Columnar.length ta in
+  Obs.Counter.add c_probe_rows na;
+  let sel = Ibuf.create () in
+  (match shared with
   | [ key ] ->
-      (* Single-column membership: a probe of the build column's
-         index, no per-row key allocation. *)
       let ca = Columnar.column ta key and cb = Columnar.column tb key in
       let xa, xb = Column.pair_eq_codes ca cb in
       let ix = Column.index cb xb in
-      let sel = Ibuf.create () in
-      for i = 0 to Columnar.length ta - 1 do
+      for i = 0 to na - 1 do
+        tick_rows i;
         let matched =
           (not (Column.is_null ca i)) && Column.index_find ix xa.(i) >= 0
         in
         if matched <> anti then Ibuf.push sel i
-      done;
-      Ibuf.contents sel
+      done
   | _ ->
-  let pairs =
-    List.map
-      (fun nm ->
-        let ca = Columnar.column ta nm and cb = Columnar.column tb nm in
-        (ca, cb, Column.pair_eq_codes ca cb))
-      shared
-  in
-  let k = List.length pairs in
-  let cas = Array.of_list (List.map (fun (c, _, _) -> c) pairs) in
-  let cbs = Array.of_list (List.map (fun (_, c, _) -> c) pairs) in
-  let xas = Array.of_list (List.map (fun (_, _, (x, _)) -> x) pairs) in
-  let xbs = Array.of_list (List.map (fun (_, _, (_, x)) -> x) pairs) in
-  let null_at cs i =
-    let rec go j = j < k && (Column.is_null cs.(j) i || go (j + 1)) in
-    go 0
-  in
-  let present : (int array, unit) Hashtbl.t = Hashtbl.create (max 16 nb) in
-  for j = 0 to nb - 1 do
-    if not (null_at cbs j) then
-      Hashtbl.replace present (Array.init k (fun p -> (xbs.(p)).(j))) ()
-  done;
-  let sel = Ibuf.create () in
-  for i = 0 to Columnar.length ta - 1 do
-    let matched =
-      (not (null_at cas i))
-      && Hashtbl.mem present (Array.init k (fun p -> (xas.(p)).(i)))
-    in
-    if matched <> anti then Ibuf.push sel i
-  done;
+      let ix, xa, nullable = keys_index ta tb shared in
+      for i = 0 to na - 1 do
+        tick_rows i;
+        let matched =
+          (not (Keys.null_at nullable i (Array.length nullable - 1)))
+          && Keys.find ix xa i >= 0
+        in
+        if matched <> anti then Ibuf.push sel i
+      done);
   Ibuf.contents sel
 
 (* --- execution ------------------------------------------------------- *)
@@ -666,6 +694,7 @@ let pair_pred_matcher ta tb (p : pred) =
       fun i j -> Tvl.to_bool (eval_op op (gl i j) (gr i j))
 
 let rec exec inst needed plan =
+  Obs.Progress.tick ();
   match plan with
   | Scan { rel; args; tid } -> exec_scan inst needed ~rel ~args ~tid
   | Table tbl ->
@@ -725,6 +754,7 @@ let rec exec inst needed plan =
       let matcher = filter_matcher tbl f in
       let sel = Ibuf.create () in
       for i = 0 to Columnar.length tbl - 1 do
+        tick_rows i;
         if matcher i then Ibuf.push sel i
       done;
       (* Restrict before gathering: matcher columns were resolved above,
@@ -791,36 +821,21 @@ let rec exec inst needed plan =
       restrict_cols (distinct_table combined) needed
   | Diff (a, b) ->
       let ta = exec inst None a and tb = exec inst None b in
-      let ka = Array.length (Columnar.cols ta)
-      and kb = Array.length (Columnar.cols tb) in
-      if ka <> kb then invalid_arg "Plan.Diff: arity mismatch";
-      let codes =
-        Array.init ka (fun j ->
-            Column.pair_eq_codes (Columnar.columns ta).(j) (Columnar.columns tb).(j))
+      if Array.length (Columnar.cols ta) <> Array.length (Columnar.cols tb)
+      then invalid_arg "Plan.Diff: arity mismatch";
+      (* NULL = NULL here: the paired codes carry NULL as Null's code,
+         so no row is left out of the index. *)
+      let xa, xb =
+        Array.split
+          (Array.map2 Column.pair_eq_codes (Columnar.columns ta) (Columnar.columns tb))
       in
+      let ix = Keys.build xb (Columnar.length tb) [||] in
+      Obs.Counter.add c_probe_rows (Columnar.length ta);
       let sel = Ibuf.create () in
-      (if ka = 1 then begin
-         let xa, xb = codes.(0) in
-         let bset = Itbl.create (max 16 (Columnar.length tb)) in
-         for j = 0 to Columnar.length tb - 1 do
-           Itbl.replace bset xb.(j) ()
-         done;
-         for i = 0 to Columnar.length ta - 1 do
-           if not (Itbl.mem bset xa.(i)) then Ibuf.push sel i
-         done
-       end
-       else begin
-         let bset : (int array, unit) Hashtbl.t =
-           Hashtbl.create (max 16 (Columnar.length tb))
-         in
-         for j = 0 to Columnar.length tb - 1 do
-           Hashtbl.replace bset (Array.init ka (fun p -> (snd codes.(p)).(j))) ()
-         done;
-         for i = 0 to Columnar.length ta - 1 do
-           if not (Hashtbl.mem bset (Array.init ka (fun p -> (fst codes.(p)).(i))))
-           then Ibuf.push sel i
-         done
-       end);
+      for i = 0 to Columnar.length ta - 1 do
+        tick_rows i;
+        if Keys.find ix xa i < 0 then Ibuf.push sel i
+      done;
       restrict_cols
         (distinct_table (Columnar.select ta (Ibuf.contents sel)))
         needed

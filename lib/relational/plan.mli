@@ -13,8 +13,13 @@
     [Value.compare].  Join output order is nested-loop order
     (left-major, right ascending).
 
+    Every executed node ticks {!Obs.Progress} once, and the scan, build
+    and probe loops once per 4,096 rows, so a deadline stops a large
+    join from inside it.
+
     Counters: [scan.columnar] per scan, [join.fused] per fused
-    hash-join/semijoin/antijoin kernel. *)
+    hash-join/semijoin/antijoin kernel, [join.probe_rows] the rows
+    probed into a join index. *)
 
 type op = Eq | Neq | Lt | Le | Gt | Ge
 type operand = Col of string | Const of Value.t

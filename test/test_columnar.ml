@@ -11,6 +11,7 @@ module Value = Relational.Value
 module Fact = Relational.Fact
 module Tid = Relational.Tid
 module Columnar = Relational.Columnar
+module Column = Relational.Column
 module Plan = Relational.Plan
 module Dict = Relational.Dict
 open Logic
@@ -612,12 +613,17 @@ let arb_join_history =
               ops)))
 
 (* At every point of an insert/delete/update_cell history the join equals
-   a fresh instance's, and running it twice builds S's index once: on
-   the first run when S's view is new (the write touched S), never when
-   the view, and with it the index, carried over. *)
+   a fresh instance's, in the same row order on every run, and each
+   view's join column builds its index at most once, keeping it: the
+   right view S at its first use as the build side, the left view R only
+   once earned — R is the larger side and already keeps an index, or
+   the rows joins probed from it exceed its length.  Then the join
+   probes S's rows into R's index.  A fresh R view is probed on its
+   first two runs and earns on the third, so the fourth run of a point
+   builds nothing. *)
 let prop_join_views =
   QCheck.Test.make ~count:300
-    ~name:"view joins = fresh instance's, one index build per view"
+    ~name:"view joins = fresh instance's, each view's index built once"
     arb_join_history (fun ((rs, ss), ops) ->
       let ints = List.map (fun (x, y) -> [ Value.int x; Value.int y ]) in
       let db0 = Instance.of_rows schema [ ("R", ints rs); ("S", ints ss) ] in
@@ -631,24 +637,28 @@ let prop_join_views =
             | None -> db
             | Some tid -> Instance.update_cell db (Tid.Cell.make tid p) (Value.int x))
       in
-      let last_view = ref None in
       let point db =
-        let view = Instance.columnar db ~rel:"S" in
-        let fresh_view =
-          match !last_view with Some v -> v != view | None -> true
-        in
-        last_view := Some view;
-        let b0 = index_builds () in
-        let first = Plan.run db join_rs in
-        let b1 = index_builds () in
-        let second = Plan.run db join_rs in
-        let b2 = index_builds () in
+        (* The join column of each view: R(#tid, a, b), S(#tid, b, c). *)
+        let r = (Columnar.columns (Instance.columnar db ~rel:"R")).(2)
+        and s = (Columnar.columns (Instance.columnar db ~rel:"S")).(1) in
+        let nr = Column.length r and ns = Column.length s in
         let fresh_db = Instance.of_facts schema (Instance.fact_list db) in
         let expected = sorted_rows (Plan.run fresh_db join_rs) in
-        sorted_rows first = expected
-        && Columnar.rows second = Columnar.rows first
-        && b1 - b0 = (if fresh_view then 1 else 0)
-        && b2 - b1 = 0
+        let run () =
+          let earned =
+            nr > ns && (r.Column.index <> None || r.Column.probed > nr)
+          in
+          let unbuilt c = if c.Column.index = None then 1 else 0 in
+          let due = if earned then unbuilt r else unbuilt s in
+          let b0 = index_builds () in
+          let rows = Columnar.rows (Plan.run db join_rs) in
+          (rows, index_builds () - b0, due)
+        in
+        let runs = List.init 4 (fun _ -> run ()) in
+        let first, _, _ = List.hd runs and _, last_builds, _ = List.nth runs 3 in
+        List.sort compare first = expected
+        && List.for_all (fun (rows, built, due) -> rows = first && built = due) runs
+        && last_builds = 0
       in
       let rec go db = function
         | [] -> true
@@ -725,6 +735,203 @@ let test_probe_allocates_nothing () =
       ("semijoin", fun ta -> Plan.Semijoin (ta, tb));
     ]
 
+(* --- one join kernel: keyed joins against the oracle ----------------- *)
+
+let probe_rows () =
+  Obs.Registry.counter_value (Obs.Registry.current ()) "join.probe_rows"
+
+(* Two tables sharing 1-3 key columns k0..; each key column is written
+   its own way on each side, the payload [a] or [b] is a plain Int.  One
+   side has up to 60 rows, the other up to 6. *)
+type keyed = {
+  nkeys : int;
+  reprs_a : repr list;
+  reprs_b : repr list;
+  rows_a : int list list;
+  rows_b : int list list;
+}
+
+let gen_keyed =
+  QCheck.Gen.(
+    int_range 1 3 >>= fun nkeys ->
+    let reprs = list_repeat nkeys (oneofl [ Nullable_ints; Ints; Strs; Mixed ]) in
+    let rows n = list_size (int_range 0 n) (list_repeat (nkeys + 1) (int_range 0 4)) in
+    map3
+      (fun (reprs_a, reprs_b) big (rows_big, rows_small) ->
+        let rows_a, rows_b =
+          if big then (rows_big, rows_small) else (rows_small, rows_big)
+        in
+        { nkeys; reprs_a; reprs_b; rows_a; rows_b })
+      (pair reprs reprs) bool (pair (rows 60) (rows 6)))
+
+let print_keyed c =
+  let rows rs =
+    String.concat ";"
+      (List.map (fun r -> String.concat "," (List.map string_of_int r)) rs)
+  in
+  Printf.sprintf "%d keys, A %s: %s / B %s: %s" c.nkeys
+    (String.concat "," (List.map repr_name c.reprs_a))
+    (rows c.rows_a)
+    (String.concat "," (List.map repr_name c.reprs_b))
+    (rows c.rows_b)
+
+(* Runs on which a single-key join probed from its smaller right side. *)
+let swapped_runs = ref 0
+
+let keyed_kernels_agree c =
+  let inst = Instance.create schema in
+  let keys = List.init c.nkeys (Printf.sprintf "k%d") in
+  let rel payload reprs rows =
+    {
+      Ra.cols = Array.of_list (keys @ [ payload ]);
+      rows =
+        List.map
+          (fun r ->
+            Array.of_list
+              (List.mapi
+                 (fun p n -> cell_of (if p < c.nkeys then List.nth reprs p else Ints) n)
+                 r))
+          rows;
+    }
+  in
+  let a = rel "a" c.reprs_a c.rows_a and b = rel "b" c.reprs_b c.rows_b in
+  let na = List.length a.Ra.rows and nb = List.length b.Ra.rows in
+  let ta = Plan.Table (Ra.to_columnar a) and tb = Plan.Table (Ra.to_columnar b) in
+  (* Four runs over the same columns: the left's probe count earns it a
+     kept index by the third when it is the larger side. *)
+  let runs plan oracle =
+    List.for_all
+      (fun _ ->
+        let p0 = probe_rows () in
+        let got = Ra.of_columnar (Plan.run inst plan) in
+        if c.nkeys = 1 && na > nb && probe_rows () - p0 = nb then incr swapped_runs;
+        got.Ra.cols = oracle.Ra.cols && got.Ra.rows = oracle.Ra.rows)
+      [ 1; 2; 3; 4 ]
+  in
+  let a_idx, b_idx, _ = Ra.join_plan a b in
+  let antijoin =
+    {
+      a with
+      Ra.rows =
+        List.filter
+          (fun ra -> not (List.exists (Ra.joins a_idx b_idx ra) b.Ra.rows))
+          a.Ra.rows;
+    }
+  in
+  runs (Plan.Join (ta, tb)) (Ra.natural_join a b)
+  && runs (Plan.Semijoin (ta, tb)) (Ra.semijoin a b)
+  && runs (Plan.Antijoin (ta, tb)) antijoin
+  && runs
+       (Plan.Diff (Plan.Project (keys, ta), Plan.Project (keys, tb)))
+       (Ra.difference (Ra.project keys a) (Ra.project keys b))
+
+let prop_keyed_kernels =
+  QCheck.Test.make ~count:300
+    ~name:"join/semijoin/antijoin/Diff on 1-3 keys = Ra, order included"
+    (QCheck.make gen_keyed ~print:print_keyed)
+    keyed_kernels_agree
+
+(* The same check on a fixed seed, asserting that the swapped probe
+   direction was drawn and agreed too. *)
+let test_keyed_swap_drawn () =
+  let rand = Random.State.make [| 26 |] in
+  swapped_runs := 0;
+  for _ = 1 to 200 do
+    let c = QCheck.Gen.generate1 ~rand gen_keyed in
+    check Alcotest.bool (print_keyed c) true (keyed_kernels_agree c)
+  done;
+  check Alcotest.bool
+    (Printf.sprintf "%d swapped runs" !swapped_runs)
+    true (!swapped_runs > 0)
+
+(* A 10:1 single-key join over base views: the first two runs probe the
+   large left side into the right's index (built on run 1), and count
+   its rows; the third finds the left has earned a kept index, builds
+   it, and probes only the small side into it.  The rows and their
+   order do not change. *)
+let test_probe_side_earned () =
+  let ints = List.map (fun (x, y) -> [ Value.int x; Value.int y ]) in
+  let db =
+    Instance.of_rows schema
+      [
+        ("R", ints (List.init 1000 (fun i -> (i, i mod 150))));
+        ("S", ints (List.init 100 (fun i -> (i, i))));
+      ]
+  in
+  let run () =
+    let p0 = probe_rows () and b0 = index_builds () in
+    let rows = Columnar.rows (Plan.run db join_rs) in
+    (rows, probe_rows () - p0, index_builds () - b0)
+  in
+  let r1, p1, b1 = run () in
+  let r2, p2, b2 = run () in
+  let r3, p3, b3 = run () in
+  let r4, p4, b4 = run () in
+  check Alcotest.(list int) "rows probed per run" [ 1000; 1000; 100; 100 ]
+    [ p1; p2; p3; p4 ];
+  check Alcotest.(list int) "index builds per run" [ 1; 0; 1; 0 ] [ b1; b2; b3; b4 ];
+  check Alcotest.int "matches" 700 (List.length r1);
+  check Alcotest.bool "same rows in the same order on every run" true
+    (r2 = r1 && r3 = r1 && r4 = r1)
+
+(* A request whose deadline has passed stops a join over 120k rows from
+   inside its loops, and the same engine then answers correctly.  The
+   clock advances one second per read and every tick reads it. *)
+let test_join_deadline () =
+  let n = 120_000 in
+  let ints = List.map (fun (x, y) -> [ Value.int x; Value.int y ]) in
+  (* Every tenth key of R has a second claimant with no S partner, so
+     exactly the other keys are certain. *)
+  let r_rows =
+    List.init n (fun i -> (i, i)) @ List.init (n / 10) (fun i -> (10 * i, -1))
+  in
+  let db =
+    Instance.of_rows schema
+      [ ("R", ints r_rows); ("S", ints (List.init n (fun i -> (i, i)))) ]
+  in
+  let within budget f =
+    let now = ref 0.0 in
+    let clock () =
+      now := !now +. 1.0;
+      !now
+    in
+    let ctx = Obs.Progress.create ~deadline_s:budget ~clock ~label:"join" ~id:0 () in
+    let stopped =
+      match Obs.Progress.run ctx f with
+      | _ -> false
+      | exception Obs.Progress.Deadline_exceeded -> true
+    in
+    (stopped, Obs.Progress.work ctx)
+  in
+  let prev = Obs.Progress.check_interval () in
+  Obs.Progress.set_check_interval 1;
+  Fun.protect ~finally:(fun () -> Obs.Progress.set_check_interval prev)
+  @@ fun () ->
+  (* Three plan nodes tick once each; a budget of 8 ticks is spent in
+     the scan, build and probe loops. *)
+  let stopped, work = within 8.5 (fun () -> Plan.run db join_rs) in
+  check Alcotest.bool "the join stops" true stopped;
+  check Alcotest.bool (Printf.sprintf "inside its loops (%d ticks)" work) true (work > 3);
+  let x = Term.var "x" and y = Term.var "y" and z = Term.var "z" in
+  let q = Cq.make ~name:"q" [ x ] [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; z ] ] in
+  let engine =
+    Cqa.Engine.create ~schema
+      ~ics:[ Constraints.Ic.key ~rel:"R" [ 0 ]; Constraints.Ic.key ~rel:"S" [ 0 ] ]
+      db
+  in
+  let answer () = Cqa.Engine.consistent_answers ~method_:`Key_rewriting engine q in
+  let stopped, _ = within 0.0 answer in
+  check Alcotest.bool "a request past its deadline stops" true stopped;
+  let got = List.sort compare (answer ()) in
+  let expected =
+    List.filter_map
+      (fun i -> if i mod 10 = 0 then None else Some [ Value.int i ])
+      (List.init n Fun.id)
+  in
+  check Alcotest.int "then answers the next query" (List.length expected)
+    (List.length got);
+  check Alcotest.bool "with the certain answers" true (got = expected)
+
 (* --- descriptive unknown-column errors ------------------------------- *)
 
 let test_ra_unknown_column () =
@@ -756,6 +963,12 @@ let suite =
       test_join_index_race;
     Alcotest.test_case "join index probes allocate nothing" `Quick
       test_probe_allocates_nothing;
+    QCheck_alcotest.to_alcotest prop_keyed_kernels;
+    Alcotest.test_case "keyed kernels: the swapped probe side is drawn" `Quick
+      test_keyed_swap_drawn;
+    Alcotest.test_case "a join probes from the side that earned an index" `Quick
+      test_probe_side_earned;
+    Alcotest.test_case "a deadline stops a large join" `Quick test_join_deadline;
     QCheck_alcotest.to_alcotest prop_rewrite_columnar_eq;
     QCheck_alcotest.to_alcotest prop_cq_columnar_eq;
     QCheck_alcotest.to_alcotest prop_formula_columnar_eq;
