@@ -116,8 +116,7 @@ let derivable_base (program : Syntax.t) edb =
   base
 
 let ground (program : Syntax.t) edb =
-  let sp = Obs.Trace.start "asp.ground" in
-  Obs.Progress.phase "asp.ground";
+  let sp = Obs.Trace.start_phase "asp.ground" in
   let base = derivable_base program edb in
   let table = Hashtbl.create 256 in
   let atoms = ref [] and natoms = ref 0 in

@@ -72,8 +72,7 @@ let model_facts (g : Ground.t) m =
   !acc
 
 let models_ground g =
-  let sp = Obs.Trace.start "asp.stable" in
-  Obs.Progress.phase "asp.stable";
+  let sp = Obs.Trace.start_phase "asp.stable" in
   let solver = clauses_of g in
   let candidates = Dpll.enumerate solver in
   Obs.Counter.add c_candidates (List.length candidates);

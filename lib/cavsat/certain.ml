@@ -98,9 +98,8 @@ let consistent_answers ?delta inst schema ics q =
               constraint (SAT compilation repairs by deletion only)"
              (Ic.name ic)))
     ics;
-  let sp = Obs.Trace.start "cavsat.certain_answers" in
+  let sp = Obs.Trace.start_phase "cavsat.certain_answers" in
   Obs.Counter.incr c_queries;
-  Obs.Progress.phase "cavsat";
   match
     let theory = Theory.cached ?delta inst schema ics in
     if theory.Theory.no_repairs then []

@@ -213,9 +213,8 @@ let method_route : answer_method -> string = function
   | `Auto -> "auto"
 
 let consistent_answers ?(method_ = `Auto) t q =
-  let sp = Obs.Trace.start "engine.certain_answers" in
+  let sp = Obs.Trace.start_phase "engine.certain_answers" in
   Obs.Counter.incr c_queries;
-  Obs.Progress.phase "engine.plan";
   if method_ <> `Auto then Obs.Progress.set_branch (method_route method_);
   if Obs.Trace.is_enabled () then begin
     Obs.Trace.attr "method" (method_label method_);

@@ -2,9 +2,11 @@
    deadlines, and a bounded flight recorder.
 
    A request that wants live visibility installs a context with [run];
-   solvers then call the probes ([tick], [phase], [bound]) from their
-   inner loops.  Like [Trace], the disabled path is allocation-free: with
-   no context installed every probe is one load and a branch.
+   solvers then call the probes ([tick], [bound]) from their inner
+   loops, and enter phases through [Trace.start_phase], which names the
+   phase after the span it opens.  Like [Trace], the disabled path is
+   allocation-free: with no context installed every probe is one load
+   and a branch.
 
    When armed, [tick] counts one unit of work and burns one unit of
    fuel; every [interval] ticks it takes a heartbeat — read the clock,
@@ -171,12 +173,14 @@ let bound_of c = c.best_bound
 let started c = c.started
 let cancelled c = c.cancel
 let budget_s c = if c.deadline = infinity then None else Some (c.deadline -. c.started)
+let now_or_clock c = function Some n -> n | None -> c.clock ()
+
 let elapsed ?now c =
-  let now = match now with Some n -> n | None -> c.clock () in
+  let now = now_or_clock c now in
   Float.max 0.0 (now -. c.started)
 
 let heartbeat_age ?now c =
-  let now = match now with Some n -> n | None -> c.clock () in
+  let now = now_or_clock c now in
   Float.max 0.0 (now -. c.last_beat)
 
 let snapshot c =
@@ -198,7 +202,7 @@ let history c =
 let pp_bound b = if b < 0 then "-" else string_of_int b
 
 let describe ?now c =
-  let now = match now with Some n -> n | None -> c.clock () in
+  let now = now_or_clock c now in
   Printf.sprintf
     "rid=%d command=%s sid=%s branch=%s phase=%s work=%d bound=%s \
      elapsed_ms=%.0f heartbeat_age_ms=%.0f%s"

@@ -46,7 +46,9 @@ val run : t -> (unit -> 'a) -> 'a
     check; raises {!Deadline_exceeded} once the deadline has blown. *)
 val tick : unit -> unit
 
-(** Enter a named phase; heartbeats unconditionally, never raises. *)
+(** Enter a named phase; heartbeats unconditionally, never raises.
+    Solver code enters phases through {!Trace.start_phase}, so that a
+    phase is always the name of the span it opened. *)
 val phase : string -> unit
 
 (** Report a best-known (minimization) bound; keeps the smallest. *)

@@ -93,33 +93,21 @@ let family buf name kind samples =
       Buffer.add_char buf '\n')
     samples
 
-let histogram_samples name h =
-  let bounds = Registry.hist_bounds h in
+let histogram_samples ~labels name h =
+  let bucket le n =
+    sample ~labels:(labels @ [ ("le", le) ]) (name ^ "_bucket") (string_of_int n)
+  in
   let counts = Registry.hist_raw_buckets h in
   let cum = ref 0 in
-  let buckets =
-    List.concat
-      [
-        List.mapi
-          (fun i bound ->
-            cum := !cum + counts.(i);
-            sample
-              ~labels:[ ("le", number bound) ]
-              (name ^ "_bucket")
-              (string_of_int !cum))
-          (Array.to_list bounds);
-        [
-          sample
-            ~labels:[ ("le", "+Inf") ]
-            (name ^ "_bucket")
-            (string_of_int (Registry.hist_count h));
-        ];
-      ]
-  in
-  buckets
+  List.mapi
+    (fun i bound ->
+      cum := !cum + counts.(i);
+      bucket (number bound) !cum)
+    (Array.to_list (Registry.hist_bounds h))
   @ [
-      sample (name ^ "_sum") (number (Registry.hist_sum h));
-      sample (name ^ "_count") (string_of_int (Registry.hist_count h));
+      bucket "+Inf" (Registry.hist_count h);
+      sample ~labels (name ^ "_sum") (number (Registry.hist_sum h));
+      sample ~labels (name ^ "_count") (string_of_int (Registry.hist_count h));
     ]
 
 let render ?(namespace = "cqa_") registry =
@@ -148,7 +136,7 @@ let render ?(namespace = "cqa_") registry =
       match (kind, value) with
       | `Counter, `Int v -> family buf name "counter" [ sample name (string_of_int v) ]
       | `Gauge, `Float v -> family buf name "gauge" [ sample name (number v) ]
-      | `Histogram, `Hist h -> family buf name "histogram" (histogram_samples name h)
+      | `Histogram, `Hist h -> family buf name "histogram" (histogram_samples ~labels:[] name h)
       | _ -> ())
     families;
   Buffer.contents buf

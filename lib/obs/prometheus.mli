@@ -41,6 +41,13 @@ val sample : ?labels:(string * string) list -> string -> string -> string
     values quoted and escaped), and [value] — passed through verbatim
     so the caller controls integer vs float formatting. *)
 
+val histogram_samples :
+  labels:(string * string) list -> string -> Registry.histogram -> string list
+(** The sample lines of one histogram series, without a [# TYPE]
+    header: cumulative [name_bucket] lines, one per bound and a final
+    [le="+Inf"], then [name_sum] and [name_count].  [labels] go on every
+    line, ahead of [le]. *)
+
 val render : ?namespace:string -> Registry.t -> string
 (** The whole registry as one exposition document (trailing newline
     included), families sorted by name for stable diffs.  [namespace]

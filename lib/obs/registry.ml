@@ -151,29 +151,28 @@ let gauges_list t =
   Hashtbl.fold (fun name g acc -> (name, !g) :: acc) t.gauges []
   |> List.sort (by_name Float.compare)
 
-(* Decade buckets, 1 µs to 10 s — the shape the serving layer has used
-   since PR 1. *)
+(* Decade buckets, 1 µs to 10 s, the one latency shape of the serving
+   layer.  A value equal to a bound lands in that bound's bucket, which
+   is what the Prometheus [le] label promises. *)
 let decade_bounds = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0 |]
+
+let new_histogram bounds =
+  { bounds; buckets = Array.make (Array.length bounds + 1) 0; hcount = 0; hsum = 0.0 }
+
+let make_histogram () = new_histogram decade_bounds
 
 let histogram ?(bounds = decade_bounds) t name =
   with_lock (fun () ->
       match Hashtbl.find_opt t.histograms name with
       | Some h -> h
       | None ->
-          let h =
-            {
-              bounds;
-              buckets = Array.make (Array.length bounds + 1) 0;
-              hcount = 0;
-              hsum = 0.0;
-            }
-          in
+          let h = new_histogram bounds in
           Hashtbl.replace t.histograms name h;
           h)
 
 let observe h x =
   let n = Array.length h.bounds in
-  let rec bucket i = if i >= n || x < h.bounds.(i) then i else bucket (i + 1) in
+  let rec bucket i = if i >= n || x <= h.bounds.(i) then i else bucket (i + 1) in
   let b = bucket 0 in
   h.buckets.(b) <- h.buckets.(b) + 1;
   h.hcount <- h.hcount + 1;
@@ -191,8 +190,8 @@ let label_of_seconds s =
   else Printf.sprintf "%.0fs" s
 
 let bucket_label h i =
-  if i < Array.length h.bounds then "lt_" ^ label_of_seconds h.bounds.(i)
-  else "ge_" ^ label_of_seconds h.bounds.(Array.length h.bounds - 1)
+  if i < Array.length h.bounds then "le_" ^ label_of_seconds h.bounds.(i)
+  else "gt_" ^ label_of_seconds h.bounds.(Array.length h.bounds - 1)
 
 let hist_buckets h =
   Array.to_list (Array.mapi (fun i c -> (bucket_label h i, c)) h.buckets)
@@ -204,26 +203,18 @@ let quantile h q =
   if h.hcount = 0 then 0.0
   else begin
     let target = q *. float_of_int h.hcount in
-    let nb = Array.length h.buckets in
-    let result = ref h.bounds.(Array.length h.bounds - 1) in
-    (try
-       let acc = ref 0 in
-       for i = 0 to nb - 1 do
-         let c = h.buckets.(i) in
-         if c > 0 && float_of_int (!acc + c) >= target then begin
-           let lo = if i = 0 then 0.0 else h.bounds.(i - 1) in
-           if i >= Array.length h.bounds then result := lo
-           else begin
-             let hi = h.bounds.(i) in
-             let frac = (target -. float_of_int !acc) /. float_of_int c in
-             result := lo +. (frac *. (hi -. lo))
-           end;
-           raise Exit
-         end;
-         acc := !acc + c
-       done
-     with Exit -> ());
-    !result
+    let nb = Array.length h.bounds in
+    let rec go i acc =
+      let lo = if i = 0 then 0.0 else h.bounds.(i - 1) in
+      if i = nb then lo
+      else
+        let c = h.buckets.(i) in
+        if c > 0 && float_of_int (acc + c) >= target then
+          let frac = (target -. float_of_int acc) /. float_of_int c in
+          lo +. (frac *. (h.bounds.(i) -. lo))
+        else go (i + 1) (acc + c)
+    in
+    go 0 0
   end
 
 let histograms_list t =

@@ -71,7 +71,15 @@ val histogram : ?bounds:float array -> t -> string -> histogram
     increasing upper bounds in seconds (default: decades from 1 µs to
     10 s); one overflow bucket is appended. *)
 
+val make_histogram : unit -> histogram
+(** A decade histogram that belongs to no registry: for owners that
+    drop histograms again (the workload store's evictable entries),
+    since a registry never forgets a name. *)
+
 val observe : histogram -> float -> unit
+(** Count one value in the first bucket whose bound is [>=] it, so a
+    value equal to a bound is in that bound's [le] bucket. *)
+
 val hist_count : histogram -> int
 val hist_mean : histogram -> float
 
@@ -87,7 +95,7 @@ val hist_raw_buckets : histogram -> int array
     {!hist_bounds}, the last entry being the overflow bucket. *)
 
 val hist_buckets : histogram -> (string * int) list
-(** Labelled bucket counts, e.g. [("lt_1us", 0); ...; ("ge_10s", 0)]. *)
+(** Labelled bucket counts, e.g. [("le_1us", 0); ...; ("gt_10s", 0)]. *)
 
 val quantile : histogram -> float -> float
 (** Estimated q-quantile in seconds: linear interpolation inside the
@@ -98,7 +106,7 @@ val histograms_list : t -> (string * histogram) list
 
 val render_histogram : string -> histogram -> string
 (** One line:
-    [name count=N mean_us=M p50_us=A p95_us=B p99_us=C hist=lt_1us:0,...]. *)
+    [name count=N mean_us=M p50_us=A p95_us=B p99_us=C hist=le_1us:0,...]. *)
 
 val render : t -> string list
 (** One [name value] line per counter and gauge and one

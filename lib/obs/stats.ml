@@ -2,53 +2,6 @@
    (fingerprint, plan-branch) aggregates with deterministic eviction,
    plus eviction-proof per-branch and per-phase cost centers. *)
 
-(* Latency decades, 1 µs .. 10 s; the final array slot is the overflow
-   bucket.  Matches the Registry histogram default so operators read the
-   same shape everywhere. *)
-let bounds = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0 |]
-
-let n_buckets = Array.length bounds + 1
-
-let bucket_of v =
-  let rec go i = if i >= Array.length bounds || v <= bounds.(i) then i else go (i + 1) in
-  go 0
-
-(* A small standalone histogram (count, sum, decade buckets).  Entries
-   embed one rather than using Registry histograms because store entries
-   are evictable and the registry has no removal. *)
-type hist = { mutable h_count : int; mutable h_sum : float; h_buckets : int array }
-
-let hist_make () = { h_count = 0; h_sum = 0.0; h_buckets = Array.make n_buckets 0 }
-
-let hist_observe h v =
-  h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v;
-  let b = bucket_of v in
-  h.h_buckets.(b) <- h.h_buckets.(b) + 1
-
-let hist_quantile h q =
-  if h.h_count = 0 then 0.0
-  else begin
-    let target = q *. float_of_int h.h_count in
-    let rec go i acc =
-      if i >= n_buckets then bounds.(Array.length bounds - 1)
-      else begin
-        let acc' = acc + h.h_buckets.(i) in
-        if float_of_int acc' >= target && h.h_buckets.(i) > 0 then
-          if i >= Array.length bounds then bounds.(Array.length bounds - 1)
-          else begin
-            let lo = if i = 0 then 0.0 else bounds.(i - 1) in
-            let hi = bounds.(i) in
-            lo
-            +. (hi -. lo)
-               *. ((target -. float_of_int acc) /. float_of_int h.h_buckets.(i))
-          end
-        else go (i + 1) acc'
-      end
-    in
-    go 0 0
-  end
-
 type cache_outcome = Hit | Miss | Uncached
 
 type entry = {
@@ -63,14 +16,13 @@ type entry = {
   mutable rows : int;
   mutable phase_s : (string * float) list;
   mutable counters : (string * int) list;
-  buckets : int array;
+  latency : Registry.histogram;
 }
 
 (* Eviction-proof per-branch cost center. *)
 type center = {
-  mutable c_calls : int;
   mutable c_errors : int;
-  c_hist : hist;
+  c_hist : Registry.histogram;
   mutable c_phase_s : (string * float) list;
 }
 
@@ -78,7 +30,7 @@ type t = {
   capacity : int;
   table : (string * string, entry) Hashtbl.t;
   branches : (string, center) Hashtbl.t;
-  phase_hist : (string, hist) Hashtbl.t;
+  phase_hist : (string, Registry.histogram) Hashtbl.t;
   mutable recorded : int;
   mutable evicted : int;
   mutable total_wall_s : float;
@@ -115,94 +67,63 @@ let merge_int base extra = merge_assoc ( + ) base (sort_assoc extra)
 
 (* Phase attribution ------------------------------------------------- *)
 
-let has_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
+(* Span-name prefix -> cost center; the first match wins. *)
+let cost_centers =
+  [
+    ("engine.classify", "classify");
+    ("rewrite.", "rewrite");
+    ("conflict_graph", "conflict_graph");
+    ("sat.", "sat");
+    ("cavsat.", "sat");
+    ("repairs.", "enumeration");
+    ("asp.", "asp");
+  ]
 
 let phase_of_span name =
-  if name = "engine.classify" then Some "classify"
-  else if has_prefix "rewrite." name then Some "rewrite"
-  else if has_prefix "conflict_graph" name then Some "conflict_graph"
-  else if has_prefix "sat." name || has_prefix "cavsat." name then Some "sat"
-  else if has_prefix "repairs." name then Some "enumeration"
-  else if has_prefix "asp." name then Some "asp"
-  else None
+  List.find_map
+    (fun (prefix, center) ->
+      if String.starts_with ~prefix name then Some center else None)
+    cost_centers
 
+(* An open ancestor during the walk below. *)
+type frame = {
+  f_id : int;
+  f_phase : string;
+  f_dur : float;
+  mutable f_children : float;
+}
+
+(* Spans come in start order, so when a span arrives every open span
+   with a larger id than its parent has already ended: pop those (they
+   are complete, so their self time is known) and the parent, if it was
+   kept, is on top.  An orphan (parent dropped) starts from "other". *)
 let phases_of_spans spans =
-  match spans with
-  | [] -> []
-  | [ s ] ->
-      (* The common cache-hit request leaves exactly the wrapping span;
-         skip the hashtable machinery on that path. *)
-      let d = Trace.duration s in
-      if d > 0.0 then
-        [ ((match phase_of_span s.name with Some p -> p | None -> "other"), d) ]
-      else []
-  | _ when List.compare_length_with spans 12 <= 0 ->
-      (* Real requests leave a wrapper plus a handful of probe spans;
-         at that size flat array scans beat building two hashtables.
-         Same contract as below: spans come in start (id) order, so a
-         parent precedes its children. *)
-      let a = Array.of_list spans in
-      let n = Array.length a in
-      let dur = Array.map Trace.duration a in
-      let child_sum = Array.make n 0.0 in
-      let phase = Array.make n "other" in
-      for i = 0 to n - 1 do
-        let s = a.(i) in
-        let pi = ref (-1) in
-        for j = 0 to i - 1 do
-          if a.(j).Trace.id = s.Trace.parent then pi := j
-        done;
-        if !pi >= 0 then child_sum.(!pi) <- child_sum.(!pi) +. dur.(i);
-        phase.(i) <-
-          (match phase_of_span s.Trace.name with
-          | Some p -> p
-          | None -> if !pi >= 0 then phase.(!pi) else "other")
-      done;
-      let totals = ref [] in
-      for i = 0 to n - 1 do
-        let self = dur.(i) -. child_sum.(i) in
-        if self > 0.0 then
-          totals :=
-            (match List.assoc_opt phase.(i) !totals with
-            | Some r ->
-                r := !r +. self;
-                !totals
-            | None -> (phase.(i), ref self) :: !totals)
-      done;
-      sort_assoc (List.map (fun (k, r) -> (k, !r)) !totals)
-  | _ ->
-      (* Children sum per parent id, for self time. *)
-      let child_sum = Hashtbl.create 16 in
-      List.iter
-        (fun (s : Trace.span) ->
-          let d = Trace.duration s in
-          let prev = Option.value ~default:0.0 (Hashtbl.find_opt child_sum s.parent) in
-          Hashtbl.replace child_sum s.parent (prev +. d))
-        spans;
-      (* Effective phase per span id: own phase, else nearest ancestor's
-         (spans arrive in start order, so parents precede children). *)
-      let eff = Hashtbl.create 16 in
-      let totals = Hashtbl.create 8 in
-      List.iter
-        (fun (s : Trace.span) ->
-          let phase =
-            match phase_of_span s.name with
-            | Some p -> p
-            | None ->
-                Option.value ~default:"other" (Hashtbl.find_opt eff s.parent)
-          in
-          Hashtbl.replace eff s.id phase;
-          let self =
-            Trace.duration s
-            -. Option.value ~default:0.0 (Hashtbl.find_opt child_sum s.id)
-          in
-          let self = if self > 0.0 then self else 0.0 in
-          let prev = Option.value ~default:0.0 (Hashtbl.find_opt totals phase) in
-          Hashtbl.replace totals phase (prev +. self))
-        spans;
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) totals []
-      |> List.filter (fun (_, v) -> v > 0.0)
-      |> sort_assoc
+  let totals = ref [] in
+  let close f =
+    let self = f.f_dur -. f.f_children in
+    if self > 0.0 then totals := merge_assoc ( +. ) !totals [ (f.f_phase, self) ]
+  in
+  let rec unwind parent = function
+    | f :: rest when f.f_id > parent ->
+        close f;
+        unwind parent rest
+    | stack -> stack
+  in
+  let push stack (s : Trace.span) =
+    let stack = unwind s.parent stack in
+    let dur = Trace.duration s in
+    let inherited =
+      match stack with
+      | f :: _ when f.f_id = s.parent ->
+          f.f_children <- f.f_children +. dur;
+          f.f_phase
+      | _ -> "other"
+    in
+    let f_phase = Option.value ~default:inherited (phase_of_span s.name) in
+    { f_id = s.id; f_phase; f_dur = dur; f_children = 0.0 } :: stack
+  in
+  List.iter close (List.fold_left push [] spans);
+  !totals
 
 (* Recording --------------------------------------------------------- *)
 
@@ -210,7 +131,7 @@ let center_of t branch =
   match Hashtbl.find_opt t.branches branch with
   | Some c -> c
   | None ->
-      let c = { c_calls = 0; c_errors = 0; c_hist = hist_make (); c_phase_s = [] } in
+      let c = { c_errors = 0; c_hist = Registry.make_histogram (); c_phase_s = [] } in
       Hashtbl.replace t.branches branch c;
       c
 
@@ -218,7 +139,7 @@ let phase_hist_of t phase =
   match Hashtbl.find_opt t.phase_hist phase with
   | Some h -> h
   | None ->
-      let h = hist_make () in
+      let h = Registry.make_histogram () in
       Hashtbl.replace t.phase_hist phase h;
       h
 
@@ -268,7 +189,7 @@ let entry_of t ~fingerprint ~branch =
           rows = 0;
           phase_s = [];
           counters = [];
-          buckets = Array.make n_buckets 0;
+          latency = Registry.make_histogram ();
         }
       in
       Hashtbl.replace t.table key e;
@@ -288,17 +209,15 @@ let record t ~fingerprint ~branch ~wall_s ?(rows = 0) ?(cache = Uncached)
   | Miss -> e.cache_misses <- e.cache_misses + 1
   | Uncached -> ());
   e.rows <- e.rows + rows;
-  let b = bucket_of wall_s in
-  e.buckets.(b) <- e.buckets.(b) + 1;
+  Registry.observe e.latency wall_s;
   if phases <> [] then e.phase_s <- merge_float e.phase_s phases;
   if counters <> [] then e.counters <- merge_int e.counters counters;
   let c = center_of t branch in
-  c.c_calls <- c.c_calls + 1;
   if error then c.c_errors <- c.c_errors + 1;
-  hist_observe c.c_hist wall_s;
+  Registry.observe c.c_hist wall_s;
   if phases <> [] then begin
     c.c_phase_s <- merge_float c.c_phase_s phases;
-    List.iter (fun (p, s) -> hist_observe (phase_hist_of t p) s) phases
+    List.iter (fun (p, s) -> Registry.observe (phase_hist_of t p) s) phases
   end
 
 (* Inspection -------------------------------------------------------- *)
@@ -326,9 +245,7 @@ let rec take n = function
 
 let top t n = take n (entries t)
 
-let quantile e q =
-  let h = { h_count = e.calls; h_sum = e.wall_s; h_buckets = e.buckets } in
-  hist_quantile h q
+let quantile e q = Registry.quantile e.latency q
 
 let reset t =
   Hashtbl.reset t.table;
@@ -356,7 +273,7 @@ let render_top t n =
     List.concat
       (List.mapi
          (fun i e ->
-           let mean = if e.calls = 0 then 0.0 else e.wall_s /. float_of_int e.calls in
+           let mean = Registry.hist_mean e.latency in
            let first =
              Printf.sprintf "%d. wall_ms %s calls %d branch %s fp %s" (i + 1)
                (ms e.wall_s) e.calls e.branch e.fingerprint
@@ -381,14 +298,9 @@ let render_top t n =
 
 let centers t =
   Hashtbl.fold (fun b c acc -> (b, c) :: acc) t.branches []
-  |> List.sort (fun (_, a) (_, b) ->
-         compare b.c_hist.h_sum a.c_hist.h_sum)
-  |> fun l ->
-  List.stable_sort
-    (fun (na, a) (nb, b) ->
-      let c = compare b.c_hist.h_sum a.c_hist.h_sum in
-      if c <> 0 then c else String.compare na nb)
-    l
+  |> List.sort (fun (na, a) (nb, b) ->
+         let c = compare (Registry.hist_sum b.c_hist) (Registry.hist_sum a.c_hist) in
+         if c <> 0 then c else String.compare na nb)
 
 let render_by_branch t =
   let cs = centers t in
@@ -398,15 +310,15 @@ let render_by_branch t =
     List.concat
       (List.map
          (fun (name, c) ->
-           let mean =
-             if c.c_calls = 0 then 0.0 else c.c_hist.h_sum /. float_of_int c.c_calls
-           in
-           let share = if total > 0.0 then c.c_hist.h_sum /. total else 0.0 in
+           let h = c.c_hist in
+           let wall = Registry.hist_sum h in
+           let share = if total > 0.0 then wall /. total else 0.0 in
            let first =
              Printf.sprintf
                "branch %s calls %d wall_ms %s share %.3f mean_ms %s p95_ms %s errors %d"
-               name c.c_calls (ms c.c_hist.h_sum) share (ms mean)
-               (ms (hist_quantile c.c_hist 0.95))
+               name (Registry.hist_count h) (ms wall) share
+               (ms (Registry.hist_mean h))
+               (ms (Registry.quantile h 0.95))
                c.c_errors
            in
            if c.c_phase_s = [] then [ first ]
@@ -422,78 +334,39 @@ let summary_lines t =
     Printf.sprintf "workload.total_s %.6f" t.total_wall_s;
   ]
 
-let hist_lines ~family ~label_key name h =
-  let lines = ref [] in
-  let acc = ref 0 in
-  Array.iteri
-    (fun i n ->
-      acc := !acc + n;
-      let le =
-        if i < Array.length bounds then Prometheus.number bounds.(i) else "+Inf"
-      in
-      lines :=
-        Prometheus.sample
-          ~labels:[ (label_key, name); ("le", le) ]
-          (family ^ "_bucket") (string_of_int !acc)
-        :: !lines)
-    h.h_buckets;
-  let tail =
-    [
-      Prometheus.sample ~labels:[ (label_key, name) ] (family ^ "_sum")
-        (Prometheus.number h.h_sum);
-      Prometheus.sample ~labels:[ (label_key, name) ] (family ^ "_count")
-        (string_of_int h.h_count);
-    ]
-  in
-  List.rev !lines @ tail
-
 let prometheus_lines t =
   (* Prometheus.sample does not add the namespace prefix, so spell the
      cqa_ out here to match the HELP/TYPE headers. *)
-  let branch_families =
-    centers t
-    |> List.concat_map (fun (name, c) ->
-           hist_lines ~family:"cqa_workload_branch_seconds" ~label_key:"branch"
-             name c.c_hist)
+  let family name label help series =
+    if series = [] then []
+    else
+      Printf.sprintf "# HELP %s %s" name help
+      :: Printf.sprintf "# TYPE %s histogram" name
+      :: List.concat_map
+           (fun (v, h) ->
+             Prometheus.histogram_samples ~labels:[ (label, v) ] name h)
+           series
   in
-  let phases =
-    Hashtbl.fold (fun p h acc -> (p, h) :: acc) t.phase_hist []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let phase_families =
-    List.concat_map
-      (fun (p, h) ->
-        hist_lines ~family:"cqa_workload_phase_seconds" ~label_key:"phase" p h)
-      phases
-  in
-  (if branch_families = [] then []
-   else
-     ("# HELP cqa_workload_branch_seconds Request latency per plan branch."
-     :: "# TYPE cqa_workload_branch_seconds histogram" :: branch_families))
-  @
-  if phase_families = [] then []
-  else
-    "# HELP cqa_workload_phase_seconds Per-request phase time by cost center."
-    :: "# TYPE cqa_workload_phase_seconds histogram" :: phase_families
+  family "cqa_workload_branch_seconds" "branch" "Request latency per plan branch."
+    (List.map (fun (name, c) -> (name, c.c_hist)) (centers t))
+  @ family "cqa_workload_phase_seconds" "phase"
+      "Per-request phase time by cost center."
+      (Hashtbl.fold (fun p h acc -> (p, h) :: acc) t.phase_hist []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
 (* JSON -------------------------------------------------------------- *)
 
 let json_num v = Printf.sprintf "%.9g" v
 
+(* The members of a JSON object, without the braces. *)
+let json_members render kvs =
+  String.concat ","
+    (List.map (fun (k, v) -> Export.json_string k ^ ":" ^ render v) kvs)
+
 let json_entry e =
-  let mean = if e.calls = 0 then 0.0 else e.wall_s /. float_of_int e.calls in
-  let phases =
-    String.concat ","
-      (List.map
-         (fun (k, v) -> Printf.sprintf "%s:%s" (Export.json_string k) (json_num v))
-         e.phase_s)
-  in
-  let counters =
-    String.concat ","
-      (List.map
-         (fun (k, v) -> Printf.sprintf "%s:%d" (Export.json_string k) v)
-         e.counters)
-  in
+  let mean = Registry.hist_mean e.latency in
+  let phases = json_members json_num e.phase_s in
+  let counters = json_members string_of_int e.counters in
   Printf.sprintf
     "{\"fingerprint\":%s,\"branch\":%s,\"calls\":%d,\"errors\":%d,\"wall_s\":%s,\"mean_s\":%s,\"p50_s\":%s,\"p95_s\":%s,\"max_s\":%s,\"cache_hits\":%d,\"cache_misses\":%d,\"rows\":%d,\"phases\":{%s},\"counters\":{%s}}"
     (Export.json_string e.fingerprint)
@@ -504,19 +377,15 @@ let json_entry e =
     (json_num e.max_s) e.cache_hits e.cache_misses e.rows phases counters
 
 let json_center total (name, c) =
-  let share = if total > 0.0 then c.c_hist.h_sum /. total else 0.0 in
-  let phases =
-    String.concat ","
-      (List.map
-         (fun (k, v) -> Printf.sprintf "%s:%s" (Export.json_string k) (json_num v))
-         c.c_phase_s)
-  in
+  let wall = Registry.hist_sum c.c_hist in
+  let share = if total > 0.0 then wall /. total else 0.0 in
   Printf.sprintf
     "{\"branch\":%s,\"calls\":%d,\"errors\":%d,\"wall_s\":%s,\"share\":%s,\"p95_s\":%s,\"phases\":{%s}}"
-    (Export.json_string name) c.c_calls c.c_errors (json_num c.c_hist.h_sum)
-    (json_num share)
-    (json_num (hist_quantile c.c_hist 0.95))
-    phases
+    (Export.json_string name)
+    (Registry.hist_count c.c_hist)
+    c.c_errors (json_num wall) (json_num share)
+    (json_num (Registry.quantile c.c_hist 0.95))
+    (json_members json_num c.c_phase_s)
 
 let to_json t =
   Printf.sprintf

@@ -56,13 +56,19 @@ val record :
     phases (a DPLL solve inside a CAvSAT compilation is all [sat]). *)
 
 val phase_of_span : string -> string option
-(** The cost-center phase of a span name: [classify] ([engine.classify]),
-    [rewrite] ([rewrite.*]), [conflict_graph], [sat] ([sat.*],
-    [cavsat.*]), [enumeration] ([repairs.*]), [asp] ([asp.*]); [None]
-    for anything else (attributed to the enclosing phase, or [other]). *)
+(** The cost center of a span name, by the first matching prefix:
+    [classify] ([engine.classify]), [rewrite] ([rewrite.*]),
+    [conflict_graph], [sat] ([sat.*], [cavsat.*]), [enumeration]
+    ([repairs.*]), [asp] ([asp.*]); [None] for anything else
+    (attributed to the enclosing phase, or [other]).  Phase names
+    reported by {!Progress} are span names too ({!Trace.start_phase}),
+    so this also maps a flight-recorder phase to its cost center. *)
 
 val phases_of_spans : Trace.span list -> (string * float) list
-(** Per-phase seconds, sorted by phase name; empty for an empty tree. *)
+(** Per-phase seconds, sorted by phase name; empty for an empty tree.
+    The spans must come in start (id) order, as {!Trace.collect}
+    returns them; one pass, linear in the spans.  A span whose parent
+    is missing from the list counts as a root. *)
 
 (** {1 Inspection} *)
 
@@ -78,7 +84,7 @@ type entry = {
   mutable rows : int;  (** total rows returned *)
   mutable phase_s : (string * float) list;  (** sorted by phase *)
   mutable counters : (string * int) list;  (** sorted by counter name *)
-  buckets : int array;  (** latency decades 1 µs .. 10 s + overflow *)
+  latency : Registry.histogram;  (** per-call wall, decade buckets *)
 }
 
 val length : t -> int
@@ -103,8 +109,7 @@ val entries : t -> entry list
 val top : t -> int -> entry list
 
 val quantile : entry -> float -> float
-(** Estimated latency q-quantile in seconds from the decade histogram
-    (interpolated; the overflow bucket reports its lower bound). *)
+(** {!Registry.quantile} of the entry's latency histogram. *)
 
 val reset : t -> unit
 (** Empty the store and both cost-center tables; counters restart. *)

@@ -58,6 +58,14 @@ let start name =
     id
   end
 
+(* The phase name a request shows in INFLIGHT, the flight recorder and
+   a deadline ERR is the span's own name, so both views speak the
+   vocabulary [Stats.phase_of_span] maps to cost centers. *)
+let start_phase name =
+  let id = start name in
+  Progress.phase name;
+  id
+
 let finish id =
   if id <> none then begin
     let s = !the_sink in

@@ -37,6 +37,12 @@ val start : string -> id
 (** Open a span as a child of the innermost open span.  Constant-time
     and allocation-free when tracing is off. *)
 
+val start_phase : string -> id
+(** {!start}, then enter the {!Progress} phase of the same name (one
+    heartbeat when a progress context is armed).  The probe for the
+    points where a request enters a solver phase; allocation-free when
+    tracing is off and no context is armed. *)
+
 val finish : id -> unit
 (** Close the span, and defensively any children still open inside it.
     Ignores tokens that are not on the current stack (e.g. across a

@@ -45,9 +45,8 @@ let one ?actions ?fuel inst schema ics =
         best
 
 let enumerate ?actions ?fuel inst schema ics =
-  let sp = Obs.Trace.start "repairs.c_enumerate" in
+  let sp = Obs.Trace.start_phase "repairs.c_enumerate" in
   Obs.Counter.incr c_requests;
-  Obs.Progress.phase "repairs.c_enumerate";
   match
     match minimum_cost ?actions ?fuel inst schema ics with
     | None -> []

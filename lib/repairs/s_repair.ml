@@ -137,9 +137,8 @@ let branching_search ~actions ~fuel inst schema ics =
   |> Repair.minimal_under_inclusion
 
 let enumerate ?(actions = `Delete_insert) ?(fuel = 100_000) inst schema ics =
-  let sp = Obs.Trace.start "repairs.enumerate" in
+  let sp = Obs.Trace.start_phase "repairs.enumerate" in
   Obs.Counter.incr c_enumerations;
-  Obs.Progress.phase "repairs.enumerate";
   let strategy = if denial_only ics then "hypergraph" else "branching" in
   match
     if denial_only ics then via_hypergraph inst schema ics

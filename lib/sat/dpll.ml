@@ -366,8 +366,8 @@ let solve ?(assumptions = []) t =
 let satisfiable ?assumptions t = solve ?assumptions t <> None
 
 let enumerate ?(assumptions = []) ?limit ?project t =
-  Obs.Trace.with_span "sat.enumerate" @@ fun () ->
-  Obs.Progress.phase "sat.enumerate";
+  let sp = Obs.Trace.start_phase "sat.enumerate" in
+  Fun.protect ~finally:(fun () -> Obs.Trace.finish sp) @@ fun () ->
   let seen = Hashtbl.create 64 in
   let models = ref [] and count = ref 0 in
   let key m =
@@ -392,8 +392,8 @@ let count ?assumptions ?project t =
   List.length (enumerate ?assumptions ?project t)
 
 let minimize_weighted ?(assumptions = []) ~soft t =
-  Obs.Trace.with_span "sat.minimize" @@ fun () ->
-  Obs.Progress.phase "sat.minimize";
+  let sp = Obs.Trace.start_phase "sat.minimize" in
+  Fun.protect ~finally:(fun () -> Obs.Trace.finish sp) @@ fun () ->
   let best = ref None in
   let bound = ref infinity in
   run ~soft t ~assumptions ~bound ~on_model:(fun t m ->

@@ -114,9 +114,29 @@ let test_histogram_quantiles () =
   let line = Obs.Registry.render_histogram "lat" h in
   Alcotest.(check bool) "labelled buckets" true
     (try
-       ignore (Str.search_forward (Str.regexp_string "hist=lt_1us:") line 0);
+       ignore (Str.search_forward (Str.regexp_string "hist=le_1us:") line 0);
        true
      with Not_found -> false)
+
+(* A value equal to a bound is in that bound's [le] bucket, on the
+   registry exposition and on the workload store's alike: both render
+   one histogram type through one sample renderer. *)
+let test_histogram_le_boundary () =
+  let has text line = List.mem line (String.split_on_char '\n' text) in
+  let r = Obs.Registry.create () in
+  Obs.Registry.observe (Obs.Registry.histogram r "lat") 1e-3;
+  let text = Obs.Prometheus.render r in
+  Alcotest.(check bool) "registry: le=0.001 holds 1ms" true
+    (has text {|cqa_lat_bucket{le="0.001"} 1|});
+  Alcotest.(check bool) "registry: le=0.0001 does not" true
+    (has text {|cqa_lat_bucket{le="0.0001"} 0|});
+  let st = Obs.Stats.create () in
+  Obs.Stats.record st ~fingerprint:"q" ~branch:"b" ~wall_s:1e-3 ();
+  let text = String.concat "\n" (Obs.Stats.prometheus_lines st) in
+  Alcotest.(check bool) "workload: le=0.001 holds 1ms" true
+    (has text {|cqa_workload_branch_seconds_bucket{branch="b",le="0.001"} 1|});
+  Alcotest.(check bool) "workload: le=0.0001 does not" true
+    (has text {|cqa_workload_branch_seconds_bucket{branch="b",le="0.0001"} 0|})
 
 (* ---- exporters -------------------------------------------------------- *)
 
@@ -291,6 +311,7 @@ let test_jsonl_well_formed () =
 
 let test_disabled_probes_allocate_nothing () =
   Obs.Trace.set_enabled false;
+  Alcotest.(check bool) "no progress context" false (Obs.Progress.armed ());
   let c = Obs.Counter.make "test.hot_counter" in
   let r = Obs.Registry.create () in
   Obs.Registry.set_current r;
@@ -298,7 +319,8 @@ let test_disabled_probes_allocate_nothing () =
     let sp = Obs.Trace.start "hot" in
     Obs.Counter.incr c;
     if Obs.Trace.is_enabled () then Obs.Trace.attr_int "n" 42;
-    Obs.Trace.finish sp
+    Obs.Trace.finish sp;
+    Obs.Trace.finish (Obs.Trace.start_phase "hot.phase")
   in
   (* Warm up: the counter handle resolves its cell once. *)
   for _ = 1 to 100 do
@@ -327,6 +349,8 @@ let suite =
       test_counter_registry_swap;
     Alcotest.test_case "histogram quantiles and labels" `Quick
       test_histogram_quantiles;
+    Alcotest.test_case "a value on a bound is in its le bucket" `Quick
+      test_histogram_le_boundary;
     Alcotest.test_case "tree exporter indents children" `Quick
       test_tree_render;
     Alcotest.test_case "jsonl lines are well-formed" `Quick

@@ -307,14 +307,8 @@ let test_parse_timeout_and_inflight () =
 
 (* ---- disabled-path allocation guard ---------------------------------- *)
 
-let test_disabled_probes_do_not_allocate () =
-  Alcotest.(check bool) "no ambient context" false (Obs.Progress.armed ());
-  let probe () =
-    Obs.Progress.tick ();
-    Obs.Progress.phase "hot";
-    Obs.Progress.bound 3;
-    Obs.Progress.set_branch "x"
-  in
+(* Minor words allocated by 10k calls of [probe], after a warm-up. *)
+let minor_words_of probe =
   for _ = 1 to 100 do
     probe ()
   done;
@@ -322,12 +316,41 @@ let test_disabled_probes_do_not_allocate () =
   for _ = 1 to 10_000 do
     probe ()
   done;
-  let words = Gc.minor_words () -. before in
+  Gc.minor_words () -. before
+
+let test_disabled_probes_do_not_allocate () =
+  Alcotest.(check bool) "no ambient context" false (Obs.Progress.armed ());
+  let probe () =
+    Obs.Progress.tick ();
+    Obs.Progress.phase "hot";
+    Obs.Progress.bound 3;
+    Obs.Progress.set_branch "x";
+    Obs.Trace.finish (Obs.Trace.start_phase "hot")
+  in
+  let words = minor_words_of probe in
   (* Gc.minor_words itself allocates its boxed float results; anything
      beyond a small constant means the probes allocate per call. *)
   Alcotest.(check bool)
     (Printf.sprintf "no per-probe allocation (%.0f words for 10k probes)" words)
     true (words < 256.0)
+
+(* Armed, a phase point costs exactly the heartbeat [Progress.phase]
+   takes (the flight-recorder snapshot); the span half stays free while
+   tracing is off. *)
+let test_armed_phase_probe_allocates_only_the_beat () =
+  Obs.Trace.set_enabled false;
+  let c = Obs.Progress.create ~ring:4 ~clock:(stepping_clock ()) ~label:"Q" ~id:1 () in
+  let beat, phase_point =
+    Obs.Progress.run c (fun () ->
+        let beat = minor_words_of (fun () -> Obs.Progress.phase "hot") in
+        (beat, minor_words_of (fun () -> Obs.Trace.finish (Obs.Trace.start_phase "hot"))))
+  in
+  Alcotest.(check bool) "armed: the beat records a snapshot" true (beat > 256.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "phase point %.0f words vs bare beat %.0f for 10k calls"
+       phase_point beat)
+    true
+    (phase_point <= beat +. 256.0)
 
 (* ---- qcheck: heartbeat monotonicity ---------------------------------- *)
 
@@ -395,5 +418,7 @@ let suite =
       test_parse_timeout_and_inflight;
     Alcotest.test_case "disabled probes do not allocate" `Quick
       test_disabled_probes_do_not_allocate;
+    Alcotest.test_case "an armed phase point allocates only its beat" `Quick
+      test_armed_phase_probe_allocates_only_the_beat;
     QCheck_alcotest.to_alcotest prop_heartbeat_monotone;
   ]

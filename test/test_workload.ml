@@ -318,6 +318,134 @@ let test_phase_of_span_names () =
   Alcotest.(check (option string)) "request is unclassified" None
     (Obs.Stats.phase_of_span "request")
 
+(* The attribution pass against its definition, span by span: a span's
+   parent is the span with its parent id (if that one was kept), its
+   phase is its own or else its parent's, and its self time is its
+   duration less its kept children's. *)
+let naive_phases spans =
+  let find id = List.find_opt (fun (s : Obs.Trace.span) -> s.id = id) spans in
+  let rec phase (s : Obs.Trace.span) =
+    match Obs.Stats.phase_of_span s.name with
+    | Some p -> p
+    | None -> ( match find s.parent with Some p -> phase p | None -> "other")
+  in
+  let self (s : Obs.Trace.span) =
+    List.fold_left
+      (fun acc (c : Obs.Trace.span) ->
+        if c.parent = s.id then acc -. Obs.Trace.duration c else acc)
+      (Obs.Trace.duration s) spans
+  in
+  List.fold_left
+    (fun acc s ->
+      let v = self s in
+      if v <= 0.0 then acc
+      else
+        let p = phase s in
+        (p, v +. Option.value ~default:0.0 (List.assoc_opt p acc))
+        :: List.remove_assoc p acc)
+    [] spans
+  |> List.sort compare
+
+(* Start-ordered span trees of 1-40 spans: each span opens under the
+   previous one or one of its ancestors (a preorder walk), then some
+   are dropped so their children become orphans.  Durations are
+   multiples of 1/8 s, so sums are exact in either summation order;
+   some are zero and some spans never finished. *)
+let gen_span_tree =
+  let names =
+    [ "request"; "helper"; "engine.certain_answers"; "engine.classify";
+      "rewrite.key"; "conflict_graph.build"; "sat.dpll"; "cavsat.certain_answers";
+      "repairs.enumerate"; "asp.ground" ]
+  in
+  QCheck2.Gen.(
+    int_range 1 40 >>= fun n ->
+    let eighths =
+      frequency
+        [ (1, return None); (1, return (Some 0)); (6, map Option.some (int_range 1 40)) ]
+    in
+    list_repeat n
+      (quad (int_range 0 1000) (oneofl names) eighths (float_bound_inclusive 1.0))
+    >|= fun draws ->
+    (* [path] is the ancestor chain of the last span, innermost first;
+       the new span's parent is its [pick]-th entry, or the root. *)
+    let _, spans =
+      List.fold_left
+        (fun (path, acc) (pick, name, dur, drop) ->
+          let id = List.length acc + 1 in
+          let k = pick mod (List.length path + 1) in
+          let path = List.filteri (fun i _ -> i >= k) path in
+          let parent = match path with p :: _ -> p | [] -> 0 in
+          let t0 = float_of_int id in
+          let t1 =
+            match dur with
+            | None -> neg_infinity
+            | Some d -> t0 +. (float_of_int d /. 8.0)
+          in
+          let span = { Obs.Trace.id; parent; name; attrs = []; t0; t1 } in
+          (id :: path, (drop < 0.25, span) :: acc))
+        ([], []) draws
+    in
+    List.rev spans |> List.filter_map (fun (drop, s) -> if drop then None else Some s))
+
+let prop_phases_match_naive =
+  QCheck2.Test.make ~count:500 ~name:"phases_of_spans = naive attribution"
+    ~print:(fun spans ->
+      String.concat "; "
+        (List.map
+           (fun (s : Obs.Trace.span) ->
+             Printf.sprintf "%d<%d %s %g..%g" s.id s.parent s.name s.t0 s.t1)
+           spans))
+    gen_span_tree
+    (fun spans -> Obs.Stats.phases_of_spans spans = naive_phases spans)
+
+(* One vocabulary: every phase a request reports while it runs is the
+   name of a span it left, and the cost centers read those names. *)
+let test_progress_phases_are_span_names () =
+  let module V = Relational.Value in
+  let schema = Relational.Schema.of_list [ ("R", [ "a"; "b" ]); ("S", [ "c"; "d" ]) ] in
+  let keys = [ Constraints.Ic.key ~rel:"R" [ 0 ]; Constraints.Ic.key ~rel:"S" [ 0 ] ] in
+  let db =
+    Relational.Instance.of_rows schema
+      [
+        ("R", [ [ V.int 1; V.int 1 ]; [ V.int 1; V.int 2 ]; [ V.int 2; V.int 1 ] ]);
+        ("S", [ [ V.int 3; V.int 1 ]; [ V.int 3; V.int 2 ] ]);
+      ]
+  in
+  let eng = Cqa.Engine.create ~schema ~ics:keys db in
+  let x = T.var "x" and y = T.var "y" and z = T.var "z" in
+  let path = Cq.make [ x ] [ A.make "R" [ x; y ]; A.make "S" [ z; y ] ] in
+  let proj = Cq.make [ x ] [ A.make "R" [ x; y ] ] in
+  let phases_of method_ q =
+    let c = Obs.Progress.create ~ring:1024 ~label:"QUERY" ~id:1 () in
+    let _, spans =
+      Obs.Trace.collect (fun () ->
+          Obs.Progress.run c (fun () -> Cqa.Engine.consistent_answers ~method_ eng q))
+    in
+    let names = List.map (fun (s : Obs.Trace.span) -> s.name) spans in
+    let phases =
+      List.sort_uniq compare
+        (List.filter_map
+           (fun (s : Obs.Progress.snapshot) ->
+             if s.s_phase = "start" then None else Some s.s_phase)
+           (Obs.Progress.history c))
+    in
+    List.iter
+      (fun p ->
+        Alcotest.(check bool) (Printf.sprintf "phase %s is a span" p) true
+          (List.mem p names))
+      phases;
+    phases
+  in
+  let costs center phases =
+    List.exists (fun p -> Obs.Stats.phase_of_span p = Some center) phases
+  in
+  Alcotest.(check bool) "SAT phase costs sat" true (costs "sat" (phases_of `Sat path));
+  Alcotest.(check (list string)) "key rewriting enters only the engine phase"
+    [ "engine.certain_answers" ]
+    (phases_of `Key_rewriting proj);
+  Alcotest.(check bool) "enumeration phase costs enumeration" true
+    (costs "enumeration" (phases_of `Repair_enumeration path))
+
 (* ---- WORKLOAD protocol ----------------------------------------------- *)
 
 let test_workload_parse () =
@@ -626,6 +754,9 @@ let suite =
       test_phase_attribution_partitions;
     Alcotest.test_case "phase_of_span name mapping" `Quick
       test_phase_of_span_names;
+    QCheck_alcotest.to_alcotest prop_phases_match_naive;
+    Alcotest.test_case "progress phases are span names" `Quick
+      test_progress_phases_are_span_names;
     Alcotest.test_case "declined rewriting charged to SAT" `Quick
       test_declined_rewriting_charged_to_sat;
     Alcotest.test_case "WORKLOAD parses and rejects" `Quick test_workload_parse;
