@@ -8,74 +8,100 @@ let c_certain = Obs.Counter.make "cavsat.certain"
 let c_clean_witness = Obs.Counter.make "cavsat.clean_witness"
 let c_sat_calls = Obs.Counter.make "cavsat.sat_calls"
 let c_witness_clauses = Obs.Counter.make "cavsat.witness_clauses"
+let c_witness_units = Obs.Counter.make "cavsat.witness_units"
 
-(* The largest formula any candidate of the current query was solved
-   against (base theory plus that candidate's clauses); reported on the
-   span, since rollback returns the solver to the base size. *)
-type peak = { mutable vars : int; mutable clauses : int }
+(* A read's scratch, reused by all its candidates: [members] holds one
+   witness's negated member variables (a slot per body atom), [units]
+   a candidate's unit assumptions (a slot per witness of the largest
+   candidate), and [peak_clauses] the largest formula any candidate was
+   solved against, reported on the span since rollback returns the
+   solver to the base size. *)
+type scratch = {
+  members : int array;
+  units : int array;
+  mutable peak_clauses : int;
+}
 
-(* Does witness [i] have a member in some conflict?  One without
-   survives in every repair. *)
-let touched theory (w : Witness.t) i =
-  let j = ref (Witness.start w i) and stop = Witness.stop w i in
-  while !j < stop && Theory.var_of_tid theory w.tids.(!j) = 0 do
-    incr j
-  done;
-  !j < stop
-
-(* The clause "s → some conflicting member of witness [i] is deleted",
-   [| -s; -v1; … |] with the members ascending by tid, gathered in
-   [buf] (a slot per body atom and one for s) with one lookup per
-   member.  The usual short clauses are allocated inline: [Array.sub]
-   is a C call. *)
-let witness_clause theory (w : Witness.t) i s buf =
-  buf.(0) <- -s;
-  let n = ref 1 in
+(* Gather [-v] for each conflicting member [v] of witness [i] into
+   [members], ascending by tid, with one lookup per member; returns how
+   many there are. *)
+let conflicting_members theory (w : Witness.t) i members =
+  let n = ref 0 in
   for j = Witness.start w i to Witness.stop w i - 1 do
     let v = Theory.var_of_tid theory w.tids.(j) in
     if v <> 0 then begin
-      buf.(!n) <- -v;
+      members.(!n) <- -v;
       incr n
     end
   done;
-  match !n with
-  | 2 -> [| buf.(0); buf.(1) |]
-  | 3 -> [| buf.(0); buf.(1); buf.(2) |]
-  | n -> Array.sub buf 0 n
+  !n
 
-(* Is candidate [c] a certain answer?  Holding the theory lock: mark the
-   solver, allocate a selector s, assert per witness "s → some
-   conflicting member of the witness is deleted", and solve under
-   assumption s.  A model is an S-repair killing every witness, so SAT
-   refutes certainty; UNSAT proves every repair keeps a witness, i.e.
-   the answer is certain.  Either way the solver is rolled back to the
-   mark (on the exception path too), so every solve sees the base
-   theory plus exactly one candidate and the cached theory never
-   grows. *)
-let candidate_certain (theory : Theory.t) peak w buf (c : Witness.candidate) =
-  let i = ref c.first in
-  while !i < c.last && touched theory w !i do
-    incr i
-  done;
-  if !i < c.last then begin
-    (* A witness no constraint touches survives in every repair. *)
-    Obs.Counter.incr c_clean_witness;
-    true
-  end
-  else begin
-    let solver = theory.Theory.solver in
-    let m = Dpll.mark solver in
-    Fun.protect ~finally:(fun () -> Dpll.rollback solver m) @@ fun () ->
-    let s = Dpll.fresh_var solver in
-    for i = c.first to c.last - 1 do
-      Obs.Counter.incr c_witness_clauses;
-      Dpll.add_clause solver (witness_clause theory w i s buf)
+(* The clause "some conflicting member of the witness is deleted" over
+   the [n >= 2] gathered literals.  The usual short clauses are
+   allocated inline: [Array.sub] is a C call. *)
+let witness_clause members n =
+  match n with
+  | 2 -> [| members.(0); members.(1) |]
+  | 3 -> [| members.(0); members.(1); members.(2) |]
+  | n -> Array.sub members 0 n
+
+(* Is candidate [c] a certain answer?  Holding the theory lock, one pass
+   over its witnesses sorts each by its conflicting members: none, and
+   the witness survives in every repair, so the candidate is certain
+   with no SAT call; exactly one, [v], and every repair killing the
+   witness deletes [v], the assumption [-v]; two or more, and the
+   clause [-v1 ∨ -v2 ∨ …] joins the solver.  A model under the
+   assumptions is an S-repair killing every witness, so SAT refutes
+   certainty; UNSAT proves every repair keeps a witness.  The clauses
+   are rolled back after the probe (on the exception path too), and the
+   probe learns nothing, so every solve sees the base theory plus
+   exactly one candidate and the cached theory never grows. *)
+let probe_candidate (theory : Theory.t) sc w (c : Witness.candidate) =
+  let solver = theory.Theory.solver in
+  let m = Dpll.mark solver and base = Dpll.nclauses solver in
+  match
+    let units = ref 0 and clean = ref false and i = ref c.first in
+    while (not !clean) && !i < c.last do
+      (match conflicting_members theory w !i sc.members with
+      | 0 -> clean := true
+      | 1 ->
+          sc.units.(!units) <- sc.members.(0);
+          incr units
+      | n -> Dpll.add_clause solver (witness_clause sc.members n));
+      incr i
     done;
-    peak.vars <- max peak.vars (Dpll.nvars solver);
-    peak.clauses <- max peak.clauses (Dpll.nclauses solver);
-    Obs.Counter.incr c_sat_calls;
-    Dpll.solve ~assumptions:[ s ] solver = None
-  end
+    if !clean then begin
+      Obs.Counter.incr c_clean_witness;
+      true
+    end
+    else begin
+      let clauses = Dpll.nclauses solver in
+      Obs.Counter.add c_witness_units !units;
+      Obs.Counter.add c_witness_clauses (clauses - base);
+      sc.peak_clauses <- max sc.peak_clauses clauses;
+      Obs.Counter.incr c_sat_calls;
+      not (Dpll.probe solver sc.units !units)
+    end
+  with
+  | certain ->
+      Dpll.rollback solver m;
+      certain
+  | exception e ->
+      Dpll.rollback solver m;
+      raise e
+
+let candidate_certain theory (w : Witness.t) (c : Witness.candidate) =
+  let width = ref 0 in
+  for i = c.first to c.last - 1 do
+    width := max !width (Witness.stop w i - Witness.start w i)
+  done;
+  probe_candidate theory
+    {
+      members = Array.make !width 0;
+      units = Array.make (c.last - c.first) 0;
+      peak_clauses = 0;
+    }
+    w c
 
 (* Lock [theory] for [inst].  A theory found in the memo may be patched
    to a later instance by another engine's read before this one takes
@@ -105,13 +131,18 @@ let consistent_answers ?delta inst schema ics q =
     if theory.Theory.no_repairs then []
     else begin
       let w, candidates = Witness.answers_with_witnesses q inst in
-      let buf = Array.make (List.length q.Logic.Cq.body + 1) 0 in
+      let widest =
+        List.fold_left
+          (fun n (c : Witness.candidate) -> max n (c.last - c.first))
+          0 candidates
+      in
       Obs.Counter.add c_candidates (List.length candidates);
       let theory = lock_for ?delta theory inst schema ics in
-      let peak =
+      let sc =
         {
-          vars = theory.Theory.base.Theory.vars;
-          clauses = theory.Theory.base.Theory.clauses;
+          members = Array.make (List.length q.Logic.Cq.body) 0;
+          units = Array.make widest 0;
+          peak_clauses = theory.Theory.base.Theory.clauses;
         }
       in
       let certain =
@@ -119,7 +150,7 @@ let consistent_answers ?delta inst schema ics q =
           List.filter
             (fun c ->
               Obs.Progress.tick ();
-              candidate_certain theory peak w buf c)
+              probe_candidate theory sc w c)
             candidates
         with
         | rows -> rows
@@ -130,8 +161,8 @@ let consistent_answers ?delta inst schema ics q =
       Mutex.unlock theory.Theory.lock;
       Obs.Counter.add c_certain (List.length certain);
       if Obs.Trace.is_enabled () then begin
-        Obs.Trace.attr_int "vars" peak.vars;
-        Obs.Trace.attr_int "clauses" peak.clauses;
+        Obs.Trace.attr_int "vars" theory.Theory.base.Theory.vars;
+        Obs.Trace.attr_int "clauses" sc.peak_clauses;
         Obs.Trace.attr_int "conflict_edges" theory.Theory.base.Theory.conflict_edges;
         Obs.Trace.attr_int "candidates" (List.length candidates);
         Obs.Trace.attr_int "certain" (List.length certain)

@@ -5,32 +5,39 @@
     self-joins and non-key denials.
 
     Certainty of each candidate answer is decided without materializing
-    a single repair: the candidate's witnesses are compiled to clauses
-    over the shared repair {!Theory}, and one incremental SAT call under
-    a per-candidate selector assumption asks for an S-repair killing
-    every witness.  UNSAT ⇔ the answer is certain.  The solver is
-    marked before each candidate's clauses and rolled back after its
-    solve, so every call sees the base theory plus one candidate and
-    the cached theory keeps its built size across queries.
+    a single repair: the candidate's witnesses are compiled over the
+    shared repair {!Theory}, and one incremental SAT probe asks for an
+    S-repair killing every witness.  UNSAT ⇔ the answer is certain.
 
-    The witnesses come as one {!Witness.t} arena.  A candidate is
-    settled as certain, with no clause added, as soon as one of its
-    witnesses has no member in any conflict.  Otherwise each witness
-    becomes one clause array [[| -s; -v1; … |]] (members ascending by
-    tid), built straight from the arena and handed to the solver
-    uncopied, in witness order.  Past the compiled body's table and the
-    arena, a warm read allocates per witness only that array and its
-    occurrence-list cells, which the rollback drops: no witness set,
-    literal list or closure.
+    The witnesses come as one {!Witness.t} arena, and one pass over a
+    candidate's witnesses sorts each by its members in some conflict:
+    - none (a clean witness): it survives in every repair, so the
+      candidate is certain, settled with no SAT call;
+    - exactly one, [v]: killing the witness means deleting [v], so
+      [¬v] becomes an assumption, written to an int buffer the read
+      reuses for all its candidates;
+    - two or more, [v1 … vk]: the clause [[| -v1; …; -vk |]] (members
+      ascending by tid), built straight from the arena and handed to
+      the solver uncopied.
+    The assumptions go to {!Sat.Dpll.probe}, which learns nothing, and
+    the clauses are rolled back after it, so every probe sees the base
+    theory plus one candidate and the cached theory keeps its built
+    size across queries.  No selector variable is needed: nothing a
+    probe adds outlives it.  Past the compiled body's table and the
+    arena, a warm read allocates per witness one assumption slot or one
+    clause array: no witness set, literal list or closure, and no
+    occurrence cell (the solver's occurrence vectors keep their
+    capacity across rollbacks).
 
     Counters: [cavsat.queries], [cavsat.candidates], [cavsat.certain],
     [cavsat.clean_witness] (candidates settled without a SAT call),
-    [cavsat.sat_calls], [cavsat.witness_clauses], plus the theory-layer
-    [cavsat.theory_builds] / [cavsat.theory_cache_hits] /
-    [cavsat.vars] / [cavsat.clauses].  The [cavsat.certain_answers]
-    span carries vars/clauses (the peak formula size any candidate was
-    solved against), conflict_edges, candidates and certain attributes
-    for EXPLAIN. *)
+    [cavsat.sat_calls], [cavsat.witness_units] (assumptions) and
+    [cavsat.witness_clauses] (clauses) of the candidates probed, plus
+    the theory-layer [cavsat.theory_builds] /
+    [cavsat.theory_cache_hits] / [cavsat.vars] / [cavsat.clauses].  The
+    [cavsat.certain_answers] span carries vars (the base theory's),
+    clauses (the peak formula size any candidate was solved against),
+    conflict_edges, candidates and certain attributes for EXPLAIN. *)
 
 val consistent_answers :
   ?delta:Theory.delta ->
@@ -46,3 +53,9 @@ val consistent_answers :
     the conflict-graph theory does not capture them).  [delta] is
     passed to {!Theory.cached}: the instance's theory may be patched
     from [delta.from]'s. *)
+
+val candidate_certain : Theory.t -> Witness.t -> Witness.candidate -> bool
+(** One candidate's probe exactly as {!consistent_answers} runs it,
+    with its own scratch buffers.  The solver is left as found.  The
+    caller must own the theory (its own {!Theory.build}) or hold its
+    lock; for tests that inspect the solver between probes. *)

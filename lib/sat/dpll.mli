@@ -6,16 +6,24 @@
     C-repairs ({!Hitting_set}), and the CAvSAT certainty check
     ([Cavsat.Certain]), which shares one repair theory across all answer
     candidates.  Clauses and fresh variables can be added between calls;
-    the clause store and occurrence lists grow in place, so a clause is
+    the clause store and occurrence store grow in place, so a clause is
     indexed once.  Every call searches all clauses added so far, under
     per-call assumption literals.  {!mark} and {!rollback} take back
-    everything added after a point, so throwaway probes leave the solver
-    as they found it.  {!remove_clause} takes back one clause for good:
-    a theory kept across updates ([Cavsat.Theory]) drops the clauses of
-    deleted conflicts that way.
+    everything added after a point, and {!probe} solves without
+    learning, so throwaway probes leave the solver as they found it.
+    {!remove_clause} takes back one clause for good: a theory kept
+    across updates ([Cavsat.Theory]) drops the clauses of deleted
+    conflicts that way.
+
+    The occurrence store holds, per literal, an int vector of the
+    indices of the clauses containing it, in the order they were added;
+    propagation visits it newest first.  Adding a clause appends one
+    entry per literal, and a vector doubles its capacity when full and
+    keeps it across rollbacks, so a warm solver adds and rolls back
+    clauses without allocating.
 
     It favours simplicity and correctness over raw speed: propagation
-    scans occurrence lists, and branching picks the first unassigned
+    scans occurrence vectors, and branching picks the first unassigned
     variable of the shortest unsatisfied clause.  Both scans are plain
     loops over the clause arrays: visiting a clause allocates nothing,
     so a solve's garbage is its model and the per-call bookkeeping, not
@@ -52,14 +60,15 @@ val add_clause_list : t -> int list -> unit
 (** {!add_clause} of the list's literals, in order. *)
 
 val remove_clause : t -> int -> unit
-(** Remove the clause with this index: it leaves the occurrence lists,
+(** Remove the clause with this index: it leaves the occurrence store,
     so propagation and branching no longer see it.  Its slot stays, so
     no other clause's index moves, {!nclauses} does not drop, and the
     solver never compacts itself; removing a removed clause does
     nothing.  Removal is a base-level operation: a {!rollback} to a mark
     taken before the removal does not restore the clause (rolling back
     past the clause's own addition drops its slot).  Cost is linear in
-    the occurrence lists of its literals.  Raises [Invalid_argument] on
+    the occurrence vectors of its literals (the younger entries shift
+    down, keeping their order).  Raises [Invalid_argument] on
     an index outside [0, nclauses), and while the solver holds a learned
     refutation ({!learned_clauses} > 0): it may rest on the clause. *)
 
@@ -68,10 +77,13 @@ val mark : t -> mark
 val rollback : t -> mark -> unit
 (** Restore the solver to the mark: clauses added since (learned
     refutations included) leave the clause store and the occurrence
-    lists (clauses removed before the mark stay removed), variables allocated since are released for reuse, and the
-    learned-clause count and root unsatisfiability return to their
-    values at the mark.  Cost is linear in the size of the clauses
-    removed.  Raises [Invalid_argument] if the solver was rolled back
+    store (clauses removed before the mark stay removed), variables
+    allocated since are released for reuse, and the learned-clause
+    count and root unsatisfiability return to their values at the mark.
+    A clause added after the mark holds the last entry of each of its
+    literals' occurrence vectors, so it leaves them with one length
+    decrement per literal: cost is linear in the size of the clauses
+    rolled back, and nothing is allocated.  Raises [Invalid_argument] if the solver was rolled back
     past the mark already. *)
 
 val nvars : t -> int
@@ -103,6 +115,16 @@ val solve : ?assumptions:int list -> t -> model option
     added to the solver (it is implied), so a refuted single-literal
     assumption behaves like a retired selector.  Counted in
     [sat.dpll.solves]. *)
+
+val probe : t -> int array -> int -> bool
+(** [probe t lits n]: is the formula satisfiable under the assumption
+    literals [lits.(0) … lits.(n-1)]?  The same search as {!solve}, with
+    the same counters and [sat.dpll.solve] span, but no model is built
+    and nothing is learned: on UNSAT no refutation clause is added, so
+    the solver is left exactly as it was found.  This is the call for a
+    throwaway probe whose own clauses are rolled back after it
+    ([Cavsat.Certain]); a refutation kept by {!solve} would only be
+    rolled back with them.  The caller's array is read, not kept. *)
 
 val satisfiable : ?assumptions:int list -> t -> bool
 

@@ -199,6 +199,28 @@ let pp_row row =
   if row = [] then "true"
   else String.concat ", " (List.map Value.to_string row)
 
+(* Refuse rather than silently running a different (and differently
+   priced) algorithm than the one requested — and let the analyzer name
+   the condition a rewriting needs that the union fails. *)
+let union_refusal ics ~name (u : Logic.Ucq.t) (m : Cqa.Engine.answer_method) =
+  let not_applicable label why =
+    Some (Printf.sprintf "method=%s not applicable to %S: %s" label name why)
+  in
+  match m with
+  | `Sat ->
+      not_applicable "sat"
+        (Printf.sprintf
+           "the SAT backend compiles single conjunctive queries (union has \
+            %d disjuncts)"
+           (List.length u.disjuncts))
+  | `Residue_rewriting ->
+      not_applicable "rewriting"
+        (Analysis.Classify.ucq_rewriting_diagnostic ics u)
+  | `Key_rewriting | `Datalog ->
+      not_applicable "key-rewriting"
+        (Analysis.Classify.ucq_rewriting_diagnostic ics u)
+  | `Auto | `Repair_enumeration | `Asp -> None
+
 let exec_query (session : Session.t) name method_ semantics =
   match Cqa.Parse.find_ucq session.doc name with
   | exception Not_found ->
@@ -218,24 +240,11 @@ let exec_query (session : Session.t) name method_ semantics =
             (Printf.sprintf "answers=%d" (List.length rows))
       | _, P.C -> P.err "C-repair semantics supports single queries only"
       | _, P.S -> (
-          match method_ with
-          | P.Sat ->
-              P.err
-                (Printf.sprintf
-                   "method=sat not applicable to %S: the SAT backend compiles \
-                    single conjunctive queries (union has %d disjuncts)"
-                   name
-                   (List.length u.Logic.Ucq.disjuncts))
-          | P.Rewriting | P.Key_rewriting ->
-              (* Refuse rather than silently running a different (and
-                 differently priced) algorithm than the one requested —
-                 and let the analyzer name the condition that fails. *)
-              P.err
-                (Printf.sprintf "method=%s not applicable to %S: %s"
-                   (method_label method_) name
-                   (Analysis.Classify.ucq_rewriting_diagnostic
-                      session.doc.ics u))
-          | P.Auto | P.Enum | P.Asp ->
+          match
+            union_refusal session.doc.ics ~name u (engine_method method_)
+          with
+          | Some msg -> P.err msg
+          | None ->
               let rows =
                 Cqa.Engine.consistent_answers_ucq
                   ~method_:(ucq_method method_) session.engine u

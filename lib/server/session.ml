@@ -86,13 +86,38 @@ let chain digest ~op fact =
   add_fact b fact;
   hex_md5 b
 
+(* The instance of a resident session with this digest whose facts sit
+   under the same tids as [inst]'s.  Sharing it makes the twins' SAT
+   reads meet the theory memo's physical-equality shortcuts: one
+   instance compare per LOAD instead of two per read.  The same facts
+   in another row order digest alike but carry other tids, so they keep
+   their own instance. *)
+let twin_instance store digest inst =
+  Hashtbl.fold
+    (fun _ t found ->
+      match found with
+      | Some _ -> found
+      | None ->
+          if
+            t.digest = digest
+            && Instance.equal_with_tids t.doc.instance inst
+          then Some t.doc.instance
+          else None)
+    store None
+
 let load store ~id (doc : Cqa.Parse.document) =
+  let digest = digest_of doc in
+  let doc =
+    match twin_instance store digest doc.instance with
+    | Some instance -> { doc with instance }
+    | None -> doc
+  in
   let t =
     {
       id;
       doc;
       engine = Cqa.Engine.create ~schema:doc.schema ~ics:doc.ics doc.instance;
-      digest = digest_of doc;
+      digest;
       cache_keys = Hashtbl.create 16;
     }
   in

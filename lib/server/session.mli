@@ -31,7 +31,13 @@ val create_store : unit -> store
 val count : store -> int
 
 val load : store -> id:string -> Cqa.Parse.document -> t
-(** Create or replace the session named [id]. *)
+(** Create or replace the session named [id].  When a resident session
+    has the same digest and its instance holds the same facts under the
+    same tids ({!Relational.Instance.equal_with_tids}), the new session
+    shares that instance: its SAT reads then find the cached theory by
+    physical equality instead of comparing instances on every read.  A
+    document with the same facts in another row order (same digest,
+    other tids) keeps its own instance. *)
 
 val find : store -> string -> t option
 

@@ -660,8 +660,9 @@ let test_explain_always_shows_plan () =
 
 (* A self-join under a key: no rewriting applies, so method=auto
    compiles to SAT.  The conflicting tuples are the four in key groups 1
-   and 2, so the base theory has four variables; each candidate solved
-   adds its selector on top. *)
+   and 2, so the base theory has four variables; a candidate's probe
+   adds clauses (its witnesses with two conflicting members) but no
+   variable. *)
 let selfjoin_doc_lines =
   [
     "relation T(k, v)";
@@ -706,7 +707,7 @@ let test_explain_selfjoin_routes_to_sat () =
     ignore (Str.search_forward (Str.regexp (attr ^ "=\\([0-9]+\\)")) line 0);
     int_of_string (Str.matched_group 1 line)
   in
-  Alcotest.(check int) "peak vars: base plus one selector" 5 (span_int "vars");
+  Alcotest.(check int) "peak vars: the base, no selector" 4 (span_int "vars");
   Alcotest.(check bool) "peak clauses above the base" true
     (span_int "clauses" > 4);
   let q = dispatch_line h "QUERY s1 sj" in
@@ -984,6 +985,71 @@ let test_cache_soundness_differential () =
   Alcotest.(check bool) "the scripts exercised cache hits" true
     (!differential_hits > 0)
 
+(* ---- twin sessions share one instance ------------------------------- *)
+
+(* [blocks] key groups R(k, k+1), R(k, k+2), each with one S tuple
+   joining the first: a Boolean coNP query with one unit witness per
+   block, on a document large enough that comparing two instances
+   outweighs a warm SAT read. *)
+let twin_doc_lines ?(reverse = false) blocks =
+  let rows =
+    List.concat
+      (List.init blocks (fun b ->
+           let k = 3 * b in
+           [
+             Printf.sprintf "row R(%d, %d)" k (k + 1);
+             Printf.sprintf "row R(%d, %d)" k (k + 2);
+             Printf.sprintf "row S(%d, %d)" (k + 1) (k + 1);
+           ]))
+  in
+  [ "relation R(a, b)"; "relation S(c, d)" ]
+  @ (if reverse then List.rev rows else rows)
+  @ [ "key R(a)"; "key S(c)"; "query q() :- R(X, Y), S(Z, Y)" ]
+
+(* Two LOADs of one text share an instance, so a SAT read on the second
+   session finds the cached theory by physical equality, as a read on
+   the first does, instead of comparing instances twice.  The same rows
+   in reverse order digest alike but carry other tids: that session
+   keeps its own instance and answers alike.  Reads go to the engines,
+   past the answer cache (the twins' digests share its entries). *)
+let test_twin_sessions_share_instance () =
+  let h = Server.Handler.create () in
+  load_lines h "a" (twin_doc_lines 300);
+  load_lines h "b" (twin_doc_lines 300);
+  load_lines h "r" (twin_doc_lines ~reverse:true 300);
+  let session sid =
+    Option.get (Server.Session.find (Server.Handler.sessions h) sid)
+  in
+  let a = session "a" and b = session "b" and r = session "r" in
+  Alcotest.(check bool) "twins share the instance" true
+    (a.doc.instance == b.doc.instance);
+  Alcotest.(check string) "permuted twin: same digest" a.digest r.digest;
+  Alcotest.(check bool) "permuted twin keeps its own instance" false
+    (r.doc.instance == a.doc.instance);
+  let q =
+    match (Cqa.Parse.find_ucq a.doc "q").Logic.Ucq.disjuncts with
+    | [ q ] -> q
+    | _ -> Alcotest.fail "q is one conjunctive query"
+  in
+  let read (s : Server.Session.t) = Cqa.Engine.consistent_answers s.engine q in
+  let words s =
+    ignore (read s);
+    let before = Gc.minor_words () in
+    ignore (read s);
+    Gc.minor_words () -. before
+  in
+  let wa = words a and wb = words b in
+  Alcotest.(check bool)
+    (Printf.sprintf "second twin's read %.0f words, first's %.0f" wb wa)
+    true
+    (wb < 1.5 *. wa);
+  Alcotest.(check bool) "the read is a SAT read" true
+    ((Cqa.Engine.plan a.engine q).route |> Cqa.Engine.route_label
+    = "sat_compilation");
+  let answers = read a in
+  Alcotest.(check bool) "twin answers alike" true (read b = answers);
+  Alcotest.(check bool) "permuted twin answers alike" true (read r = answers)
+
 (* ---- UPDATE/QUERY pairs patch the SAT theory ------------------------- *)
 
 (* A conp-shaped document: the Boolean hard join under keys, two R key
@@ -1060,6 +1126,8 @@ let suite =
   [
     Alcotest.test_case "UPDATE/QUERY pairs patch the SAT theory" `Quick
       test_updates_patch_theory;
+    Alcotest.test_case "twin sessions share one instance" `Quick
+      test_twin_sessions_share_instance;
     Alcotest.test_case "lru eviction order and capacity" `Quick
       test_lru_eviction;
     Alcotest.test_case "lru overwrite promotes" `Quick test_lru_overwrite;
