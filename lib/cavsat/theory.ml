@@ -520,7 +520,7 @@ let patch t d inst schema ics =
    across queries on the same instance — is what makes the
    per-candidate work incremental: the conflict clauses are indexed
    once, and each candidate only adds (and then rolls back) its own
-   selector clauses.  Across an update the base's theory moves to the
+   witness clauses.  Across an update the base's theory moves to the
    new instance's key, patched; it is built cold instead once removed
    clauses or freed variables outnumber the live ones (the solver never
    compacts itself), or when the delta is larger than the theory. *)
