@@ -1151,8 +1151,8 @@ let b19 ~quick () =
       assert (Cqa.Engine.route_label plan.route = "key_rewriting");
       let before = Obs.Registry.counter_snapshot (Obs.Registry.current ()) in
       (* Join indexes built by each run: the first builds the base views'
-         indexes, the repeats reuse them and build only those of
-         intermediate tables. *)
+         indexes, the repeats reuse them and build none (a guard's
+         refuted rows are subtracted by row identity, with no index). *)
       let index_builds = ref [] in
       let rewritten, rewrite_ns =
         Bech_harness.best_of 3 (fun () ->

@@ -152,10 +152,17 @@ let name_of t v =
     | Tuple u -> Some (Tuple (Tid.of_int u.tid))
     | Aux (e, owner) -> Some (Aux (st.edges.(e).members, Tid.of_int owner))
 
+(* Called under [t.lock].  An equal instance becomes the one the theory
+   encodes, as {!Constraints.Memo} re-files its entry, so the next check
+   is a physical one and the earlier instance is not kept alive. *)
 let encodes t inst =
   t.encodes == inst
   || Instance.digest t.encodes = Instance.digest inst
      && Instance.equal_with_tids t.encodes inst
+     && begin
+          t.encodes <- inst;
+          true
+        end
 
 (* ---- the encoder ------------------------------------------------------
 

@@ -123,7 +123,9 @@ val patch :
 val encodes : t -> Relational.Instance.t -> bool
 (** Does the theory (still) encode this instance?  A theory found in
     the memo may be patched to a later instance before its lock is
-    taken; a reader checks this once it holds the lock. *)
+    taken; a reader checks this once it holds the lock, and only then:
+    when the instance is equal to (not the same as) the one in
+    [encodes], it replaces it there, so the next check is physical. *)
 
 val var_for : t -> Relational.Tid.t -> int option
 (** The solver variable of a conflicting tuple; [None] for tuples

@@ -26,12 +26,16 @@ let find_or_build ?patch t inst ics build =
       k = key && String.equal f fp
       && (cached == inst || Instance.equal_with_tids cached inst)
   in
+  (* A hit verified on an equal instance is filed under the reader's:
+     its next lookup is a physical hit, and the instance it was built
+     for (a closed session's, say) is no longer kept alive. *)
   let hit =
     let here = matches inst in
     Mutex.protect t.lock (fun () ->
         match List.find_opt here t.entries with
-        | Some ((_, _, _, v) as e) ->
-            t.entries <- e :: List.filter (fun e' -> e' != e) t.entries;
+        | Some ((k, f, cached, v) as e) ->
+            let front = if cached == inst then e else (k, f, inst, v) in
+            t.entries <- front :: List.filter (fun e' -> e' != e) t.entries;
             Some v
         | None -> None)
   in

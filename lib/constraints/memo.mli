@@ -5,7 +5,10 @@
     {!fingerprint}.  The digest is a hash, so a hit is only trusted after
     verifying the cached instance: by physical equality first (the same
     [Instance.t] flowing through one pipeline), then by
-    [Instance.equal_with_tids].  The most recently used entry comes first
+    [Instance.equal_with_tids], after which the entry is filed under
+    the instance it was verified for, so the next lookup with it is a
+    physical hit and the instance the entry was built for is no longer
+    kept alive.  The most recently used entry comes first
     and a hit moves its entry to the front, so an instance a session
     keeps returning to is not evicted by unrelated builds.  Domain-safe:
     a mutex guards the entry list; builds run outside it. *)

@@ -212,7 +212,7 @@ let method_route : answer_method -> string = function
   | `Sat -> route_label `Sat_compilation
   | `Auto -> "auto"
 
-let consistent_answers ?(method_ = `Auto) t q =
+let consistent_answers ?(method_ = `Auto) ?plan:planned t q =
   let sp = Obs.Trace.start_phase "engine.certain_answers" in
   Obs.Counter.incr c_queries;
   if method_ <> `Auto then Obs.Progress.set_branch (method_route method_);
@@ -231,7 +231,11 @@ let consistent_answers ?(method_ = `Auto) t q =
            Cavsat rejects INDs with the precise message. *)
         by_sat t q
     | `Key_rewriting | `Datalog -> (
-        match Analysis.Classify.classify_rewriting t.ics q with
+        match
+          match planned with
+          | Some p -> (p.classification, p.rewriting)
+          | None -> Analysis.Classify.classify_rewriting t.ics q
+        with
         | _, Some ri -> Rewriting.Key_rewrite.answers ri t.instance
         | c, None ->
             invalid_arg
@@ -239,7 +243,7 @@ let consistent_answers ?(method_ = `Auto) t q =
                  "Engine.consistent_answers: key rewriting not applicable: %s"
                  (Analysis.Classify.describe c)))
     | `Auto ->
-        let p = plan t q in
+        let p = match planned with Some p -> p | None -> plan t q in
         let executed = executed_route t q p in
         Obs.Progress.set_branch (route_label executed);
         if Obs.Trace.is_enabled () then begin

@@ -95,11 +95,16 @@ val route_label : route -> string
 
 val consistent_answers :
   ?method_:answer_method ->
+  ?plan:plan ->
   t ->
   Logic.Cq.t ->
   Relational.Value.t list list
 (** Consistent answers under S-repairs.  [`Auto] (default) executes
-    {!plan}'s route (see {!route}).  [`Sat] forces the SAT backend
+    {!plan}'s route (see {!route}).  [plan], when given, must be {!plan}
+    of an engine with the same constraints for the same query (an
+    engine and its updates share theirs); [`Auto] and [`Key_rewriting]
+    then use it instead of classifying the query again.  Whether the
+    rewriting declines on NULLs is still decided per read.  [`Sat] forces the SAT backend
     ({!Cavsat.Certain}) — exact on any denial-class input, raising
     [Invalid_argument] on inclusion dependencies.  [`Key_rewriting] raises
     [Invalid_argument] when not applicable, with the classifier's

@@ -72,8 +72,10 @@ val answers :
 
     The compiled fragment: under an existential prefix, a conjunction of
     atoms (joined), comparisons (filters) and guards evaluated per
-    binding, each guard subtracting the bindings it refutes through a
-    row-identity antijoin on a synthetic ordinal column:
+    binding, each guard subtracting the bindings it refutes by row
+    identity: the conjunction is materialized with a synthetic ordinal
+    column, and the ordinals a refutation returns are marked in one
+    bitmap over the table's rows, with no join index built:
     - the key rewriting's [∀ū (A → cond1 ∧ … ∧ condk)], refuted over the
       mate join [conj ⋈ A] by a negated-comparison filter or an antijoin
       against a child [∃ v̄ conj'] (a child whose own atoms do not

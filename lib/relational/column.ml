@@ -66,7 +66,7 @@ let length c =
 
 (* --- construction --------------------------------------------------- *)
 
-let of_ints a = make (Ints (Array.copy a)) (bitmap (Array.length a))
+let of_ints a = make (Ints a) (bitmap (Array.length a))
 
 let of_values (vals : Value.t array) =
   let n = Array.length vals in
@@ -127,17 +127,45 @@ let get c i = getter c i
 
 (* --- kernel helpers ------------------------------------------------- *)
 
+(* Plain loops, one per representation: no closure call per row, and
+   nothing allocated but the output cells and bitmap. *)
+let gather_ints (a : int array) idx =
+  let n = Array.length idx in
+  let out = Array.make n 0 in
+  for k = 0 to n - 1 do
+    Array.unsafe_set out k (Array.unsafe_get a (Array.unsafe_get idx k))
+  done;
+  out
+
+let gather_reals (a : float array) idx =
+  let n = Array.length idx in
+  let out = Array.create_float n in
+  for k = 0 to n - 1 do
+    Array.unsafe_set out k (Array.unsafe_get a (Array.unsafe_get idx k))
+  done;
+  out
+
+let gather_bools (a : bool array) idx =
+  let n = Array.length idx in
+  let out = Array.make n false in
+  for k = 0 to n - 1 do
+    Array.unsafe_set out k (Array.unsafe_get a (Array.unsafe_get idx k))
+  done;
+  out
+
 let gather c (idx : int array) =
   let n = Array.length idx in
   let nulls = bitmap n in
   if has_nulls c then
-    Array.iteri (fun k i -> if bit_get c.nulls i then bit_set nulls k) idx;
+    for k = 0 to n - 1 do
+      if bit_get c.nulls (Array.unsafe_get idx k) then bit_set nulls k
+    done;
   let data =
     match c.data with
-    | Ints a -> Ints (Array.map (fun i -> Array.unsafe_get a i) idx)
-    | Reals a -> Reals (Array.map (fun i -> Array.unsafe_get a i) idx)
-    | Bools a -> Bools (Array.map (fun i -> Array.unsafe_get a i) idx)
-    | Codes a -> Codes (Array.map (fun i -> Array.unsafe_get a i) idx)
+    | Ints a -> Ints (gather_ints a idx)
+    | Reals a -> Reals (gather_reals a idx)
+    | Bools a -> Bools (gather_bools a idx)
+    | Codes a -> Codes (gather_ints a idx)
   in
   make data nulls
 

@@ -49,11 +49,11 @@ let rows t =
 
 (* Keep the rows listed in [idx], in that order. *)
 let select t idx =
-  {
-    t with
-    columns = Array.map (fun c -> Column.gather c idx) t.columns;
-    length = Array.length idx;
-  }
+  let columns = Array.copy t.columns in
+  for j = 0 to Array.length columns - 1 do
+    columns.(j) <- Column.gather columns.(j) idx
+  done;
+  { t with columns; length = Array.length idx }
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%a@,%a@]"

@@ -17,6 +17,13 @@
     and probe loops once per 4,096 rows, so a deadline stops a large
     join from inside it.
 
+    Allocation: the kernels allocate their outputs at their exact size.
+    A probe runs twice — once counting its matches, once writing them
+    into arrays of that size — so no buffer grows and nothing is
+    allocated per probe row.  A [Filter] whose predicates are all
+    self-equalities [x = x] over NULL-free columns passes its input
+    through; other self-equalities in a conjunction are not tested.
+
     Counters: [scan.columnar] per scan, [join.fused] per fused
     hash-join/semijoin/antijoin kernel, [join.probe_rows] the rows
     probed into a join index. *)

@@ -31,6 +31,12 @@ type t = {
       (* sid|query|method|semantics -> (queries, ics, (fingerprint,
          branch)), the lists validating the entry by physical identity;
          bounded by periodic reset *)
+  plan_memo :
+    ( string,
+      (string * Logic.Cq.t) list * Constraints.Ic.t list * Cqa.Engine.plan )
+    Hashtbl.t;
+      (* sid|query -> (queries, ics, Engine.plan) of a single query,
+         validated and bounded like [fp_memo] ([per_document]) *)
   mutable last_cache : Obs.Stats.cache_outcome;
       (* what the memo cache did for the request being dispatched *)
   mutable last_entry : entry option;
@@ -78,6 +84,7 @@ let create ?(cache_capacity = 512) ?(max_body_lines = 10_000) ?on_trace ?events
     stats;
     sampler;
     fp_memo = Hashtbl.create 64;
+    plan_memo = Hashtbl.create 64;
     last_cache = Obs.Stats.Uncached;
     last_entry = None;
     baseline_scratch = None;
@@ -194,10 +201,35 @@ let cached t session key compute =
           P.ok ~body head
       | r -> r)
 
-let pp_row row =
-  (* A Boolean query's positive answer is the empty tuple. *)
-  if row = [] then "true"
-  else String.concat ", " (List.map Value.to_string row)
+let pp_row = function
+  | [] -> "true" (* a Boolean query's positive answer is the empty tuple *)
+  | [ v ] -> Value.to_string v
+  | row -> String.concat ", " (List.map Value.to_string row)
+
+(* [compute ()] memoized under [key] in [memo] for the session's
+   document: NOT under the data digest, since what is memoized depends
+   only on the query definitions and the ICs, so a row UPDATE must not
+   invalidate it.  The doc's [queries]/[ics] lists keep their physical
+   identity across row updates and are rebuilt by LOAD, which is
+   exactly the invalidation needed.  Reset rather than evicted when it
+   grows (it is tiny relative to its keys). *)
+let per_document memo (session : Session.t) key compute =
+  let queries = session.doc.queries and ics = session.doc.ics in
+  match Hashtbl.find_opt memo key with
+  | Some (q0, i0, v) when q0 == queries && i0 == ics -> v
+  | _ ->
+      let v = compute () in
+      if Hashtbl.length memo > 4096 then Hashtbl.reset memo;
+      Hashtbl.replace memo key (queries, ics, v);
+      v
+
+(* The Engine.plan of a single query, per session and query name: a
+   cache-missing QUERY classifies its query once per LOAD, not once per
+   read (re-planning after every update would price each read at a
+   classifier pass). *)
+let query_plan t (session : Session.t) name q =
+  per_document t.plan_memo session (session.id ^ "|" ^ name) (fun () ->
+      Cqa.Engine.plan session.engine q)
 
 (* Refuse rather than silently running a different (and differently
    priced) algorithm than the one requested — and let the analyzer name
@@ -221,16 +253,21 @@ let union_refusal ics ~name (u : Logic.Ucq.t) (m : Cqa.Engine.answer_method) =
         (Analysis.Classify.ucq_rewriting_diagnostic ics u)
   | `Auto | `Repair_enumeration | `Asp -> None
 
-let exec_query (session : Session.t) name method_ semantics =
+let exec_query t (session : Session.t) name method_ semantics =
   match Cqa.Parse.find_ucq session.doc name with
   | exception Not_found ->
       P.err (Printf.sprintf "no query named %S in session %S" name session.id)
   | u -> (
       match (u.Logic.Ucq.disjuncts, semantics) with
       | [ q ], P.S ->
+          let plan =
+            match method_ with
+            | P.Auto | P.Key_rewriting -> Some (query_plan t session name q)
+            | P.Enum | P.Rewriting | P.Asp | P.Sat -> None
+          in
           let rows =
             Cqa.Engine.consistent_answers ~method_:(engine_method method_)
-              session.engine q
+              ?plan session.engine q
           in
           P.ok ~body:(List.map pp_row rows)
             (Printf.sprintf "answers=%d" (List.length rows))
@@ -272,44 +309,28 @@ let branch ?route method_ semantics =
   | P.S, m, Some _ -> Cqa.Engine.method_route (engine_method m)
 
 (* The plan branch of a QUERY/EXPLAIN, for workload attribution. *)
-let branch_of (session : Session.t) (u : Logic.Ucq.t) method_ semantics =
+let branch_of t (session : Session.t) name (u : Logic.Ucq.t) method_ semantics =
   match u.Logic.Ucq.disjuncts with
   | [ q ] ->
       branch method_ semantics
-        ~route:(lazy (Cqa.Engine.plan session.engine q).Cqa.Engine.route)
+        ~route:(lazy (query_plan t session name q).Cqa.Engine.route)
   | _ -> branch method_ semantics
 
 (* Workload identity of a QUERY/EXPLAIN: semantics-qualified fingerprint
    (Cqa.Fingerprint — canonical variable renaming, constants abstracted)
-   and plan branch.  Memoized because the branch requires a classifier
-   pass — but NOT under the data digest: the fingerprint depends only on
-   the query definition and the branch only on the query and the ICs, so
-   a row UPDATE must not invalidate the memo (re-planning after every
-   update would price attribution at a classifier pass per query).  The
-   doc's [queries]/[ics] lists keep their physical identity across row
-   updates and are rebuilt by LOAD, which is exactly the invalidation
-   the memo needs.  Reset rather than evicted when it grows (it is tiny
-   relative to its keys). *)
+   and plan branch, memoized per document. *)
 let fp_branch t (session : Session.t) name method_ semantics =
   let key =
     String.concat "|"
       [ session.id; name; method_label method_; semantics_label semantics ]
   in
-  let queries = session.doc.queries and ics = session.doc.ics in
-  match Hashtbl.find_opt t.fp_memo key with
-  | Some (q0, i0, fb) when q0 == queries && i0 == ics -> fb
-  | _ ->
-      let fb =
-        match Cqa.Parse.find_ucq session.doc name with
-        | exception Not_found ->
-            (semantics_label semantics ^ ":unknown:" ^ name, "service")
-        | u ->
-            ( semantics_label semantics ^ ":" ^ Cqa.Fingerprint.ucq u,
-              branch_of session u method_ semantics )
-      in
-      if Hashtbl.length t.fp_memo > 4096 then Hashtbl.reset t.fp_memo;
-      Hashtbl.replace t.fp_memo key (queries, ics, fb);
-      fb
+  per_document t.fp_memo session key (fun () ->
+      match Cqa.Parse.find_ucq session.doc name with
+      | exception Not_found ->
+          (semantics_label semantics ^ ":unknown:" ^ name, "service")
+      | u ->
+          ( semantics_label semantics ^ ":" ^ Cqa.Fingerprint.ucq u,
+            branch_of t session name u method_ semantics ))
 
 (* Every command gets a workload identity so the store attributes ~all
    request wall time: queries by shape x plan branch, everything else
@@ -347,13 +368,13 @@ let executed_route spans =
    repair_enumeration, or the forced method's branch) and the
    classifier's verdict.  Emitted on every successful EXPLAIN whatever
    the method, semantics, or cache state. *)
-let plan_lines (session : Session.t) name method_ semantics =
+let plan_lines t (session : Session.t) name method_ semantics =
   match Cqa.Parse.find_ucq session.doc name with
   | exception Not_found -> []
   | u -> (
       match u.Logic.Ucq.disjuncts with
       | [ q ] ->
-          let p = Cqa.Engine.plan session.engine q in
+          let p = query_plan t session name q in
           let branch =
             branch method_ semantics ~route:(Lazy.from_val p.Cqa.Engine.route)
           in
@@ -391,7 +412,7 @@ let exec_explain t (session : Session.t) name method_ semantics =
   let before = Obs.Registry.counter_snapshot registry in
   let t0 = Unix.gettimeofday () in
   let response, spans =
-    Obs.Trace.collect (fun () -> exec_query session name method_ semantics)
+    Obs.Trace.collect (fun () -> exec_query t session name method_ semantics)
   in
   let wall = Unix.gettimeofday () -. t0 in
   match response with
@@ -416,7 +437,7 @@ let exec_explain t (session : Session.t) name method_ semantics =
       in
       let body =
         Printf.sprintf "cache %s key=%s" cache_state key
-        :: plan_lines session name method_ semantics
+        :: plan_lines t session name method_ semantics
         @ (match executed_route spans with
           | Some r -> [ Printf.sprintf "executed_route %s" r ]
           | None -> [])
@@ -500,7 +521,7 @@ let exec t payload = function
   | P.Query { sid; name; method_; semantics; _ } ->
       with_session t sid (fun session ->
           let key = query_cache_key session name method_ semantics in
-          cached t session key (fun () -> exec_query session name method_ semantics))
+          cached t session key (fun () -> exec_query t session name method_ semantics))
   | P.Trace flag ->
       Obs.Trace.set_enabled flag;
       P.ok (if flag then "trace=on" else "trace=off")

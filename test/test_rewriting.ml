@@ -249,6 +249,39 @@ let test_residue_compiled_examples () =
   check_compiled "kappa, S(x)" s_query P.Denial.schema [ P.Denial.kappa ]
     P.Denial.instance [ [ "a2" ] ]
 
+(* Guard subtraction on the paper's examples: the rows a guard refutes
+   are marked in a bitmap over the conjunction table's row ordinals and
+   left out, for the key rewriting of the Employee queries (Ex 3.3;
+   the projection needs no guard) and the residue rewriting of R(x, y)
+   under κ (Ex 3.5).  The compiled answers are the paper's and the
+   interpreter's. *)
+let test_guard_subtraction_examples () =
+  let module P = Workload.Paper in
+  let case name f free inst expected =
+    let answers, scans = counting_scans (fun () -> Formula.answers inst ~free f) in
+    check vrows (name ^ ": answers") expected (rows_to_strings answers);
+    check Alcotest.int (name ^ ": compiled") 0 scans;
+    check vrows (name ^ ": = interpreter") expected
+      (rows_to_strings (Formula.interpret inst ~free f))
+  in
+  let key_rewriting q =
+    Option.get (Rewriting.Key_rewrite.rewrite q ~keys:[ ("Employee", [ 0 ]) ])
+  in
+  case "Employee full, key rewriting" (key_rewriting P.Employee.full_query)
+    [ "x"; "y" ] P.Employee.instance
+    [ [ "smith"; "3" ]; [ "stowe"; "7" ] ];
+  case "Employee names, key rewriting" (key_rewriting P.Employee.names_query)
+    [ "x" ] P.Employee.instance
+    [ [ "page" ]; [ "smith" ]; [ "stowe" ] ];
+  let r_query =
+    Cq.make ~name:"r" [ Term.var "x"; Term.var "y" ]
+      [ Atom.make "R" [ Term.var "x"; Term.var "y" ] ]
+  in
+  case "kappa, R(x, y)"
+    (Rewriting.Residue_rewrite.rewrite_ics r_query P.Denial.schema [ P.Denial.kappa ])
+    [ "x"; "y" ] P.Denial.instance
+    [ [ "a2"; "a1" ] ]
+
 (* κ's bare residue [¬S(x) ∨ ¬S(y)] is three-valued: over a NULL in S it
    stays on the interpreter, with the same answers. *)
 let test_kappa_null_falls_back () =
@@ -410,6 +443,8 @@ let suite =
     QCheck_alcotest.to_alcotest (prop_fm_agrees_with_repairs q_proj);
     Alcotest.test_case "residue rewriting compiles the paper's examples" `Quick
       test_residue_compiled_examples;
+    Alcotest.test_case "guard subtraction on the paper's examples" `Quick
+      test_guard_subtraction_examples;
     Alcotest.test_case "residue rewriting: kappa over NULL on the interpreter"
       `Quick test_kappa_null_falls_back;
     Alcotest.test_case "residue rewriting served: method=rewriting" `Quick

@@ -1050,6 +1050,53 @@ let test_twin_sessions_share_instance () =
   Alcotest.(check bool) "twin answers alike" true (read b = answers);
   Alcotest.(check bool) "permuted twin answers alike" true (read r = answers)
 
+(* A document LOADed again after its session was CLOSEd, with no twin
+   left to share an instance with: the first SAT read verifies the new
+   instance against the cached theory's once and files the theory under
+   it, so later reads allocate what they did before the CLOSE (minor
+   words plus the arrays the major heap takes directly) and the closed
+   instance is not kept alive. *)
+let test_reload_after_close () =
+  let h = Server.Handler.create () in
+  let lines = twin_doc_lines 300 in
+  load_lines h "a" lines;
+  let engine () =
+    (Option.get (Server.Session.find (Server.Handler.sessions h) "a")).engine
+  in
+  let q =
+    let doc = (Option.get (Server.Session.find (Server.Handler.sessions h) "a")).doc in
+    match (Cqa.Parse.find_ucq doc "q").Logic.Ucq.disjuncts with
+    | [ q ] -> q
+    | _ -> Alcotest.fail "q is one conjunctive query"
+  in
+  let read () = Cqa.Engine.consistent_answers (engine ()) q in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let words () =
+    ignore (read ());
+    let before = allocated () in
+    ignore (read ());
+    allocated () -. before
+  in
+  let answers = read () in
+  let w0 = words () in
+  let closed = Weak.create 1 in
+  Weak.set closed 0 (Some (engine ()).Cqa.Engine.instance);
+  Alcotest.(check bool) "closed" true
+    ((dispatch_line h "CLOSE a").P.status = `Ok);
+  load_lines h "a" lines;
+  Alcotest.(check bool) "same answers after the reload" true (read () = answers);
+  Gc.full_major ();
+  Alcotest.(check bool) "the closed instance is collected" false
+    (Weak.check closed 0);
+  let w1 = words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm read after the reload %.0f words, before %.0f" w1 w0)
+    true
+    (w1 < 1.2 *. w0)
+
 (* ---- UPDATE/QUERY pairs patch the SAT theory ------------------------- *)
 
 (* A conp-shaped document: the Boolean hard join under keys, two R key
@@ -1128,6 +1175,8 @@ let suite =
       test_updates_patch_theory;
     Alcotest.test_case "twin sessions share one instance" `Quick
       test_twin_sessions_share_instance;
+    Alcotest.test_case "a reload after CLOSE re-keys the SAT theory" `Quick
+      test_reload_after_close;
     Alcotest.test_case "lru eviction order and capacity" `Quick
       test_lru_eviction;
     Alcotest.test_case "lru overwrite promotes" `Quick test_lru_overwrite;

@@ -157,6 +157,62 @@ let test_one_classification_per_query () =
   | _ -> Alcotest.fail "QUERY failed");
   check Alcotest.int "analysis.classified moves by 1" 1 (d "analysis.classified")
 
+(* Ten cache-missing auto QUERYs of one name (each after an UPDATE,
+   which drops the session's cached answers but keeps its document's
+   queries and constraints) classify the query once; a LOAD of a
+   changed document plans it again, and its answer follows the new
+   constraints. *)
+let test_plan_memo_per_load () =
+  let h = Server.Handler.create () in
+  let text =
+    Filename.concat (Filename.dirname Sys.executable_name) "../examples/mentors.cqa"
+    |> Fun.flip In_channel.with_open_text In_channel.input_all
+  in
+  let load text =
+    match
+      Server.Handler.dispatch h ~payload:(String.split_on_char '\n' text)
+        (Server.Protocol.Load "m")
+    with
+    | { Server.Protocol.status = `Ok; _ } -> ()
+    | { Server.Protocol.head; _ } -> Alcotest.fail ("LOAD failed: " ^ head)
+  in
+  let query () =
+    match Server.Handler.handle_line h "QUERY m pair" with
+    | { Server.Protocol.status = `Ok; body; _ } -> body
+    | { Server.Protocol.head; _ } -> Alcotest.fail ("QUERY failed: " ^ head)
+  in
+  load text;
+  let misses () = Server.Metrics.misses (Server.Handler.metrics h) in
+  let m0 = misses () in
+  let d =
+    counter_delta (fun () ->
+        for i = 1 to 10 do
+          let op = if i mod 2 = 1 then "add" else "del" in
+          ignore
+            (Server.Handler.handle_line h
+               (Printf.sprintf "UPDATE m %s Assists(zoe, zed)" op));
+          check Alcotest.(list string) "certain answer" [ "ann" ] (query ())
+        done)
+  in
+  check Alcotest.int "ten cache misses" 10 (misses () - m0);
+  check Alcotest.int "classified once" 1 (d "analysis.classified");
+  (* Without the Advises key nothing conflicts: cara's pairing is
+     certain too. *)
+  let unkeyed =
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> l <> "key Advises(mentor)")
+    |> String.concat "\n"
+  in
+  let d =
+    counter_delta (fun () ->
+        load unkeyed;
+        check Alcotest.(list string) "changed constraints, changed answer"
+          [ "ann"; "cara" ] (query ());
+        ignore (query ()))
+  in
+  check Alcotest.int "the changed document is planned again" 1
+    (d "analysis.classified")
+
 let test_null_instance_falls_back () =
   (* Repairs compare NULLs structurally while the rewriting joins under
      SQL three-valued logic, so the route declines instances with NULL
@@ -422,6 +478,8 @@ let suite =
       test_rewriting_counters_fire;
     Alcotest.test_case "one QUERY classifies once" `Quick
       test_one_classification_per_query;
+    Alcotest.test_case "one classification per query name and LOAD" `Quick
+      test_plan_memo_per_load;
     Alcotest.test_case "NULL instances fall back soundly" `Quick
       test_null_instance_falls_back;
     Alcotest.test_case "saturation fires on the triangle" `Quick
