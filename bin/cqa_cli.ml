@@ -156,26 +156,16 @@ let answers_cmd =
             qname qname;
           exit 2
     in
-    (match u.Logic.Ucq.disjuncts with
-    | [ _ ] -> ()
-    | _ -> (
-        match Server.Handler.union_refusal doc.ics ~name:qname u method_ with
-        | Some msg ->
-            prerr_endline msg;
-            exit 2
-        | None -> ()));
+    let eng = engine doc in
+    (match Cqa.Engine.refusal eng ~name:qname u method_ with
+    | Some msg ->
+        prerr_endline msg;
+        exit 2
+    | None -> ());
     let rows =
       with_jobs jobs @@ fun () ->
       with_trace trace (fun () ->
-          match u.Logic.Ucq.disjuncts with
-          | [ q ] -> Cqa.Engine.consistent_answers ~method_ (engine doc) q
-          | _ ->
-              (* A union of queries under auto, enum or asp: enumeration
-                 or ASP. *)
-              let m =
-                match method_ with `Asp -> `Asp | _ -> `Repair_enumeration
-              in
-              Cqa.Engine.consistent_answers_ucq ~method_:m (engine doc) u)
+          Cqa.Engine.consistent_answers_ucq ~method_ eng u)
     in
     pp_rows rows
   in

@@ -187,8 +187,6 @@ let ground (program : Syntax.t) edb =
     weaks = List.rev !weaks;
   }
 
-let atom_id t f = Hashtbl.find_opt t.index f
-
 let pp ppf t =
   let pp_ids sep ppf ids =
     Format.pp_print_list

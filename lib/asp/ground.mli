@@ -18,7 +18,6 @@ type t = {
   weaks : weak list;
 }
 
-val atom_id : t -> Relational.Fact.t -> int option
 val ground : Syntax.t -> Relational.Fact.t list -> t
 (** [ground program edb]: the EDB facts are added as ground facts. *)
 

@@ -20,7 +20,6 @@ let rows_of_pred pred facts =
   |> List.sort (List.compare Value.compare)
 
 let cautious_rows program edb ~pred = rows_of_pred pred (cautious_facts program edb)
-let brave_rows program edb ~pred = rows_of_pred pred (brave_facts program edb)
 
 let optimal_cautious_rows program edb ~pred =
   match Stable.optimal_models program edb with

@@ -23,12 +23,6 @@ val cautious_rows :
 (** Rows of one predicate that appear in every stable model, sorted —
     the consistent answers when the predicate collects query answers. *)
 
-val brave_rows :
-  Syntax.t ->
-  Relational.Fact.t list ->
-  pred:string ->
-  Relational.Value.t list list
-
 val optimal_cautious_rows :
   Syntax.t ->
   Relational.Fact.t list ->

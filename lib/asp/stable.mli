@@ -11,9 +11,6 @@
 
 type model = Relational.Fact.Set.t
 
-val models_ground : Ground.t -> model list
-(** All stable models, ignoring weak constraints. *)
-
 val models : Syntax.t -> Relational.Fact.t list -> model list
 (** Ground then solve. *)
 
@@ -22,5 +19,3 @@ val optimal_models : Syntax.t -> Relational.Fact.t list -> (int * model) list
     each with that violation weight (all returned models share the minimum
     weight; [(0, m)] when there are no weak constraints).  Empty when the
     program has no stable model. *)
-
-val violation_weight : Ground.t -> model -> int

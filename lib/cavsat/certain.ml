@@ -114,7 +114,7 @@ let rec lock_for ?delta theory inst schema ics =
     lock_for ?delta (Theory.cached ?delta inst schema ics) inst schema ics
   end
 
-let consistent_answers ?delta inst schema ics q =
+let consistent_answers ?delta inst schema ics (u : Logic.Ucq.t) =
   List.iter
     (fun ic ->
       if not (Ic.is_denial_class ic) then
@@ -130,7 +130,7 @@ let consistent_answers ?delta inst schema ics q =
     let theory = Theory.cached ?delta inst schema ics in
     if theory.Theory.no_repairs then []
     else begin
-      let w, candidates = Witness.answers_with_witnesses q inst in
+      let w, candidates = Witness.of_ucq u inst in
       let widest =
         List.fold_left
           (fun n (c : Witness.candidate) -> max n (c.last - c.first))
@@ -140,7 +140,12 @@ let consistent_answers ?delta inst schema ics q =
       let theory = lock_for ?delta theory inst schema ics in
       let sc =
         {
-          members = Array.make (List.length q.Logic.Cq.body) 0;
+          members =
+            Array.make
+              (List.fold_left
+                 (fun n (q : Logic.Cq.t) -> max n (List.length q.body))
+                 0 u.disjuncts)
+              0;
           units = Array.make widest 0;
           peak_clauses = theory.Theory.base.Theory.clauses;
         }

@@ -1,13 +1,18 @@
 (** SAT-compiled consistent query answering (CAvSAT-style;
-    Dixit–Kolaitis): exact for every conjunctive query under
+    Dixit–Kolaitis): exact for every union of conjunctive queries under
     denial-class constraints, and the [method=auto] route for every
     query no rewriting covers — the coNP-hard tier, weak attack cycles,
-    self-joins and non-key denials.
+    self-joins, non-key denials and unions.
 
     Certainty of each candidate answer is decided without materializing
     a single repair: the candidate's witnesses are compiled over the
     shared repair {!Theory}, and one incremental SAT probe asks for an
     S-repair killing every witness.  UNSAT ⇔ the answer is certain.
+
+    A union's candidates are its disjuncts' answers, and a candidate's
+    witnesses those of every disjunct producing it ({!Witness.of_ucq}):
+    a conjunctive query is the one-disjunct case, whose arena is probed
+    as {!Witness.answers_with_witnesses} builds it.
 
     The witnesses come as one {!Witness.t} arena, and one pass over a
     candidate's witnesses sorts each by its members in some conflict:
@@ -44,10 +49,11 @@ val consistent_answers :
   Relational.Instance.t ->
   Relational.Schema.t ->
   Constraints.Ic.t list ->
-  Logic.Cq.t ->
+  Logic.Ucq.t ->
   Relational.Value.t list list
-(** Consistent answers under S-repair semantics; agrees with
-    [Engine.consistent_answers ~method_:`Repair_enumeration] on every
+(** Consistent answers to a union (a conjunctive query: {!Logic.Ucq.of_cq})
+    under S-repair semantics; agrees with
+    [Engine.consistent_answers_ucq ~method_:`Repair_enumeration] on every
     denial-class input.  Raises [Invalid_argument] when some constraint
     is not denial-class (inclusion dependencies repair by insertion;
     the conflict-graph theory does not capture them).  [delta] is

@@ -199,3 +199,44 @@ let answers_with_witnesses (q : Cq.t) inst =
         candidates !sets !firsts row_of )
     end
   end
+
+(* A union's candidates: a row is in a repair iff a witness of some
+   disjunct survives there, so each row's sets are those of every
+   disjunct producing it, deduplicated, in one exact-size arena. *)
+module Sets = Set.Make (struct
+  type t = int array
+
+  let compare a b = compare_slices a 0 (Array.length a) b 0 (Array.length b)
+end)
+
+let of_ucq (u : Logic.Ucq.t) inst =
+  match List.map (fun q -> answers_with_witnesses q inst) u.disjuncts with
+  | [ one ] -> one
+  | parts ->
+      let add w m c =
+        let set i = Array.sub w.tids (start w i) (stop w i - start w i) in
+        let old = Option.value ~default:Sets.empty (Rows.find_opt c.row m) in
+        Rows.add c.row
+          (Seq.fold_left
+             (fun s i -> Sets.add (set i) s)
+             old
+             (Seq.init (c.last - c.first) (( + ) c.first)))
+          m
+      in
+      let rows =
+        List.fold_left
+          (fun m (w, cs) -> List.fold_left (add w) m cs)
+          Rows.empty parts
+        |> Rows.bindings
+      in
+      let sets = List.concat_map (fun (_, s) -> Sets.elements s) rows in
+      let offs = Array.make (List.length sets + 1) 0 in
+      List.iteri (fun i s -> offs.(i + 1) <- offs.(i) + Array.length s) sets;
+      let _, candidates =
+        List.fold_left_map
+          (fun first (row, s) ->
+            let last = first + Sets.cardinal s in
+            (last, { row; first; last }))
+          0 rows
+      in
+      ({ tids = Array.concat sets; width = -1; offs }, candidates)

@@ -53,3 +53,9 @@ val answers_with_witnesses :
     an exact-size arena, through a sorted index permutation only when
     the rows are out of order.  Only a head with variables decodes
     values (to rank the answers); a Boolean head decodes none. *)
+
+val of_ucq : Logic.Ucq.t -> Relational.Instance.t -> t * candidate list
+(** {!answers_with_witnesses} of a union: its disjuncts' candidates
+    merged by row, a row's sets those of every disjunct producing it
+    (distinct and in {!Relational.Tid.Sorted.compare} order).  Of one
+    disjunct, that disjunct's arena and candidates as they are. *)

@@ -4,7 +4,7 @@ module Classify = Analysis.Classify
 type query_report = {
   name : string;
   classification : Classify.t;
-  route : Engine.route option;
+  route : Engine.route;
   findings : Finding.t list;
 }
 
@@ -20,13 +20,10 @@ let query_names (doc : Parse.document) =
 
 let report_of_query (doc : Parse.document) name =
   let u = Parse.find_ucq doc name in
-  let classification = Classify.classify_ucq doc.ics u in
-  let route =
-    match u.Logic.Ucq.disjuncts with
-    | [ q ] ->
-        let engine = Engine.create ~schema:doc.schema ~ics:doc.ics doc.instance in
-        Some (Engine.plan engine q).Engine.route
-    | _ -> None
+  let { Engine.classification; route; _ } =
+    Engine.plan_ucq
+      (Engine.create ~schema:doc.schema ~ics:doc.ics doc.instance)
+      u
   in
   let findings =
     (match classification.Classify.witness with
@@ -75,9 +72,7 @@ let section title findings =
 let query_report_lines q =
   let prefix line = Printf.sprintf "query %s: %s" q.name line in
   List.map prefix (Classify.to_lines q.classification)
-  @ (match q.route with
-    | Some route -> [ prefix (Printf.sprintf "route %s" (Engine.route_label route)) ]
-    | None -> [ prefix "route repair_enumeration (union query)" ])
+  @ [ prefix (Printf.sprintf "route %s" (Engine.route_label q.route)) ]
   @ List.map Finding.to_line (Finding.sort q.findings)
 
 let lines t =

@@ -6,14 +6,13 @@
     ({!Analysis.Ic_analysis}), lints of the compiled ASP repair program
     ({!Analysis.Lint}), and the complexity classifier with the
     [method=auto] route for every named query ({!Analysis.Classify},
-    {!Engine.plan}).  All output is deterministically ordered: findings
+    {!Engine.plan_ucq}).  All output is deterministically ordered: findings
     are sorted, queries are reported in name order. *)
 
 type query_report = {
   name : string;
   classification : Analysis.Classify.t;
-  route : Engine.route option;
-      (** [None] for union queries (no single-CQ plan). *)
+  route : Engine.route;
   findings : Analysis.Finding.t list;
 }
 

@@ -88,12 +88,8 @@ end)
 
 let s_repairs t = Repairs.S_repair.enumerate t.instance t.schema t.ics
 let c_repairs t = Repairs.C_repair.enumerate t.instance t.schema t.ics
-let attribute_repairs t = Repairs.Attr_repair.enumerate t.instance t.schema t.ics
 
-let repair_check t candidate =
-  Repairs.Check.is_s_repair ~original:t.instance t.schema t.ics candidate
-
-let by_repair_enumeration t q =
+let by_repair_enumeration t u =
   match s_repairs t with
   | [] -> []
   | repairs -> (
@@ -103,7 +99,7 @@ let by_repair_enumeration t q =
         Par.map
           (fun (r : Repairs.Repair.t) ->
             Obs.Progress.tick ();
-            Rows.of_list (Logic.Cq.answers q r.repaired))
+            Rows.of_list (Logic.Ucq.answers u r.repaired))
           repairs
       in
       match answer_sets with
@@ -134,12 +130,12 @@ let denial_class t = List.for_all Ic.is_denial_class t.ics
    the memo holds this instance's theory, which becomes the base.
    Without a base (no SAT read before the writes) the read builds
    cold, as on a memo miss. *)
-let by_sat t q =
+let by_sat t u =
   let delta =
     match Atomic.get t.since with Delta d -> Some d | No_theory | At_base -> None
   in
   Fun.protect ~finally:(fun () -> Atomic.set t.since At_base) @@ fun () ->
-  Cavsat.Certain.consistent_answers ?delta t.instance t.schema t.ics q
+  Cavsat.Certain.consistent_answers ?delta t.instance t.schema t.ics u
 
 let plan t q =
   let classification, rewriting =
@@ -172,32 +168,53 @@ let plan t q =
   in
   { route; classification; rewriting }
 
+let plan_ucq t (u : Logic.Ucq.t) =
+  match u.disjuncts with
+  | [ q ] -> plan t q
+  | qs ->
+      (* No rewriting takes a union (a repair may keep one disjunct's
+         witness, another repair the other's), but SAT decides whether
+         some repair kills the witnesses of every disjunct. *)
+      let route =
+        if List.for_all (fun q -> (plan t q).route = `Direct) qs then `Direct
+        else if denial_class t then `Sat_compilation
+        else `Repair_enumeration
+      in
+      {
+        route;
+        classification = Analysis.Classify.classify_ucq t.ics u;
+        rewriting = None;
+      }
+
 (* The rewriting reads key equality as SQL equality, under which a NULL
    key matches nothing, while repairs compare tuples structurally: on a
    NULL-keyed tuple the two disagree.  The route declines when a
    relation the query reads holds a NULL. *)
-let reads_null t (q : Logic.Cq.t) =
+let reads_null t (u : Logic.Ucq.t) =
   List.exists
-    (fun (a : Logic.Atom.t) ->
-      Array.exists Relational.Column.has_nulls
-        (Instance.columnar t.instance ~rel:a.rel).Relational.Columnar.columns)
-    q.body
+    (fun (q : Logic.Cq.t) ->
+      List.exists
+        (fun (a : Logic.Atom.t) ->
+          Array.exists Relational.Column.has_nulls
+            (Instance.columnar t.instance ~rel:a.rel).Relational.Columnar.columns)
+        q.body)
+    u.disjuncts
 
 (* The route that actually runs: the planned one, except that a
    rewriting declining at run time (NULLs in the relations the query
    reads) hands over to the exact route for the constraint class — SAT
    under denial-class constraints, enumeration otherwise. *)
-let executed_route t q p : route =
+let executed_route t u p : route =
   match (p.route, p.rewriting) with
-  | `Key_rewriting, Some _ when not (reads_null t q) -> `Key_rewriting
+  | `Key_rewriting, Some _ when not (reads_null t u) -> `Key_rewriting
   | `Key_rewriting, _ ->
       if denial_class t then `Sat_compilation else `Repair_enumeration
   | r, _ -> r
 
-let run_route t q p = function
-  | `Direct -> Logic.Cq.answers q t.instance
-  | `Repair_enumeration -> by_repair_enumeration t q
-  | `Sat_compilation -> by_sat t q
+let run_route t u p = function
+  | `Direct -> Logic.Ucq.answers u t.instance
+  | `Repair_enumeration -> by_repair_enumeration t u
+  | `Sat_compilation -> by_sat t u
   | `Key_rewriting ->
       Rewriting.Key_rewrite.answers (Option.get p.rewriting) t.instance
 
@@ -212,7 +229,28 @@ let method_route : answer_method -> string = function
   | `Sat -> route_label `Sat_compilation
   | `Auto -> "auto"
 
-let consistent_answers ?(method_ = `Auto) ?plan:planned t q =
+(* Why [m] (or C-repair semantics) has no route for the union [u]: the
+   rewritings take single conjunctive queries, and the analyzer names
+   the condition the union fails. *)
+let refusal ?(semantics = `S) t ~name (u : Logic.Ucq.t) m =
+  let why flag =
+    Printf.sprintf "method=%s not applicable to %S: %s" flag name
+      (Analysis.Classify.ucq_rewriting_diagnostic t.ics u)
+  in
+  match (u.disjuncts, semantics, m) with
+  | [ _ ], _, _ -> None
+  | _, `C, _ -> Some "C-repair semantics supports single queries only"
+  | _, `S, `Residue_rewriting -> Some (why "rewriting")
+  | _, `S, (`Key_rewriting | `Datalog) -> Some (why "key-rewriting")
+  | _, `S, (`Auto | `Repair_enumeration | `Asp | `Sat) -> None
+
+(* The one query of [u], for a method that takes single queries only. *)
+let single ?semantics t (u : Logic.Ucq.t) m =
+  match u.disjuncts with
+  | [ q ] -> q
+  | _ -> invalid_arg (Option.get (refusal ?semantics t ~name:u.name u m))
+
+let consistent_answers_ucq ?(method_ = `Auto) ?plan:planned t u =
   let sp = Obs.Trace.start_phase "engine.certain_answers" in
   Obs.Counter.incr c_queries;
   if method_ <> `Auto then Obs.Progress.set_branch (method_route method_);
@@ -222,15 +260,19 @@ let consistent_answers ?(method_ = `Auto) ?plan:planned t q =
   end;
   match
     match method_ with
-    | `Repair_enumeration -> by_repair_enumeration t q
+    | `Repair_enumeration -> by_repair_enumeration t u
     | `Residue_rewriting ->
-        Rewriting.Residue_rewrite.consistent_answers q t.schema t.ics t.instance
-    | `Asp -> Repair_programs.Asp_cqa.consistent_answers q t.schema t.ics t.instance
+        Rewriting.Residue_rewrite.consistent_answers (single t u method_)
+          t.schema t.ics t.instance
+    | `Asp ->
+        Repair_programs.Asp_cqa.consistent_answers_ucq u t.schema t.ics
+          t.instance
     | `Sat ->
         (* Exact on every denial-class input, whatever the verdict;
            Cavsat rejects INDs with the precise message. *)
-        by_sat t q
+        by_sat t u
     | `Key_rewriting | `Datalog -> (
+        let q = single t u method_ in
         match
           match planned with
           | Some p -> (p.classification, p.rewriting)
@@ -243,8 +285,8 @@ let consistent_answers ?(method_ = `Auto) ?plan:planned t q =
                  "Engine.consistent_answers: key rewriting not applicable: %s"
                  (Analysis.Classify.describe c)))
     | `Auto ->
-        let p = match planned with Some p -> p | None -> plan t q in
-        let executed = executed_route t q p in
+        let p = match planned with Some p -> p | None -> plan_ucq t u in
+        let executed = executed_route t u p in
         Obs.Progress.set_branch (route_label executed);
         if Obs.Trace.is_enabled () then begin
           Obs.Trace.attr "route" (route_label p.route);
@@ -255,7 +297,7 @@ let consistent_answers ?(method_ = `Auto) ?plan:planned t q =
           Obs.Trace.attr "witness"
             (Analysis.Classify.witness_code p.classification.witness)
         end;
-        run_route t q p executed
+        run_route t u p executed
   with
   | rows ->
       if Obs.Trace.is_enabled () then
@@ -266,30 +308,17 @@ let consistent_answers ?(method_ = `Auto) ?plan:planned t q =
       Obs.Trace.finish sp;
       raise e
 
+let consistent_answers ?method_ ?plan t q =
+  consistent_answers_ucq ?method_ ?plan t (Logic.Ucq.of_cq q)
+
 let c_branch = "asp_c"
 
-let consistent_answers_c t q =
+let consistent_answers_c t u =
   Obs.Trace.with_span "engine.certain_answers_c" (fun () ->
       Obs.Progress.set_branch c_branch;
-      Repair_programs.Asp_cqa.consistent_answers ~semantics:`C q t.schema t.ics
-        t.instance)
-
-let consistent_answers_ucq ?(method_ = `Repair_enumeration) t u =
-  Obs.Trace.with_span "engine.certain_answers_ucq" @@ fun () ->
-  Obs.Progress.set_branch (method_route (method_ :> answer_method));
-  match method_ with
-  | `Asp -> Repair_programs.Asp_cqa.consistent_answers_ucq u t.schema t.ics t.instance
-  | `Repair_enumeration -> (
-      match s_repairs t with
-      | [] -> []
-      | first :: rest ->
-          let answers (r : Repairs.Repair.t) =
-            Rows.of_list (Logic.Ucq.answers u r.repaired)
-          in
-          Rows.elements
-            (List.fold_left
-               (fun acc r -> Rows.inter acc (answers r))
-               (answers first) rest))
+      Repair_programs.Asp_cqa.consistent_answers ~semantics:`C
+        (single ~semantics:`C t u `Auto)
+        t.schema t.ics t.instance)
 
 let inconsistency_degree t = Measures.Degree.repair_based t.instance t.schema t.ics
 

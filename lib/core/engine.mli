@@ -71,6 +71,11 @@ type route = [ `Direct | `Key_rewriting | `Sat_compilation | `Repair_enumeration
       denial-class (an inclusion dependency repairs by insertion, which
       the SAT theory does not model).
 
+    A union of two or more conjunctive queries is [`Direct] when every
+    disjunct is, else [`Sat_compilation] under denial-class constraints
+    (a candidate is certain iff no repair kills the witnesses of every
+    disjunct) and [`Repair_enumeration] otherwise.
+
     The rewriting declines at run time when a relation the query reads
     holds a NULL; the query then falls back to SAT under denial-class
     constraints and to enumeration otherwise.  [`Auto] reports the
@@ -91,7 +96,45 @@ val plan : t -> Logic.Cq.t -> plan
     the complexity classifier's verdict with its witness, and the method
     chosen from it.  Pure — safe to call from EXPLAIN/ANALYZE. *)
 
+val plan_ucq : t -> Logic.Ucq.t -> plan
+(** {!plan} of a union: its one disjunct's, or the union's route with
+    the verdict [Unknown], witness [Union_query], and no rewriting. *)
+
 val route_label : route -> string
+
+val refusal :
+  ?semantics:[ `S | `C ] ->
+  t ->
+  name:string ->
+  Logic.Ucq.t ->
+  answer_method ->
+  string option
+(** Why the query [name] has no route: a union under C-repair
+    [semantics] (default [`S]), or under a rewriting method, which
+    rewrites single queries ([method=M not applicable to NAME: WHY],
+    with the analyzer's diagnostic).  QUERY answers [ERR] with it,
+    [cqa answers] exits 2 with it, and the answering functions raise
+    [Invalid_argument] with it. *)
+
+val consistent_answers_ucq :
+  ?method_:answer_method ->
+  ?plan:plan ->
+  t ->
+  Logic.Ucq.t ->
+  Relational.Value.t list list
+(** Consistent answers under S-repairs to a union of conjunctive
+    queries, a single query being its one-disjunct case.  [`Auto]
+    (default) executes {!plan_ucq}'s route (see {!route}).  [plan], when
+    given, must be {!plan_ucq} of an engine with the same constraints
+    for the same query (an engine and its updates share theirs);
+    [`Auto] and [`Key_rewriting] then use it instead of classifying the
+    query again.  Whether the rewriting declines on NULLs is still
+    decided per read.  [`Sat] forces the SAT backend ({!Cavsat.Certain})
+    — exact on any denial-class input, raising [Invalid_argument] on
+    inclusion dependencies.  [`Key_rewriting] raises [Invalid_argument]
+    when not applicable, with the classifier's witness in the message;
+    [`Residue_rewriting] answers whatever its (incomplete) rewriting
+    produces — see {!Rewriting.Residue_rewrite}. *)
 
 val consistent_answers :
   ?method_:answer_method ->
@@ -99,45 +142,23 @@ val consistent_answers :
   t ->
   Logic.Cq.t ->
   Relational.Value.t list list
-(** Consistent answers under S-repairs.  [`Auto] (default) executes
-    {!plan}'s route (see {!route}).  [plan], when given, must be {!plan}
-    of an engine with the same constraints for the same query (an
-    engine and its updates share theirs); [`Auto] and [`Key_rewriting]
-    then use it instead of classifying the query again.  Whether the
-    rewriting declines on NULLs is still decided per read.  [`Sat] forces the SAT backend
-    ({!Cavsat.Certain}) — exact on any denial-class input, raising
-    [Invalid_argument] on inclusion dependencies.  [`Key_rewriting] raises
-    [Invalid_argument] when not applicable, with the classifier's
-    witness in the message; [`Residue_rewriting] answers
-    whatever its (incomplete) rewriting produces — see
-    {!Rewriting.Residue_rewrite}. *)
+(** {!consistent_answers_ucq} of the one-disjunct union
+    ({!Logic.Ucq.of_cq}); [plan] is the query's {!plan}. *)
 
 val method_route : answer_method -> string
 (** The branch a forced method executes ([`Sat]: ["sat_compilation"],
     [`Asp]: ["asp"], ...; ["auto"] for [`Auto], whose branch is
-    {!plan}'s route).  The label {!consistent_answers} and
-    {!consistent_answers_ucq} report to [Obs.Progress.set_branch]. *)
+    {!plan_ucq}'s route).  The label {!consistent_answers_ucq} reports
+    to [Obs.Progress.set_branch]. *)
 
 val c_branch : string
 (** ["asp_c"]: the branch {!consistent_answers_c} reports. *)
 
-val consistent_answers_c : t -> Logic.Cq.t -> Relational.Value.t list list
+val consistent_answers_c : t -> Logic.Ucq.t -> Relational.Value.t list list
 (** Consistent answers under C-repairs (ASP with weak constraints). *)
-
-val consistent_answers_ucq :
-  ?method_:[ `Repair_enumeration | `Asp ] ->
-  t ->
-  Logic.Ucq.t ->
-  Relational.Value.t list list
-(** Consistent answers to a union of conjunctive queries (default:
-    repair enumeration).  Reports the method's {!method_route} as the
-    branch. *)
 
 val s_repairs : t -> Repairs.Repair.t list
 val c_repairs : t -> Repairs.Repair.t list
-val attribute_repairs : t -> Repairs.Attr_repair.t list
-val repair_check : t -> Relational.Instance.t -> bool
-(** Is the candidate an S-repair of the engine's instance? *)
 
 val inconsistency_degree : t -> float
 (** The repair-based measure (denial-class constraints only). *)

@@ -38,9 +38,6 @@ val conj : t list -> t
 val disj : t list -> t
 val exists : string list -> t -> t
 val forall : string list -> t -> t
-val of_cq_body : Cq.t -> t
-(** The body of a CQ as a conjunction (without quantifying anything). *)
-
 val of_cq : Cq.t -> t
 (** The CQ as a closed-or-open formula: existential variables quantified,
     head variables free. *)

@@ -20,11 +20,16 @@ module Row_set = Set.Make (struct
   let compare = List.compare Relational.Value.compare
 end)
 
+(* [Cq.answers] is already distinct and in row order. *)
 let answers u inst =
-  List.fold_left
-    (fun acc q -> List.fold_left (fun acc row -> Row_set.add row acc) acc (Cq.answers q inst))
-    Row_set.empty u.disjuncts
-  |> Row_set.elements
+  match u.disjuncts with
+  | [ q ] -> Cq.answers q inst
+  | qs ->
+      List.fold_left
+        (fun acc q ->
+          List.fold_left (fun acc row -> Row_set.add row acc) acc (Cq.answers q inst))
+        Row_set.empty qs
+      |> Row_set.elements
 
 let holds u inst = List.exists (fun q -> Cq.holds q inst) u.disjuncts
 

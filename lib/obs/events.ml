@@ -10,7 +10,6 @@ type sink = {
   wall : unit -> float;
   t0 : float;
   mutable last : float; (* clamp: timestamps never decrease *)
-  mutable next_id : int;
   mutable emitted : int;
   mutable closed : bool;
 }
@@ -25,7 +24,6 @@ let make ?(clock = Unix.gettimeofday) ?wall ?(close = fun () -> ()) write =
     wall;
     t0;
     last = t0;
-    next_id = 0;
     emitted = 0;
     closed = false;
   }
@@ -90,10 +88,6 @@ let anchor ?label sink =
     :: (match label with Some l -> [ ("label", Str l) ] | None -> [])
   in
   emit sink ~fields "anchor"
-
-let next_request_id sink =
-  sink.next_id <- sink.next_id + 1;
-  sink.next_id
 
 let emitted sink = sink.emitted
 

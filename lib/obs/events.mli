@@ -57,9 +57,6 @@ val anchor : ?label:string -> sink -> unit
     monotonic origins differ — be correlated on a shared wall clock.
     Emit one at startup and at every flush/rotation point. *)
 
-val next_request_id : sink -> int
-(** A fresh id, starting at 1 and increasing. *)
-
 val emitted : sink -> int
 (** Events written so far (for tests and STATS). *)
 

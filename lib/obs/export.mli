@@ -2,14 +2,8 @@
     string helpers they (and the benchmarks) share.  [lib/obs] has no
     JSON dependency by design. *)
 
-val json_escape : string -> string
-(** Escape for use inside a JSON string literal. *)
-
 val json_string : string -> string
 (** A quoted, escaped JSON string literal. *)
-
-val pp_duration : float -> string
-(** Seconds as a human-readable ["12.3us"] / ["4.56ms"] / ["1.234s"]. *)
 
 val tree : Trace.span list -> string list
 (** Indented span tree: one line per span —

@@ -169,7 +169,6 @@ let session c = c.session
 let branch c = c.branch
 let phase_of c = c.cur_phase
 let work c = c.work
-let bound_of c = c.best_bound
 let started c = c.started
 let cancelled c = c.cancel
 let budget_s c = if c.deadline = infinity then None else Some (c.deadline -. c.started)

@@ -75,7 +75,6 @@ val session : t -> string
 val branch : t -> string
 val phase_of : t -> string
 val work : t -> int
-val bound_of : t -> int
 val started : t -> float
 val cancelled : t -> bool
 
@@ -83,7 +82,6 @@ val cancelled : t -> bool
 val budget_s : t -> float option
 
 val elapsed : ?now:float -> t -> float
-val heartbeat_age : ?now:float -> t -> float
 
 (** The latest state as a snapshot (independent of the ring). *)
 val snapshot : t -> snapshot
@@ -92,7 +90,6 @@ val snapshot : t -> snapshot
 val history : t -> snapshot list
 
 val describe : ?now:float -> t -> string
-val snapshot_line : snapshot -> string
 val history_lines : t -> string list
 
 (** ["-"] for the no-bound sentinel [-1], the number otherwise. *)

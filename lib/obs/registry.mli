@@ -94,9 +94,6 @@ val hist_raw_buckets : histogram -> int array
 (** A copy of the per-bucket (non-cumulative) counts; one longer than
     {!hist_bounds}, the last entry being the overflow bucket. *)
 
-val hist_buckets : histogram -> (string * int) list
-(** Labelled bucket counts, e.g. [("le_1us", 0); ...; ("gt_10s", 0)]. *)
-
 val quantile : histogram -> float -> float
 (** Estimated q-quantile in seconds: linear interpolation inside the
     covering bucket; the unbounded overflow bucket reports its lower

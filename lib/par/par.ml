@@ -7,7 +7,6 @@ let c_par_cancelled = Obs.Counter.make "par.cancelled"
 
 let default = ref 1
 let set_default_jobs n = default := max 1 n
-let default_jobs () = !default
 
 (* Lists shorter than this run sequentially even when jobs > 1.  Handing
    two or three tasks to the pool costs a lock hand-off, a broadcast and
@@ -92,10 +91,6 @@ let locked f =
   let v = f () in
   Mutex.unlock lock;
   v
-
-let pool_size () = locked (fun () -> List.length !workers)
-let queue_depth () = locked (fun () -> Queue.length queue)
-let busy_workers () = locked (fun () -> !busy)
 
 let sample_gauges registry =
   let g name v = Obs.Registry.set_gauge registry ("par." ^ name) v in

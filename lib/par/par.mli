@@ -19,8 +19,6 @@
 val set_default_jobs : int -> unit
 (** Set the process-wide default parallelism (clamped to ≥ 1; default 1). *)
 
-val default_jobs : unit -> int
-
 val set_parallel_cutoff : int -> unit
 (** Minimum list length for {!map} to engage the domain pool (clamped to
     ≥ 2; default 4).  Shorter lists run as plain [List.map] — queueing a
@@ -39,22 +37,11 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 val filter_map : ?jobs:int -> ('a -> 'b option) -> 'a list -> 'b list
 
-(** {1 Pool introspection}
-
-    Occupancy of the persistent worker pool, for the serving layer's
-    runtime gauges.  All three take the pool lock, so they are exact
-    (not racy snapshots) but not for hot loops. *)
-
-val pool_size : unit -> int
-(** Worker domains spawned so far (the pool only grows). *)
-
-val queue_depth : unit -> int
-(** Tasks waiting in the shared queue right now. *)
-
-val busy_workers : unit -> int
-(** Worker domains currently running a task (excludes the calling
-    domain's own chunk). *)
-
 val sample_gauges : Obs.Registry.t -> unit
-(** Write [par.pool_size], [par.queue_depth], [par.busy_workers] and
-    [par.default_jobs] gauges into [registry]. *)
+(** Write the occupancy of the persistent worker pool, for the serving
+    layer's runtime gauges, into [registry]: [par.pool_size] (worker
+    domains spawned so far; the pool only grows), [par.queue_depth]
+    (tasks waiting in the shared queue), [par.busy_workers] (workers
+    running a task, excluding the calling domain's own chunk) and
+    [par.default_jobs].  Takes the pool lock, so the values are exact
+    but it is not for hot loops. *)

@@ -41,8 +41,6 @@ let of_rows cols (rows : Value.t array list) =
   in
   { cols; columns; length = n }
 
-let get_row t i = Array.map (fun c -> Column.get c i) t.columns
-
 let rows t =
   let getters = Array.map Column.getter t.columns in
   List.init t.length (fun i -> Array.map (fun g -> g i) getters)

@@ -20,7 +20,6 @@ val col_index : t -> string -> int
 
 val column : t -> string -> Column.t
 
-val get_row : t -> int -> Value.t array
 val rows : t -> Value.t array list
 
 val select : t -> int array -> t

@@ -21,7 +21,6 @@ let make ~original repaired =
 
 let delta t = Fact.Set.union t.deleted t.inserted
 let cost t = Fact.Set.cardinal t.deleted + Fact.Set.cardinal t.inserted
-let is_deletion_only t = Fact.Set.is_empty t.inserted
 let equal a b = Fact.Set.equal (delta a) (delta b)
 
 let compare_by_delta a b = Fact.Set.compare (delta a) (delta b)

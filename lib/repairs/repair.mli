@@ -24,7 +24,6 @@ val delta : t -> Relational.Fact.Set.t
 val cost : t -> int
 (** [|D Δ D'|]. *)
 
-val is_deletion_only : t -> bool
 val equal : t -> t -> bool
 val compare_by_delta : t -> t -> int
 (** Order repairs by their delta fact sets, for stable output. *)

@@ -10,6 +10,18 @@ type entry = {
   mutable route : string option;
 }
 
+(* What a session's document says about one query name, kept per LOAD
+   (see [per_document]): the union it names, its {!Cqa.Engine.plan_ucq}
+   (made by the first read that needs it, see [plan]), and its workload
+   fingerprints — semantics-qualified, plain and under EXPLAIN, indexed
+   by [fingerprint_slot] — so attribution builds no string per
+   request. *)
+type named = {
+  ucq : Logic.Ucq.t;
+  mutable plan : Cqa.Engine.plan option;
+  fingerprints : string array Lazy.t;
+}
+
 type t = {
   sessions : Session.store;
   cache : (string, entry) Lru.t;
@@ -22,21 +34,13 @@ type t = {
   next_rid : int ref; (* request ids, threaded through events and spans *)
   stats : Obs.Stats.t option; (* fingerprint workload store *)
   sampler : Obs.Sampler.t option; (* tail-sampled trace ring *)
-  fp_memo :
-    ( string,
-      (string * Logic.Cq.t) list
-      * Constraints.Ic.t list
-      * (string * string) )
+  named :
+    ( string * string,
+      (string * Logic.Cq.t) list * Constraints.Ic.t list * named option )
     Hashtbl.t;
-      (* sid|query|method|semantics -> (queries, ics, (fingerprint,
-         branch)), the lists validating the entry by physical identity;
-         bounded by periodic reset *)
-  plan_memo :
-    ( string,
-      (string * Logic.Cq.t) list * Constraints.Ic.t list * Cqa.Engine.plan )
-    Hashtbl.t;
-      (* sid|query -> (queries, ics, Engine.plan) of a single query,
-         validated and bounded like [fp_memo] ([per_document]) *)
+      (* (sid, query) -> (queries, ics, what the name denotes; [None]:
+         no such query), the lists validating the entry by physical
+         identity ([per_document]); bounded by periodic reset *)
   mutable last_cache : Obs.Stats.cache_outcome;
       (* what the memo cache did for the request being dispatched *)
   mutable last_entry : entry option;
@@ -83,8 +87,7 @@ let create ?(cache_capacity = 512) ?(max_body_lines = 10_000) ?on_trace ?events
     next_rid = ref 0;
     stats;
     sampler;
-    fp_memo = Hashtbl.create 64;
-    plan_memo = Hashtbl.create 64;
+    named = Hashtbl.create 64;
     last_cache = Obs.Stats.Uncached;
     last_entry = None;
     baseline_scratch = None;
@@ -168,11 +171,9 @@ let engine_method : P.method_ -> Cqa.Engine.answer_method = function
   | P.Asp -> `Asp
   | P.Sat -> `Sat
 
-(* The engine method a union query runs: unions have no rewriting or
-   SAT route, so everything but method=asp enumerates repairs. *)
-let ucq_method : P.method_ -> [ `Repair_enumeration | `Asp ] = function
-  | P.Asp -> `Asp
-  | _ -> `Repair_enumeration
+let engine_semantics : P.semantics -> [ `S | `C ] = function
+  | P.S -> `S
+  | P.C -> `C
 
 let with_session t sid f =
   match Session.find t.sessions sid with
@@ -223,71 +224,65 @@ let per_document memo (session : Session.t) key compute =
       Hashtbl.replace memo key (queries, ics, v);
       v
 
-(* The Engine.plan of a single query, per session and query name: a
-   cache-missing QUERY classifies its query once per LOAD, not once per
-   read (re-planning after every update would price each read at a
+(* The query [name] of the session's document, per LOAD: a
+   cache-missing QUERY classifies it once per LOAD, not once per read
+   (re-planning after every update would price each read at a
    classifier pass). *)
-let query_plan t (session : Session.t) name q =
-  per_document t.plan_memo session (session.id ^ "|" ^ name) (fun () ->
-      Cqa.Engine.plan session.engine q)
+let named t (session : Session.t) name =
+  per_document t.named session (session.id, name) (fun () ->
+      match Cqa.Parse.find_ucq session.doc name with
+      | exception Not_found -> None
+      | ucq ->
+          Some
+            {
+              ucq;
+              plan = None;
+              fingerprints =
+                lazy
+                  (let fp = Cqa.Fingerprint.ucq ucq in
+                   [| "s:" ^ fp; "c:" ^ fp; "explain:s:" ^ fp; "explain:c:" ^ fp |]);
+            })
 
-(* Refuse rather than silently running a different (and differently
-   priced) algorithm than the one requested — and let the analyzer name
-   the condition a rewriting needs that the union fails. *)
-let union_refusal ics ~name (u : Logic.Ucq.t) (m : Cqa.Engine.answer_method) =
-  let not_applicable label why =
-    Some (Printf.sprintf "method=%s not applicable to %S: %s" label name why)
-  in
-  match m with
-  | `Sat ->
-      not_applicable "sat"
-        (Printf.sprintf
-           "the SAT backend compiles single conjunctive queries (union has \
-            %d disjuncts)"
-           (List.length u.disjuncts))
-  | `Residue_rewriting ->
-      not_applicable "rewriting"
-        (Analysis.Classify.ucq_rewriting_diagnostic ics u)
-  | `Key_rewriting | `Datalog ->
-      not_applicable "key-rewriting"
-        (Analysis.Classify.ucq_rewriting_diagnostic ics u)
-  | `Auto | `Repair_enumeration | `Asp -> None
+(* Planned from the session's engine when first needed; nothing of the
+   session is kept, so a memo entry pins no instance. *)
+let plan (session : Session.t) n =
+  match n.plan with
+  | Some p -> p
+  | None ->
+      let p = Cqa.Engine.plan_ucq session.engine n.ucq in
+      n.plan <- Some p;
+      p
+
+let fingerprint_slot ~explain semantics =
+  (if explain then 2 else 0) + match semantics with P.S -> 0 | P.C -> 1
 
 let exec_query t (session : Session.t) name method_ semantics =
-  match Cqa.Parse.find_ucq session.doc name with
-  | exception Not_found ->
+  match named t session name with
+  | None ->
       P.err (Printf.sprintf "no query named %S in session %S" name session.id)
-  | u -> (
-      match (u.Logic.Ucq.disjuncts, semantics) with
-      | [ q ], P.S ->
-          let plan =
-            match method_ with
-            | P.Auto | P.Key_rewriting -> Some (query_plan t session name q)
-            | P.Enum | P.Rewriting | P.Asp | P.Sat -> None
-          in
+  | Some n -> (
+      let m = engine_method method_ in
+      match
+        Cqa.Engine.refusal
+          ~semantics:(engine_semantics semantics)
+          session.engine ~name n.ucq m
+      with
+      | Some msg -> P.err msg
+      | None ->
           let rows =
-            Cqa.Engine.consistent_answers ~method_:(engine_method method_)
-              ?plan session.engine q
+            match semantics with
+            | P.S ->
+                let plan =
+                  match method_ with
+                  | P.Auto | P.Key_rewriting -> Some (plan session n)
+                  | P.Enum | P.Rewriting | P.Asp | P.Sat -> None
+                in
+                Cqa.Engine.consistent_answers_ucq ~method_:m ?plan
+                  session.engine n.ucq
+            | P.C -> Cqa.Engine.consistent_answers_c session.engine n.ucq
           in
           P.ok ~body:(List.map pp_row rows)
-            (Printf.sprintf "answers=%d" (List.length rows))
-      | [ q ], P.C ->
-          let rows = Cqa.Engine.consistent_answers_c session.engine q in
-          P.ok ~body:(List.map pp_row rows)
-            (Printf.sprintf "answers=%d" (List.length rows))
-      | _, P.C -> P.err "C-repair semantics supports single queries only"
-      | _, P.S -> (
-          match
-            union_refusal session.doc.ics ~name u (engine_method method_)
-          with
-          | Some msg -> P.err msg
-          | None ->
-              let rows =
-                Cqa.Engine.consistent_answers_ucq
-                  ~method_:(ucq_method method_) session.engine u
-              in
-              P.ok ~body:(List.map pp_row rows)
-                (Printf.sprintf "answers=%d" (List.length rows))))
+            (Printf.sprintf "answers=%d" (List.length rows)))
 
 let query_cache_key (session : Session.t) name method_ semantics =
   String.concat "|"
@@ -298,55 +293,34 @@ let query_cache_key (session : Session.t) name method_ semantics =
 
 (* The one semantics x method -> branch table: the branch a
    QUERY/EXPLAIN executes, as the engine reports it to Obs.Progress.
-   [route] is a single query's planned route, forced under method=auto
-   only; without it the query is a union, which runs [ucq_method]. *)
-let branch ?route method_ semantics =
-  match (semantics, method_, route) with
-  | P.C, _, _ -> Cqa.Engine.c_branch
-  | P.S, m, None ->
-      Cqa.Engine.method_route (ucq_method m :> Cqa.Engine.answer_method)
-  | P.S, P.Auto, Some r -> Cqa.Engine.route_label (Lazy.force r)
-  | P.S, m, Some _ -> Cqa.Engine.method_route (engine_method m)
-
-(* The plan branch of a QUERY/EXPLAIN, for workload attribution. *)
-let branch_of t (session : Session.t) name (u : Logic.Ucq.t) method_ semantics =
-  match u.Logic.Ucq.disjuncts with
-  | [ q ] ->
-      branch method_ semantics
-        ~route:(lazy (query_plan t session name q).Cqa.Engine.route)
-  | _ -> branch method_ semantics
-
-(* Workload identity of a QUERY/EXPLAIN: semantics-qualified fingerprint
-   (Cqa.Fingerprint — canonical variable renaming, constants abstracted)
-   and plan branch, memoized per document. *)
-let fp_branch t (session : Session.t) name method_ semantics =
-  let key =
-    String.concat "|"
-      [ session.id; name; method_label method_; semantics_label semantics ]
-  in
-  per_document t.fp_memo session key (fun () ->
-      match Cqa.Parse.find_ucq session.doc name with
-      | exception Not_found ->
-          (semantics_label semantics ^ ":unknown:" ^ name, "service")
-      | u ->
-          ( semantics_label semantics ^ ":" ^ Cqa.Fingerprint.ucq u,
-            branch_of t session name u method_ semantics ))
+   The plan is forced under method=auto only. *)
+let branch session n method_ semantics =
+  match (semantics, method_) with
+  | P.C, _ -> Cqa.Engine.c_branch
+  | P.S, P.Auto -> Cqa.Engine.route_label (plan session n).Cqa.Engine.route
+  | P.S, m -> Cqa.Engine.method_route (engine_method m)
 
 (* Every command gets a workload identity so the store attributes ~all
-   request wall time: queries by shape x plan branch, everything else
-   under its command label on the "service" branch. *)
+   request wall time: queries by shape (Cqa.Fingerprint — canonical
+   variable renaming, constants abstracted, qualified by semantics) x
+   plan branch, everything else under its command label on the
+   "service" branch. *)
 let workload_identity t command =
   match command with
   | P.Query { sid; name; method_; semantics; _ }
   | P.Explain { sid; name; method_; semantics; _ } -> (
+      let explain = match command with P.Explain _ -> true | _ -> false in
       match Session.find t.sessions sid with
       | None -> (String.lowercase_ascii (P.command_label command), "service")
-      | Some session ->
-          let fp, branch = fp_branch t session name method_ semantics in
-          let fp =
-            match command with P.Explain _ -> "explain:" ^ fp | _ -> fp
-          in
-          (fp, branch))
+      | Some session -> (
+          match named t session name with
+          | None ->
+              ( (if explain then "explain:" else "")
+                ^ semantics_label semantics ^ ":unknown:" ^ name,
+                "service" )
+          | Some n ->
+              ( (Lazy.force n.fingerprints).(fingerprint_slot ~explain semantics),
+                branch session n method_ semantics )))
   | P.Repairs { semantics; _ } ->
       ("repairs:" ^ semantics_label semantics, "service")
   | c -> (String.lowercase_ascii (P.command_label c), "service")
@@ -369,37 +343,20 @@ let executed_route spans =
    classifier's verdict.  Emitted on every successful EXPLAIN whatever
    the method, semantics, or cache state. *)
 let plan_lines t (session : Session.t) name method_ semantics =
-  match Cqa.Parse.find_ucq session.doc name with
-  | exception Not_found -> []
-  | u -> (
-      match u.Logic.Ucq.disjuncts with
-      | [ q ] ->
-          let p = query_plan t session name q in
-          let branch =
-            branch method_ semantics ~route:(Lazy.from_val p.Cqa.Engine.route)
-          in
-          [
-            "-- plan";
-            Printf.sprintf "branch %s" branch;
-            Printf.sprintf "verdict %s witness %s"
-              (Analysis.Classify.verdict_label
-                 p.Cqa.Engine.classification.Analysis.Classify.verdict)
-              (Analysis.Classify.witness_code
-                 p.Cqa.Engine.classification.Analysis.Classify.witness);
-            Printf.sprintf "auto_route %s"
-              (Cqa.Engine.route_label p.Cqa.Engine.route);
-          ]
-      | disjuncts ->
-          let c = Analysis.Classify.classify_ucq session.doc.ics u in
-          let branch = branch method_ semantics in
-          [
-            "-- plan";
-            Printf.sprintf "branch %s (union query, %d disjuncts)" branch
-              (List.length disjuncts);
-            Printf.sprintf "verdict %s witness %s"
-              (Analysis.Classify.verdict_label c.Analysis.Classify.verdict)
-              (Analysis.Classify.witness_code c.Analysis.Classify.witness);
-          ])
+  match named t session name with
+  | None -> []
+  | Some n ->
+      let p = plan session n in
+      [
+        "-- plan";
+        Printf.sprintf "branch %s" (branch session n method_ semantics);
+        Printf.sprintf "verdict %s witness %s"
+          (Analysis.Classify.verdict_label
+             p.Cqa.Engine.classification.Analysis.Classify.verdict)
+          (Analysis.Classify.witness_code
+             p.Cqa.Engine.classification.Analysis.Classify.witness);
+        Printf.sprintf "auto_route %s" (Cqa.Engine.route_label p.Cqa.Engine.route);
+      ]
 
 (* EXPLAIN runs the query fresh under a private trace sink and reports
    what it cost: whether an equivalent QUERY would be answered from the

@@ -99,16 +99,6 @@ val metrics_text : t -> string
     families.  Uptime is in the registry itself as
     [cqa_server_uptime_seconds] (refreshed by {!sample_gauges}). *)
 
-val union_refusal :
-  Constraints.Ic.t list -> name:string -> Logic.Ucq.t ->
-  Cqa.Engine.answer_method -> string option
-(** The text QUERY answers [ERR] with for the union [name] under a
-    method that has no union route: [method=sat] (the SAT backend
-    compiles single conjunctive queries) and [method=rewriting] /
-    [method=key-rewriting] (with the analyzer's diagnostic).  [None] for
-    [auto], [enum] and [asp], which answer unions.  The CLI's [answers]
-    refuses with the same text. *)
-
 val dispatch : t -> ?payload:string list -> Protocol.command -> Protocol.response
 (** Execute one parsed command, recording request count and latency.
     [payload] is the document text for LOAD (ignored otherwise).  The

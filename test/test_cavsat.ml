@@ -206,7 +206,8 @@ let test_theory_cache () =
 (* q(x) :- R(x,y), S(z,y): the Fuxman–Miller coNP-hard pattern. *)
 let hard = Cq.make ~name:"hard" [ x ] [ Atom.make "R" [ x; y ]; Atom.make "S" [ z; y ] ]
 
-let certain_sat db q = Cavsat.Certain.consistent_answers db rs_schema rs_keys q
+let certain_sat db q =
+  Cavsat.Certain.consistent_answers db rs_schema rs_keys (Ucq.of_cq q)
 
 let certain_enum db q =
   let eng = Cqa.Engine.create ~schema:rs_schema ~ics:rs_keys db in
@@ -284,7 +285,7 @@ let test_certain_rejects_inds () =
   let db = Instance.create schema in
   let ind = Ic.ind ~sub:("Supply", [ 2 ]) ~sup:("Articles", [ 0 ]) in
   let q = Cq.make ~name:"q" [ x ] [ Atom.make "Articles" [ x ] ] in
-  match Cavsat.Certain.consistent_answers db schema [ ind ] q with
+  match Cavsat.Certain.consistent_answers db schema [ ind ] (Ucq.of_cq q) with
   | _ -> Alcotest.fail "SAT backend accepted an inclusion dependency"
   | exception Invalid_argument msg ->
       check Alcotest.bool "message names the constraint class" true
@@ -313,7 +314,7 @@ let test_selfjoin_single_tid_witness () =
       let w, cands = Cavsat.Witness.answers_with_witnesses q db in
       List.map (fun (c : Cavsat.Witness.candidate) -> (c.row, Cavsat.Witness.sets w c)) cands
     in
-    let sat = Cavsat.Certain.consistent_answers db schema keys q in
+    let sat = Cavsat.Certain.consistent_answers db schema keys (Ucq.of_cq q) in
     let eng = Cqa.Engine.create ~schema ~ics:keys db in
     check rows "agrees with enumeration"
       (strings_of
@@ -685,7 +686,8 @@ let test_maximality_behind_wide_edge () =
   let enum = Cqa.Engine.consistent_answers ~method_:`Repair_enumeration eng q in
   check rows "certain under enumeration" [ [] ] (strings_of enum);
   check rows "certain under SAT" [ [] ]
-    (strings_of (Cavsat.Certain.consistent_answers db rs_schema ics q))
+    (strings_of
+       (Cavsat.Certain.consistent_answers db rs_schema ics (Ucq.of_cq q)))
 
 (* The executed route, not the planned one, is what the progress
    context and the trace report when the rewriting declines (the
@@ -716,9 +718,10 @@ let test_declined_rewriting_reports_sat () =
       check Alcotest.(option string) "executed" (Some "sat_compilation")
         (attr "executed_route")
 
-(* C-semantics and union queries never plan a route, but they report
-   their branch all the same: a deadline ERR or INFLIGHT line must not
-   read branch=?. *)
+(* C-semantics queries never plan a route, but they report their
+   branch all the same: a deadline ERR or INFLIGHT line must not read
+   branch=?.  A union under auto plans one like any query: SAT under
+   the keys. *)
 let test_c_and_union_report_branch () =
   let db =
     Instance.of_rows rs_schema
@@ -739,11 +742,17 @@ let test_c_and_union_report_branch () =
   check
     Alcotest.(pair string int)
     "C-semantics CQ" ("asp_c", 1)
-    (branch (fun () -> Cqa.Engine.consistent_answers_c eng r_keys));
+    (branch (fun () -> Cqa.Engine.consistent_answers_c eng (Ucq.of_cq r_keys)));
+  check
+    Alcotest.(pair string int)
+    "union, auto" ("sat_compilation", 2)
+    (branch (fun () -> Cqa.Engine.consistent_answers_ucq eng union));
   check
     Alcotest.(pair string int)
     "union, enumeration" ("repair_enumeration", 2)
-    (branch (fun () -> Cqa.Engine.consistent_answers_ucq eng union));
+    (branch (fun () ->
+         Cqa.Engine.consistent_answers_ucq ~method_:`Repair_enumeration eng
+           union));
   check
     Alcotest.(pair string int)
     "union, ASP" ("asp", 2)
@@ -794,7 +803,7 @@ let equivalent ?(via = `Sat) ics db_spec =
     (fun q ->
       let got =
         match via with
-        | `Sat -> Cavsat.Certain.consistent_answers db schema ics q
+        | `Sat -> Cavsat.Certain.consistent_answers db schema ics (Ucq.of_cq q)
         | `Auto -> Cqa.Engine.consistent_answers eng q
       in
       got = Cqa.Engine.consistent_answers ~method_:`Repair_enumeration eng q)
@@ -833,6 +842,91 @@ let prop_auto_equals_enum_nulls =
     arb_db_nulls (fun spec ->
       equivalent ~via:`Auto rs_keys spec
       && equivalent ~via:`Auto (deny :: rs_keys) spec)
+
+(* Two-disjunct unions of every pair of equal-arity shapes (a shape
+   with itself included): NULLs, self-joins, repeated variables and
+   constants reach the union's witness merge. *)
+let union_shapes =
+  let all = shapes @ sat_route_shapes in
+  List.concat
+    (List.mapi
+       (fun i q ->
+         List.filteri
+           (fun j q' -> j >= i && Cq.arity q' = Cq.arity q)
+           all
+         |> List.map (fun q' -> Ucq.make ~name:"u" [ q; q' ]))
+       all)
+
+let union_equivalent ics db_spec =
+  let db = instance_of db_spec in
+  let schema = Instance.schema db in
+  let eng = Cqa.Engine.create ~schema ~ics db in
+  List.for_all
+    (fun u ->
+      let enum =
+        Cqa.Engine.consistent_answers_ucq ~method_:`Repair_enumeration eng u
+      in
+      Cavsat.Certain.consistent_answers db schema ics u = enum
+      && Cqa.Engine.consistent_answers_ucq eng u = enum)
+    union_shapes
+
+let prop_sat_equals_enum_unions =
+  QCheck.Test.make ~count:100 ~name:"SAT ≡ enumeration on unions" arb_db_nulls
+    (fun spec ->
+      union_equivalent rs_keys spec && union_equivalent (deny :: rs_keys) spec)
+
+(* A union whose answer no disjunct certainly gives: every repair keeps
+   R(1,10) or R(1,11), so 1 is certain for the union and for neither
+   disjunct.  Auto and sat answer it by SAT, with no repair enumerated
+   and no ASP program grounded; enumeration and ASP stay its oracles. *)
+let test_union_on_sat_enumerates_nothing () =
+  let db =
+    Instance.of_rows rs_schema
+      [
+        ( "R",
+          [
+            [ Value.int 1; Value.int 10 ];
+            [ Value.int 1; Value.int 11 ];
+            [ Value.int 2; Value.int 12 ];
+          ] );
+        ("S", [ [ Value.int 2; Value.int 10 ] ]);
+      ]
+  in
+  let q v =
+    Cq.make ~name:"u" [ x ] [ Atom.make "R" [ x; Term.const (Value.int v) ] ]
+  in
+  let u = Ucq.make ~name:"u" [ q 10; q 11 ] in
+  List.iter
+    (fun ics ->
+      let eng = Cqa.Engine.create ~schema:rs_schema ~ics db in
+      check rows "no disjunct alone" []
+        (strings_of (Cqa.Engine.consistent_answers eng (q 10))
+        @ strings_of (Cqa.Engine.consistent_answers eng (q 11)));
+      check Alcotest.string "auto plans SAT" "sat_compilation"
+        (Cqa.Engine.route_label (Cqa.Engine.plan_ucq eng u).Cqa.Engine.route);
+      List.iter
+        (fun m ->
+          let reg = Obs.Registry.current () in
+          let before = Obs.Registry.counter_snapshot reg in
+          let got = Cqa.Engine.consistent_answers_ucq ~method_:m eng u in
+          let delta = Obs.Registry.counter_delta ~since:before reg in
+          check rows "the union is certain" [ [ "1" ] ] (strings_of got);
+          check Alcotest.int "zero repair enumerations" 0
+            (Option.value ~default:0
+               (List.assoc_opt "repairs.enumerations" delta));
+          check Alcotest.(list (pair string int)) "no ASP work" []
+            (List.filter
+               (fun (n, v) -> v <> 0 && String.starts_with ~prefix:"asp." n)
+               delta);
+          check Alcotest.bool "answered by SAT" true
+            (List.assoc_opt "cavsat.candidates" delta = Some 1))
+        [ `Auto; `Sat ];
+      List.iter
+        (fun m ->
+          check rows "oracle agrees" [ [ "1" ] ]
+            (strings_of (Cqa.Engine.consistent_answers_ucq ~method_:m eng u)))
+        [ `Repair_enumeration; `Asp ])
+    [ rs_keys; deny :: rs_keys ]
 
 (* ---- the probe encoding against the selector encoding --------------- *)
 
@@ -1000,7 +1094,9 @@ let test_warm_read_allocation () =
         0
         (snd (Cavsat.Witness.answers_with_witnesses q db))
     in
-    let read () = Cavsat.Certain.consistent_answers db schema keys q in
+    let read () =
+      Cavsat.Certain.consistent_answers db schema keys (Ucq.of_cq q)
+    in
     check rows "certain" [ [] ] (strings_of (read ()));
     ignore (read ());
     let before = allocated_words () in
@@ -1132,6 +1228,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sat_equals_enum_nulls;
     QCheck_alcotest.to_alcotest prop_auto_equals_enum;
     QCheck_alcotest.to_alcotest prop_auto_equals_enum_nulls;
+    QCheck_alcotest.to_alcotest prop_sat_equals_enum_unions;
+    Alcotest.test_case "engine: unions on SAT enumerate no repair" `Quick
+      test_union_on_sat_enumerates_nothing;
     QCheck_alcotest.to_alcotest prop_probe_equals_selector;
     Alcotest.test_case "probe encoding: every witness kind is drawn" `Quick
       test_probe_kinds_drawn;

@@ -88,7 +88,7 @@ let test_c_semantics () =
   let qd = Cq.make [ Term.var "x" ] [ Atom.make "D" [ Term.var "x" ] ] in
   check Alcotest.int "S: none" 0
     (List.length (Engine.consistent_answers eng qd));
-  check Alcotest.int "C: one" 1 (List.length (Engine.consistent_answers_c eng qd))
+  check Alcotest.int "C: one" 1 (List.length (Engine.consistent_answers_c eng (Ucq.of_cq qd)))
 
 (* A session whose reads never go through SAT keeps no earlier instance
    alive across its writes: the LOAD instance, with its views and their
