@@ -211,10 +211,14 @@ let count_cmd =
   let run file trace jobs =
     let doc = load file in
     let s, c =
-      with_jobs jobs (fun () ->
-          with_trace trace (fun () ->
-              ( Repairs.Count.s_repairs doc.instance doc.schema doc.ics,
-                Repairs.Count.c_repairs doc.instance doc.schema doc.ics )))
+      try
+        with_jobs jobs (fun () ->
+            with_trace trace (fun () ->
+                ( Repairs.Count.s_repairs doc.instance doc.schema doc.ics,
+                  Repairs.Count.c_repairs doc.instance doc.schema doc.ics )))
+      with Repairs.Count.Overflow msg ->
+        prerr_endline msg;
+        exit 2
     in
     Printf.printf "S-repairs: %d\n" s;
     Printf.printf "C-repairs: %d\n" c

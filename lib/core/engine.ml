@@ -186,10 +186,14 @@ let plan_ucq t (u : Logic.Ucq.t) =
         rewriting = None;
       }
 
-(* The rewriting reads key equality as SQL equality, under which a NULL
-   key matches nothing, while repairs compare tuples structurally: on a
-   NULL-keyed tuple the two disagree.  The route declines when a
-   relation the query reads holds a NULL. *)
+(* The rewriting reads every join as SQL equality, under which a NULL
+   matches nothing, and the repairs disagree with it in three ways: a
+   NULL-keyed tuple is in every repair yet joins no block; a head
+   variable under the rewriting's [∃] prefix never binds NULL, while a
+   repair's answer can carry one; and a NULL non-key cell conflicts
+   with no block mate, yet the guard quantifies over that tuple as a
+   mate and, finding no join for its NULL, refutes the block.  The
+   route declines when a relation the query reads holds a NULL. *)
 let reads_null t (u : Logic.Ucq.t) =
   List.exists
     (fun (q : Logic.Cq.t) ->

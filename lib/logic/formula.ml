@@ -323,20 +323,18 @@ end)
      substituted into the atoms instead: its refutation needs [u = t]
      definitely true, which is what a join on [t] gives (the argument
      [bound_pattern] rests on), while kept as a filter it would leave
-     [u] to a cross product.  A bare disjunction of such literals (no
-     [∀], e.g. [¬S(x) ∨ ¬S(y)]) compiles the same way when no column it
-     compares holds a NULL: [eval] reads it in three-valued logic, where
-     an Unknown literal refutes too, and without NULLs (and with only
-     [=]/[≠]) nothing is Unknown.
+     [u] to a cross product.  Every residue has this shape: [ū] may be
+     empty (κ's [∀ (¬S(x) ∨ ¬S(y))], whose variables the query atom
+     binds), and a constraint constant [c] is a literal [x ≠ c] on a
+     free variable, which stays a filter.
 
    Quantifiers are two-valued exactly as in [eval]/[sat], and a
    NULL-keyed join refutes nothing (NULL never joins), matching the
-   interpreter's definite-match generators.  Any other shape — a bare
-   positive atom under a guard ([eval] tells False from Unknown there),
-   the [pre → ∀ …] residues of constraints with constants, a bare
-   disjunction over nullable columns — falls back to the interpreter,
-   as does any quantified variable no atom generates (the interpreter
-   enumerates the active domain for those). *)
+   interpreter's definite-match generators.  Any other shape — a
+   positive atom under a guard (an inclusion dependency's residue;
+   [eval] tells False from Unknown there) — falls back to the
+   interpreter, as does any quantified variable no atom generates (the
+   interpreter enumerates the active domain for those). *)
 
 exception Unsupported_plan
 
@@ -372,8 +370,8 @@ let refutation us body =
     in
     match List.find_map pick cmps with
     | None ->
-        if atoms = [] || not (List.for_all (fun u -> List.mem u generated) us)
-        then raise Unsupported_plan;
+        if not (List.for_all (fun u -> List.mem u generated) us) then
+          raise Unsupported_plan;
         (atoms, List.map Cmp.negate cmps)
     | Some (c, u, t) ->
         let s = Subst.singleton u t in
@@ -467,33 +465,6 @@ let plan_of_formula inst f =
     if not (List.for_all (fun v -> List.mem v cols) vs) then
       raise Unsupported_plan
   in
-  (* A residue guard (see [refutation]); [three_valued] for a bare
-     disjunction. *)
-  let residue ?(three_valued = false) guard us body =
-    match refutation us body with
-    | None -> []
-    | Some (atoms, negs) ->
-        [ `Refute (free_vars guard, atoms, negs, three_valued) ]
-  in
-  (* Can a literal of a bare disjunction be Unknown, over the
-     conjunction [table]?  Only through a NULL — in a column it compares
-     or a constant — or an order comparison (Unknown across types). *)
-  let unknown_possible table atoms negs =
-    let null = function
-      | Term.Const v -> Value.is_null v
-      | Term.Var x -> Column.has_nulls (Columnar.column table x)
-    in
-    List.exists
-      (fun (c : Cmp.t) ->
-        (c.op <> Cmp.Eq && c.op <> Cmp.Neq) || null c.left || null c.right)
-      negs
-    || List.exists
-         (fun (b : Atom.t) ->
-           List.exists null b.args
-           || Array.exists Column.has_nulls
-                (Columnar.columns (Instance.columnar inst ~rel:b.rel)))
-         atoms
-  in
   (* Row-identity column for guard subtraction; the leading '#' keeps it
      out of the variable namespace (like [Instance.tid_column]). *)
   let ord_col = "#ord" in
@@ -512,9 +483,12 @@ let plan_of_formula inst f =
                    refutation search to the active domain. *)
                 require us (Atom.vars mate);
                 (ats, `Mate (mate, conds) :: gs, cs)
-            | Forall (us, body) -> (ats, residue item us body @ gs, cs)
-            | Or _ | Not (Atom _) ->
-                (ats, residue ~three_valued:true item [] item @ gs, cs)
+            | Forall (us, body) -> (
+                (* A residue guard (see [refutation]). *)
+                match refutation us body with
+                | None -> (ats, gs, cs)
+                | Some (batoms, negs) ->
+                    (ats, `Refute (free_vars item, batoms, negs) :: gs, cs))
             | Cmp c -> (ats, gs, c :: cs)
             | _ -> raise Unsupported_plan)
           ([], [], []) items
@@ -571,12 +545,8 @@ let plan_of_formula inst f =
           let bads =
             List.concat_map
               (function
-              | `Refute (free, atoms, negs, three_valued) -> (
+              | `Refute (free, atoms, negs) -> (
                   require free all_cols;
-                  if
-                    three_valued
-                    && unknown_possible (Option.get table) atoms negs
-                  then raise Unsupported_plan;
                   match
                     compile_conj ~seed:filtered
                       (List.map (fun a -> Atom a) atoms

@@ -83,14 +83,11 @@ val answers :
       [B1 ∧ … ∧ Bm ∧ ¬L1 ∧ … ∧ ¬Lk] joined onto the bindings, after each
       [u ≠ t] with [u ∈ ū] is substituted into the atoms (so a key
       guard [∀ū (¬R(ū) ∨ x ≠ u1 ∨ y = u2)] is a join on [x], not a cross
-      product);
-    - a bare disjunction of such literals (a residue with no quantified
-      variable, e.g. [¬S(x) ∨ ¬S(y)]) when no column or constant it
-      compares is NULL and its comparisons are [=]/[≠], where its
-      three-valued reading cannot be Unknown.
-    Other shapes — residue preconditions [pre → …] (constraints with
-    constants), bare disjunctions over NULLs, bare positive atoms under
-    a guard, variables only the active domain binds — run {!interpret}. *)
+      product); [ū] may be empty, and a literal [x ≠ c] on a free
+      variable (a constraint constant) is a filter of the refutation.
+    Other shapes — positive atoms under a guard (an inclusion
+    dependency's residue), variables only the active domain binds — run
+    {!interpret}. *)
 
 val interpret :
   Relational.Instance.t -> free:string list -> t -> Relational.Value.t list list

@@ -21,30 +21,30 @@ let of_clause ?(suffix = "'") (atom : Atom.t) clause =
         match Unify.atoms b atom with
         | None -> None
         | Some theta ->
-            let rest = List.map (apply_subst_literal theta) rest in
-            let body = Formula.disj (List.map literal_formula rest) in
-            (* Bindings the unifier imposes on the atom's own variables
-               become equality preconditions on the query side. *)
+            (* Bindings the unifier imposes on the atom's own variables (a
+               constant in the clause) become disequality literals of the
+               residue: it is refuted only where the binding definitely
+               holds, so a NULL in that position refutes nothing. *)
             let preconditions =
               List.filter_map
                 (fun (x, t) ->
                   if List.mem x atom_vars && not (Term.equal (Term.Var x) t)
-                  then Some (Formula.Cmp (Cmp.eq (Term.Var x) t))
+                  then Some (Formula.Cmp (Cmp.neq (Term.Var x) t))
                   else None)
                 (Subst.to_list theta)
+            in
+            let rest = List.map (apply_subst_literal theta) rest in
+            let body =
+              Formula.disj (preconditions @ List.map literal_formula rest)
             in
             let extra =
               List.filter
                 (fun v -> not (List.mem v atom_vars))
                 (Formula.free_vars body)
             in
-            let residue = Formula.forall extra body in
-            let residue =
-              match preconditions with
-              | [] -> residue
-              | _ -> Formula.Implies (Formula.conj preconditions, residue)
-            in
-            Some residue)
+            (* The constructor, not [Formula.forall]: with no quantified
+               variable the residue still reads two-valued. *)
+            Some (Formula.Forall (extra, body)))
   in
   let rec each before = function
     | [] -> []

@@ -12,10 +12,13 @@
 val of_clause : ?suffix:string -> Atom.t -> Clause.t -> Formula.t list
 (** [of_clause atom clause] returns one residue per negative literal of
     [clause] that unifies with [atom].  The clause is standardized apart
-    with [suffix] (default ["'"]) before unification.  Clause variables not
-    bound to the atom's own terms are universally quantified in the result;
-    bindings imposed on the atom's variables (by constants in the clause)
-    surface as equality preconditions guarding the residue. *)
+    with [suffix] (default ["'"]) before unification.  Every residue has
+    one shape, [Forall (ū, L1 ∨ … ∨ Lk)]: the clause variables not bound
+    to the atom's own terms are [ū] (possibly none), and a binding [x = t]
+    the unifier imposes on an atom variable (a constant in the clause)
+    is the literal [x ≠ t] among the [Li].  Read two-valued, the residue
+    says the tuple takes part in no definite violation: a NULL where the
+    constraint needs a definite match refutes nothing. *)
 
 val for_atom : ?suffix:string -> Atom.t -> Clause.t list -> Formula.t list
 (** All residues of a set of IC clauses against one atom. *)

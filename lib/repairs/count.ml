@@ -17,6 +17,17 @@ let key_blocks inst _schema ~rel ~key =
   Hashtbl.fold (fun _ n acc -> if n >= 2 then n :: acc else acc) groups []
   |> List.sort compare
 
+exception Overflow of string
+
+(* [a * b] for [a, b >= 1], raising [Overflow] past [max_int]. *)
+let checked_mul a b =
+  if a > max_int / b then
+    raise
+      (Overflow
+         (Printf.sprintf "repair count exceeds max_int = %d (2^%d - 1)" max_int
+            (Sys.int_size - 1)))
+  else a * b
+
 let closed_form_keys inst schema ics =
   let keys =
     List.filter_map (function Ic.Key (rel, ps) -> Some (rel, ps) | _ -> None) ics
@@ -30,7 +41,7 @@ let closed_form_keys inst schema ics =
     Some
       (List.fold_left
          (fun acc (rel, key) ->
-           List.fold_left ( * ) acc (key_blocks inst schema ~rel ~key))
+           List.fold_left checked_mul acc (key_blocks inst schema ~rel ~key))
          1 keys)
 
 let via_hypergraph inst schema ics =

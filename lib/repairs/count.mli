@@ -7,6 +7,10 @@
     equal to its size (each repair keeps exactly one claimant per block) —
     which is the tractable side of the counting dichotomy. *)
 
+exception Overflow of string
+(** The closed form's product of block sizes exceeds [max_int]; the
+    message names the bound.  A count is never returned wrapped. *)
+
 val s_repairs :
   Relational.Instance.t -> Relational.Schema.t -> Constraints.Ic.t list -> int
 (** Exact count; uses the closed form when all constraints are primary keys
@@ -27,4 +31,5 @@ val closed_form_keys :
   Relational.Instance.t -> Relational.Schema.t -> Constraints.Ic.t list ->
   int option
 (** Product of block sizes, when every constraint is a primary key (at most
-    one per relation); [None] otherwise. *)
+    one per relation); [None] otherwise.  Raises {!Overflow} when the
+    product exceeds [max_int]. *)

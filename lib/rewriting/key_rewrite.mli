@@ -22,10 +22,14 @@
     columnar {!Relational.Plan}.  For a C-forest query it is the
     Fuxman–Miller rewriting.
 
-    Like SQL, the formula never joins through NULL, while repairs compare
-    tuples structurally, so on a NULL-keyed tuple the two can disagree;
-    the engine sends instances with NULLs in the query's relations to an
-    exact route instead. *)
+    Like SQL, the formula never joins through NULL, and it disagrees
+    with the repairs wherever a relation the query reads holds one: a
+    NULL-keyed tuple joins no block; a head variable under the
+    existential prefix never binds NULL; and a tuple with a NULL non-key
+    cell, which conflicts with no block mate, is still quantified over
+    as a mate by the guard, which refutes the block when the NULL joins
+    nothing.  The engine sends such instances to an exact route
+    instead. *)
 
 val of_input : Analysis.Attack_graph.rewriting_input -> Logic.Formula.t
 (** The rewriting of a prepared input; its free variables are the head

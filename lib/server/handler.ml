@@ -419,14 +419,12 @@ let exec_check (session : Session.t) =
 let exec_repairs (session : Session.t) semantics =
   let count =
     match semantics with
-    | P.S ->
-        Repairs.Count.s_repairs session.doc.instance session.doc.schema
-          session.doc.ics
-    | P.C ->
-        Repairs.Count.c_repairs session.doc.instance session.doc.schema
-          session.doc.ics
+    | P.S -> Repairs.Count.s_repairs
+    | P.C -> Repairs.Count.c_repairs
   in
-  P.ok (Printf.sprintf "count=%d" count)
+  match count session.doc.instance session.doc.schema session.doc.ics with
+  | n -> P.ok (Printf.sprintf "count=%d" n)
+  | exception Repairs.Count.Overflow msg -> P.err msg
 
 let exec_analyze (session : Session.t) name =
   match name with

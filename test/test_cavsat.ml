@@ -718,6 +718,44 @@ let test_declined_rewriting_reports_sat () =
       check Alcotest.(option string) "executed" (Some "sat_compilation")
         (attr "executed_route")
 
+(* The key route's second reason to decline on NULLs: a NULL non-key
+   cell.  (2, NULL) and (2, 2) share R's key but conflict on nothing
+   (a NULL cell differs from no value), so R(2, 2) stays in every repair
+   and joins S(0, 2): 2 is certain.  The rewriting's guard still
+   quantifies over (2, NULL) as a block mate, finds no S tuple joining
+   its NULL, and would refute 2.  [auto] declines the rewriting and
+   answers on SAT, with enumeration's answer. *)
+let test_null_block_mate_declines () =
+  let db =
+    Instance.of_rows rs_schema
+      [
+        ("R", [ [ Value.int 2; Value.Null ]; [ Value.int 2; Value.int 2 ] ]);
+        ( "S",
+          [
+            [ Value.int 0; Value.int 2 ];
+            [ Value.int 1; Value.int 2 ];
+            [ Value.Null; Value.int 2 ];
+          ] );
+      ]
+  in
+  let eng = Cqa.Engine.create ~schema:rs_schema ~ics:rs_keys db in
+  check Alcotest.string "planned as the rewriting" "key_rewriting"
+    (Cqa.Engine.route_label (Cqa.Engine.plan eng hard).Cqa.Engine.route);
+  let answers, spans =
+    Obs.Trace.collect (fun () -> Cqa.Engine.consistent_answers eng hard)
+  in
+  check rows "enumeration" [ [ "2" ] ] (strings_of (certain_enum db hard));
+  check rows "auto = enumeration" [ [ "2" ] ] (strings_of answers);
+  match
+    List.find_opt
+      (fun (s : Obs.Trace.span) -> s.name = "engine.certain_answers")
+      spans
+  with
+  | None -> Alcotest.fail "no engine span"
+  | Some s ->
+      check Alcotest.(option string) "executed" (Some "sat_compilation")
+        (List.assoc_opt "executed_route" s.Obs.Trace.attrs)
+
 (* C-semantics queries never plan a route, but they report their
    branch all the same: a deadline ERR or INFLIGHT line must not read
    branch=?.  A union under auto plans one like any query: SAT under
@@ -1220,6 +1258,8 @@ let suite =
       test_declined_rewriting_reports_sat;
     Alcotest.test_case "engine: NULL fallback is SAT" `Quick
       test_null_fallback_is_sat;
+    Alcotest.test_case "engine: a NULL block mate declines the rewriting"
+      `Quick test_null_block_mate_declines;
     Alcotest.test_case "engine: C and union queries report their branch"
       `Quick test_c_and_union_report_branch;
     QCheck_alcotest.to_alcotest prop_sat_equals_enum_keys;

@@ -35,6 +35,65 @@ let test_count_hypergraph () =
     (Count.closed_form_keys P.Hypergraph.instance P.Hypergraph.schema
        P.Hypergraph.dcs)
 
+(* [pairs] key-conflicting pairs: 2^pairs repairs, past [max_int] from
+   62 pairs on.  The document's lines, for the CLI and the server. *)
+let pairs_doc pairs =
+  "relation T(k, v)" :: "key T(k)"
+  :: List.concat
+       (List.init pairs (fun i ->
+            [ Printf.sprintf "row T(%d, a)" i; Printf.sprintf "row T(%d, b)" i ]))
+
+(* The closed form multiplies block sizes with an overflow check: 2^61
+   is exact, 2^62 and 2^63 raise an error naming the bound rather than
+   wrapping to a negative count or 0.  The CLI prints that error to
+   stderr and exits 2. *)
+let test_count_overflow () =
+  let bound = "repair count exceeds max_int = 4611686018427387903 (2^62 - 1)" in
+  let count f pairs =
+    let doc = Cqa.Parse.document_of_string (String.concat "\n" (pairs_doc pairs)) in
+    f doc.Cqa.Parse.instance doc.schema doc.ics
+  in
+  check Alcotest.int "2^61 exact" (1 lsl 61) (count Count.s_repairs 61);
+  check Alcotest.int "2^61 exact (C)" (1 lsl 61) (count Count.c_repairs 61);
+  List.iter
+    (fun pairs ->
+      Alcotest.check_raises (Printf.sprintf "%d pairs overflow" pairs)
+        (Count.Overflow bound) (fun () -> ignore (count Count.s_repairs pairs)))
+    [ 62; 63 ];
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/cqa_cli.exe"
+  in
+  let run pairs =
+    let input = Filename.temp_file "pairs" ".cqa" in
+    let out = Filename.temp_file "count" ".out" in
+    let err = Filename.temp_file "count" ".err" in
+    Out_channel.with_open_text input (fun oc ->
+        output_string oc (String.concat "\n" (pairs_doc pairs) ^ "\n"));
+    let status =
+      Sys.command
+        (Printf.sprintf "%s count %s > %s 2> %s" (Filename.quote cli)
+           (Filename.quote input) (Filename.quote out) (Filename.quote err))
+    in
+    let read f = In_channel.with_open_text f In_channel.input_all in
+    let r = (status, read out, read err) in
+    List.iter Sys.remove [ input; out; err ];
+    r
+  in
+  let status, out, _ = run 61 in
+  check Alcotest.int "CLI 61 pairs: exit 0" 0 status;
+  check Alcotest.string "CLI 61 pairs: 2^61"
+    "S-repairs: 2305843009213693952\nC-repairs: 2305843009213693952\n" out;
+  List.iter
+    (fun pairs ->
+      let status, out, err = run pairs in
+      check Alcotest.int (Printf.sprintf "CLI %d pairs: exit 2" pairs) 2 status;
+      check Alcotest.string (Printf.sprintf "CLI %d pairs: no count" pairs) ""
+        out;
+      check Alcotest.string
+        (Printf.sprintf "CLI %d pairs: error names the bound" pairs)
+        (bound ^ "\n") err)
+    [ 62; 63 ]
+
 let test_key_blocks () =
   let blocks =
     Count.key_blocks P.Employee.instance P.Employee.schema ~rel:"Employee"
@@ -331,6 +390,8 @@ let suite =
     Alcotest.test_case "counting: closed form (2^k)" `Quick test_count_closed_form;
     Alcotest.test_case "counting: hypergraph (Fig 1)" `Quick test_count_hypergraph;
     Alcotest.test_case "counting: key blocks" `Quick test_key_blocks;
+    Alcotest.test_case "counting: overflow is an error (library, CLI)" `Quick
+      test_count_overflow;
     QCheck_alcotest.to_alcotest prop_count_matches_enumeration;
     Alcotest.test_case "prioritized: globally optimal" `Quick
       test_prioritized_globally_optimal;

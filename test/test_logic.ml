@@ -145,7 +145,8 @@ let test_clause_and_residue_ind () =
   in
   let atom = Atom.make "Supply" [ Term.var "x"; Term.var "y"; Term.var "z" ] in
   match Residue.of_clause atom clause with
-  | [ Formula.Atom a ] -> check Alcotest.string "residue Articles(z)" "Articles" a.Atom.rel
+  | [ Formula.Forall ([], Formula.Atom a) ] ->
+      check Alcotest.string "residue Articles(z)" "Articles" a.Atom.rel
   | _ -> Alcotest.fail "expected single positive residue"
 
 let test_clause_and_residue_key () =

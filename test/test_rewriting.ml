@@ -282,24 +282,48 @@ let test_guard_subtraction_examples () =
     [ "x"; "y" ] P.Denial.instance
     [ [ "a2"; "a1" ] ]
 
-(* κ's bare residue [¬S(x) ∨ ¬S(y)] is three-valued: over a NULL in S it
-   stays on the interpreter, with the same answers. *)
-let test_kappa_null_falls_back () =
+(* κ's residue against R(x, y) quantifies no variable, [∀ (¬S(x) ∨ ¬S(y))],
+   and reads two-valued: over NULLs in S and R it compiles, and a tuple
+   with a NULL takes part in no definite violation, so it is kept — the
+   repairs' answers. *)
+let test_kappa_null_compiles () =
   let module P = Workload.Paper in
+  let fact rel args = Relational.Fact.make rel args in
   let inst =
-    Instance.add P.Denial.instance (Relational.Fact.make "S" [ Value.Null ])
+    List.fold_left Instance.add P.Denial.instance
+      [
+        fact "S" [ Value.Null ];
+        fact "R" [ Value.str "a2"; Value.Null ];
+        fact "R" [ Value.Null; Value.str "a4" ];
+      ]
   in
-  let f =
-    Rewriting.Residue_rewrite.rewrite_ics P.Denial.q P.Denial.schema
-      [ P.Denial.kappa ]
+  let eng =
+    Cqa.Engine.create ~schema:P.Denial.schema ~ics:[ P.Denial.kappa ] inst
   in
-  let answers, scans =
-    counting_scans (fun () -> Formula.answers inst ~free:[] f)
+  let r_query =
+    Cq.make ~name:"r" [ Term.var "x"; Term.var "y" ]
+      [ Atom.make "R" [ Term.var "x"; Term.var "y" ] ]
   in
-  check Alcotest.int "interpreter ran" 1 scans;
-  check vrows "= interpreter"
-    (rows_to_strings (Formula.interpret inst ~free:[] f))
-    (rows_to_strings answers)
+  List.iter
+    (fun (q : Cq.t) ->
+      let f =
+        Rewriting.Residue_rewrite.rewrite_ics q P.Denial.schema
+          [ P.Denial.kappa ]
+      in
+      let answers, scans =
+        counting_scans (fun () -> Formula.answers inst ~free:(Cq.head_vars q) f)
+      in
+      check Alcotest.int (q.name ^ ": compiled") 0 scans;
+      check vrows (q.name ^ ": = enumeration")
+        (rows_to_strings
+           (Cqa.Engine.consistent_answers ~method_:`Repair_enumeration eng q))
+        (rows_to_strings answers))
+    [ P.Denial.q; r_query ];
+  check vrows "NULL-carrying tuples kept"
+    [ [ "NULL"; "a4" ]; [ "a2"; "NULL" ]; [ "a2"; "a1" ] ]
+    (rows_to_strings
+       (Rewriting.Residue_rewrite.consistent_answers r_query P.Denial.schema
+          [ P.Denial.kappa ] inst))
 
 (* [method=rewriting] through the server on the shipped example. *)
 let test_rewriting_method_served () =
@@ -332,12 +356,10 @@ let test_rewriting_method_served () =
    on random keys and FDs plus at most one denial (with or without a
    constant), over instances with NULL cells.  The queries are full (no
    projection) and the denials join two relations, so every tuple alone
-   is consistent: the class where the rewriting is complete.  Two
-   exceptions, where it is only sound: a residue read in three-valued
-   logic — the precondition [y = 1 → …] of a constraint constant, or a
-   bare [¬S(y, z)] — turns Unknown over a NULL and drops a tuple that
-   violates nothing.  Keys and FDs without constants always compile
-   ([scan.row] stays 0). *)
+   is consistent: the class where the rewriting is complete.  Every
+   residue — a constraint constant's [∀ (y ≠ 1 ∨ …)] and the bare
+   [∀ ¬S(y, z)] too — reads two-valued, so a NULL drops no tuple that
+   violates nothing, and every case compiles ([scan.row] stays 0). *)
 let rschema = Schema.of_list [ ("R", [ "a"; "b"; "c" ]); ("S", [ "b"; "c" ]) ]
 
 let prop_residue_compiled_exact =
@@ -419,9 +441,8 @@ let prop_residue_compiled_exact =
             Cqa.Engine.consistent_answers ~method_:`Repair_enumeration eng q
           in
           sort compiled = sort (Formula.interpret inst ~free f)
-          && List.for_all (fun r -> List.mem r repairs) compiled
-          && (d = Some 3 || d = Some 4 || sort compiled = sort repairs)
-          && (d <> None || scans = 0))
+          && sort compiled = sort repairs
+          && scans = 0)
         queries)
 
 let suite =
@@ -445,8 +466,9 @@ let suite =
       test_residue_compiled_examples;
     Alcotest.test_case "guard subtraction on the paper's examples" `Quick
       test_guard_subtraction_examples;
-    Alcotest.test_case "residue rewriting: kappa over NULL on the interpreter"
-      `Quick test_kappa_null_falls_back;
+    Alcotest.test_case
+      "residue rewriting: kappa over NULL compiles and agrees with enumeration"
+      `Quick test_kappa_null_compiles;
     Alcotest.test_case "residue rewriting served: method=rewriting" `Quick
       test_rewriting_method_served;
     QCheck_alcotest.to_alcotest prop_residue_compiled_exact;

@@ -292,6 +292,35 @@ let test_handler_repairs_measure_check () =
   Alcotest.(check int) "repairs+measure cached" 2
     (Server.Metrics.hits (Server.Handler.metrics h))
 
+(* REPAIRS past [max_int] answers ERR naming the bound, not a wrapped
+   count: 61 key-conflicting pairs count 2^61, 62 and 63 overflow. *)
+let test_handler_repairs_overflow () =
+  let h = Server.Handler.create () in
+  let load sid pairs =
+    let payload = Test_further_repairs.pairs_doc pairs in
+    match Server.Handler.dispatch h ~payload (P.Load sid) with
+    | { P.status = `Ok; _ } -> ()
+    | { P.head; _ } -> Alcotest.fail ("LOAD failed: " ^ head)
+  in
+  List.iter (fun n -> load (Printf.sprintf "p%d" n) n) [ 61; 62; 63 ];
+  List.iter
+    (fun sem ->
+      (match dispatch_line h ("REPAIRS p61 " ^ sem) with
+      | { P.status = `Ok; head = "count=2305843009213693952"; _ } -> ()
+      | { P.head; _ } -> Alcotest.fail ("unexpected REPAIRS: " ^ head));
+      List.iter
+        (fun sid ->
+          match dispatch_line h (Printf.sprintf "REPAIRS %s %s" sid sem) with
+          | {
+           P.status = `Err;
+           head = "repair count exceeds max_int = 4611686018427387903 (2^62 - 1)";
+           _;
+          } ->
+              ()
+          | { P.head; _ } -> Alcotest.fail ("unexpected REPAIRS: " ^ head))
+        [ "p62"; "p63" ])
+    [ "s"; "c" ]
+
 let test_handler_errors_keep_session () =
   let h = Server.Handler.create () in
   load_session h "s1";
@@ -1199,6 +1228,8 @@ let suite =
       test_handler_shared_cache_across_sessions;
     Alcotest.test_case "repairs, measure, check" `Quick
       test_handler_repairs_measure_check;
+    Alcotest.test_case "REPAIRS past max_int answers ERR" `Quick
+      test_handler_repairs_overflow;
     Alcotest.test_case "ERR responses keep the session alive" `Quick
       test_handler_errors_keep_session;
     Alcotest.test_case "unsafe queries rejected at parse time" `Quick
