@@ -1397,12 +1397,91 @@ let b21 ~quick () =
     sizes;
   print_newline ()
 
+(* B22: LOAD in one pass.  A document of [n] rows from Workload.Gen
+   (the key-conflict relation T(k, v), 10% conflicting keys) is parsed
+   into an instance and digested the way the server's LOAD does it.
+   Minor words per fact count parse plus digest: the allocation the
+   bulk-built base saves over an instance built insert by insert, and
+   deterministic for a given document.  A row-permuted copy of the
+   document must digest equal. *)
+let b22 ~quick () =
+  header "B22" "LOAD scaling: parse and digest"
+    "LOAD is one linear pass: parse and digest time grow with the row \
+     count, and the allocation per fact stays flat";
+  let render rows =
+    let b = Buffer.create (16 * (Array.length rows + 4)) in
+    Buffer.add_string b "relation T(k, v)\n";
+    Array.iter
+      (fun (f : Relational.Fact.t) ->
+        Buffer.add_string b "row T(";
+        Array.iteri
+          (fun i v ->
+            if i > 0 then Buffer.add_string b ", ";
+            Buffer.add_string b (Value.to_string v))
+          f.row;
+        Buffer.add_string b ")\n")
+      rows;
+    Buffer.add_string b "key T(k)\nquery q(X) :- T(X, Y)\n";
+    Buffer.contents b
+  in
+  let sizes =
+    if quick then [ 10_000; 100_000 ] else [ 10_000; 100_000; 1_000_000 ]
+  in
+  Printf.printf "  %9s %9s %12s %12s %12s %s\n" "rows" "facts" "parse"
+    "digest" "words/fact" "permuted=";
+  List.iter
+    (fun n ->
+      let db, _ = Gen.key_conflict_instance ~seed:22 ~n ~conflict_fraction:0.1 () in
+      let rows = Array.of_list (Instance.fact_list db) in
+      let text = render rows in
+      let rng = Random.State.make [| 22 |] in
+      for i = Array.length rows - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = rows.(i) in
+        rows.(i) <- rows.(j);
+        rows.(j) <- x
+      done;
+      let permuted = render rows in
+      Gc.compact ();
+      let w0 = Gc.minor_words () in
+      let doc = Cqa.Parse.document_of_string text in
+      let digest = Server.Session.digest_of doc in
+      let words = Gc.minor_words () -. w0 in
+      let facts = Instance.size doc.instance in
+      let words_per_fact = words /. float_of_int facts in
+      let _, parse_ns =
+        Bech_harness.best_of 3 (fun () -> Cqa.Parse.document_of_string text)
+      in
+      let _, digest_ns =
+        Bech_harness.best_of 3 (fun () -> Server.Session.digest_of doc)
+      in
+      let permuted_equal =
+        String.equal digest
+          (Server.Session.digest_of (Cqa.Parse.document_of_string permuted))
+      in
+      assert permuted_equal;
+      Printf.printf "  %9d %9d %12s %12s %12.1f %b\n" n facts
+        (Bech_harness.pp_ns parse_ns) (Bech_harness.pp_ns digest_ns)
+        words_per_fact permuted_equal;
+      Bench_json.record ~bench:"b22"
+        [
+          ("n", Bench_json.int n);
+          ("facts", Bench_json.int facts);
+          ("parse_ns", Bench_json.num parse_ns);
+          ("digest_ns", Bench_json.num digest_ns);
+          ("words_per_fact", Bench_json.num words_per_fact);
+          ("permuted_equal", Bench_json.str (string_of_bool permuted_equal));
+        ])
+    sizes;
+  print_newline ()
+
 let all =
   [
     ("b1", b1); ("b2", b2); ("b3", b3); ("b4", b4); ("b5", b5); ("b6", b6);
     ("b7", b7); ("b8", b8); ("b9", b9); ("b10", b10); ("b11", b11);
     ("b12", b12); ("b13", b13); ("b14", b14); ("b16", b16);
     ("b17", b17); ("b18", b18); ("b19", b19); ("b21", b21);
+    ("b22", b22);
   ]
 
 let run ~quick ids =

@@ -163,9 +163,15 @@ let answers_cmd =
         exit 2
     | None -> ());
     let rows =
-      with_jobs jobs @@ fun () ->
-      with_trace trace (fun () ->
-          Cqa.Engine.consistent_answers_ucq ~method_ eng u)
+      (* A forced method refuses an input it cannot answer exactly
+         (key rewriting over a NULL) with [Invalid_argument]. *)
+      try
+        with_jobs jobs @@ fun () ->
+        with_trace trace (fun () ->
+            Cqa.Engine.consistent_answers_ucq ~method_ eng u)
+      with Invalid_argument msg ->
+        prerr_endline msg;
+        exit 2
     in
     pp_rows rows
   in

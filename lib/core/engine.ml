@@ -282,6 +282,10 @@ let consistent_answers_ucq ?(method_ = `Auto) ?plan:planned t u =
           | Some p -> (p.classification, p.rewriting)
           | None -> Analysis.Classify.classify_rewriting t.ics q
         with
+        | _, Some _ when reads_null t u ->
+            invalid_arg
+              "Engine.consistent_answers: key rewriting not applicable: a \
+               relation the query reads holds a NULL"
         | _, Some ri -> Rewriting.Key_rewrite.answers ri t.instance
         | c, None ->
             invalid_arg

@@ -17,134 +17,205 @@ exception Error of int * string
 
 let fail line fmt = Printf.ksprintf (fun m -> raise (Error (line, m))) fmt
 
-(* --- tokenizing ------------------------------------------------------- *)
+(* --- the cursor ---------------------------------------------------------
 
-type token =
-  | Ident of string
-  | Quoted of string
-  | Sym of string (* ( ) , : [ ] ; and operators *)
+   One cursor reads the whole text, a token at a time, with the current
+   token as its one lookahead.  A token is a span of the text; only the
+   tokens a directive keeps become strings.  Directives are lines: the
+   newline ends one ([Eol]), and no token spans two lines. *)
 
-let tokenize line s =
-  let n = String.length s in
-  let toks = ref [] in
-  let i = ref 0 in
-  let push t = toks := t :: !toks in
-  while !i < n do
-    let c = s.[!i] in
-    if c = ' ' || c = '\t' then incr i
-    else if c = '%' then i := n
-    else if c = '"' then begin
-      let j = ref (!i + 1) in
-      while !j < n && s.[!j] <> '"' do
+type kind =
+  | Ident
+  | Quoted (* the span excludes the quotes *)
+  | Sym (* ( ) , : [ ] ; and operators *)
+  | Eol
+  | Eof
+
+type cursor = {
+  text : string;
+  mutable pos : int; (* first unread byte *)
+  mutable line : int; (* the current token's line *)
+  mutable kind : kind;
+  mutable start : int; (* the current token is text.[start .. stop - 1] *)
+  mutable stop : int;
+}
+
+let is_ident_start c =
+  (c >= 'a' && c <= 'z')
+  || (c >= 'A' && c <= 'Z')
+  || (c >= '0' && c <= '9')
+  || c = '_' || c = '\''
+
+let is_ident_char c = is_ident_start c || c = '.'
+
+(* Blanks, and a comment up to its newline. *)
+let rec skip_blanks s i =
+  if i >= String.length s then i
+  else
+    match s.[i] with
+    | ' ' | '\t' | '\r' -> skip_blanks s (i + 1)
+    | '%' -> (
+        match String.index_from_opt s i '\n' with
+        | Some j -> j
+        | None -> String.length s)
+    | _ -> i
+
+let set_token c kind start stop =
+  c.kind <- kind;
+  c.start <- start;
+  c.stop <- stop
+
+let advance c =
+  if c.kind = Eol then c.line <- c.line + 1;
+  let s = c.text and n = String.length c.text in
+  let i = skip_blanks s c.pos in
+  if i >= n then begin
+    set_token c Eof i i;
+    c.pos <- i
+  end
+  else
+    let ch = s.[i] in
+    if ch = '\n' then begin
+      set_token c Eol i i;
+      c.pos <- i + 1
+    end
+    else if ch = '"' then begin
+      let j = ref (i + 1) in
+      while !j < n && s.[!j] <> '"' && s.[!j] <> '\n' do
         incr j
       done;
-      if !j >= n then fail line "unterminated string";
-      push (Quoted (String.sub s (!i + 1) (!j - !i - 1)));
-      i := !j + 1
+      if !j >= n || s.[!j] <> '"' then fail c.line "unterminated string";
+      set_token c Quoted (i + 1) !j;
+      c.pos <- !j + 1
     end
-    else if
-      (c >= 'a' && c <= 'z')
-      || (c >= 'A' && c <= 'Z')
-      || (c >= '0' && c <= '9')
-      || c = '_' || c = '\''
-    then begin
-      let j = ref !i in
-      while
-        !j < n
+    else if is_ident_start ch then begin
+      let j = ref (i + 1) in
+      while !j < n && is_ident_char s.[!j] do
+        incr j
+      done;
+      set_token c Ident i !j;
+      c.pos <- !j
+    end
+    else
+      let two =
+        i + 1 < n
         &&
-        let d = s.[!j] in
-        (d >= 'a' && d <= 'z')
-        || (d >= 'A' && d <= 'Z')
-        || (d >= '0' && d <= '9')
-        || d = '_' || d = '\'' || d = '.'
-      do
-        incr j
-      done;
-      push (Ident (String.sub s !i (!j - !i)));
-      i := !j
-    end
-    else begin
-      (* multi-char operators *)
-      let two = if !i + 1 < n then String.sub s !i 2 else "" in
-      match two with
-      | "<>" | "<=" | ">=" | ":-" ->
-          push (Sym two);
-          i := !i + 2
-      | _ ->
-          push (Sym (String.make 1 c));
-          i := !i + 1
-    end
-  done;
-  List.rev !toks
+        match (ch, s.[i + 1]) with
+        | '<', ('>' | '=') | '>', '=' | ':', '-' -> true
+        | _ -> false
+      in
+      let stop = if two then i + 2 else i + 1 in
+      set_token c Sym i stop;
+      c.pos <- stop
 
-(* --- token-stream helpers --------------------------------------------- *)
+let cursor text =
+  let c = { text; pos = 0; line = 0; kind = Eol; start = 0; stop = 0 } in
+  advance c;
+  c
 
-type stream = { mutable toks : token list; line : int }
+let tok_text c = String.sub c.text c.start (c.stop - c.start)
 
-let peek st = match st.toks with [] -> None | t :: _ -> Some t
+let rec same_bytes text at s i =
+  i = String.length s || (text.[at + i] = s.[i] && same_bytes text at s (i + 1))
 
-let next st =
-  match st.toks with
-  | [] -> fail st.line "unexpected end of line"
-  | t :: rest ->
-      st.toks <- rest;
-      t
+(* The current token's span spells [s]. *)
+let spells c s =
+  c.stop - c.start = String.length s && same_bytes c.text c.start s 0
 
-let expect_sym st s =
-  match next st with
-  | Sym s' when String.equal s s' -> ()
-  | _ -> fail st.line "expected '%s'" s
+let is_sym c s = c.kind = Sym && spells c s
+let at_end c = match c.kind with Eol | Eof -> true | _ -> false
 
-let ident st =
-  match next st with
-  | Ident s -> s
-  | Quoted s -> s
-  | Sym s -> fail st.line "expected identifier, got '%s'" s
+let describe c =
+  match c.kind with
+  | Quoted -> "\"" ^ tok_text c ^ "\""
+  | Eol | Eof -> "end of line"
+  | Ident | Sym -> tok_text c
 
-let is_all_digits s =
-  s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
+let end_of_line c = fail c.line "unexpected end of line"
 
-let value_of_token line = function
-  | Quoted s -> Value.str s
-  | Ident s when String.equal s "null" -> Value.Null
-  | Ident s when is_all_digits s -> Value.int (int_of_string s)
-  | Ident s -> Value.str s
-  | Sym s -> fail line "expected value, got '%s'" s
+let expect_sym c s =
+  if at_end c then end_of_line c;
+  if not (is_sym c s) then fail c.line "expected '%s'" s;
+  advance c
 
-let term_of_token line = function
-  | Quoted s -> Term.Const (Value.str s)
-  | Ident s when String.equal s "null" -> Term.Const Value.Null
-  | Ident s when is_all_digits s -> Term.int (int_of_string s)
-  | Ident s when s.[0] >= 'A' && s.[0] <= 'Z' -> Term.var s
-  | Ident s -> Term.str s
-  | Sym s -> fail line "expected term, got '%s'" s
+let ident c =
+  match c.kind with
+  | Ident | Quoted ->
+      let s = tok_text c in
+      advance c;
+      s
+  | Sym -> fail c.line "expected identifier, got '%s'" (tok_text c)
+  | Eol | Eof -> end_of_line c
 
-let comma_list st parse =
+(* An all-digit span read as an integer in place, or -1 for a span
+   holding another character. *)
+let rec digits c i acc =
+  if i = c.stop then acc
+  else
+    let ch = c.text.[i] in
+    if ch < '0' || ch > '9' then -1
+    else
+      let d = Char.code ch - 48 in
+      if acc > (max_int - d) / 10 then
+        fail c.line "integer %s out of range" (tok_text c)
+      else digits c (i + 1) ((acc * 10) + d)
+
+let int_of_digits c = digits c c.start 0
+
+let value c =
+  let v =
+    match c.kind with
+    | Quoted -> Value.str (tok_text c)
+    | Ident -> (
+        let i = int_of_digits c in
+        if i >= 0 then Value.int i
+        else if spells c "null" then Value.Null
+        else Value.str (tok_text c))
+    | Sym -> fail c.line "expected value, got '%s'" (tok_text c)
+    | Eol | Eof -> end_of_line c
+  in
+  advance c;
+  v
+
+let term c =
+  let t =
+    match c.kind with
+    | Quoted -> Term.Const (Value.str (tok_text c))
+    | Ident -> (
+        let i = int_of_digits c in
+        if i >= 0 then Term.int i
+        else
+          let s = tok_text c in
+          if String.equal s "null" then Term.Const Value.Null
+          else if s.[0] >= 'A' && s.[0] <= 'Z' then Term.var s
+          else Term.str s)
+    | Sym -> fail c.line "expected term, got '%s'" (tok_text c)
+    | Eol | Eof -> end_of_line c
+  in
+  advance c;
+  t
+
+let comma_list c parse =
   let rec go acc =
-    let x = parse st in
-    match peek st with
-    | Some (Sym ",") ->
-        ignore (next st);
-        go (x :: acc)
-    | _ -> List.rev (x :: acc)
+    let x = parse c in
+    if is_sym c "," then begin
+      advance c;
+      go (x :: acc)
+    end
+    else List.rev (x :: acc)
   in
   go []
 
-let paren_list st parse =
-  expect_sym st "(";
-  match peek st with
-  | Some (Sym ")") ->
-      ignore (next st);
-      []
-  | _ ->
-      let xs = comma_list st parse in
-      expect_sym st ")";
-      xs
-
-(* atoms and comparisons in rule bodies *)
-let parse_atom st name =
-  let args = paren_list st (fun st -> term_of_token st.line (next st)) in
-  Atom.make name args
+let paren_list c parse =
+  expect_sym c "(";
+  if is_sym c ")" then begin
+    advance c;
+    []
+  end
+  else
+    let xs = comma_list c parse in
+    expect_sym c ")";
+    xs
 
 let op_of_sym line = function
   | "=" -> Cmp.Eq
@@ -155,19 +226,26 @@ let op_of_sym line = function
   | ">=" -> Cmp.Ge
   | s -> fail line "unknown comparison operator '%s'" s
 
-(* A body element: either Pred(args) or term OP term. *)
-let parse_body_element st =
-  let first = next st in
-  match first, peek st with
-  | Ident name, Some (Sym "(") -> `Atom (parse_atom st name)
-  | t, Some (Sym op) when List.mem op [ "="; "<>"; "<"; "<="; ">"; ">=" ] ->
-      ignore (next st);
-      let right = term_of_token st.line (next st) in
-      `Cmp (Cmp.make (op_of_sym st.line op) (term_of_token st.line t) right)
-  | _ -> fail st.line "expected atom or comparison"
+let is_cmp_op c =
+  c.kind = Sym && List.exists (spells c) [ "="; "<>"; "<"; "<="; ">"; ">=" ]
 
-let parse_body st =
-  let elems = comma_list st parse_body_element in
+(* A body element: either Pred(args) or term OP term. *)
+let parse_body_element c =
+  if at_end c then end_of_line c;
+  let first_kind = c.kind and first = tok_text c in
+  let left = if first_kind = Sym then None else Some (term c) in
+  if first_kind = Ident && is_sym c "(" then
+    `Atom (Atom.make first (paren_list c term))
+  else
+    match left with
+    | Some left when is_cmp_op c ->
+        let op = op_of_sym c.line (tok_text c) in
+        advance c;
+        `Cmp (Cmp.make op left (term c))
+    | _ -> fail c.line "expected atom or comparison"
+
+let parse_body c =
+  let elems = comma_list c parse_body_element in
   let atoms = List.filter_map (function `Atom a -> Some a | `Cmp _ -> None) elems in
   let comps = List.filter_map (function `Cmp c -> Some c | `Atom _ -> None) elems in
   (atoms, comps)
@@ -176,7 +254,9 @@ let parse_body st =
 
 type state = {
   mutable schema : Schema.t;
-  mutable rows : (string * Value.t list) list; (* reversed *)
+  mutable facts : Relational.Fact.t array; (* the first [n_facts] *)
+  mutable n_facts : int;
+  mutable last_rel : Schema.relation option; (* the previous row's *)
   mutable ics : Ic.t list; (* reversed *)
   mutable queries : (string * Logic.Cq.t) list; (* reversed *)
 }
@@ -205,79 +285,120 @@ let check_safe line ~what head atoms comps =
   check "head" (Logic.Term.vars head);
   check "comparison" (List.concat_map Logic.Cmp.vars comps)
 
-let parse_line state line_no raw =
-  let toks = tokenize line_no raw in
-  match toks with
-  | [] -> ()
-  | Ident "relation" :: rest ->
-      let st = { toks = rest; line = line_no } in
-      let name = ident st in
-      let attrs = paren_list st ident in
+(* The declared relation a row names: the previous row's when the span
+   spells its name, so a run of rows looks the schema up once and every
+   fact shares the schema's name string. *)
+let row_relation state c =
+  match (c.kind, state.last_rel) with
+  | (Ident | Quoted), Some r when spells c r.name ->
+      advance c;
+      r
+  | _ ->
+      let line = c.line in
+      let name = ident c in
+      check_rel state line name;
+      let r = Schema.relation state.schema name in
+      state.last_rel <- Some r;
+      r
+
+(* row R(v1, ..., vn): the values go straight into an array of R's
+   arity; a row of another length is an error on its line. *)
+let parse_row state c =
+  let r = row_relation state c in
+  let arity = Array.length r.attributes in
+  let row = Array.make arity Value.Null in
+  let got = ref 0 in
+  let line = c.line in
+  expect_sym c "(";
+  if is_sym c ")" then advance c
+  else begin
+    let more = ref true in
+    while !more do
+      let v = value c in
+      if !got < arity then row.(!got) <- v;
+      incr got;
+      if is_sym c "," then advance c
+      else begin
+        expect_sym c ")";
+        more := false
+      end
+    done
+  end;
+  if !got <> arity then
+    fail line "%s expects arity %d, got %d" r.name arity !got;
+  let f = { Relational.Fact.rel = r.name; row } in
+  let n = state.n_facts in
+  if n = Array.length state.facts then begin
+    let grown = Array.make (max 64 (2 * n)) f in
+    Array.blit state.facts 0 grown 0 n;
+    state.facts <- grown
+  end;
+  state.facts.(n) <- f;
+  state.n_facts <- n + 1
+
+let directive state c =
+  let line_no = c.line in
+  let word = if spells c "row" then "row" else tok_text c in
+  advance c;
+  match word with
+  | "row" -> parse_row state c
+  | "relation" ->
+      let name = ident c in
+      let attrs = paren_list c ident in
       state.schema <- Schema.add_relation state.schema ~name ~attributes:attrs
-  | Ident "row" :: rest ->
-      let st = { toks = rest; line = line_no } in
-      let name = ident st in
+  | "key" ->
+      let name = ident c in
       check_rel state line_no name;
-      let values = paren_list st (fun st -> value_of_token st.line (next st)) in
-      state.rows <- (name, values) :: state.rows
-  | Ident "key" :: rest ->
-      let st = { toks = rest; line = line_no } in
-      let name = ident st in
-      check_rel state line_no name;
-      let attrs = paren_list st ident in
+      let attrs = paren_list c ident in
       let positions = List.map (attr_index state line_no name) attrs in
       state.ics <- Ic.key ~rel:name positions :: state.ics
-  | Ident "fd" :: rest ->
-      let st = { toks = rest; line = line_no } in
-      let name = ident st in
+  | "fd" ->
+      let name = ident c in
       check_rel state line_no name;
-      expect_sym st ":";
-      let lhs = comma_list st ident in
-      expect_sym st "-";
-      expect_sym st ">";
-      let rhs = comma_list st ident in
+      expect_sym c ":";
+      let lhs = comma_list c ident in
+      expect_sym c "-";
+      expect_sym c ">";
+      let rhs = comma_list c ident in
       state.ics <-
         Ic.fd ~rel:name
           ~lhs:(List.map (attr_index state line_no name) lhs)
           ~rhs:(List.map (attr_index state line_no name) rhs)
         :: state.ics
-  | Ident "ind" :: rest ->
-      let st = { toks = rest; line = line_no } in
-      let sub = ident st in
+  | "ind" ->
+      let sub = ident c in
       check_rel state line_no sub;
-      expect_sym st "[";
-      let sub_attrs = comma_list st ident in
-      expect_sym st "]";
-      expect_sym st "<=";
-      let sup = ident st in
+      expect_sym c "[";
+      let sub_attrs = comma_list c ident in
+      expect_sym c "]";
+      expect_sym c "<=";
+      let sup = ident c in
       check_rel state line_no sup;
-      expect_sym st "[";
-      let sup_attrs = comma_list st ident in
-      expect_sym st "]";
+      expect_sym c "[";
+      let sup_attrs = comma_list c ident in
+      expect_sym c "]";
       state.ics <-
         Ic.ind
           ~sub:(sub, List.map (attr_index state line_no sub) sub_attrs)
           ~sup:(sup, List.map (attr_index state line_no sup) sup_attrs)
         :: state.ics
-  | Ident "cfd" :: rest ->
+  | "cfd" ->
       (* cfd R: a = 44, b -> c [= v]: pattern constants inline. *)
-      let st = { toks = rest; line = line_no } in
-      let name = ident st in
+      let name = ident c in
       check_rel state line_no name;
-      expect_sym st ":";
-      let parse_spec st =
-        let attr = ident st in
-        match peek st with
-        | Some (Sym "=") ->
-            ignore (next st);
-            let v = value_of_token st.line (next st) in
-            (attr, Some v)
-        | _ -> (attr, None)
+      expect_sym c ":";
+      let parse_spec c =
+        let attr = ident c in
+        if is_sym c "=" then begin
+          advance c;
+          (attr, Some (value c))
+        end
+        else (attr, None)
       in
-      let lhs = comma_list st parse_spec in
-      expect_sym st "-";
-      expect_sym st ">";
-      let rhs = comma_list st parse_spec in
+      let lhs = comma_list c parse_spec in
+      expect_sym c "-";
+      expect_sym c ">";
+      let rhs = comma_list c parse_spec in
       let pos (attr, _) = attr_index state line_no name attr in
       let pat =
         List.map (fun ((_, v) as spec) -> (pos spec, v)) (lhs @ rhs)
@@ -285,42 +406,54 @@ let parse_line state line_no raw =
       state.ics <-
         Ic.cfd ~rel:name ~lhs:(List.map pos lhs) ~rhs:(List.map pos rhs) ~pat
         :: state.ics
-  | Ident "dc" :: rest ->
-      let st = { toks = rest; line = line_no } in
-      let name = ident st in
-      expect_sym st ":";
-      let atoms, comps = parse_body st in
+  | "dc" ->
+      let name = ident c in
+      expect_sym c ":";
+      let atoms, comps = parse_body c in
       check_safe line_no ~what:("dc " ^ name) [] atoms comps;
       state.ics <- Ic.denial ~name ~comps atoms :: state.ics
-  | Ident "query" :: rest ->
-      let st = { toks = rest; line = line_no } in
-      let name = ident st in
-      let head = paren_list st (fun st -> term_of_token st.line (next st)) in
-      expect_sym st ":-";
-      let atoms, comps = parse_body st in
+  | "query" ->
+      let name = ident c in
+      let head = paren_list c term in
+      expect_sym c ":-";
+      let atoms, comps = parse_body c in
       check_safe line_no ~what:("query " ^ name) head atoms comps;
       state.queries <-
         (name, Logic.Cq.make ~name ~comps head atoms) :: state.queries
-  | Ident d :: _ -> fail line_no "unknown directive '%s'" d
-  | _ -> fail line_no "malformed line"
+  | d -> fail line_no "unknown directive '%s'" d
 
+(* One pass of the cursor over the text.  A directive must end its
+   line: a token left after it is an error, not dropped. *)
 let document_of_string text =
-  let state = { schema = Schema.empty; rows = []; ics = []; queries = [] } in
-  List.iteri
-    (fun i raw ->
-      try parse_line state (i + 1) raw
-      with Invalid_argument msg -> raise (Error (i + 1, msg)))
-    (String.split_on_char '\n' text);
-  let instance =
-    List.fold_left
-      (fun acc (rel, values) ->
-        Instance.add acc (Relational.Fact.make rel values))
-      (Instance.create state.schema)
-      (List.rev state.rows)
+  let state =
+    {
+      schema = Schema.empty;
+      facts = [||];
+      n_facts = 0;
+      last_rel = None;
+      ics = [];
+      queries = [];
+    }
   in
+  let c = cursor text in
+  while c.kind <> Eof do
+    let line = c.line in
+    (match c.kind with
+    | Eol | Eof -> ()
+    | Ident -> (
+        try directive state c
+        with Invalid_argument msg -> raise (Error (line, msg)))
+    | Quoted | Sym -> fail line "malformed line");
+    match c.kind with
+    | Eol -> advance c
+    | Eof -> ()
+    | Ident | Quoted | Sym ->
+        fail c.line "unexpected '%s' after the directive" (describe c)
+  done;
   {
     schema = state.schema;
-    instance;
+    instance =
+      Instance.of_array state.schema (Array.sub state.facts 0 state.n_facts);
     ics = List.rev state.ics;
     queries = List.rev state.queries;
   }

@@ -20,7 +20,15 @@
     [ind] position lists use attribute names; [dc] bodies may end with
     comparisons ([=], [<>], [<], [<=], [>], [>=]).  Queries and [dc]s must
     be safe: a head or comparison variable that no body atom binds is an
-    {!Error} naming the variable. *)
+    {!Error} naming the variable.
+
+    One directive per line.  A token left on the line after a directive
+    is an {!Error} on that line ([unexpected 'R' after the directive]),
+    as is a [row] whose value count differs from its relation's arity.
+    Spaces, tabs and carriage returns separate tokens, so a CRLF file
+    parses as its LF twin.  The text is read in one pass by a cursor
+    with one token of lookahead, and the rows go to the instance in
+    bulk ({!Relational.Instance.of_array}). *)
 
 type document = {
   schema : Relational.Schema.t;

@@ -4,7 +4,18 @@
     each present fact addressed by a unique {!Tid.t} (facts and tids are in
     bijection, as in the paper's use of global tuple identifiers in Example
     3.5).  All mutation operations return new instances, which makes repair
-    search — exploring many nearby consistent instances — cheap and safe. *)
+    search — exploring many nearby consistent instances — cheap and safe.
+
+    Representation: a flat {e base} plus a persistent {e overlay}.  The
+    base is built in bulk ({!of_array}, {!of_facts}, {!of_rows}, and so
+    every parsed document): a tid-indexed fact array, per-relation tid
+    and row arrays, and a read-only fact-to-tid hash index, never written
+    once built, so concurrent readers share it.  [insert], [delete] and
+    [update_cell] write only to the overlay — persistent maps of the
+    facts written since, plus the set of deleted base tids — so a loaded
+    instance with a few writes pays for persistent structures on those
+    writes alone.  {!create} starts from an empty base.  Every operation
+    below reads both halves, merged in tid order. *)
 
 type t
 
@@ -45,7 +56,8 @@ val mem_tid : t -> Tid.t -> bool
 
 val tuples : t -> rel:string -> (Tid.t * Value.t array) list
 (** All tuples of one relation, in tid order, in O(|rel|): read off the
-    relation's own tid-to-row map, with no lookup per tuple.  Empty list
+    relation's own base arrays and overlay map, with no lookup per
+    tuple.  Empty list
     for a declared relation with no tuples; raises [Invalid_argument] on
     an undeclared relation. *)
 
@@ -59,7 +71,8 @@ val columnar : t -> rel:string -> Columnar.t
 (** The relation's columnar snapshot: {!tid_column} followed by the
     schema attributes, rows in tid order (same contents, order and
     column representations as {!Columnar.of_rows} over {!tuples}).
-    Built lazily in one pass over the relation's rows ({!Column.of_rows}:
+    A relation no write touched reads the base's tid and row arrays as
+    they are.  Built lazily in one pass over the relation's rows ({!Column.of_rows}:
     unboxed [int] cells, [Column.of_values] only for a column holding a
     non-[Int] cell), memoized per instance version, and invalidated per
     relation by [insert]/[delete]/[update_cell] — the views of the other
@@ -79,8 +92,16 @@ val restrict : t -> Tid.Set.t -> t
 (** Keep only the facts addressed by the given tids (used to build
     sub-instances, e.g. repairs obtained by deletions). *)
 
+val of_array : Schema.t -> Fact.t array -> t
+(** The instance holding the facts in array order, as if inserted one
+    by one from {!create}: tids [1, 2, ...] in first-occurrence order, a
+    repeated fact takes no tid.  Built in bulk, in time linear in the
+    array.  The instance takes the array over: the caller must not
+    write it afterwards.  Raises [Invalid_argument] as {!insert} does. *)
+
 val of_facts : Schema.t -> Fact.t list -> t
 val of_rows : Schema.t -> (string * Value.t list list) list -> t
+(** Both build in bulk, like {!of_array}. *)
 
 val equal : t -> t -> bool
 (** Equality of fact sets (schemas assumed compatible). *)

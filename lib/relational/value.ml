@@ -66,9 +66,15 @@ let to_string = function
   | Bool b -> string_of_bool b
   | Null -> "NULL"
 
+(* Allocation-free: an [Int] is mixed in place (multiply, then fold
+   the high bits down, so the low bits hash tables use depend on every
+   bit), and other values take one [caml_hash] call seeded by their
+   constructor. *)
 let hash = function
-  | Int x -> Hashtbl.hash (2, x)
-  | Real r -> Hashtbl.hash (3, r)
-  | Str s -> Hashtbl.hash (4, s)
-  | Bool b -> Hashtbl.hash (1, b)
-  | Null -> Hashtbl.hash 0
+  | Int x ->
+      let h = x * 0x2545F4914F6CDD1D in
+      h lxor (h lsr 29)
+  | Real r -> Hashtbl.seeded_hash 3 r
+  | Str s -> Hashtbl.seeded_hash 4 s
+  | Bool b -> if b then 1 else 2
+  | Null -> 0

@@ -756,6 +756,34 @@ let test_null_block_mate_declines () =
       check Alcotest.(option string) "executed" (Some "sat_compilation")
         (List.assoc_opt "executed_route" s.Obs.Trace.attrs)
 
+(* A forced key rewriting is refused on the same NULL input, where it
+   used to read the NULL mate as refuting its block and answer nothing. *)
+let test_forced_key_rewriting_declines_null () =
+  let db =
+    Instance.of_rows rs_schema
+      [
+        ("R", [ [ Value.int 2; Value.Null ]; [ Value.int 2; Value.int 2 ] ]);
+        ( "S",
+          [
+            [ Value.int 0; Value.int 2 ];
+            [ Value.int 1; Value.int 2 ];
+            [ Value.Null; Value.int 2 ];
+          ] );
+      ]
+  in
+  let eng = Cqa.Engine.create ~schema:rs_schema ~ics:rs_keys db in
+  (match Cqa.Engine.consistent_answers ~method_:`Key_rewriting eng hard with
+  | exception Invalid_argument msg ->
+      check Alcotest.bool msg true
+        (String.starts_with
+           ~prefix:"Engine.consistent_answers: key rewriting not applicable: "
+           msg)
+  | rows ->
+      Alcotest.failf "forced key rewriting answered %d rows" (List.length rows));
+  check rows "enumeration" [ [ "2" ] ]
+    (strings_of
+       (Cqa.Engine.consistent_answers ~method_:`Repair_enumeration eng hard))
+
 (* C-semantics queries never plan a route, but they report their
    branch all the same: a deadline ERR or INFLIGHT line must not read
    branch=?.  A union under auto plans one like any query: SAT under
@@ -1260,6 +1288,8 @@ let suite =
       test_null_fallback_is_sat;
     Alcotest.test_case "engine: a NULL block mate declines the rewriting"
       `Quick test_null_block_mate_declines;
+    Alcotest.test_case "engine: a forced key rewriting refuses a NULL"
+      `Quick test_forced_key_rewriting_declines_null;
     Alcotest.test_case "engine: C and union queries report their branch"
       `Quick test_c_and_union_report_branch;
     QCheck_alcotest.to_alcotest prop_sat_equals_enum_keys;

@@ -287,7 +287,72 @@ let test_parse_errors () =
   expect_error "row Unknown(1)";
   expect_error "relation R(a)\nrow R(\"unterminated)";
   expect_error "relation R(a)\nkey R(nope)";
-  expect_error "relation R(a, a)"
+  expect_error "relation R(a, a)";
+  (* A token left after a directive is an error on its line, not
+     dropped: the second row used to vanish, the garbage to pass. *)
+  let expect_located text line msg =
+    match Cqa.Parse.document_of_string text with
+    | exception Cqa.Parse.Error (l, m) ->
+        check Alcotest.(pair int string) text (line, msg) (l, m)
+    | _ -> Alcotest.failf "expected parse error for %S" text
+  in
+  expect_located "relation R(a, b)\nrow R(5, 6)\nrow R(1, 2) R(3, 4)" 3
+    "unexpected 'R' after the directive";
+  expect_located
+    "relation R(a, b)\nrow R(1, 2)\nquery q(X) :- R(X, Y), X = 1 garbage" 3
+    "unexpected 'garbage' after the directive";
+  (* A row of the wrong arity is a located parse error too. *)
+  expect_located "relation R(a, b)\nrow R(5, 6)\nrow R(1, 2, 3)" 3
+    "R expects arity 2, got 3";
+  expect_located "relation R(a, b)\nrow R(5, 6)\nrow R(1)" 3
+    "R expects arity 2, got 1";
+  (* An integer past max_int is located too (it used to escape as an
+     uncaught [Failure "int_of_string"]). *)
+  expect_located "relation R(a)\nrow R(99999999999999999999)" 2
+    "integer 99999999999999999999 out of range";
+  (* CR is whitespace: a CRLF document parses equal to its LF twin. *)
+  let lf =
+    "relation R(a, b)\nrow R(1, \"x y\")\nrow R(2, null) % note\nkey R(a)\n\
+     query q(X) :- R(X, Y), X <> 3\n"
+  in
+  let crlf = String.concat "\r\n" (String.split_on_char '\n' lf) in
+  let a = Cqa.Parse.document_of_string lf
+  and b = Cqa.Parse.document_of_string crlf in
+  check Alcotest.bool "CRLF instance = LF instance" true
+    (Instance.equal_with_tids a.instance b.instance);
+  check Alcotest.int "two facts" 2 (Instance.size b.instance);
+  check Alcotest.bool "CRLF ics and queries = LF's" true
+    (a.ics = b.ics && a.queries = b.queries)
+
+(* The CLI reports a parse error as FILE:LINE and exits 2: a row of the
+   wrong arity used to escape as an uncaught [Invalid_argument] (exit
+   125), and a trailing token was dropped. *)
+let test_cli_located_parse_errors () =
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/cqa_cli.exe"
+  in
+  List.iter
+    (fun (bad, msg) ->
+      let input = Filename.temp_file "bad" ".cqa" in
+      let err = Filename.temp_file "bad" ".err" in
+      Out_channel.with_open_text input (fun oc ->
+          output_string oc
+            ("relation R(a, b)\nrow R(5, 6)\n" ^ bad ^ "\nquery q(X) :- R(X, Y)\n"));
+      let status =
+        Sys.command
+          (Printf.sprintf "%s answers %s -q q > /dev/null 2> %s"
+             (Filename.quote cli) (Filename.quote input) (Filename.quote err))
+      in
+      let got = In_channel.with_open_text err In_channel.input_all in
+      List.iter Sys.remove [ input; err ];
+      check Alcotest.int (bad ^ ": exit 2") 2 status;
+      check Alcotest.string (bad ^ ": located")
+        (Printf.sprintf "%s:3: %s\n" input msg)
+        got)
+    [
+      ("row R(1, 2, 3)", "R expects arity 2, got 3");
+      ("row R(1, 2) R(3, 4)", "unexpected 'R' after the directive");
+    ]
 
 let test_parse_null_and_ind () =
   let doc =
@@ -371,5 +436,7 @@ let suite =
       test_approx_bounds_exactness;
     Alcotest.test_case "parse: full document" `Quick test_parse_document;
     Alcotest.test_case "parse: errors" `Quick test_parse_errors;
+    Alcotest.test_case "cli: parse errors are FILE:LINE, exit 2" `Quick
+      test_cli_located_parse_errors;
     Alcotest.test_case "parse: null and IND" `Quick test_parse_null_and_ind;
   ]

@@ -177,11 +177,161 @@ let prop_value_to_string =
   QCheck.Test.make ~count:1000 ~name:"Value.to_string = Format.asprintf Value.pp"
     arb_value (fun v -> Value.to_string v = Format.asprintf "%a" Value.pp v)
 
+(* Bulk build = sequential insert.  A document (a fact list with
+   repeats, over three relations, with Int/Str/Real/NULL cells) is
+   built both in bulk ([of_facts]: a flat base) and insert by insert
+   from [create] (the overlay alone), then the same random writes go to
+   both.  After every step the two must agree on everything the
+   interface shows: tids, tuples in tid order, columnar contents and
+   column types (and the number of views each side builds), the
+   digest, and [tid_of] for every fact seen. *)
+let bulk_schema =
+  Schema.of_list [ ("R", [ "a"; "b" ]); ("S", [ "c" ]); ("T", [ "d"; "e"; "f" ]) ]
+
+let bulk_rels = [ "R"; "S"; "T" ]
+
+type bulk_op =
+  | Insert of Fact.t
+  | Delete of int
+  | Update of int * int * Value.t (* a present tid's index, a position *)
+  | Restrict of bool list
+
+let gen_bulk_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map Value.int (int_range 0 3));
+        (2, map Value.str (oneofl [ "a"; "b"; "1" ]));
+        (1, map Value.real (oneofl [ 0.5; 1.0 ]));
+        (1, return Value.Null);
+      ])
+
+let gen_bulk_fact rels =
+  QCheck.Gen.(
+    oneofl rels >>= fun rel ->
+    list_repeat (Schema.arity bulk_schema rel) gen_bulk_value >|= fun vs ->
+    Fact.make rel vs)
+
+let gen_bulk_case =
+  QCheck.Gen.(
+    int_range 2 3 >>= fun k ->
+    let rels = List.filteri (fun i _ -> i < k) bulk_rels in
+    list_size (int_range 0 30) (gen_bulk_fact rels) >>= fun facts ->
+    list_size (int_range 0 12)
+      (frequency
+         [
+           (3, map (fun f -> Insert f) (gen_bulk_fact rels));
+           (3, map (fun i -> Delete i) (int_range 0 40));
+           ( 3,
+             map3
+               (fun i p v -> Update (i, p, v))
+               (int_range 0 40) (int_range 1 3) gen_bulk_value );
+           (1, map (fun l -> Restrict l) (list_size (int_range 0 40) bool));
+         ])
+    >|= fun ops -> (facts, ops))
+
+let print_bulk_case (facts, ops) =
+  let op = function
+    | Insert f -> "insert " ^ Fact.to_string f
+    | Delete i -> Printf.sprintf "delete t%d" i
+    | Update (i, p, v) ->
+        Printf.sprintf "update #%d[%d] := %s" i p (Value.to_string v)
+    | Restrict l ->
+        "restrict "
+        ^ String.concat "" (List.map (fun b -> if b then "1" else "0") l)
+  in
+  String.concat "; " (List.map Fact.to_string facts)
+  ^ " | " ^ String.concat "; " (List.map op ops)
+
+let columnar_builds = Obs.Counter.make "columnar.builds"
+
+(* Both sides' views of every relation, with the number of views each
+   side had to build for them. *)
+let views db =
+  let before = Obs.Counter.value columnar_builds in
+  let vs =
+    List.map
+      (fun rel ->
+        let c = Instance.columnar db ~rel in
+        ( Relational.Columnar.cols c,
+          Relational.Columnar.rows c,
+          Array.map
+            (fun (col : Relational.Column.t) ->
+              (col.Relational.Column.data, Bytes.to_string col.nulls))
+            (Relational.Columnar.columns c) ))
+      bulk_rels
+  in
+  (vs, Obs.Counter.value columnar_builds - before)
+
+let agree seen bulk seq =
+  let same_tuples rel =
+    List.equal
+      (fun (t1, r1) (t2, r2) ->
+        Tid.equal t1 t2 && Array.for_all2 Value.equal r1 r2)
+      (Instance.tuples bulk ~rel) (Instance.tuples seq ~rel)
+  in
+  Instance.equal_with_tids bulk seq
+  && Instance.equal_with_tids seq bulk
+  && Instance.size bulk = Instance.size seq
+  && Tid.Set.equal (Instance.tids bulk) (Instance.tids seq)
+  && List.equal Fact.equal (Instance.fact_list bulk) (Instance.fact_list seq)
+  && List.for_all same_tuples bulk_rels
+  && List.for_all
+       (fun rel -> Instance.cardinality bulk ~rel = Instance.cardinality seq ~rel)
+       bulk_rels
+  && views bulk = views seq
+  && Instance.digest bulk = Instance.digest seq
+  && List.for_all
+       (fun f -> Instance.tid_of bulk f = Instance.tid_of seq f)
+       seen
+
+let prop_bulk_equals_sequential =
+  QCheck.Test.make ~count:300 ~name:"Instance: bulk build = sequential insert"
+    (QCheck.make ~print:print_bulk_case gen_bulk_case)
+    (fun (facts, ops) ->
+      let bulk = Instance.of_facts bulk_schema facts in
+      let seq = List.fold_left Instance.add (Instance.create bulk_schema) facts in
+      let seen = ref facts in
+      let step (bulk, seq) op =
+        let both f = (f bulk, f seq) in
+        match op with
+        | Insert f ->
+            seen := f :: !seen;
+            both (fun db -> Instance.add db f)
+        | Delete i -> both (fun db -> Instance.delete db (Tid.of_int i))
+        | Update (i, p, v) -> (
+            match Tid.Set.elements (Instance.tids seq) with
+            | [] -> (bulk, seq)
+            | tids ->
+                let tid = List.nth tids (i mod List.length tids) in
+                let f = Instance.fact_of seq tid in
+                let pos = 1 + ((p - 1) mod Fact.arity f) in
+                let row = Array.copy f.row in
+                row.(pos - 1) <- v;
+                seen := { f with row } :: !seen;
+                both (fun db -> Instance.update_cell db (Tid.Cell.make tid pos) v))
+        | Restrict pattern ->
+            let keep =
+              List.filteri
+                (fun i _ -> List.nth_opt pattern i = Some true)
+                (Tid.Set.elements (Instance.tids seq))
+            in
+            both (fun db -> Instance.restrict db (Tid.Set.of_list keep))
+      in
+      let rec go pair = function
+        | [] -> true
+        | op :: rest ->
+            let bulk, seq = step pair op in
+            agree !seen bulk seq && go (bulk, seq) rest
+      in
+      agree !seen bulk seq && go (bulk, seq) ops)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_tvl_de_morgan;
     QCheck_alcotest.to_alcotest prop_value_to_string;
     QCheck_alcotest.to_alcotest prop_tvl_lattice;
+    QCheck_alcotest.to_alcotest prop_bulk_equals_sequential;
     Alcotest.test_case "value equality and sql_eq" `Quick test_value_equality;
     Alcotest.test_case "three-valued truth tables" `Quick test_tvl_tables;
     Alcotest.test_case "schema declarations" `Quick test_schema;

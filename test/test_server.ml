@@ -380,6 +380,51 @@ let test_unsafe_query_rejected_at_parse () =
       | _ -> Alcotest.fail (query ^ ": LOAD should answer ERR"))
     [ ("query q(X) :- R(X, Y), Z > 1", "Z"); ("query q(X, W) :- R(X, Y)", "W") ]
 
+(* A malformed document is refused with the line it fails on: a token
+   left after a directive, and a row of the wrong arity, are parse
+   errors, not a silently dropped fact or an unlocated crash. *)
+let test_load_located_errors () =
+  List.iter
+    (fun (bad, expect) ->
+      let h = Server.Handler.create () in
+      let lines = [ "relation R(a, b)"; "row R(5, 6)"; bad ] in
+      match Server.Handler.dispatch h ~payload:lines (P.Load "s1") with
+      | { P.status = `Err; head; _ } ->
+          Alcotest.(check string) "located ERR" ("payload line 3: " ^ expect) head
+      | _ -> Alcotest.fail (bad ^ ": LOAD should answer ERR"))
+    [
+      ("row R(1, 2) R(3, 4)", "unexpected 'R' after the directive");
+      ("row R(1, 2, 3)", "R expects arity 2, got 3");
+      ("query q(X) :- R(X, Y), X = 1 garbage", "unexpected 'garbage' after the directive");
+    ]
+
+(* A forced key rewriting over a NULL is refused, as the CLI refuses
+   it, where it used to print a wrong (empty) answer. *)
+let test_forced_key_rewriting_null_err () =
+  let h = Server.Handler.create () in
+  let lines =
+    [
+      "relation R(a, b)"; "relation S(c, d)"; "row R(2, null)"; "row R(2, 2)";
+      "row S(0, 2)"; "row S(1, 2)"; "row S(null, 2)"; "key R(a)"; "key S(c)";
+      "query hard(X) :- R(X, Y), S(Z, Y)";
+    ]
+  in
+  (match Server.Handler.dispatch h ~payload:lines (P.Load "s1") with
+  | { P.status = `Ok; _ } -> ()
+  | r -> Alcotest.fail ("LOAD: " ^ r.P.head));
+  (match dispatch_line h "QUERY s1 hard method=key-rewriting" with
+  | { P.status = `Err; head; _ } ->
+      Alcotest.(check bool) ("refused: " ^ head) true
+        (try
+           ignore (Str.search_forward (Str.regexp_string "key rewriting not applicable") head 0);
+           true
+         with Not_found -> false)
+  | r -> Alcotest.fail ("forced key rewriting over a NULL answered: " ^ r.P.head));
+  match dispatch_line h "QUERY s1 hard method=enum" with
+  | { P.status = `Ok; body; _ } ->
+      Alcotest.(check (list string)) "enumeration" [ "2" ] body
+  | r -> Alcotest.fail r.P.head
+
 (* ---- observability: TRACE, EXPLAIN, clamped framing ------------------- *)
 
 let body_has_prefix body prefix =
@@ -817,6 +862,35 @@ let test_typed_constants_do_not_collide () =
        (Server.Session.digest_of (with_query "1"))
        (Server.Session.digest_of (with_query "\"1\"")))
 
+(* The LOAD digest lays facts out by a 33-bit key mixed from their
+   hash, and by their encodings where keys tie.  R(14744) and R(28537)
+   share a key under today's [Value.hash]: in either row order they
+   digest alike, and a near miss digests apart.  A real's encoding
+   keeps all 64 bits, the sign among them. *)
+let test_digest_key_ties () =
+  let digest rows =
+    Server.Session.digest_of
+      (Cqa.Parse.document_of_string
+         (String.concat "\n"
+            ("relation R(a)" :: List.map (Printf.sprintf "row R(%d)") rows)))
+  in
+  Alcotest.(check string) "tied keys: row order does not matter"
+    (digest [ 14744; 28537; 7 ]) (digest [ 28537; 7; 14744 ]);
+  Alcotest.(check bool) "a near miss digests apart" false
+    (String.equal (digest [ 14744; 28537 ]) (digest [ 14744; 28538 ]));
+  let real r =
+    let doc = Cqa.Parse.document_of_string "relation R(a)" in
+    Server.Session.digest_of
+      {
+        doc with
+        instance =
+          Relational.Instance.add doc.instance
+            (Relational.Fact.make "R" [ Relational.Value.real r ]);
+      }
+  in
+  Alcotest.(check bool) "0.5 and -0.5 digest apart" false
+    (String.equal (real 0.5) (real (-0.5)))
+
 let test_noop_update_keeps_cache () =
   let h = Server.Handler.create () in
   load_session h "s1";
@@ -1234,6 +1308,10 @@ let suite =
       test_handler_errors_keep_session;
     Alcotest.test_case "unsafe queries rejected at parse time" `Quick
       test_unsafe_query_rejected_at_parse;
+    Alcotest.test_case "LOAD: malformed rows are located errors" `Quick
+      test_load_located_errors;
+    Alcotest.test_case "forced key rewriting over a NULL answers ERR" `Quick
+      test_forced_key_rewriting_null_err;
     Alcotest.test_case "TRACE toggles the global sink" `Quick test_trace_toggle;
     Alcotest.test_case "EXPLAIN shows the enum/rewriting cost shift" `Quick
       test_explain_cost_shift;
@@ -1254,6 +1332,8 @@ let suite =
       test_explain_selfjoin_routes_to_sat;
     Alcotest.test_case "Int vs Str constants digest apart" `Quick
       test_typed_constants_do_not_collide;
+    Alcotest.test_case "LOAD digest orders tied keys by encoding" `Quick
+      test_digest_key_ties;
     Alcotest.test_case "no-op UPDATE keeps the cache" `Quick
       test_noop_update_keeps_cache;
     Alcotest.test_case "typed denial constants fingerprint apart" `Quick
